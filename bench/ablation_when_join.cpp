@@ -1,7 +1,11 @@
-// A5 — Temporal join scaling: the TQuel `when f1 overlap f2` join evaluated
-// through the full query stack at increasing relation sizes, with the
-// executor's `when` scan pushdown on and off, against the non-temporal
-// equi-join as a baseline.
+// A5 — Temporal join scaling: TQuel when-joins evaluated through the full
+// query stack at increasing relation sizes.
+//  - `when x overlap y` alone, with the executor's `when` scan pushdown on
+//    and off: the inner side is an interval-index probe per outer tuple, or
+//    a full sweep filtered above the store.
+//  - `where x.key = y.key when x overlap y`: the equality key makes the
+//    inner side a hash step, whatever the pushdown setting.
+//  - the non-temporal equi-join `where x.key = y.key` as a baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -42,17 +46,13 @@ bench::ScenarioDb BuildPair(size_t per_relation, bool time_pushdown = true) {
   return sdb;
 }
 
-// With pushdown, the executor re-derives x's period per outer tuple and
-// probes b's interval index (`ScanValidDuring`), so the inner scan touches
-// only overlapping versions; without it, every inner version is surfaced
-// and the `when` predicate filters above the store.
-void RunWhenJoin(benchmark::State& state, bool time_pushdown) {
+void RunQuery(benchmark::State& state, const char* query,
+              bool time_pushdown) {
   bench::ScenarioDb sdb =
       BuildPair(static_cast<size_t>(state.range(0)), time_pushdown);
   size_t answer = 0;
   for (auto _ : state) {
-    Result<Rowset> rows = sdb.db->Query(
-        "retrieve (x.key) where x.key = y.key when x overlap y");
+    Result<Rowset> rows = sdb.db->Query(query);
     if (!rows.ok()) {
       state.SkipWithError(rows.status().ToString().c_str());
       break;
@@ -63,34 +63,34 @@ void RunWhenJoin(benchmark::State& state, bool time_pushdown) {
   state.counters["answer_rows"] = static_cast<double>(answer);
 }
 
-void BM_WhenJoin_Pushdown(benchmark::State& state) {
-  RunWhenJoin(state, true);
+// With pushdown, the executor re-derives x's period per outer tuple and
+// probes b's interval index (`ScanValidDuring`), so the inner scan touches
+// only overlapping versions; without it, every inner version is surfaced
+// and the `when` predicate filters above the store.
+constexpr char kOverlapJoin[] = "retrieve (x.key) when x overlap y";
+void BM_WhenOverlap_Pushdown(benchmark::State& state) {
+  RunQuery(state, kOverlapJoin, true);
 }
-void BM_WhenJoin_NoPushdown(benchmark::State& state) {
-  RunWhenJoin(state, false);
+void BM_WhenOverlap_NoPushdown(benchmark::State& state) {
+  RunQuery(state, kOverlapJoin, false);
+}
+
+void BM_WhenJoin_HashJoin(benchmark::State& state) {
+  RunQuery(state, "retrieve (x.key) where x.key = y.key when x overlap y",
+           true);
 }
 
 void BM_EquiJoinOnly(benchmark::State& state) {
-  bench::ScenarioDb sdb = BuildPair(static_cast<size_t>(state.range(0)));
-  size_t answer = 0;
-  for (auto _ : state) {
-    Result<Rowset> rows =
-        sdb.db->Query("retrieve (x.key) where x.key = y.key");
-    if (!rows.ok()) {
-      state.SkipWithError(rows.status().ToString().c_str());
-      break;
-    }
-    answer = rows->size();
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["answer_rows"] = static_cast<double>(answer);
+  RunQuery(state, "retrieve (x.key) where x.key = y.key", true);
 }
 
 }  // namespace
 
-BENCHMARK(BM_WhenJoin_Pushdown)->Arg(50)->Arg(200)->Arg(800)
+BENCHMARK(BM_WhenOverlap_Pushdown)->Arg(50)->Arg(200)->Arg(800)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_WhenJoin_NoPushdown)->Arg(50)->Arg(200)->Arg(800)
+BENCHMARK(BM_WhenOverlap_NoPushdown)->Arg(50)->Arg(200)->Arg(800)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WhenJoin_HashJoin)->Arg(50)->Arg(200)->Arg(800)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EquiJoinOnly)->Arg(50)->Arg(200)->Arg(800)
     ->Unit(benchmark::kMillisecond);

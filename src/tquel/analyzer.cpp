@@ -1,6 +1,7 @@
 #include "tquel/analyzer.h"
 
 #include <charconv>
+#include <set>
 
 #include "common/strings.h"
 
@@ -476,29 +477,43 @@ Result<std::optional<Period>> ResolveDmlValidClause(
 
 namespace {
 
-// Walks the top-level AND-chain of the where clause, recording
-// `var.attr = <constant>` conjuncts as index-probe candidates.
-void CollectEqConstraints(const AstExprPtr& e, BoundRetrieve* bound) {
-  if (e == nullptr || e->kind != AstExprKind::kBinary) return;
-  if (e->op == AstBinaryOp::kAnd) {
-    CollectEqConstraints(e->left, bound);
-    CollectEqConstraints(e->right, bound);
+// Calls `fn` on each conjunct of the where clause's top-level AND-chain.
+void ForEachConjunct(const AstExprPtr& e,
+                     const std::function<void(const AstExprPtr&)>& fn) {
+  if (e == nullptr) return;
+  if (e->kind == AstExprKind::kBinary && e->op == AstBinaryOp::kAnd) {
+    ForEachConjunct(e->left, fn);
+    ForEachConjunct(e->right, fn);
     return;
   }
-  if (e->op != AstBinaryOp::kEq) return;
+  fn(e);
+}
+
+bool IsLiteral(const AstExprPtr& x) {
+  return x->kind == AstExprKind::kIntLiteral ||
+         x->kind == AstExprKind::kFloatLiteral ||
+         x->kind == AstExprKind::kStringLiteral;
+}
+
+ValueType AttributeType(const std::vector<Participant>& participants,
+                        std::pair<size_t, size_t> loc) {
+  return participants[loc.first]
+      .relation->schema()
+      .at(loc.second)
+      .type.value_type();
+}
+
+// Records a `var.attr = <constant>` conjunct as an index-probe candidate.
+void CollectEqConstraints(const AstExprPtr& e, BoundRetrieve* bound) {
+  if (e->kind != AstExprKind::kBinary || e->op != AstBinaryOp::kEq) return;
   const AstExprPtr& l = e->left;
   const AstExprPtr& r = e->right;
   const AstExprPtr* column = nullptr;
   const AstExprPtr* literal = nullptr;
-  auto is_literal = [](const AstExprPtr& x) {
-    return x->kind == AstExprKind::kIntLiteral ||
-           x->kind == AstExprKind::kFloatLiteral ||
-           x->kind == AstExprKind::kStringLiteral;
-  };
-  if (l->kind == AstExprKind::kColumn && is_literal(r)) {
+  if (l->kind == AstExprKind::kColumn && IsLiteral(r)) {
     column = &l;
     literal = &r;
-  } else if (r->kind == AstExprKind::kColumn && is_literal(l)) {
+  } else if (r->kind == AstExprKind::kColumn && IsLiteral(l)) {
     column = &r;
     literal = &l;
   } else {
@@ -507,10 +522,7 @@ void CollectEqConstraints(const AstExprPtr& e, BoundRetrieve* bound) {
   Result<std::pair<size_t, size_t>> loc = ResolveColumn(
       bound->participants, (*column)->variable, (*column)->attribute);
   if (!loc.ok()) return;
-  ValueType attr_type = bound->participants[loc->first]
-                            .relation->schema()
-                            .at(loc->second)
-                            .type.value_type();
+  const ValueType attr_type = AttributeType(bound->participants, *loc);
   Value key;
   switch ((*literal)->kind) {
     case AstExprKind::kIntLiteral: {
@@ -540,6 +552,90 @@ void CollectEqConstraints(const AstExprPtr& e, BoundRetrieve* bound) {
       return;
   }
   bound->eq_constraints[loc->first].emplace_back(loc->second, std::move(key));
+}
+
+// Records a `x.attr = y.attr` conjunct between two participants as a join
+// key of the later one, when both attributes share one hashable type.
+void CollectJoinKey(const AstExprPtr& e, BoundRetrieve* bound) {
+  if (e->kind != AstExprKind::kBinary || e->op != AstBinaryOp::kEq ||
+      e->left->kind != AstExprKind::kColumn ||
+      e->right->kind != AstExprKind::kColumn) {
+    return;
+  }
+  Result<std::pair<size_t, size_t>> l = ResolveColumn(
+      bound->participants, e->left->variable, e->left->attribute);
+  Result<std::pair<size_t, size_t>> r = ResolveColumn(
+      bound->participants, e->right->variable, e->right->attribute);
+  if (!l.ok() || !r.ok() || l->first == r->first) return;
+  const ValueType type = AttributeType(bound->participants, *l);
+  if (type != AttributeType(bound->participants, *r) ||
+      type == ValueType::kFloat) {
+    return;
+  }
+  const auto [inner, outer] = l->first > r->first ? std::make_pair(*l, *r)
+                                                  : std::make_pair(*r, *l);
+  bound->join_keys[inner.first].push_back(
+      BoundRetrieve::JoinKey{inner.second, outer.first, outer.second});
+}
+
+// Adds the ordinals of the participants `e` references to `out`.
+void ReferencedParticipants(const AstExprPtr& e,
+                            const std::vector<Participant>& participants,
+                            std::set<size_t>* out) {
+  if (e == nullptr) return;
+  if (e->kind == AstExprKind::kColumn) {
+    Result<std::pair<size_t, size_t>> loc =
+        ResolveColumn(participants, e->variable, e->attribute);
+    if (loc.ok()) out->insert(loc->first);
+    return;
+  }
+  ReferencedParticipants(e->left, participants, out);
+  ReferencedParticipants(e->right, participants, out);
+}
+
+// Whether evaluating `e` can never fail: comparisons between columns and
+// literals whose types `Value::Compare` accepts (a stored value is null or
+// of its attribute's type, and null compares with anything), joined by
+// and/or/not.  Arithmetic can fail (division by zero), so it never does.
+bool CannotFail(const AstExprPtr& e,
+                const std::vector<Participant>& participants) {
+  if (e->kind == AstExprKind::kNot) return CannotFail(e->left, participants);
+  if (e->kind != AstExprKind::kBinary) return false;
+  if (e->op == AstBinaryOp::kAnd || e->op == AstBinaryOp::kOr) {
+    return CannotFail(e->left, participants) &&
+           CannotFail(e->right, participants);
+  }
+  const AstExprPtr& l = e->left;
+  const AstExprPtr& r = e->right;
+  if (!IsComparison(e->op) ||
+      (l->kind != AstExprKind::kColumn && !IsLiteral(l)) ||
+      (r->kind != AstExprKind::kColumn && !IsLiteral(r))) {
+    return false;
+  }
+  Result<ValueType> lt = InferType(l, participants);
+  Result<ValueType> rt = InferType(r, participants);
+  if (!lt.ok() || !rt.ok()) return false;
+  const auto numeric = [](ValueType t) {
+    return t == ValueType::kInt || t == ValueType::kFloat;
+  };
+  if (*lt == *rt || (numeric(*lt) && numeric(*rt))) return true;
+  // CompileScalarExpr parses a string literal compared with a date.
+  return (*lt == ValueType::kDate && r->kind == AstExprKind::kStringLiteral) ||
+         (*rt == ValueType::kDate && l->kind == AstExprKind::kStringLiteral);
+}
+
+// Compiles the conjunction of `conjuncts` over `p`'s own values.
+Result<ExprPtr> CompileLocalFilter(const std::vector<AstExprPtr>& conjuncts,
+                                   const Participant& p) {
+  const std::vector<Participant> alone{Participant{p.name, p.relation, 0}};
+  ExprPtr filter;
+  for (const AstExprPtr& c : conjuncts) {
+    TDB_ASSIGN_OR_RETURN(ExprPtr e, CompileScalarExpr(c, alone));
+    filter = filter == nullptr ? std::move(e)
+                               : MakeLogical(LogicalOp::kAnd,
+                                             std::move(filter), std::move(e));
+  }
+  return filter;
 }
 
 }  // namespace
@@ -695,7 +791,26 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
   if (stmt.where != nullptr) {
     TDB_ASSIGN_OR_RETURN(bound.where,
                          CompileScalarExpr(stmt.where, bound.participants));
-    CollectEqConstraints(stmt.where, &bound);
+    // Join planning runs only for joins: single-variable reads keep their
+    // plain access path.
+    const size_t n = bound.participants.size();
+    std::vector<std::vector<AstExprPtr>> local(n > 1 ? n : 0);
+    if (n > 1) bound.join_keys.resize(n);
+    ForEachConjunct(stmt.where, [&](const AstExprPtr& c) {
+      CollectEqConstraints(c, &bound);
+      if (n == 1) return;
+      CollectJoinKey(c, &bound);
+      std::set<size_t> vars;
+      ReferencedParticipants(c, bound.participants, &vars);
+      if (vars.size() == 1 && CannotFail(c, bound.participants)) {
+        local[*vars.begin()].push_back(c);
+      }
+    });
+    for (size_t i = 0; i < local.size(); ++i) {
+      TDB_ASSIGN_OR_RETURN(ExprPtr filter,
+                           CompileLocalFilter(local[i], bound.participants[i]));
+      bound.local_filters.push_back(std::move(filter));
+    }
   }
   if (stmt.when != nullptr) {
     TDB_ASSIGN_OR_RETURN(bound.when,

@@ -77,6 +77,28 @@ struct BoundRetrieve {
   /// pure access-path optimization.
   std::vector<std::vector<std::pair<size_t, Value>>> eq_constraints;
 
+  /// Join planning, filled only when more than one participant is bound.
+  /// Like `eq_constraints`, both only choose which tuple combinations the
+  /// evaluator builds; every combination it builds still runs the full
+  /// `where` and `when`.
+  ///
+  /// `join_keys[i]`: the where clause's top-level `x.attr = y.attr`
+  /// conjuncts between participant i and an *earlier* participant, whose
+  /// attributes share one hashable type (not float: -0.0 and 0.0 compare
+  /// equal but hash apart; int = float compares across types).
+  struct JoinKey {
+    size_t attr;        ///< Attribute of participant i.
+    size_t outer;       ///< The earlier participant's ordinal.
+    size_t outer_attr;  ///< Its attribute.
+  };
+  std::vector<std::vector<JoinKey>> join_keys;
+
+  /// `local_filters[i]`: the top-level where conjuncts that reference only
+  /// participant i and cannot fail at run time (comparisons of columns and
+  /// literals of comparable types, under and/or/not), compiled over that
+  /// participant's own values.  Null when there are none.
+  std::vector<ExprPtr> local_filters;
+
   TemporalClass result_class = TemporalClass::kStatic;
   TemporalDataModel result_model = TemporalDataModel::kInterval;
   std::optional<std::string> into;

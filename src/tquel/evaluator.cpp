@@ -1,6 +1,7 @@
 #include "tquel/evaluator.h"
 
 #include <functional>
+#include <unordered_map>
 
 #include "common/strings.h"
 #include "rel/operators.h"
@@ -18,6 +19,21 @@ struct Candidate {
   const std::vector<Value>* values;
   Period valid;
   Period txn;
+};
+
+/// The access path planned for one participant (see EvaluateRetrieve).
+struct Level {
+  bool dynamic = false;                         ///< Re-scanned per prefix.
+  const BoundRetrieve::JoinKey* key = nullptr;  ///< Hash step when set.
+  const Expr* filter = nullptr;                 ///< Its `local_filters`.
+  std::vector<Candidate> candidates;            ///< Fixed and hash steps.
+  /// Hash step: candidate indices per key value, in candidate order.
+  std::unordered_map<Value, std::vector<size_t>, ValueHash> buckets;
+
+  Result<bool> Keep(const Candidate& c) const {
+    if (filter == nullptr) return true;
+    return EvalPredicate(*filter, *c.values);
+  }
 };
 
 // Materializes the candidate tuples of one participant.
@@ -213,24 +229,38 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
     }
   }
 
-  // Plan one access path per participant.
+  // Plan one access path per participant, in this order of precedence:
   //
-  // A participant is *materialized* up front when its candidates do not
-  // depend on other participants: the attribute-index probe path, or a scan
-  // whose pushed-down windows (`as of`, plus any valid window the when
-  // clause implies from literals alone) are fixed.  A participant whose
-  // when-clause window depends on *earlier* participants becomes a
-  // *dynamic* scan — re-planned per bound prefix, i.e. an index-nested-loop
-  // join probing the interval index with the outer tuple's valid period.
+  //  1. An attribute-index probe (`eq_constraints` on an indexed attribute)
+  //     supplies the candidates in place of a scan.
+  //  2. A participant with an equality join key to an earlier participant
+  //     (`join_keys`) becomes a *hash* step: materialized once with its
+  //     static windows, then bucketed by key, so each bound prefix visits
+  //     only the candidates whose key equals the prefix's.
+  //  3. A participant whose when-clause window depends on earlier
+  //     participants becomes a *dynamic* scan — re-planned per bound
+  //     prefix, i.e. an index-nested-loop join probing the interval index
+  //     with the outer tuple's valid period.
+  //  4. Otherwise the participant is materialized up front with its fixed
+  //     pushed-down windows (`as of`, plus any valid window the when clause
+  //     implies from literals alone).
+  //
+  // Each participant's `local_filters` run on its candidates before any
+  // combination is built.  Buckets keep materialization order and are
+  // probed in outer order, so the result rows and their order are those of
+  // the plain nested loop over the same candidates.
   const size_t n = bound.participants.size();
   const std::vector<std::pair<size_t, Value>> no_constraints;
-  std::vector<char> dynamic(n, 0);
-  std::vector<std::vector<Candidate>> fixed(n);
+  std::vector<Level> levels(n);
   for (size_t i = 0; i < n; ++i) {
+    Level& level = levels[i];
     const StoredRelation& rel = *bound.participants[i].relation;
     const auto& eqs = i < bound.eq_constraints.size()
                           ? bound.eq_constraints[i]
                           : no_constraints;
+    if (i < bound.local_filters.size()) {
+      level.filter = bound.local_filters[i].get();
+    }
     bool has_probe = false;
     for (const auto& [attr, key] : eqs) {
       (void)key;
@@ -238,6 +268,9 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
         has_probe = true;
         break;
       }
+    }
+    if (i < bound.join_keys.size() && !bound.join_keys[i].empty()) {
+      level.key = &bound.join_keys[i].front();
     }
     ScanSpec spec;
     spec.asof = asof;
@@ -251,13 +284,27 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
       // into the one-shot materializing scan.  Otherwise probe whether one
       // becomes derivable once participants 0..i-1 are bound.
       spec.valid_during = bound.when->PushdownWindow(i, {}, 0);
-      if (!spec.valid_during.has_value() && i > 0) {
+      if (!spec.valid_during.has_value() && i > 0 && level.key == nullptr) {
         const PeriodBinding shape_probe(i, Period::All());
-        dynamic[i] =
+        level.dynamic =
             bound.when->PushdownWindow(i, shape_probe, i).has_value();
       }
     }
-    if (!dynamic[i]) fixed[i] = MaterializeParticipant(rel, eqs, spec);
+    if (level.dynamic) continue;
+    level.candidates = MaterializeParticipant(rel, eqs, spec);
+    if (level.filter != nullptr) {
+      size_t kept = 0;
+      for (const Candidate& c : level.candidates) {
+        TDB_ASSIGN_OR_RETURN(bool keep, level.Keep(c));
+        if (keep) level.candidates[kept++] = c;
+      }
+      level.candidates.resize(kept);
+    }
+    if (level.key == nullptr) continue;
+    for (size_t k = 0; k < level.candidates.size(); ++k) {
+      level.buckets[(*level.candidates[k].values)[level.key->attr]]
+          .push_back(k);
+    }
   }
 
   // Result schema.
@@ -340,11 +387,25 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
   std::vector<VersionBatch> level_batch(n);
   std::function<Status(size_t)> enumerate = [&](size_t i) -> Status {
     if (i == n) return emit();
-    if (!dynamic[i]) {
-      for (const Candidate& c : fixed[i]) {
-        chosen[i] = &c;
-        valid_binding[i] = c.valid;
-        TDB_RETURN_IF_ERROR(enumerate(i + 1));
+    const Level& level = levels[i];
+    auto visit = [&](const Candidate& c) -> Status {
+      chosen[i] = &c;
+      valid_binding[i] = c.valid;
+      return enumerate(i + 1);
+    };
+    if (level.key != nullptr) {
+      const Value& probe =
+          (*chosen[level.key->outer]->values)[level.key->outer_attr];
+      auto bucket = level.buckets.find(probe);
+      if (bucket == level.buckets.end()) return Status::OK();
+      for (size_t k : bucket->second) {
+        TDB_RETURN_IF_ERROR(visit(level.candidates[k]));
+      }
+      return Status::OK();
+    }
+    if (!level.dynamic) {
+      for (const Candidate& c : level.candidates) {
+        TDB_RETURN_IF_ERROR(visit(c));
       }
       return Status::OK();
     }
@@ -359,6 +420,10 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
     if (ctx.snapshot != nullptr) {
       spec.snapshot = ctx.snapshot->PinFor(rel.store());
     }
+    auto probe = [&](const Candidate& c) -> Status {
+      TDB_ASSIGN_OR_RETURN(bool keep, level.Keep(c));
+      return keep ? visit(c) : Status::OK();
+    };
     // Snapshot probes use the batch path for the same reason as the
     // materializing scan above: pin-effective tt_end, no tuple-field reads.
     if (rel.store()->options().batch_exec || spec.snapshot.has_value()) {
@@ -366,23 +431,17 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
       VersionBatch& batch = level_batch[i];
       while (scan.Next(&batch)) {
         for (size_t k = 0; k < batch.size(); ++k) {
-          const Candidate c{
+          TDB_RETURN_IF_ERROR(probe(Candidate{
               &batch.tuples[k]->values,
               Period(Chronon(batch.valid_from[k]), Chronon(batch.valid_to[k])),
-              Period(Chronon(batch.tt_start[k]), Chronon(batch.tt_end[k]))};
-          chosen[i] = &c;
-          valid_binding[i] = c.valid;
-          TDB_RETURN_IF_ERROR(enumerate(i + 1));
+              Period(Chronon(batch.tt_start[k]), Chronon(batch.tt_end[k]))}));
         }
       }
       return Status::OK();
     }
     VersionScan scan = rel.Scan(spec);
     while (const BitemporalTuple* t = scan.Next()) {
-      const Candidate c{&t->values, t->valid, t->txn};
-      chosen[i] = &c;
-      valid_binding[i] = t->valid;
-      TDB_RETURN_IF_ERROR(enumerate(i + 1));
+      TDB_RETURN_IF_ERROR(probe(Candidate{&t->values, t->valid, t->txn}));
     }
     return Status::OK();
   };
