@@ -43,19 +43,17 @@ VersionBatchScan HistoricalRelation::BatchScan(const ScanSpec& spec) const {
 }
 
 Result<size_t> HistoricalRelation::DoDeleteWhere(Transaction* txn,
-                                                 const TuplePredicate& pred,
-                                                 std::optional<Period> valid,
-                                                 const PeriodPredicate& when) {
+                                                 const VictimFilter& match,
+                                                 std::optional<Period> valid) {
   TDB_ASSIGN_OR_RETURN(Period del, ResolveValidPeriod(txn, valid));
-  // Select victims first: mutating while scanning the interval index would
-  // invalidate the traversal.
-  std::vector<RowId> victims;
-  for (RowId row : store_.ValidOverlapping(del)) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (when != nullptr && !when((*t)->valid)) continue;
-    if (pred((*t)->values)) victims.push_back(row);
-  }
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims, SelectVictims(match, del));
+  TDB_RETURN_IF_ERROR(EraseValidity(txn, victims, del));
+  return victims.size();
+}
+
+Status HistoricalRelation::EraseValidity(Transaction* txn,
+                                         const std::vector<RowId>& victims,
+                                         Period del) {
   for (RowId row : victims) {
     TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
     BitemporalTuple old = *t;
@@ -82,25 +80,22 @@ Result<size_t> HistoricalRelation::DoDeleteWhere(Transaction* txn,
       TDB_RETURN_IF_ERROR(store_.PhysicalDelete(txn, row));
     }
   }
-  return victims.size();
+  return Status::OK();
 }
 
 Result<size_t> HistoricalRelation::DoReplaceWhere(Transaction* txn,
-                                                  const TuplePredicate& pred,
+                                                  const VictimFilter& match,
                                                   const UpdateSpec& updates,
-                                                  std::optional<Period> valid,
-                                                  const PeriodPredicate& when) {
+                                                  std::optional<Period> valid) {
   TDB_ASSIGN_OR_RETURN(Period rep, ResolveValidPeriod(txn, valid));
   // Replace = delete the old values over the period, then record the new
   // values over (old validity ∩ period).  Collect the insertions before
   // deleting so the predicate sees the pre-statement state.
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims, SelectVictims(match, rep));
   std::vector<BitemporalTuple> insertions;
-  for (RowId row : store_.ValidOverlapping(rep)) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (when != nullptr && !when((*t)->valid)) continue;
-    if (!pred((*t)->values)) continue;
-    BitemporalTuple updated = **t;
+  for (RowId row : victims) {
+    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
+    BitemporalTuple updated = *t;
     TDB_ASSIGN_OR_RETURN(updated.values,
                          ApplyUpdates(updates, updated.values));
     TDB_ASSIGN_OR_RETURN(updated.values,
@@ -108,9 +103,7 @@ Result<size_t> HistoricalRelation::DoReplaceWhere(Transaction* txn,
     updated.valid = updated.valid.Intersect(rep);
     insertions.push_back(std::move(updated));
   }
-  if (insertions.empty()) return static_cast<size_t>(0);
-  TDB_ASSIGN_OR_RETURN(size_t deleted, DeleteWhere(txn, pred, rep, when));
-  (void)deleted;
+  TDB_RETURN_IF_ERROR(EraseValidity(txn, victims, rep));
   for (BitemporalTuple& t : insertions) {
     TDB_ASSIGN_OR_RETURN(RowId row, store_.Append(txn, std::move(t)));
     (void)row;
@@ -118,12 +111,11 @@ Result<size_t> HistoricalRelation::DoReplaceWhere(Transaction* txn,
   return insertions.size();
 }
 
-Result<size_t> HistoricalRelation::CorrectErase(Transaction* txn,
-                                                const TuplePredicate& pred) {
-  std::vector<RowId> victims;
-  store_.ForEach([&](RowId row, const BitemporalTuple& t) {
-    if (pred(t.values)) victims.push_back(row);
-  });
+Result<size_t> HistoricalRelation::CorrectErase(
+    Transaction* txn, const TuplePredicate& pred,
+    const std::optional<AttributeKey>& key) {
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
+                       SelectVictims({pred, nullptr, key}, std::nullopt));
   for (RowId row : victims) {
     TDB_RETURN_IF_ERROR(store_.PhysicalDelete(txn, row));
   }

@@ -38,17 +38,22 @@ class HistoricalRelation : public StoredRelation {
   VersionScan Scan(const ScanSpec& spec) const override;
   VersionBatchScan BatchScan(const ScanSpec& spec) const override;
 
-  Result<size_t> DoDeleteWhere(Transaction* txn, const TuplePredicate& pred,
-                               std::optional<Period> valid,
-                               const PeriodPredicate& when) override;
+  Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,
+                               std::optional<Period> valid) override;
 
-  Result<size_t> DoReplaceWhere(Transaction* txn, const TuplePredicate& pred,
+  Result<size_t> DoReplaceWhere(Transaction* txn, const VictimFilter& match,
                                 const UpdateSpec& updates,
-                                std::optional<Period> valid,
-                                const PeriodPredicate& when) override;
+                                std::optional<Period> valid) override;
 
-  Result<size_t> CorrectErase(Transaction* txn,
-                              const TuplePredicate& pred) override;
+  Result<size_t> CorrectErase(
+      Transaction* txn, const TuplePredicate& pred,
+      const std::optional<AttributeKey>& key = {}) override;
+
+ private:
+  /// Removes validity over `del` from each victim: trims it, splits it
+  /// into two versions, or erases it.
+  Status EraseValidity(Transaction* txn, const std::vector<RowId>& victims,
+                       Period del);
 };
 
 }  // namespace temporadb

@@ -118,6 +118,8 @@ struct PartitionSynopsis {
 /// partitions plus the hot tail; `batch_morsels_formed` counts the
 /// batch-aligned chunks a batch scan actually formed — a pruned partition
 /// contributes zero (pruning happens before morsel geometry exists).
+/// `dml_rows_examined` counts the candidate rows DML victim selection
+/// examined (`StoredRelation::SelectVictims`).
 struct ScanStats {
   std::atomic<uint64_t> partitions_considered{0};
   std::atomic<uint64_t> partitions_pruned_tt{0};
@@ -126,6 +128,7 @@ struct ScanStats {
   std::atomic<uint64_t> partitions_scanned{0};
   std::atomic<uint64_t> rows_scanned{0};
   std::atomic<uint64_t> batch_morsels_formed{0};
+  std::atomic<uint64_t> dml_rows_examined{0};
 
   void Reset() {
     partitions_considered.store(0, std::memory_order_relaxed);
@@ -135,6 +138,7 @@ struct ScanStats {
     partitions_scanned.store(0, std::memory_order_relaxed);
     rows_scanned.store(0, std::memory_order_relaxed);
     batch_morsels_formed.store(0, std::memory_order_relaxed);
+    dml_rows_examined.store(0, std::memory_order_relaxed);
   }
 
   uint64_t considered() const {
@@ -157,6 +161,9 @@ struct ScanStats {
   }
   uint64_t morsels() const {
     return batch_morsels_formed.load(std::memory_order_relaxed);
+  }
+  uint64_t dml_rows() const {
+    return dml_rows_examined.load(std::memory_order_relaxed);
   }
 };
 

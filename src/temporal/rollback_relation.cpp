@@ -70,40 +70,32 @@ VersionBatchScan RollbackRelation::BatchScan(const ScanSpec& spec) const {
 }
 
 Result<size_t> RollbackRelation::DoDeleteWhere(Transaction* txn,
-                                               const TuplePredicate& pred,
-                                               std::optional<Period> valid,
-                                               const PeriodPredicate& when) {
-  (void)when;  // Rejected by the base wrapper (no valid time).
+                                               const VictimFilter& match,
+                                               std::optional<Period> valid) {
   TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
   // Only the current state is mutable; deleting means the tuple stops being
   // part of the stored state from this transaction on.  Past states are
   // untouched and remain reachable by rollback.
-  size_t affected = 0;
-  for (RowId row : store_.CurrentRows()) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (!pred((*t)->values)) continue;
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
+                       SelectVictims(match, std::nullopt));
+  for (RowId row : victims) {
     TDB_RETURN_IF_ERROR(store_.CloseTxn(txn, row, txn->timestamp()));
-    ++affected;
   }
-  return affected;
+  return victims.size();
 }
 
 Result<size_t> RollbackRelation::DoReplaceWhere(Transaction* txn,
-                                                const TuplePredicate& pred,
+                                                const VictimFilter& match,
                                                 const UpdateSpec& updates,
-                                                std::optional<Period> valid,
-                                                const PeriodPredicate& when) {
-  (void)when;  // Rejected by the base wrapper (no valid time).
+                                                std::optional<Period> valid) {
   TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
   // Close the old version at T and append the updated one at [T, ∞): the
   // new static state differs from the old exactly in the replaced tuples.
-  size_t affected = 0;
-  for (RowId row : store_.CurrentRows()) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (!pred((*t)->values)) continue;
-    BitemporalTuple updated = **t;
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
+                       SelectVictims(match, std::nullopt));
+  for (RowId row : victims) {
+    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
+    BitemporalTuple updated = *t;
     TDB_ASSIGN_OR_RETURN(updated.values,
                          ApplyUpdates(updates, updated.values));
     TDB_ASSIGN_OR_RETURN(updated.values,
@@ -113,9 +105,8 @@ Result<size_t> RollbackRelation::DoReplaceWhere(Transaction* txn,
     TDB_ASSIGN_OR_RETURN(RowId new_row,
                          store_.Append(txn, std::move(updated)));
     (void)new_row;
-    ++affected;
   }
-  return affected;
+  return victims.size();
 }
 
 }  // namespace temporadb

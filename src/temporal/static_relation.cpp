@@ -35,15 +35,11 @@ VersionBatchScan StaticRelation::BatchScan(const ScanSpec& spec) const {
 }
 
 Result<size_t> StaticRelation::DoDeleteWhere(Transaction* txn,
-                                             const TuplePredicate& pred,
-                                             std::optional<Period> valid,
-                                             const PeriodPredicate& when) {
-  (void)when;  // Rejected by the base wrapper (no valid time).
+                                             const VictimFilter& match,
+                                             std::optional<Period> valid) {
   TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
-  std::vector<RowId> victims;
-  store_.ForEach([&](RowId row, const BitemporalTuple& t) {
-    if (pred(t.values)) victims.push_back(row);
-  });
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
+                       SelectVictims(match, std::nullopt));
   for (RowId row : victims) {
     TDB_RETURN_IF_ERROR(store_.PhysicalDelete(txn, row));
   }
@@ -51,16 +47,12 @@ Result<size_t> StaticRelation::DoDeleteWhere(Transaction* txn,
 }
 
 Result<size_t> StaticRelation::DoReplaceWhere(Transaction* txn,
-                                              const TuplePredicate& pred,
+                                              const VictimFilter& match,
                                               const UpdateSpec& updates,
-                                              std::optional<Period> valid,
-                                              const PeriodPredicate& when) {
-  (void)when;  // Rejected by the base wrapper (no valid time).
+                                              std::optional<Period> valid) {
   TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
-  std::vector<RowId> victims;
-  store_.ForEach([&](RowId row, const BitemporalTuple& t) {
-    if (pred(t.values)) victims.push_back(row);
-  });
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
+                       SelectVictims(match, std::nullopt));
   for (RowId row : victims) {
     TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
     BitemporalTuple updated = *t;

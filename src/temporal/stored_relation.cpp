@@ -1,5 +1,7 @@
 #include "temporal/stored_relation.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
 #include "temporal/historical_relation.h"
 #include "temporal/rollback_relation.h"
@@ -28,8 +30,8 @@ Result<std::vector<Value>> ApplyUpdates(const UpdateSpec& updates,
   return out;
 }
 
-Result<size_t> StoredRelation::CorrectErase(Transaction*,
-                                            const TuplePredicate&) {
+Result<size_t> StoredRelation::CorrectErase(
+    Transaction*, const TuplePredicate&, const std::optional<AttributeKey>&) {
   return Status::NotSupported(StringPrintf(
       "physical corrections are only meaningful for historical relations; "
       "'%s' is %s",
@@ -37,25 +39,54 @@ Result<size_t> StoredRelation::CorrectErase(Transaction*,
       std::string(TemporalClassName(info_.temporal_class)).c_str()));
 }
 
-Result<size_t> StoredRelation::DeleteWhere(Transaction* txn,
-                                           const TuplePredicate& pred,
-                                           std::optional<Period> valid,
-                                           const PeriodPredicate& when) {
-  if (when != nullptr && !SupportsValidTime(info_.temporal_class)) {
-    return Status::NotSupported(StringPrintf(
-        "relation '%s' is %s and does not maintain valid time; a 'when' "
-        "clause is not supported",
-        info_.name.c_str(),
-        std::string(TemporalClassName(info_.temporal_class)).c_str()));
+Result<std::vector<RowId>> StoredRelation::SelectVictims(
+    const VictimFilter& match, std::optional<Period> window) const {
+  const bool current_only = SupportsTransactionTime(info_.temporal_class);
+  const bool valid_walk = !current_only && window.has_value();
+  std::vector<RowId> candidates;
+  bool probe = false;
+  if (match.key.has_value()) {
+    TDB_ASSIGN_OR_RETURN(candidates, store_.LookupAttribute(
+                                         match.key->attr, match.key->value));
+    probe = !current_only || !store_.options().index_txn_time ||
+            candidates.size() <= store_.current_count();
   }
-  return DoDeleteWhere(txn, pred, std::move(valid), when);
+  if (probe) {
+    // The walk's order: the interval index yields (valid begin, row).
+    const bool by_begin = valid_walk && store_.options().index_valid_time;
+    const int64_t* begin = store_.chronon_valid_from();
+    std::sort(candidates.begin(), candidates.end(), [&](RowId a, RowId b) {
+      return by_begin && begin[a] != begin[b] ? begin[a] < begin[b] : a < b;
+    });
+  } else if (current_only) {
+    candidates = store_.CurrentRows();
+  } else if (valid_walk) {
+    candidates = store_.ValidOverlapping(*window);
+  } else {
+    store_.ForEach([&](RowId row, const BitemporalTuple&) {
+      candidates.push_back(row);
+    });
+  }
+  if (ScanStats* stats = store_.options().scan_stats) {
+    stats->dml_rows_examined.fetch_add(candidates.size(),
+                                       std::memory_order_relaxed);
+  }
+  const auto outside = [&](const BitemporalTuple& t) {
+    return window.has_value() && !t.valid.Overlaps(*window);
+  };
+  std::vector<RowId> victims;
+  for (RowId row : candidates) {
+    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
+    if (current_only ? !t->IsCurrentState() : outside(*t)) continue;
+    if (match.when != nullptr && !match.when(t->valid)) continue;
+    if (!outside(*t) && match.pred(t->values)) victims.push_back(row);
+  }
+  return victims;
 }
 
-Result<size_t> StoredRelation::ReplaceWhere(Transaction* txn,
-                                            const TuplePredicate& pred,
-                                            const UpdateSpec& updates,
-                                            std::optional<Period> valid,
-                                            const PeriodPredicate& when) {
+Result<size_t> StoredRelation::DeleteWhere(
+    Transaction* txn, const TuplePredicate& pred, std::optional<Period> valid,
+    const PeriodPredicate& when, const std::optional<AttributeKey>& key) {
   if (when != nullptr && !SupportsValidTime(info_.temporal_class)) {
     return Status::NotSupported(StringPrintf(
         "relation '%s' is %s and does not maintain valid time; a 'when' "
@@ -63,7 +94,21 @@ Result<size_t> StoredRelation::ReplaceWhere(Transaction* txn,
         info_.name.c_str(),
         std::string(TemporalClassName(info_.temporal_class)).c_str()));
   }
-  return DoReplaceWhere(txn, pred, updates, std::move(valid), when);
+  return DoDeleteWhere(txn, {pred, when, key}, std::move(valid));
+}
+
+Result<size_t> StoredRelation::ReplaceWhere(
+    Transaction* txn, const TuplePredicate& pred, const UpdateSpec& updates,
+    std::optional<Period> valid, const PeriodPredicate& when,
+    const std::optional<AttributeKey>& key) {
+  if (when != nullptr && !SupportsValidTime(info_.temporal_class)) {
+    return Status::NotSupported(StringPrintf(
+        "relation '%s' is %s and does not maintain valid time; a 'when' "
+        "clause is not supported",
+        info_.name.c_str(),
+        std::string(TemporalClassName(info_.temporal_class)).c_str()));
+  }
+  return DoReplaceWhere(txn, {pred, when, key}, updates, std::move(valid));
 }
 
 Status StoredRelation::CreateIndex(std::string_view attribute) {

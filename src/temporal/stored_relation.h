@@ -23,6 +23,22 @@ using TuplePredicate = std::function<bool(const std::vector<Value>&)>;
 /// clause"; only kinds with valid time accept one.
 using PeriodPredicate = std::function<bool(Period)>;
 
+/// An equality key on an indexed attribute, `values[attr] == value`, that a
+/// DML `where` clause implies.  It only chooses the candidate rows: the
+/// predicate still runs on each of them.
+struct AttributeKey {
+  size_t attr;
+  Value value;
+};
+
+/// A DML statement's selection, which the kinds' `Do*` overrides forward
+/// to `SelectVictims`.  Valid for one call.
+struct VictimFilter {
+  const TuplePredicate& pred;
+  const PeriodPredicate& when;
+  const std::optional<AttributeKey>& key;
+};
+
 /// One attribute assignment of a `replace` statement.  `compute` receives
 /// the tuple's *old* values, so assignments like `salary = f.salary * 1.1`
 /// work; use `ConstUpdate` for plain constants.
@@ -99,23 +115,27 @@ class StoredRelation {
   /// whole tuple without).  The optional `when` predicate additionally
   /// filters targets by their valid period (TQuel's `when` on DML); it is
   /// NotSupported on kinds without valid time.  Returns the number of
-  /// tuples affected.
+  /// tuples affected.  A `key` that `pred` implies lets the attribute
+  /// index supply the candidates (see `SelectVictims`).
   Result<size_t> DeleteWhere(Transaction* txn, const TuplePredicate& pred,
                              std::optional<Period> valid,
-                             const PeriodPredicate& when = nullptr);
+                             const PeriodPredicate& when = nullptr,
+                             const std::optional<AttributeKey>& key = {});
 
   /// Applies `updates` to the facts matching `pred` (and `when`) over the
   /// valid period.  Returns the number of tuples affected.
   Result<size_t> ReplaceWhere(Transaction* txn, const TuplePredicate& pred,
                               const UpdateSpec& updates,
                               std::optional<Period> valid,
-                              const PeriodPredicate& when = nullptr);
+                              const PeriodPredicate& when = nullptr,
+                              const std::optional<AttributeKey>& key = {});
 
   /// Historical-only physical correction: removes matching versions
   /// entirely, leaving no trace (§4.3: "there is no record kept of the
   /// errors that have been corrected").  NotSupported elsewhere.
-  virtual Result<size_t> CorrectErase(Transaction* txn,
-                                      const TuplePredicate& pred);
+  virtual Result<size_t> CorrectErase(
+      Transaction* txn, const TuplePredicate& pred,
+      const std::optional<AttributeKey>& key = {});
 
   /// Index-aware scan entry point.  Each kind resolves `spec` against the
   /// time dimensions it maintains and the store's index configuration,
@@ -152,14 +172,22 @@ class StoredRelation {
  protected:
   /// Kind-specific DML (the public wrappers validate `when` first).
   virtual Result<size_t> DoDeleteWhere(Transaction* txn,
-                                       const TuplePredicate& pred,
-                                       std::optional<Period> valid,
-                                       const PeriodPredicate& when) = 0;
+                                       const VictimFilter& match,
+                                       std::optional<Period> valid) = 0;
   virtual Result<size_t> DoReplaceWhere(Transaction* txn,
-                                        const TuplePredicate& pred,
+                                        const VictimFilter& match,
                                         const UpdateSpec& updates,
-                                        std::optional<Period> valid,
-                                        const PeriodPredicate& when) = 0;
+                                        std::optional<Period> valid) = 0;
+
+  /// The rows a DML statement changes, read from the state before it runs,
+  /// in the order the kind's walk visits them: row order, but (valid begin,
+  /// row) over the interval index.  Candidates are the key's index rows or
+  /// the walk's: the current state with transaction time (also when it is
+  /// shorter than the key's rows, which include closed versions),
+  /// `ValidOverlapping(window)` for a historical window, else every live
+  /// row.  Visibility, `when`, `window` and `pred` then filter them.
+  Result<std::vector<RowId>> SelectVictims(const VictimFilter& match,
+                                           std::optional<Period> window) const;
 
   /// Validates arity/types and coerces values against the schema.
   Result<std::vector<Value>> CheckValues(std::vector<Value> values) const;

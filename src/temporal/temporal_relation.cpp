@@ -100,22 +100,13 @@ VersionBatchScan TemporalRelation::BatchScan(const ScanSpec& spec) const {
 }
 
 Result<size_t> TemporalRelation::DoDeleteWhere(Transaction* txn,
-                                               const TuplePredicate& pred,
-                                               std::optional<Period> valid,
-                                               const PeriodPredicate& when) {
+                                               const VictimFilter& match,
+                                               std::optional<Period> valid) {
   TDB_ASSIGN_OR_RETURN(Period del, ResolveValidPeriod(txn, valid));
   const Chronon now = txn->timestamp();
   // Only versions in the *current* historical state are logically visible
   // to DML; closed versions belong to past states and are immutable.
-  std::vector<RowId> victims;
-  for (RowId row : store_.CurrentRows()) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (when != nullptr && !when((*t)->valid)) continue;
-    if ((*t)->valid.Overlaps(del) && pred((*t)->values)) {
-      victims.push_back(row);
-    }
-  }
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims, SelectVictims(match, del));
   for (RowId row : victims) {
     TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
     BitemporalTuple old = *t;
@@ -138,21 +129,12 @@ Result<size_t> TemporalRelation::DoDeleteWhere(Transaction* txn,
 }
 
 Result<size_t> TemporalRelation::DoReplaceWhere(Transaction* txn,
-                                                const TuplePredicate& pred,
+                                                const VictimFilter& match,
                                                 const UpdateSpec& updates,
-                                                std::optional<Period> valid,
-                                                const PeriodPredicate& when) {
+                                                std::optional<Period> valid) {
   TDB_ASSIGN_OR_RETURN(Period rep, ResolveValidPeriod(txn, valid));
   const Chronon now = txn->timestamp();
-  std::vector<RowId> victims;
-  for (RowId row : store_.CurrentRows()) {
-    Result<const BitemporalTuple*> t = store_.Get(row);
-    if (!t.ok()) return t.status();
-    if (when != nullptr && !when((*t)->valid)) continue;
-    if ((*t)->valid.Overlaps(rep) && pred((*t)->values)) {
-      victims.push_back(row);
-    }
-  }
+  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims, SelectVictims(match, rep));
   for (RowId row : victims) {
     TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
     BitemporalTuple old = *t;

@@ -38,14 +38,12 @@ class TemporalRelation : public StoredRelation {
   VersionScan Scan(const ScanSpec& spec) const override;
   VersionBatchScan BatchScan(const ScanSpec& spec) const override;
 
-  Result<size_t> DoDeleteWhere(Transaction* txn, const TuplePredicate& pred,
-                               std::optional<Period> valid,
-                               const PeriodPredicate& when) override;
+  Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,
+                               std::optional<Period> valid) override;
 
-  Result<size_t> DoReplaceWhere(Transaction* txn, const TuplePredicate& pred,
+  Result<size_t> DoReplaceWhere(Transaction* txn, const VictimFilter& match,
                                 const UpdateSpec& updates,
-                                std::optional<Period> valid,
-                                const PeriodPredicate& when) override;
+                                std::optional<Period> valid) override;
 };
 
 }  // namespace temporadb

@@ -503,9 +503,13 @@ ValueType AttributeType(const std::vector<Participant>& participants,
       .type.value_type();
 }
 
-// Records a `var.attr = <constant>` conjunct as an index-probe candidate.
-void CollectEqConstraints(const AstExprPtr& e, BoundRetrieve* bound) {
-  if (e->kind != AstExprKind::kBinary || e->op != AstBinaryOp::kEq) return;
+// Matches a `var.attr = <constant>` conjunct (either side) as an index-probe
+// key: (participant ordinal, key).  The literal must denote a value of the
+// attribute's type: no float literal on an int attribute, date literals
+// parsed, string keys only for string attributes.
+std::optional<std::pair<size_t, AttributeKey>> MatchEqConstraint(
+    const AstExprPtr& e, const std::vector<Participant>& participants) {
+  if (e->kind != AstExprKind::kBinary || e->op != AstBinaryOp::kEq) return {};
   const AstExprPtr& l = e->left;
   const AstExprPtr& r = e->right;
   const AstExprPtr* column = nullptr;
@@ -517,41 +521,41 @@ void CollectEqConstraints(const AstExprPtr& e, BoundRetrieve* bound) {
     column = &r;
     literal = &l;
   } else {
-    return;
+    return {};
   }
   Result<std::pair<size_t, size_t>> loc = ResolveColumn(
-      bound->participants, (*column)->variable, (*column)->attribute);
-  if (!loc.ok()) return;
-  const ValueType attr_type = AttributeType(bound->participants, *loc);
+      participants, (*column)->variable, (*column)->attribute);
+  if (!loc.ok()) return {};
+  const ValueType attr_type = AttributeType(participants, *loc);
   Value key;
   switch ((*literal)->kind) {
     case AstExprKind::kIntLiteral: {
       Result<Value> v = ParseNumericLiteral(**literal);
-      if (!v.ok() || attr_type != ValueType::kInt) return;
+      if (!v.ok() || attr_type != ValueType::kInt) return {};
       key = *v;
       break;
     }
     case AstExprKind::kFloatLiteral: {
       Result<Value> v = ParseNumericLiteral(**literal);
-      if (!v.ok() || attr_type != ValueType::kFloat) return;
+      if (!v.ok() || attr_type != ValueType::kFloat) return {};
       key = *v;
       break;
     }
     case AstExprKind::kStringLiteral:
       if (attr_type == ValueType::kDate) {
         Result<Date> d = Date::Parse((*literal)->literal);
-        if (!d.ok()) return;
+        if (!d.ok()) return {};
         key = Value(*d);
       } else if (attr_type == ValueType::kString) {
         key = Value((*literal)->literal);
       } else {
-        return;
+        return {};
       }
       break;
     default:
-      return;
+      return {};
   }
-  bound->eq_constraints[loc->first].emplace_back(loc->second, std::move(key));
+  return std::make_pair(loc->first, AttributeKey{loc->second, std::move(key)});
 }
 
 // Records a `x.attr = y.attr` conjunct between two participants as a join
@@ -622,6 +626,32 @@ bool CannotFail(const AstExprPtr& e,
   // CompileScalarExpr parses a string literal compared with a date.
   return (*lt == ValueType::kDate && r->kind == AstExprKind::kStringLiteral) ||
          (*rt == ValueType::kDate && l->kind == AstExprKind::kStringLiteral);
+}
+
+// Whether evaluating a temporal expression or predicate can never fail:
+// only `begin of` / `end of` can, on an empty period.
+bool CannotFail(const AstTemporalExprPtr& e) {
+  if (e == nullptr) return true;
+  return e->kind != AstTemporalExprKind::kBeginOf &&
+         e->kind != AstTemporalExprKind::kEndOf && CannotFail(e->left) &&
+         CannotFail(e->right);
+}
+bool CannotFail(const AstTemporalPredPtr& p) {
+  return p == nullptr ||
+         (CannotFail(p->left_expr) && CannotFail(p->right_expr) &&
+          CannotFail(p->left_pred) && CannotFail(p->right_pred));
+}
+
+// Whether the B+-tree's exact lookup of `key` finds exactly the stored
+// values `=` (`Value::Compare`) finds equal to it.  Not for float keys: a
+// stored NaN compares equal to every number but is filed under none.  Not
+// for ints of magnitude 2^53 or more: `=` compares ints as doubles, so
+// 2^53 + 1 equals 2^53.
+bool LookupMatchesEquality(const Value& key) {
+  constexpr int64_t kExactInts = int64_t{1} << 53;
+  if (key.type() == ValueType::kFloat) return false;
+  return key.type() != ValueType::kInt ||
+         (key.AsInt() > -kExactInts && key.AsInt() < kExactInts);
 }
 
 // Compiles the conjunction of `conjuncts` over `p`'s own values.
@@ -797,7 +827,10 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
     std::vector<std::vector<AstExprPtr>> local(n > 1 ? n : 0);
     if (n > 1) bound.join_keys.resize(n);
     ForEachConjunct(stmt.where, [&](const AstExprPtr& c) {
-      CollectEqConstraints(c, &bound);
+      if (auto eq = MatchEqConstraint(c, bound.participants)) {
+        bound.eq_constraints[eq->first].emplace_back(
+            eq->second.attr, std::move(eq->second.value));
+      }
       if (n == 1) return;
       CollectJoinKey(c, &bound);
       std::set<size_t> vars;
@@ -843,6 +876,24 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
   }
   bound.into = stmt.into;
   return bound;
+}
+
+std::optional<AttributeKey> DmlProbeKey(const AstExprPtr& where,
+                                        const AstTemporalPredPtr& when,
+                                        const Participant& p) {
+  const std::vector<Participant> single{p};
+  bool safe = CannotFail(when);
+  std::optional<AttributeKey> key;
+  ForEachConjunct(where, [&](const AstExprPtr& c) {
+    safe = safe && CannotFail(c, single);
+    auto eq = MatchEqConstraint(c, single);
+    if (!key.has_value() && eq.has_value() &&
+        LookupMatchesEquality(eq->second.value) &&
+        p.relation->store()->HasAttributeIndex(eq->second.attr)) {
+      key = std::move(eq->second);
+    }
+  });
+  return safe ? key : std::nullopt;
 }
 
 }  // namespace tquel

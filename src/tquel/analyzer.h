@@ -108,6 +108,15 @@ struct BoundRetrieve {
 Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
                                       const AnalyzerContext& ctx);
 
+/// The index key a single-variable DML statement over `p` may probe: the
+/// first top-level `var.attr = literal` conjunct of `where` on an indexed
+/// attribute (type rules of `eq_constraints`) whose exact lookup agrees
+/// with `=`.  None if a top-level conjunct or the `when` clause can fail at
+/// run time: a probe runs them on fewer rows than the walk would.
+std::optional<AttributeKey> DmlProbeKey(const AstExprPtr& where,
+                                        const AstTemporalPredPtr& when,
+                                        const Participant& p);
+
 /// Compiles a scalar AST expression against a participant list; `allow_columns`
 /// false rejects any attribute reference (append-statement constants).
 Result<ExprPtr> CompileScalarExpr(const AstExprPtr& ast,

@@ -558,10 +558,9 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
                            CompileDmlWhen(s.when, p, &pred_error));
       TDB_ASSIGN_OR_RETURN(
           size_t count,
-          p.relation->DeleteWhere(ctx.txn,
-                                  CompilePredicate(std::move(where),
-                                                   &pred_error),
-                                  valid, when));
+          p.relation->DeleteWhere(
+              ctx.txn, CompilePredicate(std::move(where), &pred_error), valid,
+              when, DmlProbeKey(s.where, s.when, p)));
       TDB_RETURN_IF_ERROR(pred_error);
       ExecResult r;
       r.kind = ExecResult::Kind::kCount;
@@ -588,10 +587,9 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
                            CompileDmlWhen(s.when, p, &pred_error));
       TDB_ASSIGN_OR_RETURN(
           size_t count,
-          p.relation->ReplaceWhere(ctx.txn,
-                                   CompilePredicate(std::move(where),
-                                                    &pred_error),
-                                   updates, valid, when));
+          p.relation->ReplaceWhere(
+              ctx.txn, CompilePredicate(std::move(where), &pred_error),
+              updates, valid, when, DmlProbeKey(s.where, s.when, p)));
       TDB_RETURN_IF_ERROR(pred_error);
       ExecResult r;
       r.kind = ExecResult::Kind::kCount;
@@ -612,9 +610,9 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
       Status pred_error = Status::OK();
       TDB_ASSIGN_OR_RETURN(
           size_t count,
-          p.relation->CorrectErase(ctx.txn,
-                                   CompilePredicate(std::move(where),
-                                                    &pred_error)));
+          p.relation->CorrectErase(
+              ctx.txn, CompilePredicate(std::move(where), &pred_error),
+              DmlProbeKey(s.where, nullptr, p)));
       TDB_RETURN_IF_ERROR(pred_error);
       ExecResult r;
       r.kind = ExecResult::Kind::kCount;

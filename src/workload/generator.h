@@ -60,10 +60,11 @@ inline constexpr QueryClass kQueryClasses[] = {
 
 const char* QueryClassName(QueryClass cls);
 
-/// Schema DDL: the four relations, their attribute indexes (so the
-/// where-clause equality probes in the DML stream stay cheap at scale on
-/// primary and shadow alike), and the range declarations.  All stamped
-/// with `opts.start_day`.
+/// Schema DDL: the four relations, their attribute indexes (the DML
+/// stream's where clauses pin the indexed key, so victim selection probes
+/// the index instead of walking the relation, on primary and shadow
+/// alike), and the range declarations.  All stamped with
+/// `opts.start_day`.
 std::vector<WorkloadOp> WorkloadDdl(const WorkloadOptions& opts);
 
 /// Chained FNV-1a fold of one op (day bytes, then statement bytes).  The
