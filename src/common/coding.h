@@ -1,6 +1,7 @@
 #ifndef TEMPORADB_COMMON_CODING_H_
 #define TEMPORADB_COMMON_CODING_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -13,9 +14,12 @@ namespace temporadb {
 /// string_view cursor and return false on underflow (treated as corruption
 /// by callers).
 
+static_assert(std::endian::native == std::endian::little,
+              "the on-disk formats are little-endian");
+
 inline void PutFixed32(std::string* dst, uint32_t v) {
   char buf[4];
-  std::memcpy(buf, &v, 4);  // Little-endian hosts only (asserted in pager).
+  std::memcpy(buf, &v, 4);  // Little-endian hosts only (asserted above).
   dst->append(buf, 4);
 }
 
@@ -53,7 +57,8 @@ inline bool GetLengthPrefixed(std::string_view* in, std::string_view* out) {
   return true;
 }
 
-/// FNV-1a over a byte range; used as the page and WAL-record checksum.
+/// FNV-1a over a byte range; used as the checkpoint-file and WAL-record
+/// checksum.
 inline uint64_t Checksum64(const char* data, size_t n) {
   uint64_t h = 1469598103934665603ULL;
   for (size_t i = 0; i < n; ++i) {

@@ -8,7 +8,7 @@
 // two places — the morsel scheduler (`exec::ThreadPool`) and the WAL
 // group-commit queue (`CommitQueue`) — and on a *single-writer* contract
 // everywhere else (the embedded Database, its version stores, and the
-// pager stack are externally synchronized; parallel scans only ever read
+// WAL writer are externally synchronized; parallel scans only ever read
 // under a captured mutation epoch, see version_store.h).  TSAN checks the
 // lock discipline dynamically, on the interleavings a test happens to hit;
 // these annotations let the clang frontend prove it on every build:

@@ -6,7 +6,6 @@
 
 #include "common/coding.h"
 #include "common/strings.h"
-#include "storage/heap_file.h"
 #include "tquel/parser.h"
 
 namespace temporadb {
@@ -77,6 +76,47 @@ Result<RelationInfo> DecodeRelationInfo(std::string_view in) {
 
 constexpr const char* kWalPoisonedMessage =
     "WAL in failed state after an I/O error; reopen the database";
+
+// A relation's checkpoint file, ckpt-N/rel-<id>.tdb, is shaped like
+// catalog.tdb: [fixed64 Checksum64(payload)][payload], where the payload is
+//   [fixed64 sealed partition count][PartitionSynopsis]...
+//   [live byte][BitemporalTuple, if live]...   one per slot, in row order.
+// Row ids are positional (slot i is row i), so the sealed partition
+// boundaries mean the same rows after reload and recovery reinstalls them
+// instead of rescanning the relation's history.
+std::string RelationFilePath(const std::string& dir, uint64_t rel_id) {
+  return dir + StringPrintf("/rel-%llu.tdb", (unsigned long long)rel_id);
+}
+
+// Strips the [fixed64 Checksum64(payload)] head of a checkpoint file,
+// leaving `in` on the payload; false when the file is short or the payload
+// does not match.
+bool StripChecksum(std::string_view* in) {
+  uint64_t sum;
+  return GetFixed64(in, &sum) && sum == Checksum64(in->data(), in->size());
+}
+
+// Writes and fsyncs the file into a fresh checkpoint directory; making its
+// directory entry durable is the caller's SyncDir.
+Status WriteRelationFile(FileSystem* fs, const std::string& path,
+                         const VersionStore& store) {
+  std::string blob(8, '\0');  // Checksum, patched in below.
+  PutFixed64(&blob, store.sealed_partition_count());
+  for (size_t i = 0; i < store.sealed_partition_count(); ++i) {
+    store.sealed_partition(i).EncodeTo(&blob);
+  }
+  store.ForEachSlot([&](RowId, const BitemporalTuple* tuple) {
+    blob.push_back(tuple != nullptr ? 1 : 0);
+    if (tuple != nullptr) tuple->EncodeTo(&blob);
+  });
+  std::string sum;
+  PutFixed64(&sum, Checksum64(blob.data() + 8, blob.size() - 8));
+  blob.replace(0, 8, sum);
+  TDB_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
+                       fs->OpenFile(path, /*create=*/true));
+  TDB_RETURN_IF_ERROR(file->WriteAt(0, blob.data(), blob.size()));
+  return file->Sync();
+}
 
 }  // namespace
 
@@ -184,96 +224,66 @@ Status Database::LoadCheckpoint(const std::string& dir) {
   TDB_ASSIGN_OR_RETURN(std::string blob,
                        ReadFileToString(fs_, dir + "/catalog.tdb"));
   std::string_view view = blob;
-  uint64_t stored_sum;
-  if (!GetFixed64(&view, &stored_sum) ||
-      stored_sum != Checksum64(view.data(), view.size())) {
+  if (!StripChecksum(&view)) {
     return Status::Corruption("checkpoint catalog checksum mismatch");
   }
   TDB_ASSIGN_OR_RETURN(catalog_, Catalog::DecodeFrom(&view));
-  // Partition sidecar: sealed epoch boundaries + synopses per relation, so
-  // recovery reinstalls the partition directory instead of rescanning every
-  // relation's history to rebuild it.  A checkpoint written before the
-  // sidecar existed simply has none — the stores reseal at EndLoad.
-  std::map<uint64_t, std::vector<PartitionSynopsis>> sealed_by_rel;
-  {
-    Result<std::string> sidecar =
-        ReadFileToString(fs_, dir + "/partitions.tdb");
-    if (!sidecar.ok() && !sidecar.status().IsNotFound()) {
-      return sidecar.status();
-    }
-    if (sidecar.ok()) {
-      std::string_view in = *sidecar;
-      uint64_t sum;
-      if (!GetFixed64(&in, &sum) || sum != Checksum64(in.data(), in.size())) {
-        return Status::Corruption("checkpoint partition checksum mismatch");
-      }
-      uint32_t version;
-      uint64_t n_rels;
-      if (!GetFixed32(&in, &version) || version != 1 ||
-          !GetFixed64(&in, &n_rels)) {
-        return Status::Corruption("checkpoint partition header malformed");
-      }
-      for (uint64_t r = 0; r < n_rels; ++r) {
-        uint64_t rel_id, n_parts;
-        if (!GetFixed64(&in, &rel_id) || !GetFixed64(&in, &n_parts)) {
-          return Status::Corruption("checkpoint partition entry malformed");
-        }
-        std::vector<PartitionSynopsis>& parts = sealed_by_rel[rel_id];
-        parts.resize(n_parts);
-        for (uint64_t p = 0; p < n_parts; ++p) {
-          if (!PartitionSynopsis::DecodeFrom(&in, &parts[p])) {
-            return Status::Corruption("checkpoint partition synopsis "
-                                      "malformed");
-          }
-        }
-      }
-    }
-  }
   for (const RelationInfo& info : catalog_.ListRelations()) {
     auto rel = MakeStoredRelation(info, options_.store_options);
     StoredRelation* ptr = rel.get();
     relations_[info.name] = std::move(rel);
     relations_by_id_[info.id] = ptr;
     WireObserver(ptr);
-    // Load the relation's slots from its heap file.
-    std::string heap_path = dir + StringPrintf("/rel-%llu.heap",
-                                               (unsigned long long)info.id);
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<FilePager> pager,
-                         FilePager::Open(fs_, heap_path));
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> heap,
-                         HeapFile::Open(std::move(pager)));
-    ptr->store()->BeginLoad();
-    Status scan = heap->Scan([&](RecordId, Slice record) -> Status {
-      std::string_view in = record.view();
-      if (in.empty()) return Status::Corruption("empty checkpoint record");
-      bool live = in[0] != 0;
-      in.remove_prefix(1);
-      if (live) {
-        TDB_ASSIGN_OR_RETURN(BitemporalTuple tuple,
-                             BitemporalTuple::DecodeFrom(&in));
-        // Transaction time must never regress across recovery, even when
-        // the checkpoint truncated the WAL records that carried the
-        // original timestamps.
-        if (tuple.txn.begin().IsFinite()) {
-          txn_manager_->ObserveRecoveredTimestamp(tuple.txn.begin());
-        }
-        if (tuple.txn.end().IsFinite()) {
-          txn_manager_->ObserveRecoveredTimestamp(tuple.txn.end());
-        }
-        ptr->store()->LoadSlot(std::move(tuple));
-      } else {
-        ptr->store()->LoadSlot(std::nullopt);
-      }
-      return Status::OK();
-    });
-    TDB_RETURN_IF_ERROR(scan);
-    auto it = sealed_by_rel.find(info.id);
-    if (it != sealed_by_rel.end()) {
-      TDB_RETURN_IF_ERROR(
-          ptr->store()->InstallSealedPartitions(std::move(it->second)));
-    }
-    ptr->store()->EndLoad();
+    TDB_RETURN_IF_ERROR(
+        LoadRelationFile(RelationFilePath(dir, info.id), ptr->store()));
   }
+  return Status::OK();
+}
+
+Status Database::LoadRelationFile(const std::string& path,
+                                  VersionStore* store) {
+  TDB_ASSIGN_OR_RETURN(std::string blob, ReadFileToString(fs_, path));
+  std::string_view in = blob;
+  if (!StripChecksum(&in)) {
+    return Status::Corruption("checkpoint relation checksum mismatch: " +
+                              path);
+  }
+  uint64_t n_parts;
+  if (!GetFixed64(&in, &n_parts)) {
+    return Status::Corruption("checkpoint relation header truncated: " + path);
+  }
+  std::vector<PartitionSynopsis> parts;
+  for (uint64_t p = 0; p < n_parts; ++p) {
+    PartitionSynopsis synopsis;
+    if (!PartitionSynopsis::DecodeFrom(&in, &synopsis)) {
+      return Status::Corruption("checkpoint partition synopsis malformed: " +
+                                path);
+    }
+    parts.push_back(synopsis);
+  }
+  store->BeginLoad();
+  while (!in.empty()) {
+    bool live = in[0] != 0;
+    in.remove_prefix(1);
+    if (!live) {
+      store->LoadSlot(std::nullopt);
+      continue;
+    }
+    TDB_ASSIGN_OR_RETURN(BitemporalTuple tuple,
+                         BitemporalTuple::DecodeFrom(&in));
+    // Transaction time must never regress across recovery, even when the
+    // checkpoint truncated the WAL records that carried the original
+    // timestamps.
+    if (tuple.txn.begin().IsFinite()) {
+      txn_manager_->ObserveRecoveredTimestamp(tuple.txn.begin());
+    }
+    if (tuple.txn.end().IsFinite()) {
+      txn_manager_->ObserveRecoveredTimestamp(tuple.txn.end());
+    }
+    store->LoadSlot(std::move(tuple));
+  }
+  TDB_RETURN_IF_ERROR(store->InstallSealedPartitions(std::move(parts)));
+  store->EndLoad();
   return Status::OK();
 }
 
@@ -672,50 +682,11 @@ Status Database::Checkpoint(bool compact) {
   PutFixed64(&blob, Checksum64(payload.data(), payload.size()));
   blob += payload;
   TDB_RETURN_IF_ERROR(WriteFileDurable(fs_, dir + "/catalog.tdb", blob));
-  // Relations.
+  // Relations: one file each, fsynced here; the SyncDir below persists
+  // their directory entries.
   for (const auto& [name, rel] : relations_) {
-    std::string heap_path = dir + StringPrintf(
-        "/rel-%llu.heap", (unsigned long long)rel->info().id);
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<FilePager> pager,
-                         FilePager::Open(fs_, heap_path));
-    TDB_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> heap,
-                         HeapFile::Open(std::move(pager)));
-    Status status = Status::OK();
-    rel->store()->ForEachSlot([&](RowId, const BitemporalTuple* tuple) {
-      if (!status.ok()) return;
-      std::string record;
-      record.push_back(tuple != nullptr ? 1 : 0);
-      if (tuple != nullptr) tuple->EncodeTo(&record);
-      Result<RecordId> id = heap->Append(record);
-      if (!id.ok()) status = id.status();
-    });
-    TDB_RETURN_IF_ERROR(status);
-    // Flush fsyncs the heap's pages; the SyncDir below persists its
-    // directory entry.
-    TDB_RETURN_IF_ERROR(heap->Flush());
-  }
-  // Partition sidecar: the sealed epoch directory of every relation, so
-  // recovery reinstalls partitions (and their synopses) instead of
-  // rescanning each relation's history.  Row ids in the heap are positional
-  // and the heap is written in row order, so the serialized boundaries keep
-  // meaning the same rows after reload.
-  {
-    std::string parts;
-    PutFixed32(&parts, 1);  // Format version.
-    PutFixed64(&parts, relations_.size());
-    for (const auto& [name, rel] : relations_) {
-      const VersionStore* store = rel->store();
-      PutFixed64(&parts, rel->info().id);
-      PutFixed64(&parts, store->sealed_partition_count());
-      for (size_t i = 0; i < store->sealed_partition_count(); ++i) {
-        store->sealed_partition(i).EncodeTo(&parts);
-      }
-    }
-    std::string sidecar;
-    PutFixed64(&sidecar, Checksum64(parts.data(), parts.size()));
-    sidecar += parts;
-    TDB_RETURN_IF_ERROR(
-        WriteFileDurable(fs_, dir + "/partitions.tdb", sidecar));
+    TDB_RETURN_IF_ERROR(WriteRelationFile(
+        fs_, RelationFilePath(dir, rel->info().id), *rel->store()));
   }
   // Every file inside ckpt-N must be durable *and findable* before CURRENT
   // can name the directory.

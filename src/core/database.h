@@ -170,6 +170,9 @@ class Database {
   Status InitPersistence();
   Status Recover();
   Status LoadCheckpoint(const std::string& dir);
+  /// Loads one relation's checkpoint file (format in database.cpp) into
+  /// `store`; Corruption on a checksum mismatch or malformed payload.
+  Status LoadRelationFile(const std::string& path, VersionStore* store);
   Status ReplayWal(uint64_t from_lsn);
   Status LogDdl(uint32_t type, const std::string& payload);
   /// Publishes the effects of one committed transaction to snapshot

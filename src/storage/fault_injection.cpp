@@ -1,7 +1,8 @@
 #include "storage/fault_injection.h"
 
 #include <algorithm>
-#include <cstring>
+#include <map>
+#include <set>
 
 #include "common/strings.h"
 
@@ -420,72 +421,5 @@ void FaultInjectionFileSystem::set_fault_filter(FaultFilter filter) {
 }
 
 Status FaultInjectionFileSystem::RealizeCrash() { return impl_->Realize(); }
-
-// --- FaultInjectionPager ----------------------------------------------------
-
-FaultInjectionPager::FaultInjectionPager(std::unique_ptr<Pager> base)
-    : base_(std::move(base)), page_count_(base_->page_count()) {}
-
-Status FaultInjectionPager::ReadPage(PageId id, char* buf) {
-  if (id >= page_count_) {
-    return Status::OutOfRange(StringPrintf("page %u beyond EOF", id));
-  }
-  auto it = overlay_.find(id);
-  if (it != overlay_.end()) {
-    std::memcpy(buf, it->second.get(), kPageSize);
-    return Status::OK();
-  }
-  return base_->ReadPage(id, buf);
-}
-
-Status FaultInjectionPager::WritePage(PageId id, const char* buf) {
-  if (fail_writes_ > 0) {
-    --fail_writes_;
-    return Status::IOError("injected page write fault");
-  }
-  if (id >= page_count_) {
-    return Status::OutOfRange(StringPrintf("page %u beyond EOF", id));
-  }
-  auto it = overlay_.find(id);
-  if (it == overlay_.end()) {
-    it = overlay_.emplace(id, std::make_unique<char[]>(kPageSize)).first;
-  }
-  std::memcpy(it->second.get(), buf, kPageSize);
-  return Status::OK();
-}
-
-Result<PageId> FaultInjectionPager::AllocatePage() {
-  if (fail_writes_ > 0) {
-    --fail_writes_;
-    return Status::IOError("injected page allocation fault");
-  }
-  PageId id = page_count_++;
-  auto page = std::make_unique<char[]>(kPageSize);
-  std::memset(page.get(), 0, kPageSize);
-  overlay_[id] = std::move(page);
-  return id;
-}
-
-Status FaultInjectionPager::Sync() {
-  if (fail_syncs_ > 0) {
-    --fail_syncs_;
-    return Status::IOError("injected sync fault");
-  }
-  for (const auto& [id, data] : overlay_) {
-    while (id >= base_->page_count()) {
-      TDB_RETURN_IF_ERROR(base_->AllocatePage().status());
-    }
-    TDB_RETURN_IF_ERROR(base_->WritePage(id, data.get()));
-  }
-  overlay_.clear();
-  TDB_RETURN_IF_ERROR(base_->Sync());
-  ++sync_seq_;
-  return Status::OK();
-}
-
-void FaultInjectionPager::DropUnsyncedWrites() {
-  overlay_.clear();
-  page_count_ = base_->page_count();
-}
 
 }  // namespace temporadb

@@ -3,15 +3,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "storage/fs.h"
-#include "storage/pager.h"
 
 namespace temporadb {
 
@@ -110,39 +106,6 @@ class FaultInjectionFileSystem : public FileSystem {
   struct Impl;
   friend class FaultInjectionFile;
   std::shared_ptr<Impl> impl_;
-};
-
-/// A `Pager` wrapper that buffers writes until `Sync`: un-synced pages live
-/// in an overlay and reach the wrapped pager only when a sync barrier
-/// succeeds, so `DropUnsyncedWrites` is a literal crash of the page cache.
-class FaultInjectionPager : public Pager {
- public:
-  explicit FaultInjectionPager(std::unique_ptr<Pager> base);
-
-  Status ReadPage(PageId id, char* buf) override;
-  Status WritePage(PageId id, const char* buf) override;
-  Result<PageId> AllocatePage() override;
-  PageId page_count() const override { return page_count_; }
-  Status Sync() override;
-
-  /// Discards every page write since the last successful `Sync`.
-  void DropUnsyncedWrites();
-
-  uint64_t sync_count() const { return sync_seq_; }
-  /// The next `n` WritePage/AllocatePage calls fail with IOError.
-  void FailNextWrites(int n) { fail_writes_ = n; }
-  /// The next `n` Sync calls fail with IOError (nothing reaches the base).
-  void FailNextSyncs(int n) { fail_syncs_ = n; }
-
-  Pager* base() { return base_.get(); }
-
- private:
-  std::unique_ptr<Pager> base_;
-  std::map<PageId, std::unique_ptr<char[]>> overlay_;
-  PageId page_count_;
-  uint64_t sync_seq_ = 0;
-  int fail_writes_ = 0;
-  int fail_syncs_ = 0;
 };
 
 }  // namespace temporadb

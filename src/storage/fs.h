@@ -38,8 +38,7 @@ class File {
   virtual Result<uint64_t> Size() = 0;
 };
 
-/// Filesystem operations used by the storage stack (WAL, pager,
-/// checkpoints).  `Default()` is the real POSIX filesystem; tests wrap it in
+/// Filesystem operations used by the storage stack (WAL, checkpoints).  `Default()` is the real POSIX filesystem; tests wrap it in
 /// a `FaultInjectionFileSystem` to prove crash safety.
 ///
 /// Durability contract mirrors POSIX: file data needs `File::Sync`; a

@@ -648,10 +648,9 @@ class VersionStore {
   /// partitioning is disabled.
   Status InstallSealedPartitions(std::vector<PartitionSynopsis> parts);
 
-  /// Ends the checkpoint-load bracket.  A legacy checkpoint with no
-  /// partition sidecar leaves the store unpartitioned here; the next
-  /// publication (end of recovery) re-seals by scanning — slower once,
-  /// correct always.
+  /// Ends the checkpoint-load bracket and seals whatever full epochs lie
+  /// past the installed sealed extent (under MVCC, that waits for the next
+  /// publication: the end of recovery).
   void EndLoad() {
     loading_ = false;
     MaybeSealHot();

@@ -169,44 +169,5 @@ TEST_F(FaultInjectionTest, FaultFilterInjectsShortWrites) {
   EXPECT_EQ(*size, 5u);
 }
 
-TEST_F(FaultInjectionTest, PagerOverlayDropsUnsyncedPages) {
-  FaultInjectionPager pager(std::make_unique<MemPager>());
-  Result<PageId> id = pager.AllocatePage();
-  ASSERT_TRUE(id.ok());
-  char buf[kPageSize];
-  std::fill(buf, buf + kPageSize, 'x');
-  ASSERT_TRUE(pager.WritePage(*id, buf).ok());
-  // Nothing has reached the wrapped pager yet.
-  EXPECT_EQ(pager.base()->page_count(), 0u);
-  char out[kPageSize];
-  ASSERT_TRUE(pager.ReadPage(*id, out).ok());
-  EXPECT_EQ(out[0], 'x');
-
-  pager.DropUnsyncedWrites();
-  EXPECT_EQ(pager.page_count(), 0u);
-
-  // Write again and sync: now the base holds the page.
-  id = pager.AllocatePage();
-  ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(pager.WritePage(*id, buf).ok());
-  ASSERT_TRUE(pager.Sync().ok());
-  EXPECT_EQ(pager.base()->page_count(), 1u);
-  EXPECT_EQ(pager.sync_count(), 1u);
-}
-
-TEST_F(FaultInjectionTest, PagerInjectedFaults) {
-  FaultInjectionPager pager(std::make_unique<MemPager>());
-  pager.FailNextWrites(1);
-  EXPECT_TRUE(pager.AllocatePage().status().IsIOError());
-  Result<PageId> id = pager.AllocatePage();
-  ASSERT_TRUE(id.ok());
-  pager.FailNextSyncs(1);
-  EXPECT_TRUE(pager.Sync().IsIOError());
-  // The failed sync shipped nothing to the base.
-  EXPECT_EQ(pager.base()->page_count(), 0u);
-  ASSERT_TRUE(pager.Sync().ok());
-  EXPECT_EQ(pager.base()->page_count(), 1u);
-}
-
 }  // namespace
 }  // namespace temporadb
