@@ -1,8 +1,8 @@
-// A9 — Vectorized execution: the batch path (contiguous chronon columns +
-// branch-free selection-vector kernels, ~1024-row batches) against the
-// row-at-a-time pull path, on the two probes the taxonomy stresses most:
-// wide valid timeslices and the `when` overlap join.  Also sweeps the batch
-// size and isolates kernel-vs-scalar temporal dispatch.
+// A9 — Vectorized execution: the batch executor (contiguous chronon columns
+// + branch-free selection-vector kernels, ~1024-row batches) on the two
+// probes the taxonomy stresses most: wide valid timeslices and the `when`
+// overlap join.  Sweeps the batch size and isolates kernel-vs-scalar
+// temporal dispatch.
 
 #include <benchmark/benchmark.h>
 
@@ -22,12 +22,9 @@ namespace {
 
 // "What held during [a, b)?" with the window spanning half the populated
 // valid-time domain, so nearly every version survives the index probe and
-// the winner is whoever disposes of the residual overlap test fastest: the
-// row path's per-tuple Period calls or one kernel pass per batch.
-void RunWideTimeslice(benchmark::State& state, bool batch_exec,
-                      size_t batch_rows) {
+// the cost is the residual overlap test, one kernel pass per batch.
+void RunWideTimeslice(benchmark::State& state, size_t batch_rows) {
   VersionStoreOptions options;
-  options.batch_exec = batch_exec;
   if (batch_rows > 0) options.batch_rows = batch_rows;
   bench::ScenarioDb sdb = bench::OpenScenarioDb(options);
   StoredRelation* rel = bench::PopulateStream(
@@ -54,31 +51,24 @@ void RunWideTimeslice(benchmark::State& state, bool batch_exec,
       static_cast<double>(rel->store()->version_count());
 }
 
-void BM_WideTimeslice_Row(benchmark::State& state) {
-  RunWideTimeslice(state, /*batch_exec=*/false, 0);
-}
 void BM_WideTimeslice_Batch(benchmark::State& state) {
-  RunWideTimeslice(state, /*batch_exec=*/true, 0);
+  RunWideTimeslice(state, 0);
 }
-// The sweep: how sensitive is the batch path to its unit of flow?
+// The sweep: how sensitive is the executor to its unit of flow?
 void BM_WideTimeslice_BatchSize(benchmark::State& state) {
-  RunWideTimeslice(state, /*batch_exec=*/true,
-                   static_cast<size_t>(state.range(1)));
+  RunWideTimeslice(state, static_cast<size_t>(state.range(1)));
 }
 
 // --- When join ------------------------------------------------------------
 
 // Two churned historical relations joined on key where their valid periods
 // overlap (the A5 scenario).  The interval index is off, so every inner
-// probe of the index-nested-loop join degrades to a residual sweep — the
-// row path filters version-by-version through an InlineFunction predicate,
-// the batch path disposes of each morsel with one branch-free kernel pass
-// over the chronon columns.  (With the index on both paths reduce to the
-// same exact treap probe and there is nothing left to vectorize; A5 covers
-// that axis.)
-bench::ScenarioDb BuildJoinPair(size_t per_relation, bool batch_exec) {
+// probe of the index-nested-loop join degrades to a residual sweep, which
+// disposes of each morsel with one branch-free kernel pass over the chronon
+// columns.  (With the index on, the probe is an exact treap lookup and
+// there is nothing left to vectorize; A5 covers that axis.)
+bench::ScenarioDb BuildJoinPair(size_t per_relation) {
   VersionStoreOptions options;
-  options.batch_exec = batch_exec;
   options.index_valid_time = false;
   bench::ScenarioDb sdb = bench::OpenScenarioDb(options);
   Random rng(5);
@@ -106,9 +96,8 @@ bench::ScenarioDb BuildJoinPair(size_t per_relation, bool batch_exec) {
   return sdb;
 }
 
-void RunWhenJoin(benchmark::State& state, bool batch_exec) {
-  bench::ScenarioDb sdb =
-      BuildJoinPair(static_cast<size_t>(state.range(0)), batch_exec);
+void BM_WhenJoin_Batch(benchmark::State& state) {
+  bench::ScenarioDb sdb = BuildJoinPair(static_cast<size_t>(state.range(0)));
   size_t answer = 0;
   for (auto _ : state) {
     Result<Rowset> rows = sdb.db->Query(
@@ -121,13 +110,6 @@ void RunWhenJoin(benchmark::State& state, bool batch_exec) {
     benchmark::DoNotOptimize(rows);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
-}
-
-void BM_WhenJoin_Row(benchmark::State& state) {
-  RunWhenJoin(state, /*batch_exec=*/false);
-}
-void BM_WhenJoin_Batch(benchmark::State& state) {
-  RunWhenJoin(state, /*batch_exec=*/true);
 }
 
 // --- Kernel vs scalar dispatch --------------------------------------------
@@ -196,14 +178,10 @@ void BM_Dispatch_Kernel(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_WideTimeslice_Row)->Arg(4000)->Arg(16000)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WideTimeslice_Batch)->Arg(4000)->Arg(16000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WideTimeslice_BatchSize)
     ->Args({16000, 256})->Args({16000, 1024})->Args({16000, 4096})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_WhenJoin_Row)->Arg(500)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WhenJoin_Batch)->Arg(500)->Arg(2000)
     ->Unit(benchmark::kMillisecond);

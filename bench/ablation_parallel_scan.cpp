@@ -4,9 +4,8 @@
 // the figures exercise — valid timeslice, rollback cube, and the TQuel
 // when-join — against a >=100k-version history; every parallel scan is
 // bit-identical to the sequential one (tests/parallel_exec_test.cpp), so
-// this file only measures.  Also: the filter-dispatch delta from replacing
-// the per-row std::function predicate with the small-buffer VersionFilter,
-// and commits/sec of group commit versus one fsync per commit.
+// this file only measures.  Also: commits/sec of group commit versus one
+// fsync per commit.
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +13,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <functional>
 #include <memory>
 #include <thread>
 
@@ -65,9 +63,10 @@ ScanFixture& SharedHistory() {
   return *fixture;
 }
 
-size_t Drain(VersionScan scan) {
+size_t Drain(VersionBatchScan scan) {
   size_t n = 0;
-  while (scan.Next() != nullptr) ++n;
+  VersionBatch batch;
+  while (scan.Next(&batch)) n += batch.size();
   return n;
 }
 
@@ -96,7 +95,7 @@ void BM_ParallelTimeslice(benchmark::State& state) {
   ParallelGuard guard(f.rel->store(), state.range(0));
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->ScanValidDuring(f.window));
+    answer = Drain(f.rel->store()->BatchScanValidDuring(f.window));
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
@@ -112,7 +111,7 @@ void BM_ParallelTimesliceStab(benchmark::State& state) {
   ParallelGuard guard(f.rel->store(), state.range(0));
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->ScanValidDuring(f.stab));
+    answer = Drain(f.rel->store()->BatchScanValidDuring(f.stab));
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
@@ -123,7 +122,7 @@ void BM_ParallelRollbackCube(benchmark::State& state) {
   ParallelGuard guard(f.rel->store(), state.range(0));
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->ScanAsOf(f.asof));
+    answer = Drain(f.rel->store()->BatchScanAsOf(f.asof));
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
@@ -136,14 +135,12 @@ void BM_ParallelRollbackCube(benchmark::State& state) {
 void BM_ParallelTemporalCube(benchmark::State& state) {
   ScanFixture& f = SharedHistory();
   ParallelGuard guard(f.rel->store(), state.range(0));
-  Period window = f.stab;
-  Chronon asof = f.asof;
+  BatchPredicates preds;
+  preds.txn_contains = f.asof;
+  preds.valid_overlaps = f.stab;
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->ScanAll(
-        [window, asof](const BitemporalTuple& t) {
-          return t.txn.Contains(asof) && t.valid.Overlaps(window);
-        }));
+    answer = Drain(f.rel->store()->BatchScanAll(preds));
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
@@ -192,40 +189,6 @@ void BM_ParallelWhenJoin(benchmark::State& state) {
     benchmark::DoNotOptimize(rows);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
-}
-
-// --- Filter dispatch: std::function vs the small-buffer VersionFilter ----
-//
-// The scan loop invokes its residual predicate once per version; before
-// this change the predicate was a std::function (heap-allocated capture,
-// out-of-line call), now it is the 48-byte-inline VersionFilter.  The two
-// series below measure exactly that dispatch delta over the shared 100k
-// history.
-
-void BM_FilterDispatch_StdFunction(benchmark::State& state) {
-  ScanFixture& f = SharedHistory();
-  Period w = f.window;
-  std::function<bool(const BitemporalTuple&)> pred =
-      [w](const BitemporalTuple& t) { return t.valid.Overlaps(w); };
-  for (auto _ : state) {
-    size_t hits = 0;
-    f.rel->store()->ForEach(
-        [&](RowId, const BitemporalTuple& t) { hits += pred(t) ? 1 : 0; });
-    benchmark::DoNotOptimize(hits);
-  }
-}
-
-void BM_FilterDispatch_InlineFunction(benchmark::State& state) {
-  ScanFixture& f = SharedHistory();
-  Period w = f.window;
-  VersionFilter pred =
-      [w](const BitemporalTuple& t) { return t.valid.Overlaps(w); };
-  for (auto _ : state) {
-    size_t hits = 0;
-    f.rel->store()->ForEach(
-        [&](RowId, const BitemporalTuple& t) { hits += pred(t) ? 1 : 0; });
-    benchmark::DoNotOptimize(hits);
-  }
 }
 
 // --- Group commit vs one fsync per commit --------------------------------
@@ -320,8 +283,6 @@ BENCHMARK(BM_ParallelTemporalCube)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelWhenJoin)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FilterDispatch_StdFunction)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_FilterDispatch_InlineFunction)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_GroupCommit)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 BENCHMARK(BM_PerCommitFsync)->Unit(benchmark::kMillisecond);

@@ -64,9 +64,9 @@ void RunQuery(benchmark::State& state, const char* query,
 }
 
 // With pushdown, the executor re-derives x's period per outer tuple and
-// probes b's interval index (`ScanValidDuring`), so the inner scan touches
-// only overlapping versions; without it, every inner version is surfaced
-// and the `when` predicate filters above the store.
+// probes b's interval index (`BatchScanValidDuring`), so the inner scan
+// touches only overlapping versions; without it, every inner version is
+// surfaced and the `when` predicate filters above the store.
 constexpr char kOverlapJoin[] = "retrieve (x.key) when x overlap y";
 void BM_WhenOverlap_Pushdown(benchmark::State& state) {
   RunQuery(state, kOverlapJoin, true);

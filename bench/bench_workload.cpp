@@ -2,10 +2,10 @@
 //
 // Runs the seeded HR/payroll mixed-phase driver (serialized writer +
 // concurrent MVCC snapshot readers issuing `as of` audit sweeps,
-// valid-timeslice stabs, and when-joins) at production scale, verifies
-// every sync point bit-identically against the in-memory shadow history,
-// and emits BENCH_workload.json: write throughput, per-class read
-// latency percentiles and QPS, and partition-prune ratios.
+// valid-timeslice stabs, and when-joins) at production scale, checks every
+// statement and every sync point against the reference model
+// (workload/reference.h), and emits BENCH_workload.json: write throughput,
+// per-class read latency percentiles and QPS, and partition-prune ratios.
 //
 //   ./bench_workload                      # full size
 //   ./bench_workload --small              # CI tier (also: TDB_WORKLOAD_SMALL)
@@ -53,11 +53,11 @@ int main(int argc, char** argv) {
 
   DriverOptions d;
   d.gen.seed = FlagU64(argc, argv, "--seed", 42);
-  // Full-size defaults are bounded by the when-join, whose cost is the
-  // s × a cross product (no hash/index join for the `s.emp = a.emp`
-  // residual yet — see ROADMAP): ~2000 employees / ~12000 ops keeps one
-  // join in the low seconds while still spanning dozens of sealed
-  // partitions.  Scale up with --employees/--ops when measuring offline.
+  // Full-size defaults are bounded by the reference model, which checks
+  // every statement by brute force (each DML scans its relation; each
+  // oracle when-join enumerates the s × a product): ~2000 employees /
+  // ~12000 ops keeps the run in seconds while still spanning dozens of
+  // sealed partitions.  Scale up with --employees/--ops offline.
   d.gen.employees =
       FlagU64(argc, argv, "--employees", small ? 256 : 2000);
   d.gen.departments = FlagU64(argc, argv, "--departments", small ? 8 : 24);

@@ -14,7 +14,8 @@ int main() {
   bench::FigureRun bench_run("figure02_static");
   bench::PrintFigureHeader("Figure 2", "A Static Relation", "");
   bench::ScenarioDb sdb = bench::OpenScenarioDb();
-  if (!paper::BuildStaticFaculty(sdb.db.get()).ok()) return 1;
+  if (!paper::Replay(sdb.db.get(), nullptr,
+                     paper::StaticFacultyScript()).ok()) return 1;
 
   Result<tquel::ExecResult> shown = sdb.db->Execute("show faculty");
   if (!shown.ok()) return 1;

@@ -15,7 +15,8 @@ int main() {
   bench::FigureRun bench_run("figure04_rollback_relation");
   bench::PrintFigureHeader("Figure 4", "A Static Rollback Relation", "");
   bench::ScenarioDb sdb = bench::OpenScenarioDb();
-  if (!paper::BuildRollbackFaculty(sdb.db.get(), sdb.clock.get()).ok()) {
+  if (!paper::Replay(sdb.db.get(), sdb.clock.get(),
+                     paper::RollbackFacultyScript()).ok()) {
     return 1;
   }
   Result<tquel::ExecResult> shown = sdb.db->Execute("show faculty");

@@ -17,8 +17,8 @@ int main() {
       "Same transactions as Figure 3, plus a correction erasing an "
       "erroneous first-transaction tuple (\"c\").");
   bench::ScenarioDb sdb = bench::OpenScenarioDb();
-  if (!paper::BuildCubeScenario(sdb.db.get(), sdb.clock.get(),
-                                TemporalClass::kHistorical)
+  if (!paper::Replay(sdb.db.get(), sdb.clock.get(),
+                     paper::CubeScript(TemporalClass::kHistorical))
            .ok()) {
     return 1;
   }

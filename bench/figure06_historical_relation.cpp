@@ -16,7 +16,8 @@ int main() {
   bench::FigureRun bench_run("figure06_historical_relation");
   bench::PrintFigureHeader("Figure 6", "An Historical Relation", "");
   bench::ScenarioDb sdb = bench::OpenScenarioDb();
-  if (!paper::BuildHistoricalFaculty(sdb.db.get(), sdb.clock.get()).ok()) {
+  if (!paper::Replay(sdb.db.get(), sdb.clock.get(),
+                     paper::FacultyScript("historical")).ok()) {
     return 1;
   }
   Result<tquel::ExecResult> shown = sdb.db->Execute("show faculty");

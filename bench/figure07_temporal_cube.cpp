@@ -17,8 +17,8 @@ int main() {
       "Four transactions; the last removes an erroneous tuple from the "
       "current historical state, append-only.");
   bench::ScenarioDb sdb = bench::OpenScenarioDb();
-  if (!paper::BuildCubeScenario(sdb.db.get(), sdb.clock.get(),
-                                TemporalClass::kTemporal)
+  if (!paper::Replay(sdb.db.get(), sdb.clock.get(),
+                     paper::CubeScript(TemporalClass::kTemporal))
            .ok()) {
     return 1;
   }

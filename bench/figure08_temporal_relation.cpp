@@ -19,7 +19,8 @@ int main() {
   bench::FigureRun bench_run("figure08_temporal_relation");
   bench::PrintFigureHeader("Figure 8", "A Temporal Relation", "");
   bench::ScenarioDb sdb = bench::OpenScenarioDb();
-  if (!paper::BuildTemporalFaculty(sdb.db.get(), sdb.clock.get()).ok()) {
+  if (!paper::Replay(sdb.db.get(), sdb.clock.get(),
+                     paper::FacultyScript("temporal")).ok()) {
     return 1;
   }
   Result<tquel::ExecResult> shown = sdb.db->Execute("show faculty");

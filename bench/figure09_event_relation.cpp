@@ -15,7 +15,8 @@ int main() {
   bench::FigureRun bench_run("figure09_event_relation");
   bench::PrintFigureHeader("Figure 9", "A Temporal Event Relation", "");
   bench::ScenarioDb sdb = bench::OpenScenarioDb();
-  if (!paper::BuildPromotionEvents(sdb.db.get(), sdb.clock.get()).ok()) {
+  if (!paper::Replay(sdb.db.get(), sdb.clock.get(),
+                     paper::PromotionEventsScript()).ok()) {
     return 1;
   }
   Result<tquel::ExecResult> shown = sdb.db->Execute("show promotion");

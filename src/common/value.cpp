@@ -1,6 +1,7 @@
 #include "common/value.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstdio>
 #include <functional>
 
@@ -100,6 +101,35 @@ int TypeRank(ValueType t) {
   return 5;
 }
 
+// An int against a float, exactly: the int is never rounded to a double.
+// A float of magnitude 2^63 or more lies beyond every int; below that its
+// integral part converts to int64 without loss, and the fraction breaks a
+// tie.  NaN compares equal to every number (left for the NaN order).
+int CompareIntFloat(int64_t i, double d) {
+  if (std::isnan(d)) return 0;
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (d >= kTwo63) return -1;
+  if (d < -kTwo63) return 1;
+  const double whole = std::trunc(d);
+  const int64_t w = static_cast<int64_t>(whole);
+  if (i != w) return i < w ? -1 : 1;
+  return whole < d ? -1 : (whole > d ? 1 : 0);
+}
+
+// Three-way numeric comparison of two int/float values: exact for every
+// int-int and int-float pair.
+int CompareNumeric(const Value& a, const Value& b) {
+  const bool ai = a.type() == ValueType::kInt;
+  const bool bi = b.type() == ValueType::kInt;
+  if (ai && bi) {
+    return a.AsInt() < b.AsInt() ? -1 : (a.AsInt() > b.AsInt() ? 1 : 0);
+  }
+  if (ai) return CompareIntFloat(a.AsInt(), b.AsFloat());
+  if (bi) return -CompareIntFloat(b.AsInt(), a.AsFloat());
+  const double x = a.AsFloat(), y = b.AsFloat();
+  return x < y ? -1 : (x > y ? 1 : 0);
+}
+
 }  // namespace
 
 bool operator<(const Value& a, const Value& b) {
@@ -112,13 +142,8 @@ bool operator<(const Value& a, const Value& b) {
     case ValueType::kBool:
       return a.AsBool() < b.AsBool();
     case ValueType::kInt:
-    case ValueType::kFloat: {
-      double x = a.type() == ValueType::kInt ? static_cast<double>(a.AsInt())
-                                             : a.AsFloat();
-      double y = b.type() == ValueType::kInt ? static_cast<double>(b.AsInt())
-                                             : b.AsFloat();
-      return x < y;
-    }
+    case ValueType::kFloat:
+      return CompareNumeric(a, b) < 0;
     case ValueType::kString:
       return a.AsString() < b.AsString();
     case ValueType::kDate:
@@ -140,13 +165,7 @@ Result<int> Value::Compare(const Value& a, const Value& b) {
         std::string("cannot compare ") + std::string(ValueTypeName(ta)) +
         " with " + std::string(ValueTypeName(tb)));
   }
-  if (numeric) {
-    double x = ta == ValueType::kInt ? static_cast<double>(a.AsInt())
-                                     : a.AsFloat();
-    double y = tb == ValueType::kInt ? static_cast<double>(b.AsInt())
-                                     : b.AsFloat();
-    return x < y ? -1 : (x > y ? 1 : 0);
-  }
+  if (numeric) return CompareNumeric(a, b);
   switch (ta) {
     case ValueType::kBool:
       return a.AsBool() == b.AsBool() ? 0 : (a.AsBool() < b.AsBool() ? -1 : 1);

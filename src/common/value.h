@@ -68,7 +68,8 @@ class Value {
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
   /// Total order for container use: NULL < bool < int/float < string < date;
-  /// int and float compare numerically against each other.
+  /// int and float compare numerically against each other, exactly (an int
+  /// is never rounded through a double).
   friend bool operator<(const Value& a, const Value& b);
 
   /// SQL-style three-way comparison for the expression evaluator: returns

@@ -5,221 +5,127 @@
 namespace temporadb {
 namespace paper {
 
-namespace {
-
-// Runs one TQuel source string, discarding the result.
-Status Run(Database* db, const std::string& source) {
-  Result<tquel::ExecResult> result = db->Execute(source);
-  return result.ok() ? Status::OK() : result.status();
-}
-
-// Sets the manual clock to a paper date before the next transaction.
-Status At(ManualClock* clock, const char* date) {
-  return clock->SetDate(date);
-}
-
-}  // namespace
-
-Status BuildStaticFaculty(Database* db) {
-  TDB_RETURN_IF_ERROR(Run(db,
-      "create static relation faculty (name = string, rank = string)"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Merrie\", rank = \"full\")"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Tom\", rank = \"associate\")"));
+Status Replay(Database* db, ManualClock* clock,
+              const std::vector<ScriptStep>& steps) {
+  for (const ScriptStep& step : steps) {
+    if (!step.date.empty()) TDB_RETURN_IF_ERROR(clock->SetDate(step.date));
+    Result<tquel::ExecResult> result = db->Execute(step.stmt);
+    if (!result.ok()) return result.status();
+  }
   return Status::OK();
 }
 
-Status BuildRollbackFaculty(Database* db, ManualClock* clock) {
-  TDB_RETURN_IF_ERROR(Run(db,
-      "create rollback relation faculty (name = string, rank = string)"));
-  TDB_RETURN_IF_ERROR(Run(db, "range of f is faculty"));
-
-  TDB_RETURN_IF_ERROR(At(clock, "08/25/77"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Merrie\", rank = \"associate\")"));
-
-  TDB_RETURN_IF_ERROR(At(clock, "12/07/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Tom\", rank = \"associate\")"));
-
-  TDB_RETURN_IF_ERROR(At(clock, "12/15/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "replace f (rank = \"full\") where f.name = \"Merrie\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "01/10/83"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Mike\", rank = \"assistant\")"));
-
-  TDB_RETURN_IF_ERROR(At(clock, "02/25/84"));
-  TDB_RETURN_IF_ERROR(Run(db, "delete f where f.name = \"Mike\""));
-  return Status::OK();
+std::vector<ScriptStep> StaticFacultyScript() {
+  return {
+      {"", "create static relation faculty (name = string, rank = string)"},
+      {"", "append to faculty (name = \"Merrie\", rank = \"full\")"},
+      {"", "append to faculty (name = \"Tom\", rank = \"associate\")"},
+  };
 }
 
-Status BuildHistoricalFaculty(Database* db, ManualClock* clock) {
-  TDB_RETURN_IF_ERROR(Run(db,
-      "create historical relation faculty (name = string, rank = string)"));
-  TDB_RETURN_IF_ERROR(Run(db, "range of f is faculty"));
-
-  // The same course of real-world events as the temporal scenario; in an
-  // historical relation only the final knowledge survives (Figure 6).
-  TDB_RETURN_IF_ERROR(At(clock, "08/25/77"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Merrie\", rank = \"associate\") "
-      "valid from \"09/01/77\" to \"inf\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "12/01/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Tom\", rank = \"full\") "
-      "valid from \"12/05/82\" to \"inf\""));
-
-  // 12/07/82: the error is discovered; the correction leaves no trace.
-  TDB_RETURN_IF_ERROR(At(clock, "12/07/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "replace f (rank = \"associate\") valid from \"12/05/82\" to \"inf\" "
-      "where f.name = \"Tom\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "12/15/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "replace f (rank = \"full\") valid from \"12/01/82\" to \"inf\" "
-      "where f.name = \"Merrie\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "01/10/83"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Mike\", rank = \"assistant\") "
-      "valid from \"01/01/83\" to \"inf\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "02/25/84"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "delete f valid from \"03/01/84\" to \"inf\" where f.name = \"Mike\""));
-  return Status::OK();
+std::vector<ScriptStep> RollbackFacultyScript() {
+  return {
+      {"", "create rollback relation faculty (name = string, rank = string)"},
+      {"", "range of f is faculty"},
+      {"08/25/77",
+       "append to faculty (name = \"Merrie\", rank = \"associate\")"},
+      {"12/07/82", "append to faculty (name = \"Tom\", rank = \"associate\")"},
+      {"12/15/82", "replace f (rank = \"full\") where f.name = \"Merrie\""},
+      {"01/10/83",
+       "append to faculty (name = \"Mike\", rank = \"assistant\")"},
+      {"02/25/84", "delete f where f.name = \"Mike\""},
+  };
 }
 
-Status BuildTemporalFaculty(Database* db, ManualClock* clock) {
-  TDB_RETURN_IF_ERROR(Run(db,
-      "create temporal relation faculty (name = string, rank = string)"));
-  TDB_RETURN_IF_ERROR(Run(db, "range of f is faculty"));
-
-  TDB_RETURN_IF_ERROR(At(clock, "08/25/77"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Merrie\", rank = \"associate\") "
-      "valid from \"09/01/77\" to \"inf\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "12/01/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Tom\", rank = \"full\") "
-      "valid from \"12/05/82\" to \"inf\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "12/07/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "replace f (rank = \"associate\") valid from \"12/05/82\" to \"inf\" "
-      "where f.name = \"Tom\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "12/15/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "replace f (rank = \"full\") valid from \"12/01/82\" to \"inf\" "
-      "where f.name = \"Merrie\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "01/10/83"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to faculty (name = \"Mike\", rank = \"assistant\") "
-      "valid from \"01/01/83\" to \"inf\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "02/25/84"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "delete f valid from \"03/01/84\" to \"inf\" where f.name = \"Mike\""));
-  return Status::OK();
+std::vector<ScriptStep> FacultyScript(const std::string& kind) {
+  return {
+      {"", "create " + kind +
+               " relation faculty (name = string, rank = string)"},
+      {"", "range of f is faculty"},
+      {"08/25/77",
+       "append to faculty (name = \"Merrie\", rank = \"associate\") "
+       "valid from \"09/01/77\" to \"inf\""},
+      {"12/01/82",
+       "append to faculty (name = \"Tom\", rank = \"full\") "
+       "valid from \"12/05/82\" to \"inf\""},
+      // The error is discovered; in an historical relation the correction
+      // leaves no trace.
+      {"12/07/82",
+       "replace f (rank = \"associate\") valid from \"12/05/82\" to \"inf\" "
+       "where f.name = \"Tom\""},
+      {"12/15/82",
+       "replace f (rank = \"full\") valid from \"12/01/82\" to \"inf\" "
+       "where f.name = \"Merrie\""},
+      {"01/10/83",
+       "append to faculty (name = \"Mike\", rank = \"assistant\") "
+       "valid from \"01/01/83\" to \"inf\""},
+      {"02/25/84",
+       "delete f valid from \"03/01/84\" to \"inf\" where f.name = \"Mike\""},
+  };
 }
 
-Status BuildPromotionEvents(Database* db, ManualClock* clock) {
-  TDB_RETURN_IF_ERROR(Run(db,
-      "create temporal event relation promotion "
-      "(name = string, rank = string, effective = date)"));
-  TDB_RETURN_IF_ERROR(Run(db, "range of p is promotion"));
-
+std::vector<ScriptStep> PromotionEventsScript() {
   // valid-at is the date the promotion letter was signed; `effective` is
   // the user-defined date printed on the letter (uninterpreted by the
   // DBMS); the transaction date is when the event was recorded.
-  TDB_RETURN_IF_ERROR(At(clock, "08/25/77"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to promotion (name = \"Merrie\", rank = \"associate\", "
-      "effective = \"09/01/77\") valid at \"08/25/77\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "12/01/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to promotion (name = \"Tom\", rank = \"full\", "
-      "effective = \"12/05/82\") valid at \"12/05/82\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "12/07/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "delete p valid at \"12/05/82\" where p.name = \"Tom\""));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to promotion (name = \"Tom\", rank = \"associate\", "
-      "effective = \"12/05/82\") valid at \"12/07/82\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "12/15/82"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to promotion (name = \"Merrie\", rank = \"full\", "
-      "effective = \"12/01/82\") valid at \"12/11/82\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "01/10/83"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to promotion (name = \"Mike\", rank = \"assistant\", "
-      "effective = \"01/01/83\") valid at \"01/01/83\""));
-
-  TDB_RETURN_IF_ERROR(At(clock, "02/25/84"));
-  TDB_RETURN_IF_ERROR(Run(db,
-      "append to promotion (name = \"Mike\", rank = \"left\", "
-      "effective = \"03/01/84\") valid at \"02/25/84\""));
-  return Status::OK();
+  return {
+      {"", "create temporal event relation promotion "
+           "(name = string, rank = string, effective = date)"},
+      {"", "range of p is promotion"},
+      {"08/25/77",
+       "append to promotion (name = \"Merrie\", rank = \"associate\", "
+       "effective = \"09/01/77\") valid at \"08/25/77\""},
+      {"12/01/82",
+       "append to promotion (name = \"Tom\", rank = \"full\", "
+       "effective = \"12/05/82\") valid at \"12/05/82\""},
+      {"12/07/82", "delete p valid at \"12/05/82\" where p.name = \"Tom\""},
+      {"", "append to promotion (name = \"Tom\", rank = \"associate\", "
+           "effective = \"12/05/82\") valid at \"12/07/82\""},
+      {"12/15/82",
+       "append to promotion (name = \"Merrie\", rank = \"full\", "
+       "effective = \"12/01/82\") valid at \"12/11/82\""},
+      {"01/10/83",
+       "append to promotion (name = \"Mike\", rank = \"assistant\", "
+       "effective = \"01/01/83\") valid at \"01/01/83\""},
+      {"02/25/84",
+       "append to promotion (name = \"Mike\", rank = \"left\", "
+       "effective = \"03/01/84\") valid at \"02/25/84\""},
+  };
 }
 
-Status BuildCubeScenario(Database* db, ManualClock* clock,
-                         TemporalClass temporal_class) {
-  std::string create = StringPrintf(
-      "create %s relation r (name = string, value = int)",
-      std::string(TemporalClassName(temporal_class)).c_str());
-  TDB_RETURN_IF_ERROR(Run(db, create));
-  TDB_RETURN_IF_ERROR(Run(db, "range of x is r"));
-
-  const bool has_valid = SupportsValidTime(temporal_class);
-  // Valid-time kinds date each fact from its insertion transaction, which
-  // keeps the historical (Figure 5) and rollback (Figure 3) cubes visually
-  // parallel.
-  auto ins = [&](const char* name, int value) {
+std::vector<ScriptStep> CubeScript(TemporalClass temporal_class) {
+  const auto ins = [](const char* name, int value) {
     return StringPrintf("append to r (name = \"%s\", value = %d)", name,
                         value);
   };
-
-  // Transaction 1: three tuples (one of which, "c", is erroneous).
-  TDB_RETURN_IF_ERROR(At(clock, "01/01/80"));
-  TDB_RETURN_IF_ERROR(Run(db, ins("a", 1)));
-  TDB_RETURN_IF_ERROR(Run(db, ins("b", 2)));
-  TDB_RETURN_IF_ERROR(Run(db, ins("c", 3)));
-
-  // Transaction 2: one tuple.
-  TDB_RETURN_IF_ERROR(At(clock, "02/01/80"));
-  TDB_RETURN_IF_ERROR(Run(db, ins("d", 4)));
-
-  // Transaction 3: delete one first-transaction tuple, add another.
-  TDB_RETURN_IF_ERROR(At(clock, "03/01/80"));
-  TDB_RETURN_IF_ERROR(Run(db, "delete x where x.name = \"b\""));
-  TDB_RETURN_IF_ERROR(Run(db, ins("e", 5)));
-
-  // Transaction 4 (valid-time kinds only): the erroneous tuple "c" never
-  // should have existed.  In an historical relation this is a physical
-  // correction; in a temporal relation it is a logical deletion of the
-  // tuple's entire validity, recorded append-only.
-  if (has_valid) {
-    TDB_RETURN_IF_ERROR(At(clock, "04/01/80"));
-    if (temporal_class == TemporalClass::kHistorical) {
-      TDB_RETURN_IF_ERROR(Run(db, "correct x where x.name = \"c\""));
-    } else {
-      TDB_RETURN_IF_ERROR(Run(db,
-          "delete x valid from \"-inf\" to \"inf\" where x.name = \"c\""));
-    }
+  // Valid-time kinds date each fact from its insertion transaction, which
+  // keeps the historical (Figure 5) and rollback (Figure 3) cubes visually
+  // parallel.  Transaction 1 adds three tuples ("c" is erroneous), 2 adds
+  // one, 3 deletes a first-transaction tuple and adds another.
+  std::vector<ScriptStep> steps = {
+      {"", StringPrintf("create %s relation r (name = string, value = int)",
+                        std::string(TemporalClassName(temporal_class))
+                            .c_str())},
+      {"", "range of x is r"},
+      {"01/01/80", ins("a", 1)},
+      {"", ins("b", 2)},
+      {"", ins("c", 3)},
+      {"02/01/80", ins("d", 4)},
+      {"03/01/80", "delete x where x.name = \"b\""},
+      {"", ins("e", 5)},
+  };
+  // Transaction 4 (valid-time kinds only): "c" never should have existed.
+  // In an historical relation this is a physical correction; in a temporal
+  // relation a logical deletion of its entire validity, recorded
+  // append-only.
+  if (temporal_class == TemporalClass::kHistorical) {
+    steps.push_back({"04/01/80", "correct x where x.name = \"c\""});
+  } else if (temporal_class == TemporalClass::kTemporal) {
+    steps.push_back({"04/01/80",
+                     "delete x valid from \"-inf\" to \"inf\" where "
+                     "x.name = \"c\""});
   }
-  return Status::OK();
+  return steps;
 }
 
 }  // namespace paper

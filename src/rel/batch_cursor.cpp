@@ -67,9 +67,9 @@ class BatchSelectCursor final : public BatchCursor {
     while (true) {
       TDB_ASSIGN_OR_RETURN(std::optional<Batch> batch, input_->NextBatch());
       if (!batch.has_value()) return batch;
-      // Arbitrary predicates stay row-at-a-time (they may touch any value
-      // type); survivors are compacted in place, in row order, so errors
-      // surface exactly where the row path would raise them.
+      // Arbitrary predicates are evaluated per row (they may touch any
+      // value type); survivors are compacted in place, in row order, so
+      // the first error is the first failing row's.
       SelectionVector sel;
       sel.reserve(batch->rows());
       for (size_t i = 0; i < batch->rows(); ++i) {
@@ -108,8 +108,7 @@ class BatchProjectCursor final : public BatchCursor {
     }
     TDB_RETURN_IF_ERROR(input_->Open());
     // Output attribute types: inferred from the first row, defaulting to
-    // string for empty inputs — same lookahead the row path performs, one
-    // batch at a time instead of one row.
+    // string for empty inputs (the lookahead pulls one batch).
     TDB_ASSIGN_OR_RETURN(lookahead_, input_->NextBatch());
     std::vector<Attribute> attrs;
     attrs.reserve(exprs_->size());
@@ -138,8 +137,8 @@ class BatchProjectCursor final : public BatchCursor {
     if (!batch.has_value()) return batch;
     Batch out(exprs_->size(), batch->has_valid, batch->has_txn);
     out.ReserveRows(batch->rows());
-    // Row-major evaluation: the first expression error is the same one the
-    // row-at-a-time path reports.
+    // Row-major evaluation: the first expression error is the first failing
+    // row's.
     std::vector<Value> scratch;
     for (size_t i = 0; i < batch->rows(); ++i) {
       GatherValues(*batch, i, &scratch);
@@ -415,9 +414,9 @@ class BatchCrossProductCursor final : public BatchCursor {
       size_t count = 0;
       for (size_t i = 0; i < outer->rows(); ++i) {
         // One kernel pass intersects this outer row's periods against the
-        // whole inner side; pairs survive exactly when the row path's
-        // `Intersect` + empty check would keep them (same pair order:
-        // outer row, then inner rows ascending).
+        // whole inner side; a pair survives when every kept dimension's
+        // `Intersect` is non-empty (pair order: outer row, then inner rows
+        // ascending).
         size_t n_pairs;
         if (want_valid_ && want_txn_) {
           n_pairs = kernels::IntersectBitemporal(
@@ -490,70 +489,6 @@ class BatchCrossProductCursor final : public BatchCursor {
   ChrononColumn out_vb_, out_ve_, out_tb_, out_te_;
 };
 
-class RowCursorOverBatches final : public RowCursor {
- public:
-  explicit RowCursorOverBatches(BatchCursorPtr input)
-      : input_(std::move(input)) {}
-
-  Status OpenImpl() override { return input_->Open(); }
-
-  Result<std::optional<Row>> NextImpl() override {
-    while (!cur_.has_value() || pos_ >= cur_->rows()) {
-      TDB_ASSIGN_OR_RETURN(cur_, input_->NextBatch());
-      if (!cur_.has_value()) return std::optional<Row>();
-      pos_ = 0;
-    }
-    return std::optional<Row>(cur_->ExtractRow(pos_++));
-  }
-
-  const Schema& SchemaImpl() const override { return input_->schema(); }
-  TemporalClass TemporalClassImpl() const override {
-    return input_->temporal_class();
-  }
-  TemporalDataModel DataModelImpl() const override {
-    return input_->data_model();
-  }
-
- private:
-  BatchCursorPtr input_;
-  std::optional<Batch> cur_;
-  size_t pos_ = 0;
-};
-
-class BatchCursorOverRows final : public BatchCursor {
- public:
-  BatchCursorOverRows(RowCursorPtr input, size_t batch_rows)
-      : input_(std::move(input)), batch_rows_(batch_rows) {}
-
-  Status OpenImpl() override { return input_->Open(); }
-
-  Result<std::optional<Batch>> NextBatchImpl() override {
-    Batch out(input_->schema().size(),
-              SupportsValidTime(input_->temporal_class()),
-              SupportsTransactionTime(input_->temporal_class()));
-    out.ReserveRows(batch_rows_);
-    while (out.rows() < batch_rows_) {
-      TDB_ASSIGN_OR_RETURN(std::optional<Row> row, input_->Next());
-      if (!row.has_value()) break;
-      out.AppendRow(*row);
-    }
-    if (out.empty()) return std::optional<Batch>();
-    return std::optional<Batch>(std::move(out));
-  }
-
-  const Schema& SchemaImpl() const override { return input_->schema(); }
-  TemporalClass TemporalClassImpl() const override {
-    return input_->temporal_class();
-  }
-  TemporalDataModel DataModelImpl() const override {
-    return input_->data_model();
-  }
-
- private:
-  RowCursorPtr input_;
-  size_t batch_rows_;
-};
-
 }  // namespace
 
 BatchCursorPtr MakeRowsetBatchCursor(const Rowset* input, size_t batch_rows) {
@@ -591,14 +526,6 @@ BatchCursorPtr MakeBatchSortCursor(BatchCursorPtr input,
 BatchCursorPtr MakeBatchCrossProductCursor(BatchCursorPtr a,
                                            BatchCursorPtr b) {
   return std::make_unique<BatchCrossProductCursor>(std::move(a), std::move(b));
-}
-
-RowCursorPtr MakeRowCursorOverBatches(BatchCursorPtr input) {
-  return std::make_unique<RowCursorOverBatches>(std::move(input));
-}
-
-BatchCursorPtr MakeBatchCursorOverRows(RowCursorPtr input, size_t batch_rows) {
-  return std::make_unique<BatchCursorOverRows>(std::move(input), batch_rows);
 }
 
 Result<Rowset> MaterializeBatchCursor(BatchCursor* cursor) {

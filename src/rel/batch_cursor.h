@@ -8,27 +8,31 @@
 #include <vector>
 
 #include "rel/batch.h"
-#include "rel/cursor.h"
 #include "rel/expression.h"
 #include "rel/relation.h"
 
 namespace temporadb {
 
-/// A pull-based *batch* stream: the vectorized counterpart of `RowCursor`.
+/// A pull-based (Volcano-style) *batch* stream: the executor interface of
+/// every rowset operator.
 ///
 /// `NextBatch()` yields column-major `Batch`es instead of single rows, so
 /// one virtual call amortizes over ~`kDefaultBatchRows` rows and temporal
 /// predicates run as selection-vector kernels over the batch's contiguous
 /// chronon columns.  Yielded batches are always non-empty (operators whose
 /// filtering empties a batch pull again instead of yielding it); nullopt
-/// marks exhaustion.  Concatenating the yielded batches row-by-row gives
-/// exactly the row sequence the equivalent `RowCursor` tree would produce —
-/// bit-identical values, periods, order, and first-error — which is what
-/// the differential tests assert.
+/// marks exhaustion.  Batch sizes are not part of the contract; the
+/// concatenated row sequence (values, periods, order, first error) is.
 ///
-/// Life cycle and borrowing rules are those of `RowCursor`: `Open()` exactly
-/// once, shape accessors only after a successful `Open()`, inputs are
-/// borrowed (debug-asserted through the same non-virtual-interface guard).
+/// Life cycle: construct, call `Open()` exactly once, and only if it
+/// returned OK pull `NextBatch()` until it yields nullopt.  The shape
+/// accessors are only valid after a successful `Open()` (projection infers
+/// its output types from the first input row).  A cursor whose `Open()`
+/// failed is dead.  These rules are debug-asserted through the
+/// non-virtual interface; in release builds a violation is undefined
+/// behavior.  Cursors *borrow* their inputs: source rowsets, expressions
+/// and child cursors they do not own must outlive them.  A cursor tree
+/// lives on one thread; snapshot readers each build their own.
 class BatchCursor {
  public:
   virtual ~BatchCursor() = default;
@@ -82,12 +86,12 @@ BatchCursorPtr MakeRowsetBatchCursor(const Rowset* input,
                                      size_t batch_rows = kDefaultBatchRows);
 
 /// Rows for which `pred` (borrowed) evaluates to true; predicate errors
-/// surface in row order, like the row-at-a-time select.
+/// surface in row order.
 BatchCursorPtr MakeBatchSelectCursor(BatchCursorPtr input, const Expr* pred);
 
 /// One output column per expression; output types are inferred from the
 /// first input row (string for an empty input), and expressions are
-/// evaluated in row-major order so the first error matches the row path.
+/// evaluated in row-major order, so the first error is the first row's.
 BatchCursorPtr MakeBatchProjectCursor(BatchCursorPtr input,
                                       const std::vector<ExprPtr>* exprs,
                                       std::vector<std::string> names);
@@ -109,16 +113,9 @@ BatchCursorPtr MakeBatchSortCursor(BatchCursorPtr input,
 /// into one columnar buffer at Open; each outer row then intersects its
 /// periods against the whole inner side with one branch-free kernel pass
 /// (`IntersectBitemporal` / `IntersectPeriods`), dropping never-coexisting
-/// pairs exactly like the row path's per-pair `Intersect` + empty check.
+/// pairs.  Operand classes without a meet (rollback x historical) are
+/// rejected at Open.
 BatchCursorPtr MakeBatchCrossProductCursor(BatchCursorPtr a, BatchCursorPtr b);
-
-/// Adapter: presents a batch tree as a `RowCursor` (rows are extracted one
-/// at a time from the current batch).  Takes ownership.
-RowCursorPtr MakeRowCursorOverBatches(BatchCursorPtr input);
-
-/// Adapter: batches up a row stream (`batch_rows` rows per batch).
-BatchCursorPtr MakeBatchCursorOverRows(RowCursorPtr input,
-                                       size_t batch_rows = kDefaultBatchRows);
 
 /// Drains a batch cursor into a rowset (Open + NextBatch loop).
 Result<Rowset> MaterializeBatchCursor(BatchCursor* cursor);

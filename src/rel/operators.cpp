@@ -3,16 +3,12 @@
 #include <utility>
 
 #include "rel/batch_cursor.h"
-#include "rel/cursor.h"
 
 namespace temporadb {
 
-// Each materializing operator is a thin wrapper over the vectorized batch
-// executor in rel/batch_cursor.{h,cpp}: build the (one- or two-node) batch
-// cursor tree over the argument rowsets and drain it.  The batch tree
-// yields the exact row sequence of the retained row-at-a-time cursor tree
-// (rel/cursor.h) — the differential tests drive both and compare — so the
-// rowset API keeps its historical signatures and semantics.
+// Each materializing operator is a thin wrapper over the batch executor in
+// rel/batch_cursor.{h,cpp}: build the (one- or two-node) cursor tree over
+// the argument rowsets and drain it.
 
 Result<Rowset> Select(const Rowset& input, const Expr& pred) {
   BatchCursorPtr c = MakeBatchSelectCursor(MakeRowsetBatchCursor(&input),

@@ -13,9 +13,9 @@ namespace temporadb {
 /// projection are snapshot-reducible — applying them per state is the same
 /// as applying them to the stamped representation).
 ///
-/// These are thin materializing wrappers over the streaming cursor
-/// operators in rel/cursor.h; build a cursor tree directly to pipeline
-/// without intermediate rowsets.
+/// These are thin materializing wrappers over the streaming batch cursors
+/// in rel/batch_cursor.h; build a cursor tree directly to pipeline without
+/// intermediate rowsets.
 
 /// Rows for which `pred` evaluates to true.
 Result<Rowset> Select(const Rowset& input, const Expr& pred);

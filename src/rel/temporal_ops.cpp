@@ -16,21 +16,27 @@ Row RowFrom(const BitemporalTuple& t, bool with_valid, bool with_txn) {
   return row;
 }
 
-// Row from position `i` of a scan batch: values are borrowed from the
-// stored tuple, periods are decoded from the batch's chronon columns (the
-// same reps the store's columns mirror, so identical to the tuple's).
-Row RowFromBatch(const VersionBatch& batch, size_t i, bool with_valid,
-                 bool with_txn) {
-  Row row;
-  row.values = batch.tuples[i]->values;
-  if (with_valid) {
-    row.valid = Period(Chronon(batch.valid_from[i]),
-                       Chronon(batch.valid_to[i]));
+// Adds every version `scan` yields to `out`: values copied from the stored
+// tuple, periods decoded from the batch's chronon columns (the same reps
+// the store's columns mirror, so identical to the tuple's).
+Status AddScanned(VersionBatchScan scan, bool with_valid, bool with_txn,
+                  Rowset* out) {
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      Row row;
+      row.values = batch.tuples[i]->values;
+      if (with_valid) {
+        row.valid = Period(Chronon(batch.valid_from[i]),
+                           Chronon(batch.valid_to[i]));
+      }
+      if (with_txn) {
+        row.txn = Period(Chronon(batch.tt_start[i]), Chronon(batch.tt_end[i]));
+      }
+      TDB_RETURN_IF_ERROR(out->AddRow(std::move(row)));
+    }
   }
-  if (with_txn) {
-    row.txn = Period(Chronon(batch.tt_start[i]), Chronon(batch.tt_end[i]));
-  }
-  return row;
+  return Status::OK();
 }
 
 }  // namespace
@@ -40,23 +46,8 @@ Result<Rowset> ScanStored(const StoredRelation& rel) {
   Rowset out(rel.schema(), cls, rel.data_model());
   const bool with_valid = SupportsValidTime(cls);
   const bool with_txn = SupportsTransactionTime(cls);
-  if (rel.store()->options().batch_exec) {
-    VersionBatchScan scan = rel.store()->BatchScanAll();
-    VersionBatch batch;
-    while (scan.Next(&batch)) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        TDB_RETURN_IF_ERROR(
-            out.AddRow(RowFromBatch(batch, i, with_valid, with_txn)));
-      }
-    }
-    return out;
-  }
-  Status status = Status::OK();
-  rel.store()->ForEach([&](RowId, const BitemporalTuple& t) {
-    if (!status.ok()) return;
-    status = out.AddRow(RowFrom(t, with_valid, with_txn));
-  });
-  TDB_RETURN_IF_ERROR(status);
+  TDB_RETURN_IF_ERROR(
+      AddScanned(rel.store()->BatchScanAll(), with_valid, with_txn, &out));
   return out;
 }
 
@@ -145,21 +136,7 @@ Result<Rowset> CurrentState(const StoredRelation& rel) {
   Rowset out(rel.schema(), derived, rel.data_model());
   // An empty spec resolves to the current stored state for kinds with
   // transaction time and a full sweep otherwise, in row order either way.
-  if (rel.store()->options().batch_exec) {
-    VersionBatchScan scan = rel.BatchScan({});
-    VersionBatch batch;
-    while (scan.Next(&batch)) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        TDB_RETURN_IF_ERROR(
-            out.AddRow(RowFromBatch(batch, i, with_valid, false)));
-      }
-    }
-    return out;
-  }
-  VersionScan scan = rel.Scan({});
-  while (const BitemporalTuple* t = scan.Next()) {
-    TDB_RETURN_IF_ERROR(out.AddRow(RowFrom(*t, with_valid, false)));
-  }
+  TDB_RETURN_IF_ERROR(AddScanned(rel.BatchScan({}), with_valid, false, &out));
   return out;
 }
 

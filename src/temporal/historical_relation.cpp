@@ -15,27 +15,8 @@ Status HistoricalRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-VersionScan HistoricalRelation::Scan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    // No transaction time: every row under the pin's watermark is visible
-    // (corrections cannot run while snapshots are pinned), optionally
-    // narrowed by the valid-time window.
-    BatchPredicates preds;
-    preds.valid_overlaps = spec.valid_during;
-    return store_.ScanSnapshot(*spec.snapshot, std::move(preds));
-  }
-  if (spec.valid_during.has_value() && store_.options().time_pushdown) {
-    return store_.ScanValidDuring(*spec.valid_during);
-  }
-  return store_.ScanAll();
-}
-
 VersionBatchScan HistoricalRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    BatchPredicates preds;
-    preds.valid_overlaps = spec.valid_during;
-    return store_.BatchScanSnapshot(*spec.snapshot, std::move(preds));
-  }
+  if (spec.snapshot.has_value()) return SnapshotScan(spec);
   if (spec.valid_during.has_value() && store_.options().time_pushdown) {
     return store_.BatchScanValidDuring(*spec.valid_during);
   }

@@ -35,7 +35,6 @@ class HistoricalRelation : public StoredRelation {
   /// `valid_during` probes the interval index over valid periods; `asof`
   /// is ignored — transaction time is not maintained (a rollback over a
   /// historical relation is rejected by the analyzer).
-  VersionScan Scan(const ScanSpec& spec) const override;
   VersionBatchScan BatchScan(const ScanSpec& spec) const override;
 
   Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,

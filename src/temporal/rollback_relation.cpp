@@ -15,47 +15,8 @@ Status RollbackRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-namespace {
-
-// Snapshot-mode residual predicates: same semantics as the index arms
-// below (the indexes only prune), with no valid-time dimension.
-BatchPredicates SnapshotPreds(const ScanSpec& spec) {
-  BatchPredicates preds;
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (w.IsInstant()) {
-      preds.txn_contains = w.begin();
-    } else {
-      preds.txn_overlaps = w;
-    }
-  } else {
-    preds.txn_current = true;
-  }
-  return preds;
-}
-
-}  // namespace
-
-VersionScan RollbackRelation::Scan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    return store_.ScanSnapshot(*spec.snapshot, SnapshotPreds(spec));
-  }
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (store_.options().time_pushdown) {
-      if (w.IsInstant()) return store_.ScanAsOf(w.begin());
-      return store_.ScanTxnOverlapping(w);
-    }
-    return store_.ScanAll(
-        [w](const BitemporalTuple& t) { return t.txn.Overlaps(w); });
-  }
-  return store_.ScanCurrent();
-}
-
 VersionBatchScan RollbackRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    return store_.BatchScanSnapshot(*spec.snapshot, SnapshotPreds(spec));
-  }
+  if (spec.snapshot.has_value()) return SnapshotScan(spec);
   if (spec.asof.has_value()) {
     const Period w = *spec.asof;
     if (store_.options().time_pushdown) {

@@ -33,7 +33,6 @@ class RollbackRelation : public StoredRelation {
   /// query for `as of ... through`); without it, only the current stored
   /// state is scanned.  `valid_during` is ignored — valid time is not
   /// maintained.
-  VersionScan Scan(const ScanSpec& spec) const override;
   VersionBatchScan BatchScan(const ScanSpec& spec) const override;
 
   Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,

@@ -16,21 +16,9 @@ Status StaticRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-VersionScan StaticRelation::Scan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    // No temporal dimensions: the pin's row watermark alone bounds the view
-    // (in-place updates are corrections and cannot run under a snapshot).
-    return store_.ScanSnapshot(*spec.snapshot, BatchPredicates{});
-  }
-  (void)spec;  // Both periods are degenerate; no window can prune anything.
-  return store_.ScanAll();
-}
-
 VersionBatchScan StaticRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    return store_.BatchScanSnapshot(*spec.snapshot, BatchPredicates{});
-  }
-  (void)spec;  // Both periods are degenerate; no window can prune anything.
+  if (spec.snapshot.has_value()) return SnapshotScan(spec);
+  // Both periods are degenerate; no window can prune anything.
   return store_.BatchScanAll();
 }
 

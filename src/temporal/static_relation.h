@@ -26,7 +26,6 @@ class StaticRelation : public StoredRelation {
   /// No time dimension is maintained, so there is nothing to push down:
   /// always a full scan (the analyzer rejects `as of` / `when` on static
   /// relations before a spec could carry a window here).
-  VersionScan Scan(const ScanSpec& spec) const override;
   VersionBatchScan BatchScan(const ScanSpec& spec) const override;
 
   Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,

@@ -111,6 +111,25 @@ Result<size_t> StoredRelation::ReplaceWhere(
   return DoReplaceWhere(txn, {pred, when, key}, updates, std::move(valid));
 }
 
+VersionBatchScan StoredRelation::SnapshotScan(const ScanSpec& spec) const {
+  // Without transaction time every row under the pin is visible: in-place
+  // corrections cannot run while snapshots are pinned.
+  BatchPredicates preds;
+  if (SupportsTransactionTime(info_.temporal_class)) {
+    if (!spec.asof.has_value()) {
+      preds.txn_current = true;
+    } else if (spec.asof->IsInstant()) {
+      preds.txn_contains = spec.asof->begin();
+    } else {
+      preds.txn_overlaps = spec.asof;
+    }
+  }
+  if (SupportsValidTime(info_.temporal_class)) {
+    preds.valid_overlaps = spec.valid_during;
+  }
+  return store_.BatchScanSnapshot(*spec.snapshot, std::move(preds));
+}
+
 Status StoredRelation::CreateIndex(std::string_view attribute) {
   std::optional<size_t> idx = info_.schema.IndexOf(attribute);
   if (!idx.has_value()) {

@@ -151,14 +151,10 @@ class StoredRelation {
   /// Without `asof`, kinds with transaction time scan only the current
   /// stored state.  With `store()->options().time_pushdown == false`, every
   /// window degrades to a sequential sweep plus filter (the ablation
-  /// baseline).  Yield order is ascending row id regardless of path.
-  virtual VersionScan Scan(const ScanSpec& spec) const = 0;
-
-  /// Batch counterpart of `Scan`: identical access-path selection, but the
-  /// scan yields columnar `VersionBatch`es whose residual time predicates
-  /// run as branch-free kernels over the store's chronon columns.  Yields
-  /// exactly the row sequence of `Scan(spec)`, sliced into batches of
-  /// `store()->options().batch_rows`.
+  /// baseline).  The scan yields columnar `VersionBatch`es of
+  /// `store()->options().batch_rows` in ascending row order, whatever the
+  /// path; residual time predicates run as branch-free kernels over the
+  /// store's chronon columns.
   virtual VersionBatchScan BatchScan(const ScanSpec& spec) const = 0;
 
   /// Creates a secondary index on the named attribute (used by the query
@@ -188,6 +184,11 @@ class StoredRelation {
   /// row.  Visibility, `when`, `window` and `pred` then filter them.
   Result<std::vector<RowId>> SelectVictims(const VictimFilter& match,
                                            std::optional<Period> window) const;
+
+  /// The snapshot arm of `BatchScan`: every index and epoch check is
+  /// bypassed (the pin bounds the rows), and the spec's windows become
+  /// residual predicates that reproduce the index arms exactly.
+  VersionBatchScan SnapshotScan(const ScanSpec& spec) const;
 
   /// Validates arity/types and coerces values against the schema.
   Result<std::vector<Value>> CheckValues(std::vector<Value> values) const;

@@ -15,34 +15,8 @@ Status TemporalRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-namespace {
-
-// Snapshot-mode scans bypass every index and epoch check: the pin bounds
-// the rows, and the residual predicates below reproduce the access-path
-// semantics of the index arms exactly (the indexes only prune, never
-// change the result).
-BatchPredicates SnapshotPreds(const ScanSpec& spec) {
-  BatchPredicates preds;
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (w.IsInstant()) {
-      preds.txn_contains = w.begin();
-    } else {
-      preds.txn_overlaps = w;
-    }
-  } else {
-    preds.txn_current = true;
-  }
-  preds.valid_overlaps = spec.valid_during;
-  return preds;
-}
-
-}  // namespace
-
-VersionScan TemporalRelation::Scan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    return store_.ScanSnapshot(*spec.snapshot, SnapshotPreds(spec));
-  }
+VersionBatchScan TemporalRelation::BatchScan(const ScanSpec& spec) const {
+  if (spec.snapshot.has_value()) return SnapshotScan(spec);
   if (spec.asof.has_value()) {
     const Period w = *spec.asof;
     if (store_.options().time_pushdown) {
@@ -50,34 +24,6 @@ VersionScan TemporalRelation::Scan(const ScanSpec& spec) const {
       // better access path: `when` windows are typically narrow, while in
       // an append-heavy history almost every version is alive at any given
       // as-of instant, so the snapshot index barely prunes.
-      if (spec.valid_during.has_value() && store_.options().index_valid_time) {
-        return store_.ScanValidDuring(
-            *spec.valid_during,
-            [w](const BitemporalTuple& t) { return t.txn.Overlaps(w); });
-      }
-      if (w.IsInstant()) return store_.ScanAsOf(w.begin());
-      return store_.ScanTxnOverlapping(w);
-    }
-    return store_.ScanAll(
-        [w](const BitemporalTuple& t) { return t.txn.Overlaps(w); });
-  }
-  if (spec.valid_during.has_value() && store_.options().time_pushdown) {
-    return store_.ScanValidDuring(
-        *spec.valid_during,
-        [](const BitemporalTuple& t) { return t.IsCurrentState(); });
-  }
-  return store_.ScanCurrent();
-}
-
-VersionBatchScan TemporalRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) {
-    return store_.BatchScanSnapshot(*spec.snapshot, SnapshotPreds(spec));
-  }
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (store_.options().time_pushdown) {
-      // Same access-path choice as the row scan: prefer the interval index
-      // when both times are constrained (see Scan above).
       if (spec.valid_during.has_value() && store_.options().index_valid_time) {
         BatchPredicates preds;
         preds.txn_overlaps = w;

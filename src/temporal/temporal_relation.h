@@ -35,7 +35,6 @@ class TemporalRelation : public StoredRelation {
   /// residual filter; without it, the scan covers the current historical
   /// state — via the interval index when `valid_during` is present (plus a
   /// current-state residual), via the current set otherwise.
-  VersionScan Scan(const ScanSpec& spec) const override;
   VersionBatchScan BatchScan(const ScanSpec& spec) const override;
 
   Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,

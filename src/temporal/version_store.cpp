@@ -13,20 +13,6 @@ namespace temporadb {
 
 namespace {
 
-// Scalar twins of the kernel predicates, for the row-at-a-time snapshot
-// scan.  Bit-for-bit the same comparisons as rel/kernels.cpp so the row and
-// batch snapshot paths agree on every edge (empty periods, sentinel reps).
-inline bool ScalarOverlaps(int64_t b, int64_t e, int64_t qb, int64_t qe) {
-  return b < qe && qb < e && b < e;
-}
-inline bool ScalarContains(int64_t b, int64_t e, int64_t t) {
-  return b <= t && t < e;
-}
-
-}  // namespace
-
-namespace {
-
 // An empty overlap window can never match (Period::Overlaps is false against
 // an empty operand); scans collapse their domain to nothing instead of
 // probing (the overlap kernels also assume non-empty query windows).
@@ -36,192 +22,6 @@ bool NeverMatches(const BatchPredicates& p) {
 }
 
 }  // namespace
-
-VersionScan::VersionScan(const VersionStore* store, VersionFilter filter,
-                         BatchPredicates prune_hint)
-    : store_(store),
-      sequential_(true),
-      filter_(std::move(filter)),
-      limit_(store->version_count()),
-      epoch_(store->mutation_epoch()) {
-  // The hint mirrors the window the filter checks; rows it would prune are
-  // rows the filter rejects, so consulting synopses here cannot change the
-  // yielded sequence — only how much of the store gets touched finding it.
-  if (NeverMatches(prune_hint)) {
-    limit_ = 0;
-  } else {
-    ranges_ = store->PruneRanges(prune_hint, limit_, nullptr);
-  }
-}
-
-VersionScan::VersionScan(const VersionStore* store, std::vector<RowId> rows,
-                         VersionFilter filter)
-    : store_(store),
-      sequential_(false),
-      rows_(std::move(rows)),
-      filter_(std::move(filter)),
-      limit_(store->version_count()),
-      epoch_(store->mutation_epoch()) {
-  // Index probes return candidates in index order and may repeat a row
-  // (e.g. a txn-window query hitting both the closed and current sets);
-  // sort and dedupe so the yield order matches a sequential sweep.
-  std::sort(rows_.begin(), rows_.end());
-  rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
-}
-
-VersionScan::VersionScan(const VersionStore* store, SnapshotPin pin,
-                         BatchPredicates preds)
-    : store_(store),
-      sequential_(true),
-      limit_(pin.rows),
-      epoch_(0),
-      snapshot_(true),
-      pin_(pin),
-      preds_(preds) {
-  // Empty overlap windows can never match (Period::Overlaps is false
-  // against an empty operand); collapse the domain like the batch scan.
-  if (NeverMatches(preds_)) {
-    limit_ = 0;
-  } else {
-    ranges_ = store->PruneRanges(preds_, limit_, &pin_);
-  }
-}
-
-bool VersionScan::ShouldRunParallel() const {
-  // Snapshot scans always run sequentially on the calling reader thread:
-  // the thread pool is the writer's resource, and N reader threads already
-  // provide the parallelism.
-  if (snapshot_) return false;
-  const VersionStoreOptions& o = store_->options();
-  if (!o.parallel_scan || o.exec_pool == nullptr) return false;
-  const size_t domain = sequential_ ? limit_ : rows_.size();
-  return domain >= o.parallel_min_rows;
-}
-
-void VersionScan::MaterializeParallel() {
-  // The probe runs on workers, but everything it touches is fixed at this
-  // point: `rows_` was resolved from the indexes at open (coordinator
-  // side), and slots below `limit_` are immutable while the scan lives
-  // (see the epoch contract).  Each morsel probes a contiguous range of
-  // the candidate domain, so the concatenation in morsel order is exactly
-  // the sequence the pull loop would yield.
-  const auto probe = [this](size_t begin, size_t end,
-                            std::vector<std::pair<
-                                RowId, const BitemporalTuple*>>* out) {
-    for (size_t i = begin; i < end; ++i) {
-      const RowId row = sequential_ ? i : rows_[i];
-      Result<const BitemporalTuple*> t = store_->Get(row);
-      if (!t.ok()) continue;  // Tombstone (or a stale index entry).
-      if (filter_ && !filter_(**t)) continue;
-      out->emplace_back(row, *t);
-    }
-  };
-  if (sequential_) {
-    // The domain is the pruned range list; chunks restart at each range, so
-    // pruned partitions never become morsels.  With the single no-prune
-    // range this is the exact classic morsel grid.
-    buffer_ = exec::ParallelScanRanges<std::pair<RowId, const BitemporalTuple*>>(
-        store_->options().exec_pool, ranges_, probe);
-  } else {
-    buffer_ = exec::ParallelScan<std::pair<RowId, const BitemporalTuple*>>(
-        store_->options().exec_pool, rows_.size(), probe);
-  }
-  buffered_ = true;
-  pos_ = 0;
-}
-
-const BitemporalTuple* VersionScan::NextSnapshot(RowId* row_out) {
-  // Reader-thread path: bounded by the pin's watermark, predicates against
-  // the pin-effective transaction ends, no epoch, no indexes, no filter_.
-  // Plain loads of valid/tt_start/live are race-free — rows under a
-  // published watermark are immutable except for tt_end (read atomically
-  // via EffectiveTtEnd) while corrections are excluded.
-  const int64_t* vf = store_->chronon_valid_from();
-  const int64_t* vt = store_->chronon_valid_to();
-  const int64_t* ts = store_->chronon_tt_start();
-  const uint8_t* live = store_->chronon_live();
-  while (range_idx_ < ranges_.size()) {
-    const RowRange& r = ranges_[range_idx_];
-    if (pos_ < r.begin) pos_ = r.begin;
-    if (pos_ >= r.end) {
-      ++range_idx_;
-      continue;
-    }
-    const RowId row = pos_;
-    ++pos_;
-    if (live[row] == 0) continue;  // Tombstoned before the pin.
-    const int64_t te = store_->EffectiveTtEnd(row, pin_.seq);
-    if (preds_.txn_contains.has_value() &&
-        !ScalarContains(ts[row], te, preds_.txn_contains->days())) {
-      continue;
-    }
-    if (preds_.txn_overlaps.has_value() &&
-        !ScalarOverlaps(ts[row], te, preds_.txn_overlaps->begin().days(),
-                        preds_.txn_overlaps->end().days())) {
-      continue;
-    }
-    if (preds_.txn_current && te != Chronon::kForeverRep) continue;
-    if (preds_.valid_overlaps.has_value() &&
-        !ScalarOverlaps(vf[row], vt[row],
-                        preds_.valid_overlaps->begin().days(),
-                        preds_.valid_overlaps->end().days())) {
-      continue;
-    }
-    if (row_out != nullptr) *row_out = row;
-    return store_->TuplePinned(row);
-  }
-  return nullptr;
-}
-
-const BitemporalTuple* VersionScan::Next(RowId* row_out) {
-  if (snapshot_) return NextSnapshot(row_out);
-  TDB_INVARIANT_CHECK(
-      epoch_ == store_->mutation_epoch(),
-      "VersionScan advanced after a store mutation; index candidates and "
-      "the row watermark are stale (open a fresh scan, or use a read "
-      "snapshot for scans that must survive commits)");
-  if (!decided_) {
-    decided_ = true;
-    if (ShouldRunParallel()) MaterializeParallel();
-  }
-  if (buffered_) {
-    if (pos_ >= buffer_.size()) return nullptr;
-    const auto& [row, tuple] = buffer_[pos_];
-    ++pos_;
-    if (row_out != nullptr) *row_out = row;
-    return tuple;
-  }
-  if (sequential_) {
-    // Streaming sweep over the pruned ranges (the single [0, limit_) range
-    // when nothing pruned — identical walk to the pre-partition code).
-    while (range_idx_ < ranges_.size()) {
-      const RowRange& r = ranges_[range_idx_];
-      if (pos_ < r.begin) pos_ = r.begin;
-      if (pos_ >= r.end) {
-        ++range_idx_;
-        continue;
-      }
-      const RowId row = pos_;
-      ++pos_;
-      Result<const BitemporalTuple*> t = store_->Get(row);
-      if (!t.ok()) continue;  // Tombstone.
-      if (filter_ && !filter_(**t)) continue;
-      if (row_out != nullptr) *row_out = row;
-      return *t;
-    }
-    return nullptr;
-  }
-  while (pos_ < rows_.size()) {
-    const RowId row = rows_[pos_];
-    ++pos_;
-    Result<const BitemporalTuple*> t = store_->Get(row);
-    if (!t.ok()) continue;  // Tombstone (or a stale index entry).
-    if (filter_ && !filter_(**t)) continue;
-    if (row_out != nullptr) *row_out = row;
-    return *t;
-  }
-  return nullptr;
-}
 
 // ---------------------------------------------------------------------------
 // VersionBatchScan
@@ -263,8 +63,8 @@ VersionBatchScan::VersionBatchScan(const VersionStore* store,
                                                    : store->options().batch_rows) {
   assert(limit_ <= std::numeric_limits<uint32_t>::max() &&
          "selection vectors index rows as uint32");
-  // Same candidate discipline as VersionScan: index probes yield lookup
-  // order with possible repeats; sort and dedupe so batches ascend.
+  // Index probes yield lookup order with possible repeats; sort and dedupe
+  // so batches ascend.
   std::sort(rows_.begin(), rows_.end());
   rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
   if (NeverMatches(preds_)) rows_.clear();
@@ -297,7 +97,7 @@ VersionBatchScan::VersionBatchScan(const VersionStore* store, SnapshotPin pin,
 }
 
 bool VersionBatchScan::ShouldRunParallel() const {
-  // Snapshot scans stay on the calling reader thread (see VersionScan).
+  // Snapshot scans stay on the calling reader thread (see VersionBatchScan).
   if (snapshot_) return false;
   const VersionStoreOptions& o = store_->options();
   if (!o.parallel_scan || o.exec_pool == nullptr) return false;
@@ -902,94 +702,10 @@ std::vector<RowId> VersionStore::ValidOverlapping(Period q) const {
   return out;
 }
 
-VersionScan VersionStore::ScanAll(VersionFilter extra) const {
-  return VersionScan(this, std::move(extra));
-}
-
-namespace {
-
-// Composes a time-window predicate with a caller-supplied residual filter.
-VersionFilter Compose(VersionFilter window, VersionFilter extra) {
-  if (!extra) return window;
-  if (!window) return extra;
-  return [window = std::move(window), extra = std::move(extra)](
-             const BitemporalTuple& t) { return window(t) && extra(t); };
-}
-
-}  // namespace
-
-// The sequential (index-off) arms below hand the scan their window twice:
-// once as the composed row filter (which decides matches, exactly as
-// before) and once as a structured prune hint so the sweep can skip sealed
-// partitions the window provably misses.  Index arms need no hint — the
-// probe already visits only candidate rows.
-
-VersionScan VersionStore::ScanCurrent(VersionFilter extra) const {
-  if (options_.index_txn_time) {
-    std::vector<RowId> rows;
-    txn_index_.Current([&](RowId row) { rows.push_back(row); });
-    return VersionScan(this, std::move(rows), std::move(extra));
-  }
-  BatchPredicates hint;
-  hint.txn_current = true;
-  return VersionScan(
-      this, Compose([](const BitemporalTuple& t) { return t.IsCurrentState(); },
-                    std::move(extra)),
-      hint);
-}
-
-VersionScan VersionStore::ScanAsOf(Chronon t, VersionFilter extra) const {
-  if (options_.index_txn_time) {
-    std::vector<RowId> rows;
-    txn_index_.AsOf(t, [&](RowId row) { rows.push_back(row); });
-    return VersionScan(this, std::move(rows), std::move(extra));
-  }
-  BatchPredicates hint;
-  hint.txn_contains = t;
-  return VersionScan(
-      this,
-      Compose([t](const BitemporalTuple& v) { return v.txn.Contains(t); },
-              std::move(extra)),
-      hint);
-}
-
-VersionScan VersionStore::ScanTxnOverlapping(Period q,
-                                             VersionFilter extra) const {
-  if (options_.index_txn_time) {
-    std::vector<RowId> rows;
-    txn_index_.Overlapping(q, [&](RowId row) { rows.push_back(row); });
-    return VersionScan(this, std::move(rows), std::move(extra));
-  }
-  BatchPredicates hint;
-  hint.txn_overlaps = q;
-  return VersionScan(
-      this,
-      Compose([q](const BitemporalTuple& v) { return v.txn.Overlaps(q); },
-              std::move(extra)),
-      hint);
-}
-
-VersionScan VersionStore::ScanValidDuring(Period q, VersionFilter extra) const {
-  if (options_.index_valid_time) {
-    std::vector<RowId> rows;
-    valid_index_.Overlapping(q, [&](Period, RowId row) { rows.push_back(row); });
-    return VersionScan(this, std::move(rows), std::move(extra));
-  }
-  BatchPredicates hint;
-  hint.valid_overlaps = q;
-  return VersionScan(
-      this,
-      Compose([q](const BitemporalTuple& v) { return v.valid.Overlaps(q); },
-              std::move(extra)),
-      hint);
-}
-
-// The Batch* entry points mirror the row entry points branch-for-branch:
-// with the relevant index on, the same index probe yields the candidate
-// rows (probes are exact, no residual window check); without it, the
-// window becomes a structured BatchPredicates entry evaluated by the
-// columnar kernels — the kernel semantics match Period bit-for-bit, so
-// both paths visit the same rows in the same order as the row scan.
+// Each entry point probes its index when it is on; the probe is exact, so
+// the candidates need no residual window check.  Without the index, the
+// window becomes a structured BatchPredicates entry that the columnar
+// kernels evaluate over the chronon columns (Period semantics bit for bit).
 
 VersionBatchScan VersionStore::BatchScanAll(BatchPredicates residual) const {
   return VersionBatchScan(this, std::move(residual));
@@ -997,9 +713,7 @@ VersionBatchScan VersionStore::BatchScanAll(BatchPredicates residual) const {
 
 VersionBatchScan VersionStore::BatchScanCurrent(BatchPredicates residual) const {
   if (options_.index_txn_time) {
-    std::vector<RowId> rows;
-    txn_index_.Current([&](RowId row) { rows.push_back(row); });
-    return VersionBatchScan(this, std::move(rows), std::move(residual));
+    return VersionBatchScan(this, CurrentRows(), std::move(residual));
   }
   residual.txn_current = true;
   return VersionBatchScan(this, std::move(residual));
@@ -1008,9 +722,7 @@ VersionBatchScan VersionStore::BatchScanCurrent(BatchPredicates residual) const 
 VersionBatchScan VersionStore::BatchScanAsOf(Chronon t,
                                              BatchPredicates residual) const {
   if (options_.index_txn_time) {
-    std::vector<RowId> rows;
-    txn_index_.AsOf(t, [&](RowId row) { rows.push_back(row); });
-    return VersionBatchScan(this, std::move(rows), std::move(residual));
+    return VersionBatchScan(this, TxnAsOf(t), std::move(residual));
   }
   residual.txn_contains = t;
   return VersionBatchScan(this, std::move(residual));
@@ -1030,9 +742,7 @@ VersionBatchScan VersionStore::BatchScanTxnOverlapping(
 VersionBatchScan VersionStore::BatchScanValidDuring(
     Period q, BatchPredicates residual) const {
   if (options_.index_valid_time) {
-    std::vector<RowId> rows;
-    valid_index_.Overlapping(q, [&](Period, RowId row) { rows.push_back(row); });
-    return VersionBatchScan(this, std::move(rows), std::move(residual));
+    return VersionBatchScan(this, ValidOverlapping(q), std::move(residual));
   }
   residual.valid_overlaps = q;
   return VersionBatchScan(this, std::move(residual));
@@ -1185,11 +895,6 @@ size_t VersionStore::ApproximateBytes() const {
   return bytes;
 }
 
-VersionScan VersionStore::ScanSnapshot(SnapshotPin pin,
-                                       BatchPredicates preds) const {
-  return VersionScan(this, pin, std::move(preds));
-}
-
 VersionBatchScan VersionStore::BatchScanSnapshot(SnapshotPin pin,
                                                  BatchPredicates preds) const {
   return VersionBatchScan(this, pin, std::move(preds));
@@ -1282,7 +987,7 @@ size_t VersionStore::SealedIndexOf(RowId row) const {
 
 void VersionStore::OnRowClosed(RowId row, Chronon tt_end, uint64_t stamp) {
   if (row >= sealed_rows_) return;  // Hot rows reseal from scratch.
-  // A "close" at ∞ leaves the row current (ScanAll-era histories do this);
+  // A "close" at ∞ leaves the row current (replayed histories may hold one);
   // nothing about the synopsis changes.
   if (tt_end.days() == Chronon::kForeverRep) return;
   PartitionSynopsis& s = sealed_[SealedIndexOf(row)];

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/inline_function.h"
 #include "common/result.h"
 #include "index/btree.h"
 #include "index/interval_index.h"
@@ -29,26 +28,13 @@ using RowId = uint64_t;
 
 class VersionStore;
 
-/// A predicate over a stored version, applied while a scan pulls.
-///
-/// Small-buffer-optimized: the common window predicates (a captured
-/// `Period` or `Chronon`) live inline, so the per-version call in the hot
-/// scan loop is one indirect call with the captured state on the same
-/// cache line — no heap hop like `std::function`.  Filters must be
-/// const-invocable and, because a parallel scan evaluates one filter from
-/// many workers at once, must not touch shared mutable state.
-using VersionFilter = InlineFunction<bool(const BitemporalTuple&), 48>;
-
 /// Structured residual predicates of a batch scan, evaluated with the
 /// branch-free kernels (rel/kernels.h) over the store's contiguous chronon
-/// columns instead of per-tuple `Period` calls.  Each field mirrors one of
-/// the `VersionFilter` lambdas the row-at-a-time scan entry points compose;
-/// the batch entry points merge their own window into this struct when the
-/// backing index is disabled, exactly like the row path degrades to a
-/// filtered sweep.  Snapshot scans (both row and batch) use this struct for
-/// *all* their predicates — a snapshot can never use a `VersionFilter` that
-/// touches `BitemporalTuple::txn`, so the structured form is mandatory
-/// there.
+/// columns instead of per-tuple `Period` calls.  The entry points merge
+/// their own window into this struct when the backing index is disabled (a
+/// filtered sweep).  Snapshot scans carry *all* their predicates here: a
+/// snapshot never reads `BitemporalTuple::txn`, which the writer closes in
+/// place.
 struct BatchPredicates {
   /// `t.valid.Overlaps(w)` (timeslice / `when` windows).
   std::optional<Period> valid_overlaps;
@@ -60,110 +46,14 @@ struct BatchPredicates {
   bool txn_current = false;
 };
 
-/// A pull-based scan over the live versions of a `VersionStore`, always
-/// yielding in ascending row order — whether the candidates came from an
-/// index or from a sequential sweep, the caller observes the same sequence
-/// (the executor's bit-identical-results guarantee rests on this).
-///
-/// Obtained from the `Scan*` entry points on `VersionStore` (or from a
-/// relation's `Scan`); pulls one version at a time, so callers pay for the
-/// tuples they consume, not for a copy of the store.
-///
-/// ### Lifetime and concurrency contract
-///
-/// A scan is a *snapshot-stable* reader and comes in two modes:
-///
-/// **Writer-thread scans** (the default, everything below except the
-/// snapshot constructor) capture the store's mutation epoch and a row
-/// watermark (the version count) at open and only ever touch slots below
-/// that watermark.  Any index probe backing the scan ran at open, on the
-/// opening (coordinator) thread — workers of a parallel scan never read
-/// the shared index structures.  It is therefore safe to run the scan's
-/// probe phase on many threads concurrently, and safe for *other* scans to
-/// read the same store concurrently.  What is NOT allowed is advancing
-/// such a scan after the store was mutated: slot storage is stable, but
-/// index candidates, the watermark, and uncommitted in-place closes go
-/// stale.  `Next` enforces this with an always-on runtime check
-/// (`TDB_INVARIANT_CHECK`, never a compiled-out assert): the store's
-/// mutation epoch must still match the one captured at open, or the
-/// process aborts rather than silently yielding stale rows — exactly like
-/// iterator invalidation on a `std::vector`, except it cannot go
-/// undetected in release builds.
-///
-/// **Snapshot scans** (the `SnapshotPin` constructor) are built for
-/// mutation under them: they run on reader threads concurrently with the
-/// writer, bound by the pin's committed-row watermark and commit sequence
-/// instead of the mutation epoch (see mvcc.h).  They never touch the index
-/// structures (those mutate with the writer), always run sequentially on
-/// the calling thread (the thread pool belongs to the writer), and read
-/// transaction-end values through the close-sequence patch so post-pin
-/// closes read back as ∞.  Tuples yielded by a snapshot scan have stable
-/// `values` and `valid`, but their `txn` member may be mid-close — take
-/// transaction periods from the batch scan's patched columns instead.
-class VersionScan {
- public:
-  /// Sequential sweep of every live version, optionally filtered.
-  /// `prune_hint` is the structured twin of the time window `filter` checks
-  /// (empty for an unwindowed sweep): it never changes which rows match —
-  /// the filter still decides — but lets the scan skip sealed partitions
-  /// whose synopsis proves the window cannot intersect them.
-  explicit VersionScan(const VersionStore* store, VersionFilter filter = {},
-                       BatchPredicates prune_hint = {});
-
-  /// Scan over index-selected candidates; `rows` is sorted (and deduped)
-  /// so the yield order matches the equivalent sequential sweep.
-  VersionScan(const VersionStore* store, std::vector<RowId> rows,
-              VersionFilter filter = {});
-
-  /// Snapshot-isolated sweep bound to `pin` (see the contract above):
-  /// sequential over `[0, pin.rows)`, predicates evaluated against the
-  /// pin-patched transaction periods, callable from any thread while the
-  /// writer commits.
-  VersionScan(const VersionStore* store, SnapshotPin pin,
-              BatchPredicates preds);
-
-  /// The next live version passing the filter, or nullptr at end.  The
-  /// pointer stays valid until the store is next mutated.  `row_out`
-  /// (optional) receives the version's row id.
-  ///
-  /// When the store enables `parallel_scan`, the first pull materializes
-  /// all matches with a morsel-parallel probe (bit-identical sequence, see
-  /// `exec::ParallelScan`) and later pulls stream from that buffer.
-  const BitemporalTuple* Next(RowId* row_out = nullptr);
-
- private:
-  bool ShouldRunParallel() const;
-  void MaterializeParallel();
-  const BitemporalTuple* NextSnapshot(RowId* row_out);
-
-  const VersionStore* store_;
-  bool sequential_;
-  std::vector<RowId> rows_;  // Index mode only.
-  // Sequential/snapshot mode: the surviving row ranges after partition
-  // pruning (the single range [0, limit_) when nothing prunes).
-  std::vector<RowRange> ranges_;
-  size_t range_idx_ = 0;  // Current range (streaming sequential/snapshot).
-  size_t pos_ = 0;  // Next row id (sequential) / index into rows_ or buffer_.
-  VersionFilter filter_;
-  size_t limit_;     // Watermark: slots at or above it are invisible.
-  uint64_t epoch_;   // Store mutation epoch at open (checked at every Next).
-  bool snapshot_ = false;  // Pin-bound mode: epoch check off, preds_ on.
-  SnapshotPin pin_;
-  BatchPredicates preds_;  // Snapshot mode only.
-  bool decided_ = false;   // Parallel-vs-pull decision made at first Next.
-  bool buffered_ = false;  // Matches pre-materialized into buffer_.
-  std::vector<std::pair<RowId, const BitemporalTuple*>> buffer_;
-};
-
 /// A fixed-size slice of scan results in columnar form: the unit of flow of
 /// the vectorized executor's storage boundary.
 ///
-/// `tuples` are borrowed pointers into the store (same lifetime rules as
-/// `VersionScan::Next`); the chronon columns are *copies* of the survivors'
+/// `tuples` are borrowed pointers into the store, valid until the store is
+/// next mutated; the chronon columns are *copies* of the survivors'
 /// temporal dimensions, contiguous so downstream operators can keep running
 /// branch-free kernels without touching the tuples at all.  Entries are in
-/// ascending row order — a batch scan yields exactly the sequence the
-/// equivalent `VersionScan` pull loop would, sliced into batches.
+/// ascending row order.
 struct VersionBatch {
   std::vector<RowId> rows;
   std::vector<const BitemporalTuple*> tuples;
@@ -184,11 +74,29 @@ struct VersionBatch {
   }
 };
 
-/// The batch-producing counterpart of `VersionScan`: same access paths,
-/// same snapshot/epoch contract, same ascending row order — but candidates
+/// A pull-based scan over the live versions of a `VersionStore`: candidates
 /// are probed a batch at a time with selection-vector kernels over the
 /// store's chronon columns, and survivors are materialized directly into
-/// `VersionBatch`es of at most `batch_rows` rows.
+/// `VersionBatch`es of at most `batch_rows` rows, always in ascending row
+/// order — whether the candidates came from an index or from a sweep.
+///
+/// ### Lifetime and concurrency contract
+///
+/// **Writer-thread scans** capture the store's mutation epoch and a row
+/// watermark (the version count) at open and only touch slots below it.
+/// Any index probe ran at open, on the opening thread; parallel workers
+/// never read the shared index structures.  Advancing such a scan after
+/// the store was mutated is a lifetime bug (index candidates, the
+/// watermark and uncommitted closes go stale): `Next` checks the epoch with
+/// an always-on `TDB_INVARIANT_CHECK` and aborts rather than yield stale
+/// rows.
+///
+/// **Snapshot scans** (the `SnapshotPin` constructor) run on reader threads
+/// concurrently with the writer, bound by the pin's committed-row watermark
+/// and commit sequence instead of the epoch (see mvcc.h).  They never touch
+/// the index structures, run on the calling thread, and read
+/// transaction-end values through the close-sequence patch, so post-pin
+/// closes read back as ∞.
 ///
 /// When the store enables `parallel_scan` and the candidate domain reaches
 /// `parallel_min_rows`, the first pull materializes every batch with a
@@ -200,15 +108,15 @@ class VersionBatchScan {
   /// Sequential sweep over `[0, version_count)`.
   VersionBatchScan(const VersionStore* store, BatchPredicates preds);
 
-  /// Scan over index-selected candidates; sorted and deduped like
-  /// `VersionScan` so the yield order matches a sequential sweep.
+  /// Scan over index-selected candidates; sorted and deduped so the yield
+  /// order matches a sequential sweep.
   VersionBatchScan(const VersionStore* store, std::vector<RowId> rows,
                    BatchPredicates preds);
 
   /// Snapshot-isolated batch sweep bound to `pin`: sequential over
   /// `[0, pin.rows)`, kernels run over pin-patched transaction-end values,
-  /// callable from any thread while the writer commits (see the
-  /// VersionScan contract).  The batch's `tt_end` column carries the
+  /// callable from any thread while the writer commits (see the contract
+  /// above).  The batch's `tt_end` column carries the
   /// *effective* (patched) values — a row closed after the pin reports ∞,
   /// exactly what the snapshot semantics promise.
   VersionBatchScan(const VersionStore* store, SnapshotPin pin,
@@ -288,13 +196,8 @@ struct VersionStoreOptions {
   /// scheduling costs more than it buys on small domains (and the dynamic
   /// probe side of a when-join is usually such a small domain).
   size_t parallel_min_rows = 4096;
-  /// Vectorized execution: relation scans produce columnar batches whose
-  /// temporal predicates run as branch-free kernels over the store's
-  /// contiguous chronon columns.  Off: the retained row-at-a-time path
-  /// (the differential-test baseline and the ablation comparison arm).
-  bool batch_exec = true;
-  /// Rows per batch on the batch path (also the morsel size of a parallel
-  /// batch scan, keeping batch boundaries thread-count-invariant).
+  /// Rows per scan batch (also the morsel size of a parallel scan, keeping
+  /// batch boundaries thread-count-invariant).
   size_t batch_rows = 1024;
   /// Shared MVCC coordination state (one per Database); non-owning, must
   /// outlive the store.  Null disables snapshot support: the store still
@@ -382,41 +285,13 @@ class VersionStore {
   /// interval index is disabled.
   std::vector<RowId> ValidOverlapping(Period q) const;
 
-  // --- Index-aware scan entry points ---------------------------------------
+  // --- Scan entry points ---------------------------------------------------
   //
-  // Pull-based counterparts of the copy-out accessors above: each resolves
-  // the best access path for its time predicate (snapshot index for
-  // transaction time, interval index for valid time, sequential sweep when
-  // the index is disabled) and yields matching live versions in row order.
-  // `extra` is a residual filter applied while pulling, letting callers
-  // compose predicates (e.g. valid-window scan + current-state check)
-  // without a second pass.
-
-  /// Every live version.
-  VersionScan ScanAll(VersionFilter extra = {}) const;
-
-  /// Versions in the current stored state (transaction end = ∞).
-  VersionScan ScanCurrent(VersionFilter extra = {}) const;
-
-  /// Versions whose transaction period contains `t` (rollback to an
-  /// instant); backed by the snapshot index.
-  VersionScan ScanAsOf(Chronon t, VersionFilter extra = {}) const;
-
-  /// Versions whose transaction period overlaps `q` (`as of ... through`
-  /// windows); backed by the snapshot index.
-  VersionScan ScanTxnOverlapping(Period q, VersionFilter extra = {}) const;
-
-  /// Versions whose valid period overlaps `q` (timeslices and `when`
-  /// windows); backed by the interval index.
-  VersionScan ScanValidDuring(Period q, VersionFilter extra = {}) const;
-
-  // --- Batch scan entry points ---------------------------------------------
-  //
-  // Columnar counterparts of the scan entry points above, one for one: each
-  // resolves the *same* access path as its row sibling (index probe when the
-  // index is on, kernel-filtered sweep when it is off) and yields the same
-  // version sequence, sliced into `VersionBatch`es.  `residual` carries the
-  // structured predicates the row path would pass as an `extra` filter.
+  // Each resolves the best access path for its time predicate (snapshot
+  // index for transaction time, interval index for valid time, a
+  // kernel-filtered sweep when the index is disabled) and yields the
+  // matching live versions in row order, sliced into `VersionBatch`es.
+  // `residual` adds structured predicates checked while pulling.
 
   VersionBatchScan BatchScanAll(BatchPredicates residual = {}) const;
   VersionBatchScan BatchScanCurrent(BatchPredicates residual = {}) const;
@@ -436,13 +311,10 @@ class VersionStore {
   // translates its as-of / when windows into BatchPredicates, and the
   // kernels evaluate them over pin-patched transaction ends.
 
-  /// Row-at-a-time snapshot sweep.  Yielded tuples have stable `values` and
-  /// `valid`; do not read their `txn` member (the writer may be closing it
-  /// in place) — consume transaction periods via the batch twin instead.
-  VersionScan ScanSnapshot(SnapshotPin pin, BatchPredicates preds) const;
-
   /// Columnar snapshot sweep; the batch's `tt_end` column carries the
-  /// pin-effective values.
+  /// pin-effective values.  Yielded tuples have stable `values` and
+  /// `valid`; do not read their `txn` member (the writer may be closing it
+  /// in place).
   VersionBatchScan BatchScanSnapshot(SnapshotPin pin,
                                      BatchPredicates preds) const;
 
@@ -561,7 +433,7 @@ class VersionStore {
   /// Monotone counter bumped by every slot mutation (append, close,
   /// correction, undo, load, compaction).  Writer-thread scans capture it;
   /// advancing such a scan under a different epoch is a lifetime bug and
-  /// aborts via TDB_INVARIANT_CHECK (see VersionScan).  Snapshot scans are
+  /// aborts via TDB_INVARIANT_CHECK (see VersionBatchScan).  Snapshot scans are
   /// exempt — the pin, not the epoch, bounds what they may read.
   uint64_t mutation_epoch() const { return mutation_epoch_; }
 
@@ -575,13 +447,10 @@ class VersionStore {
     if (min_rows > 0) options_.parallel_min_rows = min_rows;
   }
 
-  /// Flips the executor between the batch and row-at-a-time paths on an
-  /// existing store (the differential tests diff both paths over one
-  /// populated database rather than rebuilding it per arm).  `rows == 0`
-  /// keeps the current batch size.  Must not be called while any scan on
+  /// Re-sizes the scan batches of an existing store (the batch-size sweeps
+  /// retarget one populated store).  Must not be called while any scan on
   /// this store is open.
-  void ConfigureBatchExec(bool batch_exec, size_t rows = 0) {
-    options_.batch_exec = batch_exec;
+  void ConfigureBatchRows(size_t rows) {
     if (rows > 0) options_.batch_rows = rows;
   }
 

@@ -642,18 +642,6 @@ bool CannotFail(const AstTemporalPredPtr& p) {
           CannotFail(p->left_pred) && CannotFail(p->right_pred));
 }
 
-// Whether the B+-tree's exact lookup of `key` finds exactly the stored
-// values `=` (`Value::Compare`) finds equal to it.  Not for float keys: a
-// stored NaN compares equal to every number but is filed under none.  Not
-// for ints of magnitude 2^53 or more: `=` compares ints as doubles, so
-// 2^53 + 1 equals 2^53.
-bool LookupMatchesEquality(const Value& key) {
-  constexpr int64_t kExactInts = int64_t{1} << 53;
-  if (key.type() == ValueType::kFloat) return false;
-  return key.type() != ValueType::kInt ||
-         (key.AsInt() > -kExactInts && key.AsInt() < kExactInts);
-}
-
 // Compiles the conjunction of `conjuncts` over `p`'s own values.
 Result<ExprPtr> CompileLocalFilter(const std::vector<AstExprPtr>& conjuncts,
                                    const Participant& p) {
@@ -887,8 +875,11 @@ std::optional<AttributeKey> DmlProbeKey(const AstExprPtr& where,
   ForEachConjunct(where, [&](const AstExprPtr& c) {
     safe = safe && CannotFail(c, single);
     auto eq = MatchEqConstraint(c, single);
+    // The B+-tree's exact lookup finds exactly the stored values `=` finds
+    // equal to the key, except for floats: a stored NaN compares equal to
+    // every number but is filed under none.
     if (!key.has_value() && eq.has_value() &&
-        LookupMatchesEquality(eq->second.value) &&
+        eq->second.value.type() != ValueType::kFloat &&
         p.relation->store()->HasAttributeIndex(eq->second.attr)) {
       key = std::move(eq->second);
     }

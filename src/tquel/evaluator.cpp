@@ -19,6 +19,17 @@ struct Candidate {
   const std::vector<Value>* values;
   Period valid;
   Period txn;
+
+  /// Position `i` of a scan batch.  The periods are decoded from the batch's
+  /// chronon columns: under a snapshot its tt_end column carries the
+  /// *pin-effective* transaction ends, whereas the tuples' own `txn` fields
+  /// are written plainly by the writer and must not be read from a reader
+  /// thread.
+  static Candidate FromBatch(const VersionBatch& b, size_t i) {
+    return Candidate{&b.tuples[i]->values,
+                     Period(Chronon(b.valid_from[i]), Chronon(b.valid_to[i])),
+                     Period(Chronon(b.tt_start[i]), Chronon(b.tt_end[i]))};
+  }
 };
 
 /// The access path planned for one participant (see EvaluateRetrieve).
@@ -40,7 +51,7 @@ struct Level {
 // When the where clause pinned an indexed attribute to a constant
 // (`eq_constraints`), the secondary index supplies the candidates instead
 // of a scan; visibility is re-checked, and the full where clause still runs
-// afterwards.  Otherwise the relation's `Scan` entry point resolves the
+// afterwards.  Otherwise the relation's `BatchScan` entry point resolves the
 // spec's `as of` / valid windows to its best access path (snapshot index,
 // interval index, or a sweep).
 std::vector<Candidate> MaterializeParticipant(
@@ -75,30 +86,14 @@ std::vector<Candidate> MaterializeParticipant(
     }
   }
 
-  // Scan path.  With batch execution on, candidates arrive as columnar
-  // batches whose residual time predicates already ran through the
-  // branch-free kernels; the candidate periods are decoded from the batch's
-  // chronon columns (bit-identical to the tuples').  Snapshot scans are
-  // forced onto this path: the batch's tt_end column carries the
-  // *pin-effective* transaction ends, whereas the tuples' own `txn` fields
-  // are written plainly by the single writer and must not be read from a
-  // reader thread.
-  if (store->options().batch_exec || spec.snapshot.has_value()) {
-    VersionBatchScan scan = rel.BatchScan(spec);
-    VersionBatch batch;
-    while (scan.Next(&batch)) {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        out.push_back(Candidate{
-            &batch.tuples[i]->values,
-            Period(Chronon(batch.valid_from[i]), Chronon(batch.valid_to[i])),
-            Period(Chronon(batch.tt_start[i]), Chronon(batch.tt_end[i]))});
-      }
+  // Scan path: columnar batches whose residual time predicates already ran
+  // through the branch-free kernels.
+  VersionBatchScan scan = rel.BatchScan(spec);
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    for (size_t i = 0; i < batch.size(); ++i) {
+      out.push_back(Candidate::FromBatch(batch, i));
     }
-    return out;
-  }
-  VersionScan scan = rel.Scan(spec);
-  while (const BitemporalTuple* t = scan.Next()) {
-    out.push_back(Candidate{&t->values, t->valid, t->txn});
   }
   return out;
 }
@@ -424,24 +419,12 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
       TDB_ASSIGN_OR_RETURN(bool keep, level.Keep(c));
       return keep ? visit(c) : Status::OK();
     };
-    // Snapshot probes use the batch path for the same reason as the
-    // materializing scan above: pin-effective tt_end, no tuple-field reads.
-    if (rel.store()->options().batch_exec || spec.snapshot.has_value()) {
-      VersionBatchScan scan = rel.BatchScan(spec);
-      VersionBatch& batch = level_batch[i];
-      while (scan.Next(&batch)) {
-        for (size_t k = 0; k < batch.size(); ++k) {
-          TDB_RETURN_IF_ERROR(probe(Candidate{
-              &batch.tuples[k]->values,
-              Period(Chronon(batch.valid_from[k]), Chronon(batch.valid_to[k])),
-              Period(Chronon(batch.tt_start[k]), Chronon(batch.tt_end[k]))}));
-        }
+    VersionBatchScan scan = rel.BatchScan(spec);
+    VersionBatch& batch = level_batch[i];
+    while (scan.Next(&batch)) {
+      for (size_t k = 0; k < batch.size(); ++k) {
+        TDB_RETURN_IF_ERROR(probe(Candidate::FromBatch(batch, k)));
       }
-      return Status::OK();
-    }
-    VersionScan scan = rel.Scan(spec);
-    while (const BitemporalTuple* t = scan.Next()) {
-      TDB_RETURN_IF_ERROR(probe(Candidate{&t->values, t->valid, t->txn}));
     }
     return Status::OK();
   };

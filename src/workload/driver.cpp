@@ -4,8 +4,6 @@
 #include <chrono>
 #include <thread>
 
-#include "tests/shadow_history.h"
-
 namespace temporadb {
 namespace workload {
 namespace {
@@ -22,6 +20,16 @@ double Percentile(const std::vector<double>& sorted, double p) {
                                    0.5);
   if (idx >= sorted.size()) idx = sorted.size() - 1;
   return sorted[idx];
+}
+
+// A rowset as reference facts: periods the rowset lacks are `Period::All()`.
+std::vector<reference::Fact> ToFacts(const Rowset& rows) {
+  std::vector<reference::Fact> out;
+  for (const Row& r : rows.rows()) {
+    out.push_back(reference::Fact{r.values, r.valid.value_or(Period::All()),
+                                  r.txn.value_or(Period::All())});
+  }
+  return out;
 }
 
 }  // namespace
@@ -42,7 +50,6 @@ WorkloadDriver::~WorkloadDriver() = default;
 
 Status WorkloadDriver::Setup() {
   clock_ = std::make_unique<ManualClock>();
-  shadow_clock_ = std::make_unique<ManualClock>();
 
   DatabaseOptions primary;
   primary.clock = clock_.get();
@@ -50,17 +57,6 @@ Status WorkloadDriver::Setup() {
   Result<std::unique_ptr<Database>> db = Database::Open(primary);
   if (!db.ok()) return db.status();
   db_ = std::move(*db);
-
-  // The shadow is the naive arm: unpartitioned, row-at-a-time, serial.
-  // It shares the attribute indexes (created by the workload DDL), so the
-  // DML where-clause probes stay cheap on both sides at full scale.
-  DatabaseOptions naive;
-  naive.clock = shadow_clock_.get();
-  naive.store_options.partition_rows = 0;
-  naive.store_options.batch_exec = false;
-  Result<std::unique_ptr<Database>> sh = Database::Open(naive);
-  if (!sh.ok()) return sh.status();
-  shadow_ = std::move(*sh);
 
   const size_t threads =
       options_.verify_threads > 1 ? options_.verify_threads : 2;
@@ -90,11 +86,16 @@ Status WorkloadDriver::ApplyBoth(const WorkloadOp& op) {
     return Status::Internal("primary rejected [" + op.stmt +
                             "]: " + r.status().ToString());
   }
-  shadow_clock_->SetTime(Chronon(op.day));
-  Result<tquel::ExecResult> rs = shadow_->Execute(op.stmt);
-  if (!rs.ok()) {
-    return Status::Internal("shadow rejected [" + op.stmt +
-                            "]: " + rs.status().ToString());
+  Result<reference::Answer> want =
+      reference_.Execute(op.stmt, Chronon(op.day));
+  if (!want.ok()) {
+    return Status::Internal("reference rejected [" + op.stmt +
+                            "]: " + want.status().ToString());
+  }
+  if (r->kind == tquel::ExecResult::Kind::kCount && r->count != want->count) {
+    Mismatch("selection diverges [" + op.stmt + "]: reference " +
+             std::to_string(want->count) + " vs engine " +
+             std::to_string(r->count));
   }
   ++report_.ops_applied;
   report_.ops_digest = DigestOp(report_.ops_digest, op);
@@ -103,7 +104,7 @@ Status WorkloadDriver::ApplyBoth(const WorkloadOp& op) {
 
 Status WorkloadDriver::FlushFenced() {
   // Readers are joined and no verification pin exists yet: the correction
-  // path is open.  Primary and shadow apply the buffered ops in the same
+  // path is open.  Engine and reference apply the buffered ops in the same
   // order, so the differential — and the stream digest, a pure function of
   // (stream, sync_every) — are unaffected by the deferral.
   for (const WorkloadOp& op : pending_fenced_) {
@@ -224,29 +225,33 @@ Status WorkloadDriver::RunSegment(size_t n_ops, size_t segment) {
   return st;
 }
 
-void WorkloadDriver::ConfigurePrimary(bool batch_exec, size_t threads) {
+void WorkloadDriver::ConfigurePrimary(size_t threads) {
   for (const RelationInfo& info : db_->ListRelations()) {
     Result<StoredRelation*> rel = db_->GetRelation(info.name);
     if (!rel.ok()) continue;
-    VersionStore* store = (*rel)->store();
-    store->ConfigureBatchExec(batch_exec, options_.store.batch_rows);
-    store->ConfigureParallel(threads > 1 ? pool_.get() : nullptr, 1);
+    (*rel)->store()->ConfigureParallel(threads > 1 ? pool_.get() : nullptr, 1);
   }
 }
 
 void WorkloadDriver::ComparePath(const std::string& query,
-                                 const Result<Rowset>& want,
+                                 const Result<reference::Answer>& want,
                                  const Result<Rowset>& got,
                                  const std::string& path) {
   ++report_.oracle_paths_checked;
   if (want.ok() != got.ok()) {
-    Mismatch("status diverges on " + path + " [" + query + "]: shadow " +
-             (want.ok() ? "ok" : want.status().ToString()) + " vs primary " +
+    Mismatch("status diverges on " + path + " [" + query + "]: reference " +
+             (want.ok() ? "ok" : want.status().ToString()) + " vs engine " +
              (got.ok() ? "ok" : got.status().ToString()));
     return;
   }
-  if (want.ok() && !Rowset::SameContent(*want, *got)) {
-    Mismatch("content diverges on " + path + " [" + query + "]");
+  if (!want.ok()) return;
+  std::vector<std::string> names;
+  for (const Attribute& a : got->schema().attributes()) names.push_back(a.name);
+  if (names != want->names || got->temporal_class() != want->result_class ||
+      !reference::SameFacts(ToFacts(*got), want->rows)) {
+    Mismatch("content diverges on " + path + " [" + query + "]: reference " +
+             std::to_string(want->rows.size()) + " rows vs engine " +
+             std::to_string(got->size()));
   }
 }
 
@@ -272,9 +277,21 @@ void WorkloadDriver::CheckStatsIdentity(const std::string& where) {
 
 void WorkloadDriver::DeepCheck(const std::string& where) {
   ++report_.deep_checks;
-  std::string diff;
-  if (!testutil::EquivalentDatabases(db_.get(), shadow_.get(), &diff)) {
-    Mismatch("deep equivalence failed at " + where + ": " + diff);
+  const auto& relations = reference_.relations();
+  if (db_->ListRelations().size() != relations.size()) {
+    Mismatch("relation count diverges at " + where);
+  }
+  for (const auto& [name, want] : relations) {
+    Result<StoredRelation*> rel = db_->GetRelation(name);
+    std::vector<reference::Fact> got;
+    if (rel.ok()) {
+      (*rel)->store()->ForEach([&](RowId, const BitemporalTuple& t) {
+        got.push_back(reference::Fact{t.values, t.valid, t.txn});
+      });
+    }
+    if (!rel.ok() || !reference::SameFacts(std::move(got), want.facts)) {
+      Mismatch("stored facts of " + name + " diverge at " + where);
+    }
   }
 }
 
@@ -293,18 +310,16 @@ void WorkloadDriver::VerifySync(size_t sync_idx) {
     for (size_t k = 0; k < options_.queries_per_class; ++k) {
       const std::string query = MakeQuery(cls, &rng, options_.gen, horizon);
       ++report_.oracle_queries;
-      const Result<Rowset> want = shadow_->Query(query);
-      for (const bool batch : {false, true}) {
-        for (const size_t threads : {size_t{1}, n_threads}) {
-          ConfigurePrimary(batch, threads);
-          ComparePath(query, want, db_->Query(query),
-                      std::string(batch ? "batch" : "row") + "/t" +
-                          std::to_string(threads));
-        }
+      const Result<reference::Answer> want =
+          reference_.Execute(query, Chronon(horizon));
+      for (const size_t threads : {size_t{1}, n_threads}) {
+        ConfigurePrimary(threads);
+        ComparePath(query, want, db_->Query(query),
+                    "batch/t" + std::to_string(threads));
       }
       // Snapshot path: a fresh pin over the quiesced writer must equal the
-      // direct query (and the shadow).
-      ConfigurePrimary(options_.store.batch_exec, 1);
+      // reference too.
+      ConfigurePrimary(1);
       Result<ReadSnapshot> snap = db_->BeginReadSnapshot();
       if (!snap.ok()) {
         Mismatch("sync pin failed: " + snap.status().ToString());
@@ -314,7 +329,7 @@ void WorkloadDriver::VerifySync(size_t sync_idx) {
       }
     }
   }
-  ConfigurePrimary(options_.store.batch_exec, 1);
+  ConfigurePrimary(1);
   if (options_.deep_check_every > 0 &&
       sync_idx % options_.deep_check_every == 0) {
     DeepCheck("sync " + std::to_string(sync_idx));

@@ -10,6 +10,7 @@
 #include "core/database.h"
 #include "temporal/partition.h"
 #include "workload/generator.h"
+#include "workload/reference.h"
 
 namespace temporadb {
 namespace workload {
@@ -18,9 +19,8 @@ namespace workload {
 struct DriverOptions {
   WorkloadOptions gen;
 
-  /// Store shape of the primary (system under test): partition size, batch
-  /// execution, time indexes.  The shadow always runs the naive arm —
-  /// unpartitioned, row-at-a-time, serial.
+  /// Store shape of the engine under test: partition size, batch size,
+  /// time indexes.  The reference model has no store to shape.
   VersionStoreOptions store;
 
   /// DML ops between oracle sync points.
@@ -41,7 +41,7 @@ struct DriverOptions {
   /// N in the {1, N}-thread leg of the verification matrix.
   size_t verify_threads = 4;
 
-  /// Full coalesced-content equivalence against the shadow every k-th sync
+  /// Full stored-content equivalence against the reference every k-th sync
   /// point (and always once at the end).
   size_t deep_check_every = 2;
 };
@@ -86,14 +86,15 @@ struct WorkloadReport {
 };
 
 /// The mixed-phase workload driver: one serialized writer applying the
-/// generator's stream to the primary *and* to an in-memory shadow history
-/// (the naive arm), while `reader_threads` concurrent snapshot readers
-/// issue audit sweeps, timeslice stabs, and when-joins through the MVCC
-/// pin path.  At every sync point the readers are quiesced and each query
-/// class is replayed against the shadow, demanding bit-identical rowsets
-/// across {row, batch} × {1, N} threads × the snapshot path; periodically
-/// the entire coalesced bitemporal content is compared.  Single-use: one
-/// `Run()` per driver.
+/// generator's stream to the engine *and* to the reference model
+/// (workload/reference.h), while `reader_threads` concurrent snapshot
+/// readers issue audit sweeps, timeslice stabs, and when-joins through the
+/// MVCC pin path.  Every statement must succeed on both sides and select
+/// as many facts.  At every sync point the readers are quiesced and each
+/// query class is answered by the reference, demanding the same rows from
+/// the engine on {1, N} threads and on the snapshot path; periodically the
+/// entire stored bitemporal content is compared fact for fact.
+/// Single-use: one `Run()` per driver.
 class WorkloadDriver {
  public:
   explicit WorkloadDriver(const DriverOptions& options);
@@ -122,8 +123,9 @@ class WorkloadDriver {
   void VerifySync(size_t sync_idx);
   void DeepCheck(const std::string& where);
   void CheckStatsIdentity(const std::string& where);
-  void ConfigurePrimary(bool batch_exec, size_t threads);
-  void ComparePath(const std::string& query, const Result<Rowset>& want,
+  void ConfigurePrimary(size_t threads);
+  void ComparePath(const std::string& query,
+                   const Result<reference::Answer>& want,
                    const Result<Rowset>& got, const std::string& path);
   void Mismatch(const std::string& what);
   void FinalizeReport(double elapsed_ms, double reader_seconds);
@@ -131,14 +133,13 @@ class WorkloadDriver {
   DriverOptions options_;
   WorkloadGenerator gen_;
   std::unique_ptr<ManualClock> clock_;
-  std::unique_ptr<ManualClock> shadow_clock_;
   std::unique_ptr<Database> db_;
-  std::unique_ptr<Database> shadow_;
+  reference::ReferenceModel reference_;
   std::unique_ptr<exec::ThreadPool> pool_;
   ScanStats stats_;
   /// Fenced ops (in-place corrections on the relations without transaction
-  /// time) buffered during the concurrent phase, applied — to primary and
-  /// shadow alike — in the quiesced maintenance window before each sync
+  /// time) buffered during the concurrent phase, applied — to engine and
+  /// reference alike — in the quiesced maintenance window before each sync
   /// verification.  See WorkloadOp::fenced.
   std::vector<WorkloadOp> pending_fenced_;
   WorkloadReport report_;

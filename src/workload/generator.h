@@ -62,9 +62,8 @@ const char* QueryClassName(QueryClass cls);
 
 /// Schema DDL: the four relations, their attribute indexes (the DML
 /// stream's where clauses pin the indexed key, so victim selection probes
-/// the index instead of walking the relation, on primary and shadow
-/// alike), and the range declarations.  All stamped with
-/// `opts.start_day`.
+/// the index instead of walking the relation), and the range declarations.
+/// All stamped with `opts.start_day`.
 std::vector<WorkloadOp> WorkloadDdl(const WorkloadOptions& opts);
 
 /// Chained FNV-1a fold of one op (day bytes, then statement bytes).  The

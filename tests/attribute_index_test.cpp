@@ -124,7 +124,8 @@ TEST_F(AttributeIndexQueryTest, PaperQueriesIdenticalWithAndWithoutIndex) {
     DatabaseOptions options;
     options.clock = &clock;
     auto db = std::move(*Database::Open(options));
-    EXPECT_TRUE(paper::BuildTemporalFaculty(db.get(), &clock).ok());
+    EXPECT_TRUE(paper::Replay(db.get(), &clock,
+                              paper::FacultyScript("temporal")).ok());
     if (indexed) {
       EXPECT_TRUE(db->Execute("create index on faculty (name)").ok());
     }

@@ -1,12 +1,14 @@
-// Vectorized execution differential: the batch path (columnar chronon
-// columns + selection-vector kernels) must be bit-identical to the
-// row-at-a-time path — at the version-store boundary (BatchScan* vs Scan*)
-// and through the full query stack (TQuel over all four temporal classes,
-// every clause combination, batch sizes {1, 7, 1024}, thread counts
-// {1, 2, 4, 8}).
+// Vectorized execution: the batch scans (columnar chronon columns +
+// selection-vector kernels) must yield exactly what a brute-force filter
+// over every live version yields, in row order — at the version-store
+// boundary — and every TQuel query must answer what the reference model
+// (workload/reference.h) answers, over all four temporal classes, every
+// clause combination, batch sizes {1, 7, 1024} and thread counts
+// {1, 2, 4, 8}, with the same row order in every configuration.
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,11 +20,12 @@
 #include "temporal/version_store.h"
 #include "txn/clock.h"
 #include "txn/txn_manager.h"
+#include "workload/reference.h"
 
 namespace temporadb {
 namespace {
 
-// --- Store-level differential: BatchScan* vs Scan* ------------------------
+// --- Store level: BatchScan* vs a brute-force filter ------------------------
 
 class BatchVersionScanTest : public ::testing::Test {
  protected:
@@ -65,12 +68,12 @@ class BatchVersionScanTest : public ::testing::Test {
 
   using Sequence = std::vector<std::pair<RowId, BitemporalTuple>>;
 
-  static Sequence CollectRows(VersionScan scan) {
+  // Every live version `keep` accepts, in row order.
+  Sequence Filter(const std::function<bool(const BitemporalTuple&)>& keep) {
     Sequence out;
-    RowId row = 0;
-    while (const BitemporalTuple* t = scan.Next(&row)) {
-      out.emplace_back(row, *t);
-    }
+    store_.ForEach([&](RowId row, const BitemporalTuple& t) {
+      if (keep(t)) out.emplace_back(row, t);
+    });
     return out;
   }
 
@@ -94,22 +97,27 @@ class BatchVersionScanTest : public ::testing::Test {
     return out;
   }
 
-  // Every probe shape, row path and batch path side by side.
-  Sequence RunRowProbes() {
+  // Every probe shape: the brute-force expectation, then the batch scans.
+  Sequence RunExpectedProbes() {
     Sequence all;
     auto append = [&all](Sequence v) {
       all.insert(all.end(), v.begin(), v.end());
     };
-    append(CollectRows(store_.ScanAll()));
-    append(CollectRows(store_.ScanCurrent()));
-    append(CollectRows(store_.ScanAsOf(Chronon(1100))));
-    append(CollectRows(
-        store_.ScanTxnOverlapping(Period(Chronon(1050), Chronon(1200)))));
-    append(CollectRows(
-        store_.ScanValidDuring(Period(Chronon(1000), Chronon(1060)))));
-    append(CollectRows(store_.ScanValidDuring(
-        Period(Chronon(950), Chronon(1300)),
-        [](const BitemporalTuple& t) { return t.IsCurrentState(); })));
+    const Period txn_window(Chronon(1050), Chronon(1200));
+    const Period valid_window(Chronon(1000), Chronon(1060));
+    const Period wide(Chronon(950), Chronon(1300));
+    append(Filter([](const BitemporalTuple&) { return true; }));
+    append(Filter([](const BitemporalTuple& t) { return t.IsCurrentState(); }));
+    append(Filter(
+        [](const BitemporalTuple& t) { return t.txn.Contains(Chronon(1100)); }));
+    append(Filter(
+        [&](const BitemporalTuple& t) { return t.txn.Overlaps(txn_window); }));
+    append(Filter([&](const BitemporalTuple& t) {
+      return t.valid.Overlaps(valid_window);
+    }));
+    append(Filter([&](const BitemporalTuple& t) {
+      return t.valid.Overlaps(wide) && t.IsCurrentState();
+    }));
     return all;
   }
 
@@ -147,12 +155,12 @@ class BatchVersionScanTest : public ::testing::Test {
   VersionStore store_;
 };
 
-TEST_F(BatchVersionScanTest, BitIdenticalToRowScansAcrossBatchSizes) {
+TEST_F(BatchVersionScanTest, MatchBruteForceFilterAcrossBatchSizes) {
   Populate(5000, /*seed=*/11);
-  Sequence baseline = RunRowProbes();
+  Sequence baseline = RunExpectedProbes();
   ASSERT_FALSE(baseline.empty());
   for (size_t batch_rows : {1u, 7u, 1024u}) {
-    store_.ConfigureBatchExec(true, batch_rows);
+    store_.ConfigureBatchRows(batch_rows);
     ExpectSameSequence(RunBatchProbes(), baseline,
                        "batch_rows=" + std::to_string(batch_rows));
   }
@@ -161,10 +169,10 @@ TEST_F(BatchVersionScanTest, BitIdenticalToRowScansAcrossBatchSizes) {
 TEST_F(BatchVersionScanTest, BitIdenticalAcrossThreadCountsAndBatchSizes) {
   Populate(5000, /*seed=*/23);
   store_.ConfigureParallel(nullptr);
-  Sequence baseline = RunRowProbes();
+  Sequence baseline = RunExpectedProbes();
   ASSERT_FALSE(baseline.empty());
   for (size_t batch_rows : {1u, 7u, 1024u}) {
-    store_.ConfigureBatchExec(true, batch_rows);
+    store_.ConfigureBatchRows(batch_rows);
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       exec::ThreadPool pool(threads);
       // min_rows=1 forces the morsel path even for tiny candidate sets.
@@ -177,44 +185,34 @@ TEST_F(BatchVersionScanTest, BitIdenticalAcrossThreadCountsAndBatchSizes) {
   }
 }
 
-// --- Full-stack differential: TQuel over every temporal class -------------
+// --- Full stack: TQuel over every temporal class, against the reference ---
 
-// Builds a database holding one relation of each temporal class, populated
-// by the same seeded script (appends with randomized valid periods plus
-// scattered deletes, so rollback/bitemporal relations accrue closed
-// transaction periods and valid-time relations accrue truncations).
-std::unique_ptr<Database> BuildFourClassDb(ManualClock* clock,
-                                           const VersionStoreOptions& store,
-                                           size_t max_threads) {
-  DatabaseOptions options;
-  options.clock = clock;
-  options.store_options = store;
-  options.max_threads = max_threads;
-  std::unique_ptr<Database> db = std::move(*Database::Open(options));
-  EXPECT_TRUE(
-      db->Execute("create relation snap (name = string, n = int)").ok());
-  EXPECT_TRUE(
-      db->Execute("create rollback relation roll (name = string, n = int)")
-          .ok());
-  EXPECT_TRUE(
-      db->Execute("create historical relation hist (name = string, n = int)")
-          .ok());
-  EXPECT_TRUE(
-      db->Execute("create temporal relation bitemp (name = string, n = int)")
-          .ok());
-
+// One relation of each temporal class, populated by a seeded script
+// (appends with randomized valid periods plus scattered deletes), as
+// (transaction day, statement) steps.
+std::vector<std::pair<int64_t, std::string>> FourClassScript() {
+  std::vector<std::pair<int64_t, std::string>> steps = {
+      {4000, "create relation snap (name = string, n = int)"},
+      {4000, "create rollback relation roll (name = string, n = int)"},
+      {4000, "create historical relation hist (name = string, n = int)"},
+      {4000, "create temporal relation bitemp (name = string, n = int)"},
+      {4000, "range of s is snap"},
+      {4000, "range of r is roll"},
+      {4000, "range of h is hist"},
+      {4000, "range of b is bitemp"},
+  };
   Random rng(4242);
   const char* relations[] = {"snap", "roll", "hist", "bitemp"};
   const bool has_valid[] = {false, false, true, true};
   for (int i = 0; i < 150; ++i) {
-    clock->SetTime(Chronon(4000 + i * 2));
+    const int64_t day = 4000 + i * 2;
     size_t which = rng.Uniform(4);
     const std::string rel = relations[which];
+    const std::string var(1, rel[0]);
     const std::string name = "e" + std::to_string(rng.Uniform(12));
     if (rng.OneIn(5) && i > 20) {
-      std::string stmt = "delete " + rel + " where " + rel + ".name = \"" +
-                         name + "\"";
-      (void)db->Execute(stmt);  // Deleting a missing name is fine.
+      steps.emplace_back(day, "delete " + var + " where " + var +
+                                  ".name = \"" + name + "\"");
       continue;
     }
     std::string stmt = "append to " + rel + " (name = \"" + name +
@@ -232,14 +230,22 @@ std::unique_ptr<Database> BuildFourClassDb(ManualClock* clock,
                             .ToString() +
                         "\"";
     }
-    EXPECT_TRUE(db->Execute(stmt).ok()) << stmt;
+    steps.emplace_back(day, stmt);
   }
-  for (const char* rel : relations) {
-    std::string range = "range of ";
-    range += rel[0];
-    range += " is ";
-    range += rel;
-    EXPECT_TRUE(db->Execute(range).ok()) << range;
+  return steps;
+}
+
+std::unique_ptr<Database> BuildFourClassDb(ManualClock* clock,
+                                           const VersionStoreOptions& store,
+                                           size_t max_threads) {
+  DatabaseOptions options;
+  options.clock = clock;
+  options.store_options = store;
+  options.max_threads = max_threads;
+  std::unique_ptr<Database> db = std::move(*Database::Open(options));
+  for (const auto& [day, stmt] : FourClassScript()) {
+    clock->SetTime(Chronon(day));
+    EXPECT_TRUE(db->Execute(stmt).ok()) << stmt;
   }
   return db;
 }
@@ -299,32 +305,33 @@ std::vector<std::string> AllClauseQueries() {
   return queries;
 }
 
-TEST(BatchDatabaseTest, QueriesMatchRowPathAcrossBatchSizesAndThreads) {
-  ManualClock clock_row;
-  VersionStoreOptions row_options;
-  row_options.batch_exec = false;
-  std::unique_ptr<Database> row_db =
-      BuildFourClassDb(&clock_row, row_options, /*max_threads=*/1);
-
+TEST(BatchDatabaseTest, QueriesMatchReferenceAcrossBatchSizesAndThreads) {
+  reference::ReferenceModel model;
+  for (const auto& [day, stmt] : FourClassScript()) {
+    Result<reference::Answer> r = model.Execute(stmt, Chronon(day));
+    ASSERT_TRUE(r.ok()) << stmt << ": " << r.status().ToString();
+  }
   const std::vector<std::string> queries = AllClauseQueries();
-
-  // Baseline results from the row-at-a-time path.
-  std::vector<Rowset> baseline;
+  std::vector<reference::Answer> want;
   size_t nonempty = 0;
   for (const std::string& q : queries) {
-    Result<Rowset> r = row_db->Query(q);
-    ASSERT_TRUE(r.ok()) << q << ": " << r.status().message();
-    if (r->size() > 0) ++nonempty;
-    baseline.push_back(std::move(*r));
+    Result<reference::Answer> r = model.Execute(q, Chronon(4400));
+    ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+    if (!r->rows.empty()) ++nonempty;
+    want.push_back(std::move(*r));
   }
   // The sweep must actually exercise data, not vacuous empties.
   ASSERT_GT(nonempty, queries.size() / 2);
 
+  // Every configuration answers what the reference answers, in the row
+  // order of the first configuration.
+  std::vector<Rowset> first;
   for (size_t batch_rows : {1u, 7u, 1024u}) {
     for (size_t threads : {1u, 2u, 4u, 8u}) {
+      const std::string config = " (batch_rows=" + std::to_string(batch_rows) +
+                                 ", threads=" + std::to_string(threads) + ")";
       ManualClock clock;
       VersionStoreOptions options;
-      options.batch_exec = true;
       options.batch_rows = batch_rows;
       if (threads > 1) {
         options.parallel_scan = true;
@@ -336,13 +343,23 @@ TEST(BatchDatabaseTest, QueriesMatchRowPathAcrossBatchSizesAndThreads) {
         const std::string& q = queries[qi];
         Result<Rowset> got = db->Query(q);
         ASSERT_TRUE(got.ok()) << q << ": " << got.status().message();
-        ASSERT_EQ(got->size(), baseline[qi].size())
-            << q << " (batch_rows=" << batch_rows << ", threads=" << threads
-            << ")";
+        std::vector<reference::Fact> facts;
+        for (const Row& row : got->rows()) {
+          facts.push_back(reference::Fact{row.values,
+                                          row.valid.value_or(Period::All()),
+                                          row.txn.value_or(Period::All())});
+        }
+        ASSERT_EQ(got->temporal_class(), want[qi].result_class) << q << config;
+        ASSERT_TRUE(reference::SameFacts(std::move(facts), want[qi].rows))
+            << q << config << ": " << got->size() << " rows vs "
+            << want[qi].rows.size();
+        if (first.size() < queries.size()) {
+          first.push_back(std::move(*got));
+          continue;
+        }
         for (size_t i = 0; i < got->size(); ++i) {
-          ASSERT_TRUE(got->rows()[i] == baseline[qi].rows()[i])
-              << q << " row " << i << " (batch_rows=" << batch_rows
-              << ", threads=" << threads << ")";
+          ASSERT_TRUE(got->rows()[i] == first[qi].rows()[i])
+              << q << " row " << i << config;
         }
       }
     }

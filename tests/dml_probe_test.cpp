@@ -374,10 +374,10 @@ TEST_F(DmlProbeTest, FloatKeyWalks) {
   EXPECT_EQ(pair.Diff({"f"}), 0u);
 }
 
-// An int key of magnitude 2^53 or more stays on the walk: `=` compares
-// ints as doubles, so 2^53 + 1 equals a stored 2^53 (and 2^53 a stored
-// 2^53 + 1), rows the B+-tree's exact lookup would not return.
-TEST_F(DmlProbeTest, WideIntKeyWalks) {
+// Int keys at and beyond 2^53, where doubles stop telling ints apart: `=`
+// compares them exactly, so the probe and the walk select the same single
+// row, and a literal key probes.
+TEST_F(DmlProbeTest, WideIntKeyProbesLikeTheWalk) {
   Pair pair;
   pair.SetDay(kDay);
   pair.MustRun("create static relation w (k = int, n = int)");
@@ -386,15 +386,20 @@ TEST_F(DmlProbeTest, WideIntKeyWalks) {
   pair.MustRun("append to w (k = 9007199254740992, n = 1)");
   pair.MustRun("append to w (k = 9007199254740993, n = 2)");
   pair.MustRun("append to w (k = 9007199254740991, n = 3)");
-  const Result<tquel::ExecResult> r =
-      pair.Run("replace v (n = 4) where v.k = 9007199254740993");
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_EQ(r->count, 2u);
-  ExpectWalk(&pair, "replace v (n = 5) where v.k = 9007199254740992", 3);
-  ExpectWalk(&pair, "replace v (n = 6) where v.k = -9007199254740992", 3);
-  // Just below 2^53 every int is a distinct double: the key probes.
-  ExpectProbe(&pair, "delete v where v.k = 9007199254740991", "w", "k",
-              Value(int64_t{9007199254740991}));
+  pair.MustRun("append to w (k = -9007199254740993, n = 4)");
+  for (const char* key : {"9007199254740993", "9007199254740992",
+                          "9007199254740991", "-9007199254740993"}) {
+    const std::string stmt =
+        std::string("replace v (n = 5) where v.k = ") + key;
+    const Result<tquel::ExecResult> r = pair.Run(stmt);
+    ASSERT_TRUE(r.ok()) << stmt << ": " << r.status().ToString();
+    EXPECT_EQ(r->count, 1u) << stmt;
+  }
+  ExpectProbe(&pair, "delete v where v.k = 9007199254740993", "w", "k",
+              Value(int64_t{9007199254740993}));
+  // `-9007199254740993` parses as `0 - 9007199254740993`, not a literal:
+  // it walks, and still deletes one row.
+  ExpectWalk(&pair, "delete v where v.k = -9007199254740993", 3);
   EXPECT_EQ(pair.Diff({"w"}), 0u);
 }
 

@@ -32,6 +32,18 @@ Rowset MakeHistorical(
   return out;
 }
 
+Rowset MakeRollback(
+    std::vector<std::tuple<const char*, int64_t, int64_t, int64_t>> rows) {
+  Rowset out(NV(), TemporalClass::kRollback);
+  for (auto& [name, value, from, to] : rows) {
+    Row row;
+    row.values = {Value(name), Value(value)};
+    row.txn = Period(Chronon(from), Chronon(to));
+    EXPECT_TRUE(out.AddRow(std::move(row)).ok());
+  }
+  return out;
+}
+
 TEST(Operators, Select) {
   Rowset input = MakeStatic({{"a", 1}, {"b", 2}, {"c", 3}});
   ExprPtr pred = MakeCompare(CompareOp::kGe, MakeColumnRef(1, "value"),
@@ -156,6 +168,32 @@ TEST(Operators, EmptyInputs) {
   ExprPtr t = MakeLiteral(Value(true));
   EXPECT_EQ(Select(empty, *t)->size(), 0u);
   EXPECT_EQ(Distinct(empty).size(), 0u);
+}
+
+TEST(Operators, CrossProductRejectsClassesWithoutMeet) {
+  // Rollback maintains only transaction time, historical only valid time:
+  // their product has no class that keeps either dimension.
+  Rowset r = MakeRollback({{"a", 1, 0, 10}});
+  Rowset h = MakeHistorical({{"x", 7, 5, 25}});
+  Result<Rowset> product = CrossProduct(r, h);
+  ASSERT_FALSE(product.ok());
+  EXPECT_EQ(product.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(Operators, CrossProductAcceptsComparableClasses) {
+  // historical x static has a meet (historical): still fine.
+  Rowset h = MakeHistorical({{"x", 7, 5, 25}});
+  Rowset s = MakeStatic({{"a", 1}});
+  Result<Rowset> product = CrossProduct(h, s);
+  ASSERT_TRUE(product.ok());
+  // The meet keeps only the capabilities BOTH operands maintain.
+  EXPECT_EQ(product->temporal_class(), TemporalClass::kStatic);
+  // temporal x rollback and temporal x historical also meet.
+  EXPECT_TRUE(HasMeetClass(TemporalClass::kTemporal, TemporalClass::kRollback));
+  EXPECT_TRUE(
+      HasMeetClass(TemporalClass::kTemporal, TemporalClass::kHistorical));
+  EXPECT_FALSE(
+      HasMeetClass(TemporalClass::kRollback, TemporalClass::kHistorical));
 }
 
 }  // namespace

@@ -63,7 +63,8 @@ void ExpectRow(const FigureRow& row, const char* name, const char* rank,
 TEST(PaperScenario, Figure2StaticRelationAndQuelQuery) {
   auto db = Database::Open({});
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE(paper::BuildStaticFaculty(db->get()).ok());
+  ASSERT_TRUE(paper::Replay(db->get(), nullptr,
+                            paper::StaticFacultyScript()).ok());
 
   // The paper's Quel query: Merrie's rank.
   (*db)->Execute("range of f is faculty").status();
@@ -83,7 +84,8 @@ TEST(PaperScenario, Figure4RollbackRelationContents) {
   options.clock = &clock;
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE(paper::BuildRollbackFaculty(db->get(), &clock).ok());
+  ASSERT_TRUE(paper::Replay(db->get(), &clock,
+                            paper::RollbackFacultyScript()).ok());
 
   Result<StoredRelation*> rel = (*db)->GetRelation("faculty");
   ASSERT_TRUE(rel.ok());
@@ -104,7 +106,8 @@ TEST(PaperScenario, Figure4AsOfQueryYieldsAssociate) {
   options.clock = &clock;
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE(paper::BuildRollbackFaculty(db->get(), &clock).ok());
+  ASSERT_TRUE(paper::Replay(db->get(), &clock,
+                            paper::RollbackFacultyScript()).ok());
 
   // "retrieve (f.rank) where f.name = 'Merrie' as of '12/10/82'" ->
   // associate (the promotion was recorded 12/15/82).
@@ -124,7 +127,8 @@ TEST(PaperScenario, Figure6HistoricalRelationContents) {
   options.clock = &clock;
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
-  Status s = paper::BuildHistoricalFaculty(db->get(), &clock);
+  Status s = paper::Replay(db->get(), &clock,
+                           paper::FacultyScript("historical"));
   ASSERT_TRUE(s.ok()) << s.ToString();
 
   Result<StoredRelation*> rel = (*db)->GetRelation("faculty");
@@ -146,7 +150,8 @@ TEST(PaperScenario, Figure6WhenQueryYieldsFull) {
   options.clock = &clock;
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE(paper::BuildHistoricalFaculty(db->get(), &clock).ok());
+  ASSERT_TRUE(paper::Replay(db->get(), &clock,
+                            paper::FacultyScript("historical")).ok());
   ASSERT_TRUE((*db)->Execute("range of f1 is faculty").ok());
   ASSERT_TRUE((*db)->Execute("range of f2 is faculty").ok());
 
@@ -169,7 +174,7 @@ TEST(PaperScenario, Figure8TemporalRelationContents) {
   options.clock = &clock;
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
-  Status s = paper::BuildTemporalFaculty(db->get(), &clock);
+  Status s = paper::Replay(db->get(), &clock, paper::FacultyScript("temporal"));
   ASSERT_TRUE(s.ok()) << s.ToString();
 
   Result<StoredRelation*> rel = (*db)->GetRelation("faculty");
@@ -197,7 +202,8 @@ TEST(PaperScenario, Figure8BitemporalQueries) {
   options.clock = &clock;
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE(paper::BuildTemporalFaculty(db->get(), &clock).ok());
+  ASSERT_TRUE(paper::Replay(db->get(), &clock,
+                            paper::FacultyScript("temporal")).ok());
   ASSERT_TRUE((*db)->Execute("range of f1 is faculty").ok());
   ASSERT_TRUE((*db)->Execute("range of f2 is faculty").ok());
 
@@ -230,7 +236,7 @@ TEST(PaperScenario, Figure9PromotionEventRelation) {
   options.clock = &clock;
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
-  Status s = paper::BuildPromotionEvents(db->get(), &clock);
+  Status s = paper::Replay(db->get(), &clock, paper::PromotionEventsScript());
   ASSERT_TRUE(s.ok()) << s.ToString();
 
   Result<StoredRelation*> rel = (*db)->GetRelation("promotion");
@@ -289,7 +295,8 @@ TEST(PaperScenario, CubeScenariosMatchFigures3And5And7) {
     auto db = Database::Open(options);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE(
-        paper::BuildCubeScenario(db->get(), &clock, TemporalClass::kRollback)
+        paper::Replay(db->get(), &clock,
+                      paper::CubeScript(TemporalClass::kRollback))
             .ok());
     Result<StoredRelation*> rel = (*db)->GetRelation("r");
     ASSERT_TRUE(rel.ok());
@@ -309,7 +316,8 @@ TEST(PaperScenario, CubeScenariosMatchFigures3And5And7) {
     auto db = Database::Open(options);
     ASSERT_TRUE(db.ok());
     ASSERT_TRUE(
-        paper::BuildCubeScenario(db->get(), &clock, TemporalClass::kTemporal)
+        paper::Replay(db->get(), &clock,
+                      paper::CubeScript(TemporalClass::kTemporal))
             .ok());
     Result<StoredRelation*> rel = (*db)->GetRelation("r");
     ASSERT_TRUE(rel.ok());
@@ -340,8 +348,8 @@ TEST(PaperScenario, CubeScenariosMatchFigures3And5And7) {
     options.clock = &clock;
     auto db = Database::Open(options);
     ASSERT_TRUE(db.ok());
-    ASSERT_TRUE(paper::BuildCubeScenario(db->get(), &clock,
-                                         TemporalClass::kHistorical)
+    ASSERT_TRUE(paper::Replay(db->get(), &clock,
+                              paper::CubeScript(TemporalClass::kHistorical))
                     .ok());
     Result<StoredRelation*> rel = (*db)->GetRelation("r");
     ASSERT_TRUE(rel.ok());
@@ -359,7 +367,8 @@ TEST(PaperScenario, TaxonomyViolationsAreRejected) {
   options.clock = &clock;
   auto db = Database::Open(options);
   ASSERT_TRUE(db.ok());
-  ASSERT_TRUE(paper::BuildRollbackFaculty(db->get(), &clock).ok());
+  ASSERT_TRUE(paper::Replay(db->get(), &clock,
+                            paper::RollbackFacultyScript()).ok());
 
   // Historical constructs on a rollback relation: NotSupported.
   Result<Rowset> when_query = (*db)->Query(
@@ -381,7 +390,8 @@ TEST(PaperScenario, TaxonomyViolationsAreRejected) {
   options2.clock = &clock2;
   auto db2 = Database::Open(options2);
   ASSERT_TRUE(db2.ok());
-  ASSERT_TRUE(paper::BuildHistoricalFaculty(db2->get(), &clock2).ok());
+  ASSERT_TRUE(paper::Replay(db2->get(), &clock2,
+                            paper::FacultyScript("historical")).ok());
   Result<Rowset> asof_query = (*db2)->Query(
       "retrieve (f.rank) where f.name = \"Merrie\" as of \"12/10/82\"");
   EXPECT_FALSE(asof_query.ok());

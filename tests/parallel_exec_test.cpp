@@ -1,7 +1,6 @@
-// Parallel execution: the thread pool, the morsel driver, the
-// small-buffer filter functor, bit-identical parallel version scans
-// across thread counts, and WAL group commit under concurrent
-// committers (including a barrier-wide fsync failure).
+// Parallel execution: the thread pool, the morsel driver, bit-identical
+// parallel version scans across thread counts, and WAL group commit under
+// concurrent committers (including a barrier-wide fsync failure).
 
 #include "exec/parallel_scan.h"
 #include "exec/thread_pool.h"
@@ -15,7 +14,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/inline_function.h"
 #include "common/random.h"
 #include "core/database.h"
 #include "storage/fault_injection.h"
@@ -125,48 +123,6 @@ TEST(MorselTest, ParallelScanMatchesSequentialProbe) {
   }
 }
 
-// --- InlineFunction -------------------------------------------------------
-
-TEST(InlineFunctionTest, EmptyIsFalseAndCallableIsTrue) {
-  InlineFunction<int(int), 48> f;
-  EXPECT_FALSE(f);
-  f = [](int x) { return x + 1; };
-  ASSERT_TRUE(f);
-  EXPECT_EQ(f(41), 42);
-}
-
-TEST(InlineFunctionTest, SmallCaptureStaysInlineAndCopies) {
-  int64_t a = 3, b = 4;
-  InlineFunction<int64_t(int64_t), 48> f =
-      [a, b](int64_t x) { return a * x + b; };
-  InlineFunction<int64_t(int64_t), 48> copy = f;
-  InlineFunction<int64_t(int64_t), 48> moved = std::move(f);
-  EXPECT_EQ(copy(10), 34);
-  EXPECT_EQ(moved(10), 34);
-}
-
-TEST(InlineFunctionTest, LargeCaptureFallsBackToHeap) {
-  // 128 bytes of captured state exceeds the 48-byte inline buffer; the
-  // functor must still behave identically (heap-allocated target).
-  std::array<int64_t, 16> big;
-  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<int64_t>(i);
-  InlineFunction<int64_t(size_t), 48> f =
-      [big](size_t i) { return big[i] * 2; };
-  InlineFunction<int64_t(size_t), 48> copy = f;
-  f = InlineFunction<int64_t(size_t)>();  // Destroy original.
-  EXPECT_EQ(copy(5), 10);
-  EXPECT_EQ(copy(15), 30);
-}
-
-TEST(InlineFunctionTest, ReassignmentReplacesTarget) {
-  InlineFunction<int(), 48> f = [] { return 1; };
-  f = [] { return 2; };
-  EXPECT_EQ(f(), 2);
-  std::array<char, 100> pad{};
-  f = [pad] { return 3 + pad[0]; };
-  EXPECT_EQ(f(), 3);
-}
-
 // --- Bit-identical parallel version scans ---------------------------------
 
 class ParallelVersionScanTest : public ::testing::Test {
@@ -210,36 +166,39 @@ class ParallelVersionScanTest : public ::testing::Test {
   }
 
   static std::vector<std::pair<RowId, BitemporalTuple>> Collect(
-      VersionScan scan) {
+      VersionBatchScan scan) {
     std::vector<std::pair<RowId, BitemporalTuple>> out;
-    RowId row = 0;
-    while (const BitemporalTuple* t = scan.Next(&row)) {
-      out.emplace_back(row, *t);
+    VersionBatch batch;
+    while (scan.Next(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        out.emplace_back(batch.rows[i], *batch.tuples[i]);
+      }
     }
     return out;
   }
 
   // Runs every probe shape the figures exercise and returns their results
   // concatenated, so one comparison covers sequential sweeps, snapshot- and
-  // interval-index-backed scans, and residual filters.
+  // interval-index-backed scans, and residual predicates.
   std::vector<std::pair<RowId, BitemporalTuple>> RunProbes() {
     std::vector<std::pair<RowId, BitemporalTuple>> all;
     auto append = [&all](std::vector<std::pair<RowId, BitemporalTuple>> v) {
       all.insert(all.end(), v.begin(), v.end());
     };
-    append(Collect(store_.ScanAll()));
-    append(Collect(store_.ScanCurrent()));
-    append(Collect(store_.ScanAsOf(Chronon(1100))));          // Rollback.
-    append(Collect(store_.ScanTxnOverlapping(
+    BatchPredicates current;
+    current.txn_current = true;
+    BatchPredicates stab;
+    stab.valid_overlaps = Period(Chronon(1000), Chronon(1001));
+    append(Collect(store_.BatchScanAll()));
+    append(Collect(store_.BatchScanCurrent()));
+    append(Collect(store_.BatchScanAsOf(Chronon(1100))));     // Rollback.
+    append(Collect(store_.BatchScanTxnOverlapping(
         Period(Chronon(1050), Chronon(1200)))));
-    append(Collect(store_.ScanValidDuring(                    // Timeslice.
+    append(Collect(store_.BatchScanValidDuring(               // Timeslice.
         Period(Chronon(1000), Chronon(1060)))));
-    append(Collect(store_.ScanValidDuring(
-        Period(Chronon(950), Chronon(1300)),
-        [](const BitemporalTuple& t) { return t.IsCurrentState(); })));
-    append(Collect(store_.ScanAll([](const BitemporalTuple& t) {
-      return t.values[1].AsInt() % 7 == 0;
-    })));
+    append(Collect(store_.BatchScanValidDuring(
+        Period(Chronon(950), Chronon(1300)), current)));
+    append(Collect(store_.BatchScanAll(stab)));               // Residual sweep.
     return all;
   }
 
@@ -287,9 +246,11 @@ TEST_F(ParallelVersionScanTest, SmallDomainsStaySequential) {
   Populate(200, /*seed=*/3);
   exec::ThreadPool pool(4);
   store_.ConfigureParallel(&pool);  // Default threshold (4096) > 200 rows.
-  std::vector<std::pair<RowId, BitemporalTuple>> a = Collect(store_.ScanAll());
+  std::vector<std::pair<RowId, BitemporalTuple>> a =
+      Collect(store_.BatchScanAll());
   store_.ConfigureParallel(nullptr);
-  std::vector<std::pair<RowId, BitemporalTuple>> b = Collect(store_.ScanAll());
+  std::vector<std::pair<RowId, BitemporalTuple>> b =
+      Collect(store_.BatchScanAll());
   EXPECT_EQ(a, b);
 }
 

@@ -1,7 +1,7 @@
 // Epoch-partition differential: a partitioned store (any partition size,
-// any thread count, row/batch/snapshot path) must be bit-identical to the
-// unpartitioned baseline — pruning may only skip partitions the pushed-down
-// window provably misses.  Also covers synopsis maintenance across
+// any thread count, writer or snapshot scan) must be bit-identical to the
+// unpartitioned baseline, which matches a brute-force filter — pruning may
+// only skip partitions the pushed-down window provably misses.  Also covers synopsis maintenance across
 // corrections straddling a seal boundary, checkpoint/recovery of the
 // partition directory, the ScanStats accounting identity (including that
 // pruned partitions never form morsels), and the key sketch's
@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -123,10 +124,14 @@ void Populate(Harness* h, size_t n_ops, uint64_t seed,
 
 using Sequence = std::vector<std::pair<RowId, BitemporalTuple>>;
 
-Sequence CollectRows(VersionScan scan) {
+// Every live version `keep` accepts, in row order: the brute-force
+// expectation of a scan.
+Sequence Filter(const VersionStore& store,
+                const std::function<bool(const BitemporalTuple&)>& keep) {
   Sequence out;
-  RowId row = 0;
-  while (const BitemporalTuple* t = scan.Next(&row)) out.emplace_back(row, *t);
+  store.ForEach([&](RowId row, const BitemporalTuple& t) {
+    if (keep(t)) out.emplace_back(row, t);
+  });
   return out;
 }
 
@@ -143,25 +148,36 @@ Sequence CollectBatches(VersionBatchScan scan) {
 }
 
 // Probe windows chosen to exercise both prune outcomes: some hit only early
-// history, some only late, some everything.
-Sequence RunRowProbes(const VersionStore& store) {
+// history, some only late, some everything.  The brute-force expectation
+// of RunBatchProbes, probe for probe.
+Sequence RunExpectedProbes(const VersionStore& store) {
   Sequence all;
   auto append = [&all](Sequence v) {
     all.insert(all.end(), v.begin(), v.end());
   };
-  append(CollectRows(store.ScanAll()));
-  append(CollectRows(store.ScanCurrent()));
-  append(CollectRows(store.ScanAsOf(Chronon(1005))));
-  append(CollectRows(store.ScanAsOf(Chronon(1100))));
-  append(CollectRows(store.ScanAsOf(Chronon(100000))));
-  append(CollectRows(
-      store.ScanTxnOverlapping(Period(Chronon(1050), Chronon(1200)))));
-  append(CollectRows(
-      store.ScanTxnOverlapping(Period(Chronon(0), Chronon(1002)))));
-  append(CollectRows(
-      store.ScanValidDuring(Period(Chronon(1000), Chronon(1060)))));
-  append(CollectRows(
-      store.ScanValidDuring(Period(Chronon(900), Chronon(905)))));
+  auto txn_at = [&](int64_t t) {
+    return Filter(store, [t](const BitemporalTuple& v) {
+      return v.txn.Contains(Chronon(t));
+    });
+  };
+  auto txn_in = [&](Period q) {
+    return Filter(store,
+                  [q](const BitemporalTuple& v) { return v.txn.Overlaps(q); });
+  };
+  auto valid_in = [&](Period q) {
+    return Filter(
+        store, [q](const BitemporalTuple& v) { return v.valid.Overlaps(q); });
+  };
+  append(Filter(store, [](const BitemporalTuple&) { return true; }));
+  append(Filter(store,
+                [](const BitemporalTuple& v) { return v.IsCurrentState(); }));
+  append(txn_at(1005));
+  append(txn_at(1100));
+  append(txn_at(100000));
+  append(txn_in(Period(Chronon(1050), Chronon(1200))));
+  append(txn_in(Period(Chronon(0), Chronon(1002))));
+  append(valid_in(Period(Chronon(1000), Chronon(1060))));
+  append(valid_in(Period(Chronon(900), Chronon(905))));
   return all;
 }
 
@@ -196,14 +212,14 @@ void ExpectSameSequence(const Sequence& got, const Sequence& want,
   }
 }
 
-TEST(PartitionDifferentialTest, RowAndBatchPathsMatchUnpartitionedBaseline) {
+TEST(PartitionDifferentialTest, BatchScansMatchUnpartitionedBaseline) {
   Harness baseline(/*partition_rows=*/0);
   Populate(&baseline, 4000, /*seed=*/31);
   ASSERT_EQ(baseline.store->sealed_partition_count(), 0u);
-  const Sequence want_rows = RunRowProbes(*baseline.store);
   const Sequence want_batches = RunBatchProbes(*baseline.store);
-  ASSERT_FALSE(want_rows.empty());
-  ExpectSameSequence(want_batches, want_rows, "baseline batch vs row");
+  ASSERT_FALSE(want_batches.empty());
+  ExpectSameSequence(want_batches, RunExpectedProbes(*baseline.store),
+                     "baseline batches vs brute force");
 
   for (size_t partition_rows : {1u, 127u, 4096u}) {
     Harness h(partition_rows);
@@ -212,20 +228,17 @@ TEST(PartitionDifferentialTest, RowAndBatchPathsMatchUnpartitionedBaseline) {
       ASSERT_GT(h.store->sealed_partition_count(), 1u);
     }
     const std::string label = std::string("partition_rows=") + std::to_string(partition_rows);
-    ExpectSameSequence(RunRowProbes(*h.store), want_rows, label + " rows");
     ExpectSameSequence(RunBatchProbes(*h.store), want_batches,
                        label + " batches");
     // Pruning off must not change anything either (sealing still happened).
     h.store->ConfigurePartitionPruning(false);
-    ExpectSameSequence(RunRowProbes(*h.store), want_rows,
-                       label + " rows, pruning off");
+    ExpectSameSequence(RunBatchProbes(*h.store), want_batches,
+                       label + " batches, pruning off");
     h.store->ConfigurePartitionPruning(true);
 
     for (size_t threads : {1u, 4u}) {
       exec::ThreadPool pool(threads);
       h.store->ConfigureParallel(&pool, /*min_rows=*/1);
-      ExpectSameSequence(RunRowProbes(*h.store), want_rows,
-                         label + " rows, threads=" + std::to_string(threads));
       ExpectSameSequence(
           RunBatchProbes(*h.store), want_batches,
           label + " batches, threads=" + std::to_string(threads));
@@ -249,7 +262,6 @@ TEST(PartitionDifferentialTest, SnapshotPathMatchesUnpartitionedBaseline) {
       all.insert(all.end(), v.begin(), v.end());
     };
     BatchPredicates none;
-    append(CollectRows(h.store->ScanSnapshot(pin, none)));
     append(CollectBatches(h.store->BatchScanSnapshot(pin, none)));
     BatchPredicates current;
     current.txn_current = true;
@@ -339,10 +351,10 @@ TEST(PartitionCorrectionTest, StraddlingCorrectionsPatchSynopses) {
   EXPECT_EQ(h.store->sealed_partition(1).live_rows, 4u);
 
   // And the partitioned store still reads bit-identically to the flat one.
-  ExpectSameSequence(RunRowProbes(*h.store), RunRowProbes(*flat.store),
-                     "straddling corrections, rows");
   ExpectSameSequence(RunBatchProbes(*h.store), RunBatchProbes(*flat.store),
                      "straddling corrections, batches");
+  ExpectSameSequence(RunBatchProbes(*h.store), RunExpectedProbes(*flat.store),
+                     "straddling corrections, brute force");
 
   // A transaction-time close of a sealed row maintains the mutable trio
   // incrementally: partition 1 loses a current row and gains a finite end.
@@ -355,8 +367,8 @@ TEST(PartitionCorrectionTest, StraddlingCorrectionsPatchSynopses) {
   }
   EXPECT_EQ(h.store->sealed_partition(1).current_rows, before - 1);
   EXPECT_GE(h.store->sealed_partition(1).max_finite_tt_end, 400);
-  ExpectSameSequence(RunRowProbes(*h.store), RunRowProbes(*flat.store),
-                     "sealed close, rows");
+  ExpectSameSequence(RunBatchProbes(*h.store), RunBatchProbes(*flat.store),
+                     "sealed close, batches");
 }
 
 // --- Checkpoint / recovery -------------------------------------------------

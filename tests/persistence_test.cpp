@@ -541,7 +541,8 @@ TEST_F(PersistenceTest, MissingRelationFileIsAnError) {
 TEST_F(PersistenceTest, PaperScenarioPersistedEndToEnd) {
   {
     auto db = Open();
-    ASSERT_TRUE(paper::BuildTemporalFaculty(db.get(), &clock_).ok());
+    ASSERT_TRUE(paper::Replay(db.get(), &clock_,
+                              paper::FacultyScript("temporal")).ok());
     ASSERT_TRUE(db->Checkpoint().ok());
   }
   {

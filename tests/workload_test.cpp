@@ -1,9 +1,9 @@
 // The workload suite's CI tier: the seeded HR/payroll generator must be
 // byte-deterministic, and the mixed-phase driver — serialized writer +
-// concurrent snapshot readers — must stay bit-identical to the in-memory
-// shadow history across {row, batch, snapshot} execution paths × {1, N}
-// threads × partition sizes, with the ScanStats accounting identity
-// holding at every sync point.  `TDB_WORKLOAD_SMALL` shrinks the run for
+// concurrent snapshot readers — must answer what the reference model
+// (workload/reference.h) answers on the writer path at {1, N} threads and
+// on the snapshot path, across partition sizes, with the ScanStats
+// accounting identity holding at every sync point.  `TDB_WORKLOAD_SMALL` shrinks the run for
 // the sanitizer jobs; the full-size version of this harness is
 // bench/bench_workload.cpp.
 
@@ -132,7 +132,7 @@ TEST(WorkloadDriverTest, DigestInvariantAcrossReaderThreadCounts) {
 }
 
 // The tentpole: a mixed-phase run with >= 2 concurrent snapshot readers
-// during sustained writes, checked differentially against the shadow at
+// during sustained writes, checked against the reference model at
 // every sync point across execution paths, at two partition sizes.  The
 // stream digest must be partition-invariant, the ScanStats identity must
 // hold, and with small partitions the synopses must actually prune.

@@ -46,6 +46,13 @@ express, because they are properties of *this* codebase's discipline:
      else would mutate a sealed partition without repatching its synopsis
      (silently unsounding pruning) or race pinned snapshot readers.
 
+  7. oracle-independence — the reference model (src/workload/reference.*)
+     is the engine's semantic oracle, so it may include only common/,
+     catalog/temporal_class.h, tquel/ast.h, tquel/parser.h, its own header
+     and the standard library.  Reaching into the analyzer, the evaluator,
+     the relation kinds or the store would let one bug show up on both
+     sides of every comparison and never as a mismatch.
+
 Findings are emitted in the `file:line: rule-name: message` format shared
 with tools/tdb_analyze.py, so one consumer (CI annotation, editors) parses
 both.  Rules 2, 4 and 6 have exact AST-level implementations in
@@ -429,6 +436,33 @@ def check_seal_discipline() -> None:
 
 
 # --------------------------------------------------------------------------
+# Rule 7: the reference model stays independent of the engine.
+# --------------------------------------------------------------------------
+
+REFERENCE_FILES = [
+    SRC / "workload" / "reference.h",
+    SRC / "workload" / "reference.cpp",
+]
+QUOTED_INCLUDE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+REFERENCE_ALLOWED = re.compile(
+    r"common/[\w./]+|catalog/temporal_class\.h|tquel/ast\.h|tquel/parser\.h"
+    r"|workload/reference\.h")
+
+
+def check_oracle_independence() -> None:
+    for path in REFERENCE_FILES:
+        # Raw text: strip_comments blanks string literals, include paths too.
+        for lineno, line in enumerate(path.read_text().splitlines(), 1):
+            m = QUOTED_INCLUDE.match(line)
+            if m and not REFERENCE_ALLOWED.fullmatch(m.group(1)):
+                err(path, lineno, "oracle-independence",
+                    f'#include "{m.group(1)}" in the reference model; it may '
+                    "include only common/, catalog/temporal_class.h, "
+                    "tquel/ast.h, tquel/parser.h and the standard library, "
+                    "so that no engine code sits on both sides of the oracle")
+
+
+# --------------------------------------------------------------------------
 # AST delegation: rules 2/4/6 have exact semantic implementations in
 # tdb_analyze.py (resolved symbols instead of spellings, so wrappers and
 # aliases are caught).  When the analyzer can run, its verdict replaces the
@@ -496,6 +530,7 @@ def main(argv: list[str] | None = None) -> int:
     check_invariant_checks()
     if not delegated:
         check_seal_discipline()
+    check_oracle_independence()
     if errors:
         for e in errors:
             print(e)
