@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <limits>
 
 namespace temporadb {
 
@@ -104,9 +105,9 @@ int TypeRank(ValueType t) {
 // An int against a float, exactly: the int is never rounded to a double.
 // A float of magnitude 2^63 or more lies beyond every int; below that its
 // integral part converts to int64 without loss, and the fraction breaks a
-// tie.  NaN compares equal to every number (left for the NaN order).
+// tie.  NaN sorts above every int.
 int CompareIntFloat(int64_t i, double d) {
-  if (std::isnan(d)) return 0;
+  if (std::isnan(d)) return -1;
   constexpr double kTwo63 = 9223372036854775808.0;
   if (d >= kTwo63) return -1;
   if (d < -kTwo63) return 1;
@@ -117,7 +118,8 @@ int CompareIntFloat(int64_t i, double d) {
 }
 
 // Three-way numeric comparison of two int/float values: exact for every
-// int-int and int-float pair.
+// int-int and int-float pair; NaN equals NaN and sorts above every number
+// (PostgreSQL's float order), and -0.0 equals 0.0.
 int CompareNumeric(const Value& a, const Value& b) {
   const bool ai = a.type() == ValueType::kInt;
   const bool bi = b.type() == ValueType::kInt;
@@ -127,6 +129,9 @@ int CompareNumeric(const Value& a, const Value& b) {
   if (ai) return CompareIntFloat(a.AsInt(), b.AsFloat());
   if (bi) return -CompareIntFloat(b.AsInt(), a.AsFloat());
   const double x = a.AsFloat(), y = b.AsFloat();
+  if (std::isnan(x) || std::isnan(y)) {
+    return std::isnan(x) == std::isnan(y) ? 0 : (std::isnan(x) ? 1 : -1);
+  }
   return x < y ? -1 : (x > y ? 1 : 0);
 }
 
@@ -202,7 +207,10 @@ size_t Value::Hash() const {
       h = mix(h, static_cast<uint64_t>(AsInt()));
       break;
     case ValueType::kFloat: {
+      // One hash per equal class: -0.0 hashes as 0.0, every NaN alike.
       double d = AsFloat();
+      if (d == 0) d = 0.0;
+      if (std::isnan(d)) d = std::numeric_limits<double>::quiet_NaN();
       uint64_t bits;
       static_assert(sizeof(bits) == sizeof(d));
       __builtin_memcpy(&bits, &d, sizeof(bits));

@@ -1,6 +1,7 @@
 #ifndef TEMPORADB_COMMON_VALUE_H_
 #define TEMPORADB_COMMON_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -62,21 +63,30 @@ class Value {
   Result<double> AsNumeric() const;
 
   /// Value equality (int 3 != float 3.0 unless compared via Compare).
+  /// Floats follow the float order below: NaN equals NaN, -0.0 equals 0.0.
   friend bool operator==(const Value& a, const Value& b) {
+    if (const double* x = std::get_if<double>(&a.rep_)) {
+      if (const double* y = std::get_if<double>(&b.rep_)) {
+        return *x == *y || (std::isnan(*x) && std::isnan(*y));
+      }
+    }
     return a.rep_ == b.rep_;
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
   /// Total order for container use: NULL < bool < int/float < string < date;
   /// int and float compare numerically against each other, exactly (an int
-  /// is never rounded through a double).
+  /// is never rounded through a double).  NaN equals NaN and sorts above
+  /// every number; -0.0 equals 0.0.
   friend bool operator<(const Value& a, const Value& b);
 
   /// SQL-style three-way comparison for the expression evaluator: returns
-  /// InvalidArgument on incomparable types, otherwise -1/0/+1.
+  /// InvalidArgument on incomparable types, otherwise -1/0/+1.  Numbers
+  /// follow the order of `operator<`.
   static Result<int> Compare(const Value& a, const Value& b);
 
-  /// FNV-1a hash combining type tag and payload.
+  /// FNV-1a hash combining type tag and payload; values equal under `==`
+  /// hash equally (-0.0 as 0.0, every NaN alike).
   size_t Hash() const;
 
   /// Rendering used by result printers: strings unquoted, dates MM/DD/YY,

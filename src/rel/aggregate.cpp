@@ -3,7 +3,6 @@
 #include <map>
 
 #include "common/strings.h"
-#include "rel/batch_cursor.h"
 
 namespace temporadb {
 
@@ -74,50 +73,41 @@ Result<Rowset> Aggregate(const Rowset& input,
   TDB_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(attrs)));
   Rowset out(std::move(schema), TemporalClass::kStatic);
 
-  // Accumulate batch-at-a-time: the grouping key and each aggregate input
-  // read straight out of the batch's column vectors, so a batch of rows
-  // costs one virtual pull instead of one per row.  Row order (and so the
-  // first AsNumeric error) is that of the input rowset.
+  // Accumulate in input row order (so the first AsNumeric error is the
+  // first failing row's).
   std::map<std::vector<Value>, std::vector<AggState>> groups;
   const Value kZero(int64_t{0});
-  BatchCursorPtr cursor = MakeRowsetBatchCursor(&input);
-  TDB_RETURN_IF_ERROR(cursor->Open());
-  while (true) {
-    TDB_ASSIGN_OR_RETURN(std::optional<Batch> batch, cursor->NextBatch());
-    if (!batch.has_value()) break;
-    for (size_t r = 0; r < batch->rows(); ++r) {
-      std::vector<Value> key;
-      key.reserve(group_by.size());
-      for (size_t g : group_by) key.push_back(batch->columns[g][r]);
-      auto [it, inserted] = groups.try_emplace(std::move(key));
-      if (inserted) it->second.resize(aggs.size());
-      for (size_t i = 0; i < aggs.size(); ++i) {
-        AggState& st = it->second[i];
-        const AggSpec& spec = aggs[i];
-        const Value& v = spec.func == AggFunc::kCount
-                             ? kZero
-                             : batch->columns[spec.column][r];
-        ++st.count;
-        switch (spec.func) {
-          case AggFunc::kCount:
-            break;
-          case AggFunc::kSum:
-          case AggFunc::kAvg: {
-            TDB_ASSIGN_OR_RETURN(double d, v.AsNumeric());
-            st.sum += d;
-            if (v.type() == ValueType::kFloat) st.sum_is_float = true;
-            break;
-          }
-          case AggFunc::kMin:
-            if (st.min.is_null() || v < st.min) st.min = v;
-            break;
-          case AggFunc::kMax:
-            if (st.max.is_null() || st.max < v) st.max = v;
-            break;
-          case AggFunc::kAny:
-            if (st.any.is_null()) st.any = v;
-            break;
+  for (const Row& row : input.rows()) {
+    std::vector<Value> key;
+    key.reserve(group_by.size());
+    for (size_t g : group_by) key.push_back(row.values[g]);
+    auto [it, inserted] = groups.try_emplace(std::move(key));
+    if (inserted) it->second.resize(aggs.size());
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      AggState& st = it->second[i];
+      const AggSpec& spec = aggs[i];
+      const Value& v =
+          spec.func == AggFunc::kCount ? kZero : row.values[spec.column];
+      ++st.count;
+      switch (spec.func) {
+        case AggFunc::kCount:
+          break;
+        case AggFunc::kSum:
+        case AggFunc::kAvg: {
+          TDB_ASSIGN_OR_RETURN(double d, v.AsNumeric());
+          st.sum += d;
+          if (v.type() == ValueType::kFloat) st.sum_is_float = true;
+          break;
         }
+        case AggFunc::kMin:
+          if (st.min.is_null() || v < st.min) st.min = v;
+          break;
+        case AggFunc::kMax:
+          if (st.max.is_null() || st.max < v) st.max = v;
+          break;
+        case AggFunc::kAny:
+          if (st.any.is_null()) st.any = v;
+          break;
       }
     }
   }

@@ -1,10 +1,8 @@
 #include "rel/join.h"
 
-#include <cstdint>
+#include <optional>
 #include <unordered_map>
 
-#include "rel/batch.h"
-#include "rel/kernels.h"
 #include "rel/operators.h"
 
 namespace temporadb {
@@ -28,6 +26,13 @@ struct KeyHash {
   }
 };
 
+std::vector<Value> KeyOf(const Row& row, const std::vector<size_t>& keys) {
+  std::vector<Value> key;
+  key.reserve(keys.size());
+  for (size_t k : keys) key.push_back(row.values[k]);
+  return key;
+}
+
 }  // namespace
 
 Result<Rowset> HashEquiJoin(const Rowset& a, const Rowset& b,
@@ -46,10 +51,10 @@ Result<Rowset> HashEquiJoin(const Rowset& a, const Rowset& b,
       return Status::InvalidArgument("right join key out of range");
     }
   }
-  TemporalClass cls = MeetClass(a.temporal_class(), b.temporal_class());
+  TDB_ASSIGN_OR_RETURN(
+      TemporalClass cls,
+      ProductClass(a.temporal_class(), b.temporal_class(), "equi-join"));
   Rowset out(a.schema().Concat(b.schema()), cls);
-  const bool want_valid = SupportsValidTime(cls);
-  const bool want_txn = SupportsTransactionTime(cls);
 
   // Build on the smaller side.
   const bool build_left = a.size() <= b.size();
@@ -58,97 +63,21 @@ Result<Rowset> HashEquiJoin(const Rowset& a, const Rowset& b,
   const std::vector<size_t>& build_keys = build_left ? keys_a : keys_b;
   const std::vector<size_t>& probe_keys = build_left ? keys_b : keys_a;
 
-  // Columnarize the build side's periods once so each probe row's temporal
-  // residual is one branch-free kernel pass over its hash bucket (matching
-  // the scalar `Intersect` + empty check pair-for-pair).
-  const size_t n_build = build.size();
-  ChrononColumn build_vf, build_vt, build_ts, build_te;
-  if (want_valid) {
-    build_vf.reserve(n_build);
-    build_vt.reserve(n_build);
-  }
-  if (want_txn) {
-    build_ts.reserve(n_build);
-    build_te.reserve(n_build);
-  }
+  // Buckets hold build rows in insertion (= ascending) order, so pairs come
+  // out probe row first, then bucket order.
+  std::unordered_map<std::vector<Value>, std::vector<const Row*>, KeyHash>
+      table;
   for (const Row& row : build.rows()) {
-    if (want_valid) {
-      build_vf.push_back(row.valid->begin().days());
-      build_vt.push_back(row.valid->end().days());
-    }
-    if (want_txn) {
-      build_ts.push_back(row.txn->begin().days());
-      build_te.push_back(row.txn->end().days());
-    }
+    table[KeyOf(row, build_keys)].push_back(&row);
   }
-
-  // Buckets hold build-row indexes in insertion order (= ascending), so the
-  // kernel's surviving order reproduces the scalar probe's pair order.
-  std::unordered_map<std::vector<Value>, SelectionVector, KeyHash> table;
-  for (size_t i = 0; i < n_build; ++i) {
-    const Row& row = build.rows()[i];
-    std::vector<Value> key;
-    key.reserve(build_keys.size());
-    for (size_t k : build_keys) key.push_back(row.values[k]);
-    table[std::move(key)].push_back(static_cast<uint32_t>(i));
-  }
-
-  SelectionVector sel;
-  ChrononColumn out_vb, out_ve, out_tb, out_te;
   for (const Row& probe_row : probe.rows()) {
-    std::vector<Value> key;
-    key.reserve(probe_keys.size());
-    for (size_t k : probe_keys) key.push_back(probe_row.values[k]);
-    auto it = table.find(key);
+    auto it = table.find(KeyOf(probe_row, probe_keys));
     if (it == table.end()) continue;
-    const SelectionVector& cand = it->second;
-    sel.resize(cand.size());
-    size_t n_pairs;
-    if (want_valid && want_txn) {
-      out_vb.resize(cand.size());
-      out_ve.resize(cand.size());
-      out_tb.resize(cand.size());
-      out_te.resize(cand.size());
-      n_pairs = kernels::IntersectBitemporal(
-          build_vf.data(), build_vt.data(), build_ts.data(), build_te.data(),
-          cand.data(), cand.size(), probe_row.valid->begin().days(),
-          probe_row.valid->end().days(), probe_row.txn->begin().days(),
-          probe_row.txn->end().days(), sel.data(), out_vb.data(),
-          out_ve.data(), out_tb.data(), out_te.data());
-    } else if (want_valid) {
-      out_vb.resize(cand.size());
-      out_ve.resize(cand.size());
-      n_pairs = kernels::IntersectPeriods(
-          build_vf.data(), build_vt.data(), cand.data(), cand.size(),
-          probe_row.valid->begin().days(), probe_row.valid->end().days(),
-          sel.data(), out_vb.data(), out_ve.data());
-    } else if (want_txn) {
-      out_tb.resize(cand.size());
-      out_te.resize(cand.size());
-      n_pairs = kernels::IntersectPeriods(
-          build_ts.data(), build_te.data(), cand.data(), cand.size(),
-          probe_row.txn->begin().days(), probe_row.txn->end().days(),
-          sel.data(), out_tb.data(), out_te.data());
-    } else {
-      // No maintained dimension: every key match joins.
-      n_pairs = cand.size();
-      sel = cand;
-    }
-    for (size_t k = 0; k < n_pairs; ++k) {
-      const Row& build_row = build.rows()[sel[k]];
-      const Row& left = build_left ? build_row : probe_row;
-      const Row& right = build_left ? probe_row : build_row;
-      Row combined;
-      if (want_valid) {
-        combined.valid = Period(Chronon(out_vb[k]), Chronon(out_ve[k]));
-      }
-      if (want_txn) {
-        combined.txn = Period(Chronon(out_tb[k]), Chronon(out_te[k]));
-      }
-      combined.values = left.values;
-      combined.values.insert(combined.values.end(), right.values.begin(),
-                             right.values.end());
-      TDB_RETURN_IF_ERROR(out.AddRow(std::move(combined)));
+    for (const Row* build_row : it->second) {
+      std::optional<Row> pair =
+          build_left ? PairRows(*build_row, probe_row, cls)
+                     : PairRows(probe_row, *build_row, cls);
+      if (pair.has_value()) TDB_RETURN_IF_ERROR(out.AddRow(std::move(*pair)));
     }
   }
   return out;

@@ -17,7 +17,8 @@ namespace temporadb {
 Result<Rowset> NestedLoopJoin(const Rowset& a, const Rowset& b,
                               const Expr& pred);
 
-/// Hash equi-join on `a.keys_a[i] == b.keys_b[i]`.
+/// Hash equi-join on `a.keys_a[i] == b.keys_b[i]`.  Like `CrossProduct`,
+/// rejects operand classes without a meet with InvalidArgument.
 Result<Rowset> HashEquiJoin(const Rowset& a, const Rowset& b,
                             const std::vector<size_t>& keys_a,
                             const std::vector<size_t>& keys_b);

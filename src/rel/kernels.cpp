@@ -104,46 +104,5 @@ size_t SelectLiveRefine(const uint8_t* live, const uint32_t* sel_in,
   return count;
 }
 
-size_t IntersectPeriods(const int64_t* begin, const int64_t* end,
-                        const uint32_t* sel_in, size_t n_in, int64_t o_begin,
-                        int64_t o_end, uint32_t* sel_out, int64_t* out_begin,
-                        int64_t* out_end) {
-  size_t count = 0;
-  for (size_t k = 0; k < n_in; ++k) {
-    const uint32_t i = sel_in != nullptr ? sel_in[k] : static_cast<uint32_t>(k);
-    const int64_t b = begin[i] > o_begin ? begin[i] : o_begin;
-    const int64_t e = end[i] < o_end ? end[i] : o_end;
-    sel_out[count] = i;
-    out_begin[count] = b;
-    out_end[count] = e;
-    count += static_cast<unsigned>(b < e);
-  }
-  return count;
-}
-
-size_t IntersectBitemporal(const int64_t* v_begin, const int64_t* v_end,
-                           const int64_t* t_begin, const int64_t* t_end,
-                           const uint32_t* sel_in, size_t n_in,
-                           int64_t ov_begin, int64_t ov_end, int64_t ot_begin,
-                           int64_t ot_end, uint32_t* sel_out,
-                           int64_t* out_v_begin, int64_t* out_v_end,
-                           int64_t* out_t_begin, int64_t* out_t_end) {
-  size_t count = 0;
-  for (size_t k = 0; k < n_in; ++k) {
-    const uint32_t i = sel_in != nullptr ? sel_in[k] : static_cast<uint32_t>(k);
-    const int64_t vb = v_begin[i] > ov_begin ? v_begin[i] : ov_begin;
-    const int64_t ve = v_end[i] < ov_end ? v_end[i] : ov_end;
-    const int64_t tb = t_begin[i] > ot_begin ? t_begin[i] : ot_begin;
-    const int64_t te = t_end[i] < ot_end ? t_end[i] : ot_end;
-    sel_out[count] = i;
-    out_v_begin[count] = vb;
-    out_v_end[count] = ve;
-    out_t_begin[count] = tb;
-    out_t_end[count] = te;
-    count += static_cast<unsigned>(vb < ve) & static_cast<unsigned>(tb < te);
-  }
-  return count;
-}
-
 }  // namespace kernels
 }  // namespace temporadb

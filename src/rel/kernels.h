@@ -9,8 +9,9 @@ namespace kernels {
 
 /// Branch-free selection kernels over contiguous chronon columns.
 ///
-/// These are the innermost loops of the vectorized executor: a temporal
-/// predicate evaluated over a batch is one pass over `int64_t` columns,
+/// These are the innermost loops of the version store's batch scans
+/// (`VersionBatchScan`): a temporal predicate evaluated over a morsel of
+/// stored versions is one pass over `int64_t` columns,
 /// appending surviving row indexes to a *selection vector* instead of
 /// branching per row.  Every kernel follows the same convention:
 ///
@@ -75,30 +76,6 @@ size_t SelectLive(const uint8_t* live, size_t n, uint32_t* sel_out);
 /// candidates may reference tombstoned slots).
 size_t SelectLiveRefine(const uint8_t* live, const uint32_t* sel_in,
                         size_t n_in, uint32_t* sel_out);
-
-/// Pairwise period intersection against a fixed outer period: for each
-/// candidate `i` (from `sel_in`, or the dense range `[0, n_in)` when
-/// `sel_in` is null), computes `[max(o_begin, begin[i]), min(o_end, end[i]))`
-/// into `out_begin/out_end` (indexed by output position) and keeps the row
-/// iff the intersection is non-empty — exactly `Period::Intersect` followed
-/// by the executor's drop-if-empty rule.  This is the cross-product/join
-/// kernel: a pair exists exactly when both facts coexist.
-size_t IntersectPeriods(const int64_t* begin, const int64_t* end,
-                        const uint32_t* sel_in, size_t n_in, int64_t o_begin,
-                        int64_t o_end, uint32_t* sel_out, int64_t* out_begin,
-                        int64_t* out_end);
-
-/// Bitemporal variant: intersects valid AND transaction periods against a
-/// fixed outer pair in one pass, keeping a row only when both intersections
-/// are non-empty.  One fused loop instead of two chained passes, so the two
-/// compressed output-period arrays stay aligned by construction.
-size_t IntersectBitemporal(const int64_t* v_begin, const int64_t* v_end,
-                           const int64_t* t_begin, const int64_t* t_end,
-                           const uint32_t* sel_in, size_t n_in,
-                           int64_t ov_begin, int64_t ov_end, int64_t ot_begin,
-                           int64_t ot_end, uint32_t* sel_out,
-                           int64_t* out_v_begin, int64_t* out_v_end,
-                           int64_t* out_t_begin, int64_t* out_t_end);
 
 }  // namespace kernels
 }  // namespace temporadb

@@ -1,6 +1,7 @@
 #ifndef TEMPORADB_REL_OPERATORS_H_
 #define TEMPORADB_REL_OPERATORS_H_
 
+#include <optional>
 #include <vector>
 
 #include "rel/expression.h"
@@ -11,11 +12,8 @@ namespace temporadb {
 /// Classic relational operators over materialized rowsets.  Each returns a
 /// new rowset; temporal columns ride along untouched (selection and
 /// projection are snapshot-reducible — applying them per state is the same
-/// as applying them to the stamped representation).
-///
-/// These are thin materializing wrappers over the streaming batch cursors
-/// in rel/batch_cursor.h; build a cursor tree directly to pipeline without
-/// intermediate rowsets.
+/// as applying them to the stamped representation).  Each is a plain loop
+/// over its inputs' rows.
 
 /// Rows for which `pred` evaluates to true.
 Result<Rowset> Select(const Rowset& input, const Expr& pred);
@@ -54,6 +52,16 @@ Result<Rowset> SortBy(const Rowset& input, const std::vector<size_t>& keys);
 /// share no time dimension) are rejected with InvalidArgument rather than
 /// silently discarding both dimensions.
 Result<Rowset> CrossProduct(const Rowset& a, const Rowset& b);
+
+/// The temporal class of a product of rowsets of classes `a` and `b`: their
+/// meet, or InvalidArgument (naming the operation `op`) when they have none.
+Result<TemporalClass> ProductClass(TemporalClass a, TemporalClass b,
+                                   const char* op);
+
+/// Row `a` followed by row `b` in product class `cls`: values concatenated,
+/// each period `cls` maintains intersected.  Nullopt when an intersection
+/// is empty (the two facts never coexist).
+std::optional<Row> PairRows(const Row& a, const Row& b, TemporalClass cls);
 
 }  // namespace temporadb
 

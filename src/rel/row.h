@@ -25,7 +25,9 @@ struct Row {
     return a.values == b.values && a.valid == b.valid && a.txn == b.txn;
   }
 
-  /// Ordering for sort/distinct: values, then valid begin, then txn begin.
+  /// Ordering for sort/distinct: values, then the valid period, then the
+  /// transaction period (an absent period first; a present one by (begin,
+  /// end)).
   friend bool operator<(const Row& a, const Row& b);
 
   std::string ToString() const;

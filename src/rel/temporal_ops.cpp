@@ -1,8 +1,6 @@
 #include "rel/temporal_ops.h"
 
 #include "common/strings.h"
-#include "rel/batch_cursor.h"
-#include "rel/kernels.h"
 
 namespace temporadb {
 
@@ -100,30 +98,12 @@ Result<Rowset> Timeslice(const Rowset& input, Chronon v) {
   TemporalClass derived = input.has_txn_time() ? TemporalClass::kRollback
                                                : TemporalClass::kStatic;
   Rowset out(input.schema(), derived, input.data_model());
-  // Batch the input and slice each batch with one branch-free containment
-  // kernel over the contiguous valid-from/valid-to columns (identical to
-  // the per-row `Period::Contains` loop, minus the per-row branch).
-  BatchCursorPtr cursor = MakeRowsetBatchCursor(&input);
-  TDB_RETURN_IF_ERROR(cursor->Open());
-  SelectionVector sel;
-  while (true) {
-    TDB_ASSIGN_OR_RETURN(std::optional<Batch> batch, cursor->NextBatch());
-    if (!batch.has_value()) break;
-    sel.resize(batch->rows());
-    const size_t n = kernels::SelectContains(batch->valid_from.data(),
-                                             batch->valid_to.data(),
-                                             batch->rows(), v.days(),
-                                             sel.data());
-    for (size_t k = 0; k < n; ++k) {
-      const size_t i = sel[k];
-      Row sliced;
-      sliced.values.reserve(batch->width());
-      for (size_t c = 0; c < batch->width(); ++c) {
-        sliced.values.push_back(batch->columns[c][i]);
-      }
-      if (batch->has_txn) sliced.txn = batch->TxnAt(i);
-      TDB_RETURN_IF_ERROR(out.AddRow(std::move(sliced)));
-    }
+  for (const Row& row : input.rows()) {
+    if (!row.valid->Contains(v)) continue;
+    Row sliced;
+    sliced.values = row.values;
+    sliced.txn = row.txn;
+    TDB_RETURN_IF_ERROR(out.AddRow(std::move(sliced)));
   }
   return out;
 }

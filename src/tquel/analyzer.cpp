@@ -876,8 +876,8 @@ std::optional<AttributeKey> DmlProbeKey(const AstExprPtr& where,
     safe = safe && CannotFail(c, single);
     auto eq = MatchEqConstraint(c, single);
     // The B+-tree's exact lookup finds exactly the stored values `=` finds
-    // equal to the key, except for floats: a stored NaN compares equal to
-    // every number but is filed under none.
+    // equal to the key.  Float keys still take the walk until a test shows
+    // every plan agrees on them.
     if (!key.has_value() && eq.has_value() &&
         eq->second.value.type() != ValueType::kFloat &&
         p.relation->store()->HasAttributeIndex(eq->second.attr)) {

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "core/database.h"
 #include "core/paper_scenario.h"
 #include "tests/relation_test_util.h"
@@ -182,6 +185,48 @@ TEST_F(AttributeIndexQueryTest, IntAndDateKeys) {
   ASSERT_TRUE(by_date.ok()) << by_date.status().ToString();
   ASSERT_EQ(by_date->size(), 1u);
   EXPECT_EQ(by_date->rows()[0].values[0].AsString(), "b");
+}
+
+// A stored NaN equals no number: `=` against 2.0 finds the one 2.0 row on
+// the walk, through an index maintained while the NaN was written, and
+// through one built after it.
+TEST(AttributeIndexNaNTest, NaNKeyEqualsNoNumber) {
+  const char* query = "retrieve (r.x) where r.x = 2.0";
+  for (bool index_first : {false, true}) {
+    SCOPED_TRACE(index_first ? "index maintained" : "walk, then backfill");
+    ManualClock clock;
+    DatabaseOptions options;
+    options.clock = &clock;
+    std::unique_ptr<Database> db = std::move(*Database::Open(options));
+    ASSERT_TRUE(
+        db->Execute("create static relation t (x = float, n = int)").ok());
+    if (index_first) {
+      ASSERT_TRUE(db->Execute("create index on t (x)").ok());
+    }
+    ASSERT_TRUE(db->Execute("range of r is t").ok());
+    ASSERT_TRUE(db->Execute("append to t (x = 1.0, n = 1)").ok());
+    ASSERT_TRUE(db->Execute("append to t (x = 2.0, n = 2)").ok());
+    const std::string big = "1" + std::string(200, '0') + ".0";  // 1e200
+    ASSERT_TRUE(db->Execute("replace r (x = r.x * " + big + " * " + big +
+                            ") where r.n = 1")
+                    .ok());
+    ASSERT_TRUE(db->Execute("replace r (x = r.x - r.x) where r.n = 1")
+                    .ok());  // inf - inf
+    Result<Rowset> nan = db->Query("retrieve (r.x) where r.n = 1");
+    ASSERT_TRUE(nan.ok()) << nan.status().ToString();
+    ASSERT_EQ(nan->size(), 1u);
+    EXPECT_TRUE(std::isnan(nan->rows()[0].values[0].AsFloat()));
+
+    Result<Rowset> first = db->Query(query);
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(first->size(), 1u);
+    if (!index_first) {
+      ASSERT_TRUE(db->Execute("create index on t (x)").ok());
+      Result<Rowset> probe = db->Query(query);
+      ASSERT_TRUE(probe.ok()) << probe.status().ToString();
+      EXPECT_EQ(probe->size(), 1u);
+    }
+  }
 }
 
 TEST_F(AttributeIndexQueryTest, NonEqualityPredicatesUnaffected) {

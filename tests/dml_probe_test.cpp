@@ -355,9 +355,7 @@ TEST_F(DmlProbeTest, FloatLiteralOnIntAttributeWalks) {
   EXPECT_EQ(pair.Diff(kRelations), 0u);
 }
 
-// A float key stays on the walk: overflow can store a NaN, which
-// `Value::Compare` finds equal to every number while the B+-tree files it
-// under no number.
+// A float key stays on the walk, also where overflow has stored a NaN.
 TEST_F(DmlProbeTest, FloatKeyWalks) {
   Pair pair;
   pair.SetDay(kDay);

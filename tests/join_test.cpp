@@ -112,6 +112,26 @@ TEST(Join, RandomizedHashMatchesNestedLoop) {
   EXPECT_TRUE(Rowset::SameContent(*nl, *hash));
 }
 
+TEST(Join, HashEquiJoinRejectsClassesWithoutMeet) {
+  // Rollback keeps only transaction time, historical only valid time: no
+  // class keeps either, so the join is refused as CrossProduct refuses it.
+  Rowset r(NV("name", "k"), TemporalClass::kRollback);
+  Row rr;
+  rr.values = {Value("a"), Value(int64_t{1})};
+  rr.txn = Period(Chronon(0), Chronon(10));
+  ASSERT_TRUE(r.AddRow(rr).ok());
+  Rowset h(NV("name", "k"), TemporalClass::kHistorical);
+  Row hr;
+  hr.values = {Value("b"), Value(int64_t{1})};
+  hr.valid = Period(Chronon(5), Chronon(25));
+  ASSERT_TRUE(h.AddRow(hr).ok());
+  for (const auto& [a, b] : {std::pair(&r, &h), std::pair(&h, &r)}) {
+    Result<Rowset> out = HashEquiJoin(*a, *b, {1}, {1});
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(Join, MultiKeyJoin) {
   Rowset a(NV("n", "k"), TemporalClass::kStatic);
   Rowset b(NV("m", "j"), TemporalClass::kStatic);
