@@ -21,8 +21,8 @@ namespace {
 // --- Wide timeslice -------------------------------------------------------
 
 // "What held during [a, b)?" with the window spanning half the populated
-// valid-time domain, so nearly every version survives the index probe and
-// the cost is the residual overlap test, one kernel pass per batch.
+// valid-time domain, so nearly every version survives and the cost is the
+// sweep's kernel passes, one per batch.
 void RunWideTimeslice(benchmark::State& state, size_t batch_rows) {
   VersionStoreOptions options;
   if (batch_rows > 0) options.batch_rows = batch_rows;
@@ -62,15 +62,10 @@ void BM_WideTimeslice_BatchSize(benchmark::State& state) {
 // --- When join ------------------------------------------------------------
 
 // Two churned historical relations joined on key where their valid periods
-// overlap (the A5 scenario).  The interval index is off, so every inner
-// probe of the index-nested-loop join degrades to a residual sweep, which
-// disposes of each morsel with one branch-free kernel pass over the chronon
-// columns.  (With the index on, the probe is an exact treap lookup and
-// there is nothing left to vectorize; A5 covers that axis.)
+// overlap (the A5 scenario).  The equality key makes the inner side a hash
+// step, so each relation is materialized once by one batched sweep.
 bench::ScenarioDb BuildJoinPair(size_t per_relation) {
-  VersionStoreOptions options;
-  options.index_valid_time = false;
-  bench::ScenarioDb sdb = bench::OpenScenarioDb(options);
+  bench::ScenarioDb sdb = bench::OpenScenarioDb();
   Random rng(5);
   for (const char* name : {"a", "b"}) {
     Schema schema = *Schema::Make({Attribute{"key", Type::String()},

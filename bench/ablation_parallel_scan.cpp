@@ -36,7 +36,7 @@ constexpr size_t kChurn = 160000;
 struct ScanFixture {
   bench::ScenarioDb sdb;
   StoredRelation* rel = nullptr;
-  Period stab;     // A narrow valid window: index-selective, tiny candidates.
+  Period stab;     // A narrow valid window: few epochs survive pruning.
   Period window;   // A third of valid-time history: scan-bound candidates.
   Chronon asof;    // A past stored state (rollback probe).
 };
@@ -70,6 +70,17 @@ size_t Drain(VersionBatchScan scan) {
   return n;
 }
 
+// The writer's head-pin scan of the fixture's store under `preds`.
+size_t DrainHead(const VersionStore& store, BatchPredicates preds) {
+  return Drain(store.BatchScan(store.HeadPin(), preds));
+}
+
+BatchPredicates ValidOverlaps(Period window) {
+  BatchPredicates preds;
+  preds.valid_overlaps = window;
+  return preds;
+}
+
 // Points the fixture's store at a pool of `threads` workers for one
 // benchmark run (0 = sequential), restoring sequential mode on destruction.
 class ParallelGuard {
@@ -95,7 +106,7 @@ void BM_ParallelTimeslice(benchmark::State& state) {
   ParallelGuard guard(f.rel->store(), state.range(0));
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->BatchScanValidDuring(f.window));
+    answer = DrainHead(*f.rel->store(), ValidOverlaps(f.window));
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
@@ -103,15 +114,14 @@ void BM_ParallelTimeslice(benchmark::State& state) {
       static_cast<double>(f.rel->store()->version_count());
 }
 
-// A narrow stab stays below the morsel threshold: the interval index
-// already cut the candidates to a handful, and the flat series documents
-// that parallelism correctly does not engage where it cannot win.
+// A narrow stab: pruning leaves the few epochs whose valid-time bounds
+// meet it plus the hot tail, so the morsel workers have little to share.
 void BM_ParallelTimesliceStab(benchmark::State& state) {
   ScanFixture& f = SharedHistory();
   ParallelGuard guard(f.rel->store(), state.range(0));
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->BatchScanValidDuring(f.stab));
+    answer = DrainHead(*f.rel->store(), ValidOverlaps(f.stab));
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
@@ -120,18 +130,19 @@ void BM_ParallelTimesliceStab(benchmark::State& state) {
 void BM_ParallelRollbackCube(benchmark::State& state) {
   ScanFixture& f = SharedHistory();
   ParallelGuard guard(f.rel->store(), state.range(0));
+  BatchPredicates preds;
+  preds.txn_contains = f.asof;
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->BatchScanAsOf(f.asof));
+    answer = DrainHead(*f.rel->store(), preds);
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
 }
 
-// The temporal cube as a residual-filter full sweep (the no-pushdown
-// plan): both time predicates evaluated per version over the entire
-// >100k-row domain, i.e. the shape where the filter work itself — not the
-// index — dominates, and the morsel workers carry all of it.
+// The temporal cube: both time predicates evaluated per version over the
+// epochs that survive pruning, the shape where the filter work itself
+// dominates and the morsel workers carry all of it.
 void BM_ParallelTemporalCube(benchmark::State& state) {
   ScanFixture& f = SharedHistory();
   ParallelGuard guard(f.rel->store(), state.range(0));
@@ -140,7 +151,7 @@ void BM_ParallelTemporalCube(benchmark::State& state) {
   preds.valid_overlaps = f.stab;
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f.rel->store()->BatchScanAll(preds));
+    answer = DrainHead(*f.rel->store(), preds);
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);

@@ -40,14 +40,8 @@ Fixture* DeepHistory(size_t depth) {
   slot = std::make_unique<Fixture>();
   slot->clock = std::make_unique<ManualClock>();
   slot->manager = std::make_unique<TxnManager>(slot->clock.get());
-  // Secondary time indexes off: the sequential sweep is the access path
-  // pruning accelerates (and maintaining the interval index across a
-  // million-version build would dominate fixture setup).  Default 4096-row
-  // epochs; pruning toggled per arm below.
-  VersionStoreOptions options;
-  options.index_valid_time = false;
-  options.index_txn_time = false;
-  slot->store = std::make_unique<VersionStore>(options);
+  // Default 4096-row epochs; pruning toggled per arm below.
+  slot->store = std::make_unique<VersionStore>();
   bench::LargeHistoryOptions opts;
   opts.versions = depth;
   opts.seed = 17;
@@ -57,7 +51,9 @@ Fixture* DeepHistory(size_t depth) {
   return slot.get();
 }
 
-size_t Drain(VersionBatchScan scan) {
+// Drains the writer's head-pin scan of `store` under `preds`.
+size_t Drain(const VersionStore& store, BatchPredicates preds) {
+  VersionBatchScan scan = store.BatchScan(store.HeadPin(), preds);
   VersionBatch batch;
   size_t rows = 0;
   while (scan.Next(&batch)) rows += batch.size();
@@ -84,10 +80,12 @@ void RunTimeslice(benchmark::State& state, bool pruned) {
   f->store->ConfigurePartitionPruning(pruned);
   ScanStats stats;
   f->store->set_scan_stats(&stats);
-  const Period window(Chronon(f->first_day + 40), Chronon(f->first_day + 47));
+  BatchPredicates preds;
+  preds.valid_overlaps =
+      Period(Chronon(f->first_day + 40), Chronon(f->first_day + 47));
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f->store->BatchScanValidDuring(window));
+    answer = Drain(*f->store, preds);
     benchmark::DoNotOptimize(answer);
   }
   ReportStats(state, f, stats, answer);
@@ -102,10 +100,11 @@ void RunAsOf(benchmark::State& state, bool pruned) {
   f->store->ConfigurePartitionPruning(pruned);
   ScanStats stats;
   f->store->set_scan_stats(&stats);
-  const Chronon probe(f->first_day + 40);
+  BatchPredicates preds;
+  preds.txn_contains = Chronon(f->first_day + 40);
   size_t answer = 0;
   for (auto _ : state) {
-    answer = Drain(f->store->BatchScanAsOf(probe));
+    answer = Drain(*f->store, preds);
     benchmark::DoNotOptimize(answer);
   }
   ReportStats(state, f, stats, answer);

@@ -1,10 +1,9 @@
 // A5 — Temporal join scaling: TQuel when-joins evaluated through the full
 // query stack at increasing relation sizes.
-//  - `when x overlap y` alone, with the executor's `when` scan pushdown on
-//    and off: the inner side is an interval-index probe per outer tuple, or
-//    a full sweep filtered above the store.
+//  - `when x overlap y` alone: the inner side is a dynamic step, an
+//    interval-index probe per outer tuple on the writer path.
 //  - `where x.key = y.key when x overlap y`: the equality key makes the
-//    inner side a hash step, whatever the pushdown setting.
+//    inner side a hash step.
 //  - the non-temporal equi-join `where x.key = y.key` as a baseline.
 
 #include <benchmark/benchmark.h>
@@ -17,10 +16,8 @@ using namespace temporadb;
 
 namespace {
 
-bench::ScenarioDb BuildPair(size_t per_relation, bool time_pushdown = true) {
-  VersionStoreOptions options;
-  options.time_pushdown = time_pushdown;
-  bench::ScenarioDb sdb = bench::OpenScenarioDb(options);
+bench::ScenarioDb BuildPair(size_t per_relation) {
+  bench::ScenarioDb sdb = bench::OpenScenarioDb();
   Random rng(5);
   for (const char* name : {"a", "b"}) {
     Schema schema = *Schema::Make({Attribute{"key", Type::String()},
@@ -46,10 +43,8 @@ bench::ScenarioDb BuildPair(size_t per_relation, bool time_pushdown = true) {
   return sdb;
 }
 
-void RunQuery(benchmark::State& state, const char* query,
-              bool time_pushdown) {
-  bench::ScenarioDb sdb =
-      BuildPair(static_cast<size_t>(state.range(0)), time_pushdown);
+void RunQuery(benchmark::State& state, const char* query) {
+  bench::ScenarioDb sdb = BuildPair(static_cast<size_t>(state.range(0)));
   size_t answer = 0;
   for (auto _ : state) {
     Result<Rowset> rows = sdb.db->Query(query);
@@ -63,32 +58,24 @@ void RunQuery(benchmark::State& state, const char* query,
   state.counters["answer_rows"] = static_cast<double>(answer);
 }
 
-// With pushdown, the executor re-derives x's period per outer tuple and
-// probes b's interval index (`BatchScanValidDuring`), so the inner scan
-// touches only overlapping versions; without it, every inner version is
-// surfaced and the `when` predicate filters above the store.
-constexpr char kOverlapJoin[] = "retrieve (x.key) when x overlap y";
-void BM_WhenOverlap_Pushdown(benchmark::State& state) {
-  RunQuery(state, kOverlapJoin, true);
-}
-void BM_WhenOverlap_NoPushdown(benchmark::State& state) {
-  RunQuery(state, kOverlapJoin, false);
+// The executor re-derives x's period per outer tuple and probes b's
+// interval index with it, so the inner step touches only overlapping
+// versions.
+void BM_WhenOverlap(benchmark::State& state) {
+  RunQuery(state, "retrieve (x.key) when x overlap y");
 }
 
 void BM_WhenJoin_HashJoin(benchmark::State& state) {
-  RunQuery(state, "retrieve (x.key) where x.key = y.key when x overlap y",
-           true);
+  RunQuery(state, "retrieve (x.key) where x.key = y.key when x overlap y");
 }
 
 void BM_EquiJoinOnly(benchmark::State& state) {
-  RunQuery(state, "retrieve (x.key) where x.key = y.key", true);
+  RunQuery(state, "retrieve (x.key) where x.key = y.key");
 }
 
 }  // namespace
 
-BENCHMARK(BM_WhenOverlap_Pushdown)->Arg(50)->Arg(200)->Arg(800)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_WhenOverlap_NoPushdown)->Arg(50)->Arg(200)->Arg(800)
+BENCHMARK(BM_WhenOverlap)->Arg(50)->Arg(200)->Arg(800)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WhenJoin_HashJoin)->Arg(50)->Arg(200)->Arg(800)
     ->Unit(benchmark::kMillisecond);

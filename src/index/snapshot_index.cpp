@@ -10,54 +10,17 @@ Status SnapshotIndex::AddCurrent(RowId row, Chronon tt_start) {
   return Status::OK();
 }
 
-Status SnapshotIndex::AddClosed(RowId row, Period txn_period) {
-  if (txn_period.IsEmpty()) return Status::OK();
-  return closed_.Insert(txn_period, row);
-}
-
 Status SnapshotIndex::CloseCurrent(RowId row, Chronon tt_end) {
   auto it = current_.find(row);
   if (it == current_.end()) {
     return Status::FailedPrecondition("row is not in the current state");
   }
-  Chronon start = it->second;
-  if (tt_end < start) {
+  if (tt_end < it->second) {
     return Status::InvalidArgument(
         "transaction-time end precedes its start (clock went backwards?)");
   }
   current_.erase(it);
-  if (tt_end == start) {
-    // The version never covered a full chronon of stored state; it is
-    // invisible to every rollback and need not be indexed.
-    return Status::OK();
-  }
-  return closed_.Insert(Period(start, tt_end), row);
-}
-
-Status SnapshotIndex::ReopenAsCurrent(RowId row, Chronon tt_start,
-                                      Chronon closed_end) {
-  if (closed_end > tt_start) {
-    TDB_RETURN_IF_ERROR(closed_.Remove(Period(tt_start, closed_end), row));
-  }
-  return AddCurrent(row, tt_start);
-}
-
-void SnapshotIndex::AsOf(Chronon t, const std::function<void(RowId)>& fn) const {
-  closed_.Stab(t, [&](Period, RowId row) { fn(row); });
-  for (const auto& [row, start] : current_) {
-    if (start <= t) fn(row);
-  }
-}
-
-void SnapshotIndex::Overlapping(Period q,
-                                const std::function<void(RowId)>& fn) const {
-  if (q.IsEmpty()) return;
-  closed_.Overlapping(q, [&](Period, RowId row) { fn(row); });
-  for (const auto& [row, start] : current_) {
-    // A current version covers [start, ∞), which overlaps q iff q extends
-    // past its start.
-    if (start < q.end()) fn(row);
-  }
+  return Status::OK();
 }
 
 void SnapshotIndex::Current(const std::function<void(RowId)>& fn) const {

@@ -4,24 +4,22 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <vector>
 
-#include "common/period.h"
+#include "common/chronon.h"
 #include "common/result.h"
-#include "index/interval_index.h"
 
 namespace temporadb {
 
-/// The transaction-time access path for rollback and temporal relations.
+/// The current-row set of a version store: every version whose transaction
+/// period is still open (`end == ∞`), keyed by row.
 ///
-/// A version's transaction-time period is special: it starts closed-ended
-/// into the *current state* (`end == ∞`) and is closed exactly once, when a
-/// later transaction supersedes or deletes it (append-only discipline, §4.2).
-/// `SnapshotIndex` exploits that shape: the open (current) versions sit in a
-/// hash-ish map keyed by row, closed versions in an `IntervalIndex`.  The
-/// common query — rollback to `now` — touches only the current set; rollback
-/// to a past instant is a stab of the closed set plus a filter of the
-/// current set.
+/// A version's transaction-time period enters the *current state* open-ended
+/// and is closed exactly once, when a later transaction supersedes or
+/// deletes it (append-only discipline, §4.2).  DML only ever touches the
+/// current state, so the victim walk of kinds with transaction time
+/// (`StoredRelation::SelectVictims`) and `VersionStore::current_count()`
+/// read this set instead of sweeping history.  Rollback to a past state is
+/// a pinned scan, not an index probe (DESIGN.md §8).
 class SnapshotIndex {
  public:
   using RowId = uint64_t;
@@ -31,31 +29,15 @@ class SnapshotIndex {
   SnapshotIndex& operator=(const SnapshotIndex&) = delete;
 
   /// Registers a version entering the current state at `tt_start`.
+  /// AlreadyExists when the row is already current.
   Status AddCurrent(RowId row, Chronon tt_start);
 
-  /// Registers a version whose transaction period is already closed
-  /// (checkpoint load path).  Empty periods are ignored.
-  Status AddClosed(RowId row, Period txn_period);
-
   /// Closes a current version at `tt_end` (the version stops being part of
-  /// the stored state).  FailedPrecondition if the row is not current, or if
-  /// `tt_end` precedes its start.
+  /// the stored state).  FailedPrecondition if the row is not current, or
+  /// InvalidArgument if `tt_end` precedes its start.
   Status CloseCurrent(RowId row, Chronon tt_end);
 
-  /// Undo path: moves a previously closed version back into the current
-  /// set.  `closed_end` is the end the version was closed with (equal to
-  /// `tt_start` when the close produced a zero-length, unindexed period).
-  Status ReopenAsCurrent(RowId row, Chronon tt_start, Chronon closed_end);
-
-  /// Calls `fn(row)` for every version in the stored state as of `t`.
-  void AsOf(Chronon t, const std::function<void(RowId)>& fn) const;
-
-  /// Calls `fn(row)` for every version whose transaction period overlaps
-  /// `q` (the `as of ... through ...` access path): a range query of the
-  /// closed set plus the current versions that started before `q` ends.
-  void Overlapping(Period q, const std::function<void(RowId)>& fn) const;
-
-  /// Calls `fn(row)` for every current (open-ended) version.
+  /// Calls `fn(row)` for every current (open-ended) version, in row order.
   void Current(const std::function<void(RowId)>& fn) const;
 
   /// True when the row is in the current state.
@@ -65,17 +47,12 @@ class SnapshotIndex {
   Result<Chronon> CurrentStart(RowId row) const;
 
   size_t current_count() const { return current_.size(); }
-  size_t closed_count() const { return closed_.size(); }
 
   /// Removes every entry (used when rebuilding after compaction).
-  void Clear() {
-    current_.clear();
-    closed_.Clear();
-  }
+  void Clear() { current_.clear(); }
 
  private:
   std::map<RowId, Chronon> current_;
-  IntervalIndex closed_;
 };
 
 }  // namespace temporadb

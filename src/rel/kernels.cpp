@@ -37,18 +37,6 @@ size_t SelectOverlapsRefine(const int64_t* begin, const int64_t* end,
   return count;
 }
 
-size_t SelectContains(const int64_t* begin, const int64_t* end, size_t n,
-                      int64_t t, uint32_t* sel_out) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const unsigned keep = static_cast<unsigned>(begin[i] <= t) &
-                          static_cast<unsigned>(t < end[i]);
-    sel_out[count] = static_cast<uint32_t>(i);
-    count += keep;
-  }
-  return count;
-}
-
 size_t SelectContainsRefine(const int64_t* begin, const int64_t* end,
                             const uint32_t* sel_in, size_t n_in, int64_t t,
                             uint32_t* sel_out) {
@@ -59,16 +47,6 @@ size_t SelectContainsRefine(const int64_t* begin, const int64_t* end,
                           static_cast<unsigned>(t < end[i]);
     sel_out[count] = i;
     count += keep;
-  }
-  return count;
-}
-
-size_t SelectEndEquals(const int64_t* end, size_t n, int64_t key,
-                       uint32_t* sel_out) {
-  size_t count = 0;
-  for (size_t i = 0; i < n; ++i) {
-    sel_out[count] = static_cast<uint32_t>(i);
-    count += static_cast<unsigned>(end[i] == key);
   }
   return count;
 }
@@ -88,17 +66,6 @@ size_t SelectLive(const uint8_t* live, size_t n, uint32_t* sel_out) {
   size_t count = 0;
   for (size_t i = 0; i < n; ++i) {
     sel_out[count] = static_cast<uint32_t>(i);
-    count += static_cast<unsigned>(live[i] != 0);
-  }
-  return count;
-}
-
-size_t SelectLiveRefine(const uint8_t* live, const uint32_t* sel_in,
-                        size_t n_in, uint32_t* sel_out) {
-  size_t count = 0;
-  for (size_t k = 0; k < n_in; ++k) {
-    const uint32_t i = sel_in[k];
-    sel_out[count] = i;
     count += static_cast<unsigned>(live[i] != 0);
   }
   return count;

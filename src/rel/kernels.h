@@ -52,30 +52,20 @@ size_t SelectOverlapsRefine(const int64_t* begin, const int64_t* end,
                             int64_t q_begin, int64_t q_end,
                             uint32_t* sel_out);
 
-/// Rows whose period contains the instant `t` (`begin <= t < end`).
-size_t SelectContains(const int64_t* begin, const int64_t* end, size_t n,
-                      int64_t t, uint32_t* sel_out);
-
+/// Refine: rows among `sel_in` whose period contains the instant `t`
+/// (`begin <= t < end`).
 size_t SelectContainsRefine(const int64_t* begin, const int64_t* end,
                             const uint32_t* sel_in, size_t n_in, int64_t t,
                             uint32_t* sel_out);
 
-/// Rows whose period end equals `key` — with `key == Chronon::kForeverRep`,
-/// the current-state test.
-size_t SelectEndEquals(const int64_t* end, size_t n, int64_t key,
-                       uint32_t* sel_out);
-
+/// Refine: rows among `sel_in` whose period end equals `key` — with
+/// `key == Chronon::kForeverRep`, the current-state test.
 size_t SelectEndEqualsRefine(const int64_t* end, const uint32_t* sel_in,
                              size_t n_in, int64_t key, uint32_t* sel_out);
 
 /// Rows whose `live[i]` byte is nonzero (tombstone mask of a version-store
 /// morsel).  The dense seed of a kernel chain over stored versions.
 size_t SelectLive(const uint8_t* live, size_t n, uint32_t* sel_out);
-
-/// Refine: liveness over the `n_in` candidates in `sel_in` (index-probe
-/// candidates may reference tombstoned slots).
-size_t SelectLiveRefine(const uint8_t* live, const uint32_t* sel_in,
-                        size_t n_in, uint32_t* sel_out);
 
 }  // namespace kernels
 }  // namespace temporadb

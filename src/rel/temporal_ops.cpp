@@ -6,12 +6,11 @@ namespace temporadb {
 
 namespace {
 
-Row RowFrom(const BitemporalTuple& t, bool with_valid, bool with_txn) {
-  Row row;
-  row.values = t.values;
-  if (with_valid) row.valid = t.valid;
-  if (with_txn) row.txn = t.txn;
-  return row;
+// The rollback window of transaction time `t` (§4.2): the state then.
+ScanSpec AsOf(Chronon t) {
+  ScanSpec spec;
+  spec.asof = Period::At(t);
+  return spec;
 }
 
 // Adds every version `scan` yields to `out`: values copied from the stored
@@ -44,8 +43,9 @@ Result<Rowset> ScanStored(const StoredRelation& rel) {
   Rowset out(rel.schema(), cls, rel.data_model());
   const bool with_valid = SupportsValidTime(cls);
   const bool with_txn = SupportsTransactionTime(cls);
-  TDB_RETURN_IF_ERROR(
-      AddScanned(rel.store()->BatchScanAll(), with_valid, with_txn, &out));
+  const VersionStore* store = rel.store();
+  TDB_RETURN_IF_ERROR(AddScanned(store->BatchScan(store->HeadPin(), {}),
+                                 with_valid, with_txn, &out));
   return out;
 }
 
@@ -65,10 +65,8 @@ Result<Rowset> Rollback(const StoredRelation& rel, Chronon t) {
                               : TemporalClass::kHistorical;
   Rowset out(rel.schema(), derived, rel.data_model());
   const bool with_valid = SupportsValidTime(derived);
-  for (RowId row : rel.store()->TxnAsOf(t)) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* tuple, rel.store()->Get(row));
-    TDB_RETURN_IF_ERROR(out.AddRow(RowFrom(*tuple, with_valid, false)));
-  }
+  TDB_RETURN_IF_ERROR(
+      AddScanned(rel.BatchScan(AsOf(t)), with_valid, false, &out));
   return out;
 }
 
@@ -82,10 +80,8 @@ Result<Rowset> RollbackKeepTxn(const StoredRelation& rel, Chronon t) {
   }
   Rowset out(rel.schema(), cls, rel.data_model());
   const bool with_valid = SupportsValidTime(cls);
-  for (RowId row : rel.store()->TxnAsOf(t)) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* tuple, rel.store()->Get(row));
-    TDB_RETURN_IF_ERROR(out.AddRow(RowFrom(*tuple, with_valid, true)));
-  }
+  TDB_RETURN_IF_ERROR(
+      AddScanned(rel.BatchScan(AsOf(t)), with_valid, true, &out));
   return out;
 }
 

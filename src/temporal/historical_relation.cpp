@@ -15,14 +15,6 @@ Status HistoricalRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-VersionBatchScan HistoricalRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) return SnapshotScan(spec);
-  if (spec.valid_during.has_value() && store_.options().time_pushdown) {
-    return store_.BatchScanValidDuring(*spec.valid_during);
-  }
-  return store_.BatchScanAll();
-}
-
 Result<size_t> HistoricalRelation::DoDeleteWhere(Transaction* txn,
                                                  const VictimFilter& match,
                                                  std::optional<Period> valid) {

@@ -32,11 +32,6 @@ class HistoricalRelation : public StoredRelation {
   Status Append(Transaction* txn, std::vector<Value> values,
                 std::optional<Period> valid) override;
 
-  /// `valid_during` probes the interval index over valid periods; `asof`
-  /// is ignored — transaction time is not maintained (a rollback over a
-  /// historical relation is rejected by the analyzer).
-  VersionBatchScan BatchScan(const ScanSpec& spec) const override;
-
   Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,
                                std::optional<Period> valid) override;
 

@@ -25,10 +25,18 @@ namespace temporadb {
 /// same-day post-pin close.  `ts` records the last published commit
 /// timestamp at pin time; by timestamp monotonicity (TxnManager's clamp)
 /// every row under the watermark satisfies `tt_start <= ts`.
+///
+/// The writer reads at a *head pin* (`VersionStore::HeadPin`): `seq` is
+/// `kHeadSeq`, so no close is patched back, and `rows` covers every stored
+/// row, the open transaction's own included.
 struct SnapshotPin {
+  static constexpr uint64_t kHeadSeq = UINT64_MAX;
+
   uint64_t seq = 0;                    ///< Commits published at/before pin.
   uint64_t rows = 0;                   ///< Committed-row watermark.
   Chronon ts = Chronon::Beginning();   ///< Last published commit timestamp.
+
+  bool IsHead() const { return seq == kHeadSeq; }
 };
 
 /// Shared coordination state between the single serialized writer and

@@ -15,21 +15,6 @@ Status RollbackRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-VersionBatchScan RollbackRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) return SnapshotScan(spec);
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (store_.options().time_pushdown) {
-      if (w.IsInstant()) return store_.BatchScanAsOf(w.begin());
-      return store_.BatchScanTxnOverlapping(w);
-    }
-    BatchPredicates preds;
-    preds.txn_overlaps = w;
-    return store_.BatchScanAll(std::move(preds));
-  }
-  return store_.BatchScanCurrent();
-}
-
 Result<size_t> RollbackRelation::DoDeleteWhere(Transaction* txn,
                                                const VictimFilter& match,
                                                std::optional<Period> valid) {

@@ -29,12 +29,6 @@ class RollbackRelation : public StoredRelation {
   Status Append(Transaction* txn, std::vector<Value> values,
                 std::optional<Period> valid) override;
 
-  /// `asof` probes the snapshot index (stab for an instant window, range
-  /// query for `as of ... through`); without it, only the current stored
-  /// state is scanned.  `valid_during` is ignored — valid time is not
-  /// maintained.
-  VersionBatchScan BatchScan(const ScanSpec& spec) const override;
-
   Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,
                                std::optional<Period> valid) override;
 

@@ -1,17 +1,34 @@
 #include "temporal/snapshot.h"
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 namespace temporadb {
 
+namespace {
+
+// Calls `fn` on every version in the stored state as of transaction time
+// `t`: the head-pin sweep with a transaction-time containment predicate.
+void ForEachAsOf(const VersionStore& store, Chronon t,
+                 const std::function<void(const BitemporalTuple&)>& fn) {
+  BatchPredicates preds;
+  preds.txn_contains = t;
+  VersionBatchScan scan = store.BatchScan(store.HeadPin(), preds);
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    for (const BitemporalTuple* tuple : batch.tuples) fn(*tuple);
+  }
+}
+
+}  // namespace
+
 StaticState RollbackSlice(const VersionStore& store, Chronon t) {
   StaticState state;
   state.at = t;
-  for (RowId row : store.TxnAsOf(t)) {
-    Result<const BitemporalTuple*> tuple = store.Get(row);
-    if (tuple.ok()) state.rows.push_back((*tuple)->values);
-  }
+  ForEachAsOf(store, t, [&](const BitemporalTuple& tuple) {
+    state.rows.push_back(tuple.values);
+  });
   std::sort(state.rows.begin(), state.rows.end());
   return state;
 }
@@ -34,10 +51,9 @@ StaticState ValidTimeslice(const VersionStore& store, Chronon v) {
 HistoricalState HistoricalStateAsOf(const VersionStore& store, Chronon t) {
   HistoricalState state;
   state.at = t;
-  for (RowId row : store.TxnAsOf(t)) {
-    Result<const BitemporalTuple*> tuple = store.Get(row);
-    if (tuple.ok()) state.rows.push_back(**tuple);
-  }
+  ForEachAsOf(store, t, [&](const BitemporalTuple& tuple) {
+    state.rows.push_back(tuple);
+  });
   std::sort(state.rows.begin(), state.rows.end(),
             [](const BitemporalTuple& a, const BitemporalTuple& b) {
               if (a.values != b.values) return a.values < b.values;

@@ -16,12 +16,6 @@ Status StaticRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-VersionBatchScan StaticRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) return SnapshotScan(spec);
-  // Both periods are degenerate; no window can prune anything.
-  return store_.BatchScanAll();
-}
-
 Result<size_t> StaticRelation::DoDeleteWhere(Transaction* txn,
                                              const VictimFilter& match,
                                              std::optional<Period> valid) {

@@ -23,11 +23,6 @@ class StaticRelation : public StoredRelation {
   Status Append(Transaction* txn, std::vector<Value> values,
                 std::optional<Period> valid) override;
 
-  /// No time dimension is maintained, so there is nothing to push down:
-  /// always a full scan (the analyzer rejects `as of` / `when` on static
-  /// relations before a spec could carry a window here).
-  VersionBatchScan BatchScan(const ScanSpec& spec) const override;
-
   Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,
                                std::optional<Period> valid) override;
 

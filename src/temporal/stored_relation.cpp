@@ -48,15 +48,13 @@ Result<std::vector<RowId>> StoredRelation::SelectVictims(
   if (match.key.has_value()) {
     TDB_ASSIGN_OR_RETURN(candidates, store_.LookupAttribute(
                                          match.key->attr, match.key->value));
-    probe = !current_only || !store_.options().index_txn_time ||
-            candidates.size() <= store_.current_count();
+    probe = !current_only || candidates.size() <= store_.current_count();
   }
   if (probe) {
     // The walk's order: the interval index yields (valid begin, row).
-    const bool by_begin = valid_walk && store_.options().index_valid_time;
     const int64_t* begin = store_.chronon_valid_from();
     std::sort(candidates.begin(), candidates.end(), [&](RowId a, RowId b) {
-      return by_begin && begin[a] != begin[b] ? begin[a] < begin[b] : a < b;
+      return valid_walk && begin[a] != begin[b] ? begin[a] < begin[b] : a < b;
     });
   } else if (current_only) {
     candidates = store_.CurrentRows();
@@ -111,9 +109,10 @@ Result<size_t> StoredRelation::ReplaceWhere(
   return DoReplaceWhere(txn, {pred, when, key}, updates, std::move(valid));
 }
 
-VersionBatchScan StoredRelation::SnapshotScan(const ScanSpec& spec) const {
+VersionBatchScan StoredRelation::BatchScan(const ScanSpec& spec) const {
   // Without transaction time every row under the pin is visible: in-place
-  // corrections cannot run while snapshots are pinned.
+  // corrections cannot run while reader pins are held, and a head pin sees
+  // the writer's own.
   BatchPredicates preds;
   if (SupportsTransactionTime(info_.temporal_class)) {
     if (!spec.asof.has_value()) {
@@ -127,7 +126,10 @@ VersionBatchScan StoredRelation::SnapshotScan(const ScanSpec& spec) const {
   if (SupportsValidTime(info_.temporal_class)) {
     preds.valid_overlaps = spec.valid_during;
   }
-  return store_.BatchScanSnapshot(*spec.snapshot, std::move(preds));
+  // A reader thread must not compute the head pin: it reads writer state.
+  return store_.BatchScan(
+      spec.snapshot.has_value() ? *spec.snapshot : store_.HeadPin(),
+      std::move(preds));
 }
 
 Status StoredRelation::CreateIndex(std::string_view attribute) {

@@ -51,21 +51,21 @@ using UpdateSpec = std::vector<UpdateAction>;
 /// An assignment to a constant value.
 UpdateAction ConstUpdate(size_t index, Value v);
 
-/// The time windows a query pushes down into a relation scan.  Both are
-/// *candidate pruning* hints: a scan may yield a superset of the matching
-/// versions (the evaluator re-checks exact predicates per tuple), but must
-/// never drop a version whose transaction period overlaps `asof` / whose
-/// valid period overlaps `valid_during`.
+/// The time windows a query pushes down into a relation scan.  The scan
+/// yields exactly the visible versions whose transaction period overlaps
+/// `asof` and whose valid period overlaps `valid_during` (for the
+/// dimensions the kind maintains); the evaluator still re-checks its exact
+/// predicates per tuple.
 struct ScanSpec {
   /// Transaction-time window of an `as of [... through ...]` clause.
   std::optional<Period> asof;
   /// Valid-time window implied by a `when` / `valid` predicate.
   std::optional<Period> valid_during;
-  /// When set, the scan runs in snapshot-isolated mode against this pin
-  /// (see `Database::BeginReadSnapshot`): it is safe on a non-writer thread
+  /// When set, the scan runs against this reader pin (see
+  /// `Database::BeginReadSnapshot`): it is safe on a non-writer thread
   /// during concurrent commits, sees only rows/closes published at or
-  /// before the pin, never touches the store's mutable indexes, and is
-  /// exempt from the mutation-epoch staleness check.
+  /// before the pin, and is exempt from the mutation-epoch staleness
+  /// check.  Empty: the writer's head pin.
   std::optional<SnapshotPin> snapshot;
 };
 
@@ -137,25 +137,24 @@ class StoredRelation {
       Transaction* txn, const TuplePredicate& pred,
       const std::optional<AttributeKey>& key = {});
 
-  /// Index-aware scan entry point.  Each kind resolves `spec` against the
-  /// time dimensions it maintains and the store's index configuration,
-  /// picking the narrowest access path:
+  /// The relation's one scan: the state at a pin, as a pin-bounded,
+  /// partition-pruned kernel sweep.  `spec.snapshot` names a reader pin;
+  /// empty means the writer's head pin (`VersionStore::HeadPin`), which
+  /// also sees the open transaction's own appends and closes.  Each kind
+  /// turns the windows it maintains into predicates:
   ///
   /// | kind       | `asof`                  | `valid_during`                |
   /// |------------|-------------------------|-------------------------------|
   /// | static     | ignored (no time)       | ignored (no time)             |
-  /// | rollback   | snapshot-index probe    | ignored (no valid time)       |
-  /// | historical | ignored (no txn time)   | interval-index probe          |
-  /// | temporal   | snapshot-index probe    | interval index / residual     |
+  /// | rollback   | txn contains / overlaps | ignored (no valid time)       |
+  /// | historical | ignored (no txn time)   | valid overlaps                |
+  /// | temporal   | txn contains / overlaps | valid overlaps                |
   ///
-  /// Without `asof`, kinds with transaction time scan only the current
-  /// stored state.  With `store()->options().time_pushdown == false`, every
-  /// window degrades to a sequential sweep plus filter (the ablation
-  /// baseline).  The scan yields columnar `VersionBatch`es of
-  /// `store()->options().batch_rows` in ascending row order, whatever the
-  /// path; residual time predicates run as branch-free kernels over the
-  /// store's chronon columns.
-  virtual VersionBatchScan BatchScan(const ScanSpec& spec) const = 0;
+  /// Without `asof`, kinds with transaction time read only the current
+  /// stored state (a rollback to the latest state, §4.2).  The scan yields
+  /// columnar `VersionBatch`es of `store()->options().batch_rows` in
+  /// ascending row order.
+  VersionBatchScan BatchScan(const ScanSpec& spec) const;
 
   /// Creates a secondary index on the named attribute (used by the query
   /// evaluator for equality predicates).
@@ -184,11 +183,6 @@ class StoredRelation {
   /// row.  Visibility, `when`, `window` and `pred` then filter them.
   Result<std::vector<RowId>> SelectVictims(const VictimFilter& match,
                                            std::optional<Period> window) const;
-
-  /// The snapshot arm of `BatchScan`: every index and epoch check is
-  /// bypassed (the pin bounds the rows), and the spec's windows become
-  /// residual predicates that reproduce the index arms exactly.
-  VersionBatchScan SnapshotScan(const ScanSpec& spec) const;
 
   /// Validates arity/types and coerces values against the schema.
   Result<std::vector<Value>> CheckValues(std::vector<Value> values) const;

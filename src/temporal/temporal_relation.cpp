@@ -15,36 +15,6 @@ Status TemporalRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-VersionBatchScan TemporalRelation::BatchScan(const ScanSpec& spec) const {
-  if (spec.snapshot.has_value()) return SnapshotScan(spec);
-  if (spec.asof.has_value()) {
-    const Period w = *spec.asof;
-    if (store_.options().time_pushdown) {
-      // When the query constrains both times, the interval index is the
-      // better access path: `when` windows are typically narrow, while in
-      // an append-heavy history almost every version is alive at any given
-      // as-of instant, so the snapshot index barely prunes.
-      if (spec.valid_during.has_value() && store_.options().index_valid_time) {
-        BatchPredicates preds;
-        preds.txn_overlaps = w;
-        return store_.BatchScanValidDuring(*spec.valid_during,
-                                           std::move(preds));
-      }
-      if (w.IsInstant()) return store_.BatchScanAsOf(w.begin());
-      return store_.BatchScanTxnOverlapping(w);
-    }
-    BatchPredicates preds;
-    preds.txn_overlaps = w;
-    return store_.BatchScanAll(std::move(preds));
-  }
-  if (spec.valid_during.has_value() && store_.options().time_pushdown) {
-    BatchPredicates preds;
-    preds.txn_current = true;
-    return store_.BatchScanValidDuring(*spec.valid_during, std::move(preds));
-  }
-  return store_.BatchScanCurrent();
-}
-
 Result<size_t> TemporalRelation::DoDeleteWhere(Transaction* txn,
                                                const VictimFilter& match,
                                                std::optional<Period> valid) {

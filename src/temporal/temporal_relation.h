@@ -30,13 +30,6 @@ class TemporalRelation : public StoredRelation {
   Status Append(Transaction* txn, std::vector<Value> values,
                 std::optional<Period> valid) override;
 
-  /// Both windows are honored.  With `asof`, the snapshot index picks the
-  /// transaction-time candidates and `valid_during` rides along as a
-  /// residual filter; without it, the scan covers the current historical
-  /// state — via the interval index when `valid_during` is present (plus a
-  /// current-state residual), via the current set otherwise.
-  VersionBatchScan BatchScan(const ScanSpec& spec) const override;
-
   Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,
                                std::optional<Period> valid) override;
 

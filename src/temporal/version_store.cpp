@@ -27,98 +27,42 @@ bool NeverMatches(const BatchPredicates& p) {
 // VersionBatchScan
 // ---------------------------------------------------------------------------
 
-VersionBatchScan::VersionBatchScan(const VersionStore* store,
-                                   BatchPredicates preds)
-    : store_(store),
-      sequential_(true),
-      preds_(preds),
-      limit_(store->version_count()),
-      epoch_(store->mutation_epoch()),
-      batch_rows_(store->options().batch_rows == 0 ? 1
-                                                   : store->options().batch_rows) {
-  assert(limit_ <= std::numeric_limits<uint32_t>::max() &&
-         "selection vectors index rows as uint32");
-  if (NeverMatches(preds_)) {
-    limit_ = 0;
-  } else {
-    ranges_ = store->PruneRanges(preds_, limit_, nullptr);
-    chunks_ = exec::RangeChunks(ranges_, batch_rows_);
-    if (ScanStats* stats = store->options().scan_stats) {
-      stats->batch_morsels_formed.fetch_add(chunks_.size(),
-                                            std::memory_order_relaxed);
-    }
-  }
-}
-
-VersionBatchScan::VersionBatchScan(const VersionStore* store,
-                                   std::vector<RowId> rows,
-                                   BatchPredicates preds)
-    : store_(store),
-      sequential_(false),
-      rows_(std::move(rows)),
-      preds_(preds),
-      limit_(store->version_count()),
-      epoch_(store->mutation_epoch()),
-      batch_rows_(store->options().batch_rows == 0 ? 1
-                                                   : store->options().batch_rows) {
-  assert(limit_ <= std::numeric_limits<uint32_t>::max() &&
-         "selection vectors index rows as uint32");
-  // Index probes yield lookup order with possible repeats; sort and dedupe
-  // so batches ascend.
-  std::sort(rows_.begin(), rows_.end());
-  rows_.erase(std::unique(rows_.begin(), rows_.end()), rows_.end());
-  if (NeverMatches(preds_)) rows_.clear();
-}
-
 VersionBatchScan::VersionBatchScan(const VersionStore* store, SnapshotPin pin,
                                    BatchPredicates preds)
     : store_(store),
-      sequential_(true),
       preds_(preds),
-      limit_(pin.rows),
-      epoch_(0),
-      snapshot_(true),
       pin_(pin),
+      // The epoch is writer state: a reader pin must not load it.
+      epoch_(pin.IsHead() ? store->mutation_epoch() : 0),
       batch_rows_(store->options().batch_rows == 0
                       ? 1
                       : store->options().batch_rows) {
-  assert(limit_ <= std::numeric_limits<uint32_t>::max() &&
+  assert(pin_.rows <= std::numeric_limits<uint32_t>::max() &&
          "selection vectors index rows as uint32");
-  if (NeverMatches(preds_)) {
-    limit_ = 0;
-  } else {
-    ranges_ = store->PruneRanges(preds_, limit_, &pin_);
-    chunks_ = exec::RangeChunks(ranges_, batch_rows_);
-    if (ScanStats* stats = store->options().scan_stats) {
-      stats->batch_morsels_formed.fetch_add(chunks_.size(),
-                                            std::memory_order_relaxed);
-    }
+  if (NeverMatches(preds_)) return;
+  ranges_ = store->PruneRanges(preds_, pin_);
+  chunks_ = exec::RangeChunks(ranges_, batch_rows_);
+  if (ScanStats* stats = store->options().scan_stats) {
+    stats->batch_morsels_formed.fetch_add(chunks_.size(),
+                                          std::memory_order_relaxed);
   }
 }
 
 bool VersionBatchScan::ShouldRunParallel() const {
-  // Snapshot scans stay on the calling reader thread (see VersionBatchScan).
-  if (snapshot_) return false;
+  // Reader-pin scans stay on the calling reader thread (see
+  // VersionBatchScan).
+  if (!pin_.IsHead()) return false;
   const VersionStoreOptions& o = store_->options();
   if (!o.parallel_scan || o.exec_pool == nullptr) return false;
-  const size_t domain = sequential_ ? limit_ : rows_.size();
-  return domain >= o.parallel_min_rows;
+  return pin_.rows >= o.parallel_min_rows;
 }
 
-void VersionBatchScan::ProbeRangeSnapshot(size_t begin, size_t end,
-                                          VersionBatch* out) const {
-  // Reader-thread probe.  Differences from ProbeRange, all forced by the
-  // concurrent writer:
-  //  - `tt_end` is read once per row through the close-sequence patch
-  //    (atomic loads) into a scratch column; the kernels then run over the
-  //    scratch, so no plain kernel load can race an in-place close;
-  //  - the kernel chain is *range-relative* (column pointers offset by
-  //    `begin`, scratch indexed from 0) rather than rebased to absolute
-  //    ids, because the scratch only spans `[begin, end)`;
-  //  - the gather bypasses `Get()` (which reads writer-side size state)
-  //    via `TuplePinned`.
-  // Snapshot domains are always sequential, so `[begin, end)` is a
-  // contiguous row range.
+void VersionBatchScan::ProbeRange(size_t begin, size_t end,
+                                  VersionBatch* out) const {
+  // The kernel chain is *range-relative* (column pointers offset by
+  // `begin`, scratch indexed from 0), because the effective-tt_end scratch
+  // only spans `[begin, end)`; the gather goes through `TuplePinned`, which
+  // reads no writer-side size state.
   const size_t n = end - begin;
   if (n == 0) return;
   const int64_t* vf = store_->chronon_valid_from() + begin;
@@ -126,6 +70,8 @@ void VersionBatchScan::ProbeRangeSnapshot(size_t begin, size_t end,
   const int64_t* ts = store_->chronon_tt_start() + begin;
   const uint8_t* live = store_->chronon_live() + begin;
 
+  // Ping-pong selection vectors: each kernel pass refines `cur` into `nxt`.
+  // Small probes stay on the stack; only real batches pay an allocation.
   constexpr size_t kStackSel = 64;
   uint32_t stack_a[kStackSel];
   uint32_t stack_b[kStackSel];
@@ -171,6 +117,8 @@ void VersionBatchScan::ProbeRangeSnapshot(size_t begin, size_t end,
     std::swap(cur, nxt);
   }
 
+  // Gather the survivors: borrowed tuple pointers plus copies of their
+  // chronon entries, so downstream kernels keep running over flat arrays.
   for (size_t k = 0; k < cnt; ++k) {
     const size_t rel = cur[k];
     const RowId row = begin + rel;
@@ -183,133 +131,31 @@ void VersionBatchScan::ProbeRangeSnapshot(size_t begin, size_t end,
   }
 }
 
-void VersionBatchScan::ProbeRange(size_t begin, size_t end,
-                                  VersionBatch* out) const {
-  if (snapshot_) {
-    ProbeRangeSnapshot(begin, end, out);
-    return;
-  }
-  const size_t n = end - begin;
-  if (n == 0) return;
-  const int64_t* vf = store_->chronon_valid_from();
-  const int64_t* vt = store_->chronon_valid_to();
-  const int64_t* ts = store_->chronon_tt_start();
-  const int64_t* te = store_->chronon_tt_end();
-  const uint8_t* live = store_->chronon_live();
-
-  // Ping-pong selection vectors: each kernel pass refines `cur` into `nxt`.
-  // Small probes (index-nested-loop joins pull a handful of candidates per
-  // outer tuple) stay on the stack; only real batches pay an allocation.
-  constexpr size_t kStackSel = 64;
-  uint32_t stack_a[kStackSel];
-  uint32_t stack_b[kStackSel];
-  std::vector<uint32_t> sel_a;
-  std::vector<uint32_t> sel_b;
-  uint32_t* cur = stack_a;
-  uint32_t* nxt = stack_b;
-  if (n > kStackSel) {
-    sel_a.resize(n);
-    sel_b.resize(n);
-    cur = sel_a.data();
-    nxt = sel_b.data();
-  }
-  size_t cnt;
-  if (sequential_) {
-    // Dense seed over the contiguous row range, rebased to absolute ids so
-    // the refine passes index the full columns.
-    cnt = kernels::SelectLive(live + begin, n, cur);
-    for (size_t k = 0; k < cnt; ++k) cur[k] += static_cast<uint32_t>(begin);
-  } else {
-    // Index candidates are scattered row ids; mask stale (tombstoned)
-    // entries first, exactly like the pull loop's Get() check.
-    for (size_t k = 0; k < n; ++k) {
-      cur[k] = static_cast<uint32_t>(rows_[begin + k]);
-    }
-    cnt = kernels::SelectLiveRefine(live, cur, n, nxt);
-    std::swap(cur, nxt);
-  }
-
-  if (preds_.txn_contains.has_value()) {
-    cnt = kernels::SelectContainsRefine(ts, te, cur, cnt,
-                                        preds_.txn_contains->days(), nxt);
-    std::swap(cur, nxt);
-  }
-  if (preds_.txn_overlaps.has_value()) {
-    cnt = kernels::SelectOverlapsRefine(ts, te, cur, cnt,
-                                        preds_.txn_overlaps->begin().days(),
-                                        preds_.txn_overlaps->end().days(), nxt);
-    std::swap(cur, nxt);
-  }
-  if (preds_.txn_current) {
-    cnt = kernels::SelectEndEqualsRefine(te, cur, cnt, Chronon::kForeverRep,
-                                         nxt);
-    std::swap(cur, nxt);
-  }
-  if (preds_.valid_overlaps.has_value()) {
-    cnt = kernels::SelectOverlapsRefine(vf, vt, cur, cnt,
-                                        preds_.valid_overlaps->begin().days(),
-                                        preds_.valid_overlaps->end().days(),
-                                        nxt);
-    std::swap(cur, nxt);
-  }
-
-  // Gather the survivors: borrowed tuple pointers plus copies of their
-  // chronon entries, so downstream kernels keep running over flat arrays.
-  for (size_t k = 0; k < cnt; ++k) {
-    const RowId row = cur[k];
-    Result<const BitemporalTuple*> t = store_->Get(row);
-    assert(t.ok());  // Liveness was established by the kernel chain.
-    out->rows.push_back(row);
-    out->tuples.push_back(*t);
-    out->valid_from.push_back(vf[row]);
-    out->valid_to.push_back(vt[row]);
-    out->tt_start.push_back(ts[row]);
-    out->tt_end.push_back(te[row]);
-  }
-}
-
 void VersionBatchScan::MaterializeParallel() {
   exec::MorselOptions morsels;
   morsels.morsel_rows = batch_rows_;
-  if (sequential_) {
-    // One morsel per pre-chunked range slice and one batch per morsel: the
-    // chunk grid is `chunks_`, exactly what the streaming pull walks, so
-    // batch boundaries are invariant across thread counts and identical to
-    // the unpartitioned store whenever nothing pruned.
-    batches_ = exec::ParallelScanRanges<VersionBatch>(
-        store_->options().exec_pool, ranges_,
-        [this](size_t begin, size_t end, std::vector<VersionBatch>* out) {
-          VersionBatch batch;
-          ProbeRange(begin, end, &batch);
-          out->push_back(std::move(batch));
-        },
-        morsels);
-  } else {
-    batches_ = exec::ParallelScan<VersionBatch>(
-        store_->options().exec_pool, rows_.size(),
-        [this](size_t begin, size_t end, std::vector<VersionBatch>* out) {
-          // One batch per batch_rows-aligned chunk.  Morsel boundaries are
-          // multiples of batch_rows, so the sequential fallback (one probe
-          // over the whole domain) slices identically — batch boundaries,
-          // not just row order, are thread-count-invariant.
-          for (size_t b = begin; b < end; b += batch_rows_) {
-            VersionBatch batch;
-            ProbeRange(b, std::min(end, b + batch_rows_), &batch);
-            out->push_back(std::move(batch));
-          }
-        },
-        morsels);
-  }
+  // One morsel per pre-chunked range slice and one batch per morsel: the
+  // chunk grid is `chunks_`, exactly what the streaming pull walks, so
+  // batch boundaries are invariant across thread counts and identical to
+  // the unpartitioned store whenever nothing pruned.
+  batches_ = exec::ParallelScanRanges<VersionBatch>(
+      store_->options().exec_pool, ranges_,
+      [this](size_t begin, size_t end, std::vector<VersionBatch>* out) {
+        VersionBatch batch;
+        ProbeRange(begin, end, &batch);
+        out->push_back(std::move(batch));
+      },
+      morsels);
   buffered_ = true;
   batch_pos_ = 0;
 }
 
 bool VersionBatchScan::Next(VersionBatch* out) {
-  if (!snapshot_) {
+  if (pin_.IsHead()) {
     TDB_INVARIANT_CHECK(
         epoch_ == store_->mutation_epoch(),
-        "VersionBatchScan advanced after a store mutation; index candidates "
-        "and the row watermark are stale (open a fresh scan, or use a read "
+        "VersionBatchScan advanced after a store mutation; the head pin's "
+        "watermark and closes are stale (open a fresh scan, or use a read "
         "snapshot for scans that must survive commits)");
   }
   if (!decided_) {
@@ -325,22 +171,10 @@ bool VersionBatchScan::Next(VersionBatch* out) {
     }
     return false;
   }
-  if (sequential_) {
-    while (chunk_idx_ < chunks_.size()) {
-      const RowRange c = chunks_[chunk_idx_++];
-      out->Clear();
-      ProbeRange(c.begin, c.end, out);
-      if (!out->empty()) return true;
-    }
-    return false;
-  }
-  const size_t domain = rows_.size();
-  while (pos_ < domain) {
-    const size_t begin = pos_;
-    const size_t end = std::min(domain, begin + batch_rows_);
-    pos_ = end;
+  while (chunk_idx_ < chunks_.size()) {
+    const RowRange c = chunks_[chunk_idx_++];
     out->Clear();
-    ProbeRange(begin, end, out);
+    ProbeRange(c.begin, c.end, out);
     if (!out->empty()) return true;
   }
   return false;
@@ -355,25 +189,25 @@ VersionStore::VersionStore(VersionStoreOptions options) : options_(options) {}
 // the drops are deliberate and each carries its reason.
 
 void VersionStore::IndexInsert(RowId row, const BitemporalTuple& t) {
-  if (options_.index_txn_time) {
-    if (t.IsCurrentState()) {
-      // Fresh row id: cannot already be in the current set.
-      (void)txn_index_.AddCurrent(row, t.txn.begin());
-    } else {
-      // Closed period of a validated tuple: shape errors are impossible.
-      (void)txn_index_.AddClosed(row, t.txn);
-    }
+  if (t.IsCurrentState()) {
+    // Fresh row id: cannot already be in the current set.
+    (void)current_index_.AddCurrent(row, t.txn.begin());
   }
-  if (options_.index_valid_time && !t.valid.IsEmpty()) {
+  if (!t.valid.IsEmpty()) {
     // Non-empty period guaranteed by the guard above.
     (void)valid_index_.Insert(t.valid, row);
   }
 }
 
-void VersionStore::IndexEraseValid(RowId row, const BitemporalTuple& t) {
-  if (options_.index_valid_time && !t.valid.IsEmpty()) {
+void VersionStore::IndexErase(RowId row, const BitemporalTuple& t) {
+  if (!t.valid.IsEmpty()) {
     // The entry was inserted by IndexInsert with this exact period.
     (void)valid_index_.Remove(t.valid, row);
+  }
+  if (t.IsCurrentState()) {
+    // Current by the guard, so the close cannot miss; closing at the start
+    // just drops the entry.
+    (void)current_index_.CloseCurrent(row, t.txn.begin());
   }
 }
 
@@ -439,14 +273,8 @@ void VersionStore::RawUnappend(RowId row) {
   }
   Slot& slot = versions_[row];
   if (!slot.tombstone) {
-    IndexEraseValid(row, slot.tuple);
+    IndexErase(row, slot.tuple);
     AttrIndexErase(row, slot.tuple);
-    if (options_.index_txn_time && slot.tuple.IsCurrentState()) {
-      // Remove from the current set by "closing at start" (zero-length
-      // periods are dropped, not indexed).  The row is current by the
-      // IsCurrentState() guard, so the close cannot miss.
-      (void)txn_index_.CloseCurrent(row, slot.tuple.txn.begin());
-    }
     --live_count_;
   }
   versions_.pop_back();
@@ -472,9 +300,7 @@ Status VersionStore::RawCloseTxn(RowId row, Chronon tt_end) {
     return Status::InvalidArgument(
         "transaction end precedes transaction start");
   }
-  if (options_.index_txn_time) {
-    TDB_RETURN_IF_ERROR(txn_index_.CloseCurrent(row, tt_end));
-  }
+  TDB_RETURN_IF_ERROR(current_index_.CloseCurrent(row, tt_end));
   t.txn = Period(t.txn.begin(), tt_end);
   // The close is the one in-place mutation snapshot readers must see — or
   // not see, depending on their pin.  Stamp the publishing commit sequence
@@ -504,10 +330,8 @@ void VersionStore::RawReopenTxn(RowId row, Chronon old_end) {
   assert(old_end.IsForever());
   Slot& slot = versions_[row];
   Chronon start = slot.tuple.txn.begin();
-  if (options_.index_txn_time) {
-    // Undo of a close this transaction performed; the closed entry exists.
-    (void)txn_index_.ReopenAsCurrent(row, start, slot.tuple.txn.end());
-  }
+  // Undo of a close this transaction performed: the row left the set.
+  (void)current_index_.AddCurrent(row, start);
   slot.tuple.txn = Period(start, old_end);
   // Abort-time undo of a close.  Restore ∞ atomically (a snapshot reader
   // may be loading this entry right now); the stale close stamp is left in
@@ -523,12 +347,8 @@ Status VersionStore::RawPhysicalDelete(RowId row) {
     return Status::NotFound("no such version");
   }
   Slot& slot = versions_[row];
-  IndexEraseValid(row, slot.tuple);
+  IndexErase(row, slot.tuple);
   AttrIndexErase(row, slot.tuple);
-  if (options_.index_txn_time && slot.tuple.IsCurrentState()) {
-    // Current by the guard; close-at-start drops the index entry.
-    (void)txn_index_.CloseCurrent(row, slot.tuple.txn.begin());
-  }
   slot.tombstone = true;
   col_live_[row] = 0;
   --live_count_;
@@ -555,12 +375,8 @@ Status VersionStore::RawPhysicalUpdate(RowId row, BitemporalTuple tuple) {
     return Status::NotFound("no such version");
   }
   Slot& slot = versions_[row];
-  IndexEraseValid(row, slot.tuple);
+  IndexErase(row, slot.tuple);
   AttrIndexErase(row, slot.tuple);
-  if (options_.index_txn_time && slot.tuple.IsCurrentState()) {
-    // Current by the guard; close-at-start drops the index entry.
-    (void)txn_index_.CloseCurrent(row, slot.tuple.txn.begin());
-  }
   slot.tuple = std::move(tuple);
   SyncChrononColumns(row);
   IndexInsert(row, slot.tuple);
@@ -666,86 +482,21 @@ void VersionStore::ForEach(
   }
 }
 
-std::vector<RowId> VersionStore::TxnAsOf(Chronon t) const {
-  std::vector<RowId> out;
-  if (options_.index_txn_time) {
-    txn_index_.AsOf(t, [&](RowId row) { out.push_back(row); });
-  } else {
-    ForEach([&](RowId row, const BitemporalTuple& tuple) {
-      if (tuple.txn.Contains(t)) out.push_back(row);
-    });
-  }
-  return out;
-}
-
 std::vector<RowId> VersionStore::CurrentRows() const {
   std::vector<RowId> out;
-  if (options_.index_txn_time) {
-    txn_index_.Current([&](RowId row) { out.push_back(row); });
-  } else {
-    ForEach([&](RowId row, const BitemporalTuple& tuple) {
-      if (tuple.IsCurrentState()) out.push_back(row);
-    });
-  }
+  current_index_.Current([&](RowId row) { out.push_back(row); });
   return out;
 }
 
 std::vector<RowId> VersionStore::ValidOverlapping(Period q) const {
   std::vector<RowId> out;
-  if (options_.index_valid_time) {
-    valid_index_.Overlapping(q, [&](Period, RowId row) { out.push_back(row); });
-  } else {
-    ForEach([&](RowId row, const BitemporalTuple& tuple) {
-      if (tuple.valid.Overlaps(q)) out.push_back(row);
-    });
-  }
+  valid_index_.Overlapping(q, [&](Period, RowId row) { out.push_back(row); });
   return out;
 }
 
-// Each entry point probes its index when it is on; the probe is exact, so
-// the candidates need no residual window check.  Without the index, the
-// window becomes a structured BatchPredicates entry that the columnar
-// kernels evaluate over the chronon columns (Period semantics bit for bit).
-
-VersionBatchScan VersionStore::BatchScanAll(BatchPredicates residual) const {
-  return VersionBatchScan(this, std::move(residual));
-}
-
-VersionBatchScan VersionStore::BatchScanCurrent(BatchPredicates residual) const {
-  if (options_.index_txn_time) {
-    return VersionBatchScan(this, CurrentRows(), std::move(residual));
-  }
-  residual.txn_current = true;
-  return VersionBatchScan(this, std::move(residual));
-}
-
-VersionBatchScan VersionStore::BatchScanAsOf(Chronon t,
-                                             BatchPredicates residual) const {
-  if (options_.index_txn_time) {
-    return VersionBatchScan(this, TxnAsOf(t), std::move(residual));
-  }
-  residual.txn_contains = t;
-  return VersionBatchScan(this, std::move(residual));
-}
-
-VersionBatchScan VersionStore::BatchScanTxnOverlapping(
-    Period q, BatchPredicates residual) const {
-  if (options_.index_txn_time) {
-    std::vector<RowId> rows;
-    txn_index_.Overlapping(q, [&](RowId row) { rows.push_back(row); });
-    return VersionBatchScan(this, std::move(rows), std::move(residual));
-  }
-  residual.txn_overlaps = q;
-  return VersionBatchScan(this, std::move(residual));
-}
-
-VersionBatchScan VersionStore::BatchScanValidDuring(
-    Period q, BatchPredicates residual) const {
-  if (options_.index_valid_time) {
-    return VersionBatchScan(this, ValidOverlapping(q), std::move(residual));
-  }
-  residual.valid_overlaps = q;
-  return VersionBatchScan(this, std::move(residual));
+VersionBatchScan VersionStore::BatchScan(SnapshotPin pin,
+                                         BatchPredicates preds) const {
+  return VersionBatchScan(this, pin, std::move(preds));
 }
 
 Status VersionStore::ApplyReplay(const VersionOp& op) {
@@ -832,7 +583,7 @@ size_t VersionStore::CompactTombstones() {
   sealed_.Truncate(0);
   sealed_rows_ = 0;
   // Row ids changed: rebuild every index from scratch.
-  txn_index_.Clear();
+  current_index_.Clear();
   valid_index_.Clear();
   for (auto& [attr, index] : attr_indexes_) index->Clear();
   for (RowId row = 0; row < versions_.size(); ++row) {
@@ -875,12 +626,7 @@ Result<std::vector<RowId>> VersionStore::LookupAttribute(
 }
 
 size_t VersionStore::current_count() const {
-  if (options_.index_txn_time) return txn_index_.current_count();
-  size_t n = 0;
-  ForEach([&](RowId, const BitemporalTuple& t) {
-    if (t.IsCurrentState()) ++n;
-  });
-  return n;
+  return current_index_.current_count();
 }
 
 size_t VersionStore::ApproximateBytes() const {
@@ -895,13 +641,13 @@ size_t VersionStore::ApproximateBytes() const {
   return bytes;
 }
 
-VersionBatchScan VersionStore::BatchScanSnapshot(SnapshotPin pin,
-                                                 BatchPredicates preds) const {
-  return VersionBatchScan(this, pin, std::move(preds));
-}
-
 void VersionStore::FillEffectiveTtEnd(size_t begin, size_t end,
                                       uint64_t snap_seq, int64_t* out) const {
+  if (snap_seq == SnapshotPin::kHeadSeq) {
+    // A head pin patches nothing, and no writer runs concurrently with it.
+    std::copy(col_tt_end_.data() + begin, col_tt_end_.data() + end, out);
+    return;
+  }
   for (size_t row = begin; row < end; ++row) {
     out[row - begin] = EffectiveTtEnd(row, snap_seq);
   }
@@ -1053,20 +799,20 @@ Status VersionStore::InstallSealedPartitions(
 }
 
 std::vector<RowRange> VersionStore::PruneRanges(const BatchPredicates& preds,
-                                                size_t limit,
-                                                const SnapshotPin* pin) const {
+                                                const SnapshotPin& pin) const {
   std::vector<RowRange> out;
+  const size_t limit = pin.rows;
   if (limit == 0) return out;
+  const bool reader = !pin.IsHead();
   const bool predicated = preds.valid_overlaps.has_value() ||
                           preds.txn_overlaps.has_value() ||
                           preds.txn_contains.has_value() || preds.txn_current ||
-                          pin != nullptr;
-  // Snapshot readers bound themselves by the release-published count (the
-  // synopsis bytes of every index below it are final); the writer thread may
-  // use its own directory size directly.
+                          reader;
+  // Reader pins bound themselves by the release-published count (the
+  // synopsis bytes of every index below it are final); a head pin is the
+  // writer thread's own and may use the directory size directly.
   const uint64_t sealed_count =
-      pin == nullptr ? sealed_.size()
-                     : sealed_count_.load(std::memory_order_acquire);
+      reader ? sealed_count_.load(std::memory_order_acquire) : sealed_.size();
   if (!options_.partition_pruning || !predicated || sealed_count == 0) {
     out.push_back(RowRange{0, limit});
     return out;
@@ -1089,9 +835,9 @@ std::vector<RowRange> VersionStore::PruneRanges(const BatchPredicates& preds,
   };
   size_t covered = 0;
   for (uint64_t i = 0; i < sealed_count; ++i) {
-    const PartitionSynopsis& s = pin ? sealed_.AtPinned(i) : sealed_[i];
+    const PartitionSynopsis& s = reader ? sealed_.AtPinned(i) : sealed_[i];
     if (s.begin_row >= limit) {
-      if (pin == nullptr) break;
+      if (!reader) break;
       // Sealed entirely at/above the pin's watermark: invisible by
       // construction.
       ++considered;
@@ -1109,14 +855,15 @@ std::vector<RowRange> VersionStore::PruneRanges(const BatchPredicates& preds,
     bool pruned = false;
     if (preds.txn_contains || preds.txn_overlaps || preds.txn_current) {
       // The partition's transaction-time upper bound.  Any still-current row
-      // (or, under a pin, any close the pin must un-see) extends it to ∞.
+      // (or, under a reader pin, any close the pin must un-see) extends it
+      // to ∞.
       // Acquire current_rows *first*: reading 0 synchronizes with the
       // release-decrement of the close that zeroed it, making that close's
       // relaxed max/stamp stores visible below.
       const uint64_t cur = mvcc::LoadAcquire(&s.current_rows);
       const bool tt_unbounded =
           cur > 0 ||
-          (pin != nullptr && mvcc::LoadRelaxed(&s.last_close_seq) > pin->seq);
+          (reader && mvcc::LoadRelaxed(&s.last_close_seq) > pin.seq);
       const int64_t tt_ub = tt_unbounded
                                 ? Chronon::kForeverRep
                                 : mvcc::LoadRelaxed(&s.max_finite_tt_end);

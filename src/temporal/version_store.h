@@ -28,13 +28,11 @@ using RowId = uint64_t;
 
 class VersionStore;
 
-/// Structured residual predicates of a batch scan, evaluated with the
-/// branch-free kernels (rel/kernels.h) over the store's contiguous chronon
-/// columns instead of per-tuple `Period` calls.  The entry points merge
-/// their own window into this struct when the backing index is disabled (a
-/// filtered sweep).  Snapshot scans carry *all* their predicates here: a
-/// snapshot never reads `BitemporalTuple::txn`, which the writer closes in
-/// place.
+/// Structured predicates of a batch scan, evaluated with the branch-free
+/// kernels (rel/kernels.h) over the store's contiguous chronon columns
+/// instead of per-tuple `Period` calls.  A scan carries *all* its time
+/// predicates here: it never reads `BitemporalTuple::txn`, which the writer
+/// closes in place.
 struct BatchPredicates {
   /// `t.valid.Overlaps(w)` (timeslice / `when` windows).
   std::optional<Period> valid_overlaps;
@@ -74,51 +72,37 @@ struct VersionBatch {
   }
 };
 
-/// A pull-based scan over the live versions of a `VersionStore`: candidates
+/// A pull-based, pin-bounded sweep over the live versions of a
+/// `VersionStore`: the rows `[0, pin.rows)` that survive partition pruning
 /// are probed a batch at a time with selection-vector kernels over the
-/// store's chronon columns, and survivors are materialized directly into
-/// `VersionBatch`es of at most `batch_rows` rows, always in ascending row
-/// order — whether the candidates came from an index or from a sweep.
+/// store's chronon columns, and survivors are materialized into
+/// `VersionBatch`es of at most `batch_rows` rows, in ascending row order.
+/// Transaction ends are read through the pin's close-sequence patch, so a
+/// close stamped after the pin reads back as ∞; the batch's `tt_end` column
+/// carries those *effective* values.
 ///
 /// ### Lifetime and concurrency contract
 ///
-/// **Writer-thread scans** capture the store's mutation epoch and a row
-/// watermark (the version count) at open and only touch slots below it.
-/// Any index probe ran at open, on the opening thread; parallel workers
-/// never read the shared index structures.  Advancing such a scan after
-/// the store was mutated is a lifetime bug (index candidates, the
-/// watermark and uncommitted closes go stale): `Next` checks the epoch with
-/// an always-on `TDB_INVARIANT_CHECK` and aborts rather than yield stale
-/// rows.
-///
-/// **Snapshot scans** (the `SnapshotPin` constructor) run on reader threads
-/// concurrently with the writer, bound by the pin's committed-row watermark
-/// and commit sequence instead of the epoch (see mvcc.h).  They never touch
-/// the index structures, run on the calling thread, and read
-/// transaction-end values through the close-sequence patch, so post-pin
-/// closes read back as ∞.
-///
-/// When the store enables `parallel_scan` and the candidate domain reaches
+/// **Head-pin scans** (`VersionStore::HeadPin()`, the writer's reads) see
+/// every stored row and every close, the open transaction's own included.
+/// They capture the store's mutation epoch at open: advancing one after the
+/// store was mutated is a lifetime bug (the watermark and the closes it
+/// saw go stale), so `Next` checks the epoch with an always-on
+/// `TDB_INVARIANT_CHECK` and aborts rather than yield stale rows.  When the
+/// store enables `parallel_scan` and the surviving domain reaches
 /// `parallel_min_rows`, the first pull materializes every batch with a
-/// morsel-parallel probe: one morsel per batch-sized range, merged in morsel
-/// order (bit-identical sequence AND identical batch boundaries for every
-/// thread count, because morsel geometry is aligned to `batch_rows`).
+/// morsel-parallel probe: one morsel per batch-sized chunk, merged in
+/// morsel order (bit-identical sequence AND identical batch boundaries for
+/// every thread count).
+///
+/// **Reader-pin scans** (a pin from `Database::BeginReadSnapshot`) run on
+/// reader threads concurrently with the writer, bound by the pin's
+/// committed-row watermark and commit sequence instead of the epoch (see
+/// mvcc.h).  They run on the calling thread.  Yielded tuples have stable
+/// `values` and `valid`; do not read their `txn` member (the writer may be
+/// closing it in place).
 class VersionBatchScan {
  public:
-  /// Sequential sweep over `[0, version_count)`.
-  VersionBatchScan(const VersionStore* store, BatchPredicates preds);
-
-  /// Scan over index-selected candidates; sorted and deduped so the yield
-  /// order matches a sequential sweep.
-  VersionBatchScan(const VersionStore* store, std::vector<RowId> rows,
-                   BatchPredicates preds);
-
-  /// Snapshot-isolated batch sweep bound to `pin`: sequential over
-  /// `[0, pin.rows)`, kernels run over pin-patched transaction-end values,
-  /// callable from any thread while the writer commits (see the contract
-  /// above).  The batch's `tt_end` column carries the
-  /// *effective* (patched) values — a row closed after the pin reports ∞,
-  /// exactly what the snapshot semantics promise.
   VersionBatchScan(const VersionStore* store, SnapshotPin pin,
                    BatchPredicates preds);
 
@@ -129,31 +113,25 @@ class VersionBatchScan {
  private:
   bool ShouldRunParallel() const;
   void MaterializeParallel();
-  /// Probes candidate positions `[begin, end)` of the domain, appending the
-  /// survivors to `out`.  Pure read; safe from many threads at once.
+  /// Probes the contiguous rows `[begin, end)`, appending the survivors to
+  /// `out`: `tt_end` is read through the close-sequence patch into a
+  /// scratch column and the kernel chain runs range-relative over it, so no
+  /// plain load ever races the writer's in-place closes.  Pure read; safe
+  /// from many threads at once.
   void ProbeRange(size_t begin, size_t end, VersionBatch* out) const;
-  /// Snapshot-mode twin: reads `tt_end` through the close-sequence patch
-  /// into a scratch column and runs the kernel chain range-relative, so no
-  /// plain load ever races the writer's in-place closes.
-  void ProbeRangeSnapshot(size_t begin, size_t end, VersionBatch* out) const;
 
   const VersionStore* store_;
-  bool sequential_;
-  std::vector<RowId> rows_;  // Index mode only.
   BatchPredicates preds_;
-  size_t limit_;    // Watermark: slots at or above it are invisible.
-  uint64_t epoch_;  // Store mutation epoch at open (checked at every Next).
-  bool snapshot_ = false;  // Pin-bound mode: epoch check off, patched reads.
   SnapshotPin pin_;
+  uint64_t epoch_;  // Store mutation epoch at open (checked for head pins).
   size_t batch_rows_;
-  // Sequential/snapshot mode: surviving ranges after partition pruning and
-  // their batch_rows-aligned chunk grid.  One chunk = one batch = one
-  // morsel, so pruned partitions never form a batch or a morsel and the
-  // geometry is identical between streaming and parallel materialization.
+  // Surviving ranges after partition pruning and their batch_rows-aligned
+  // chunk grid.  One chunk = one batch = one morsel, so pruned partitions
+  // never form a batch or a morsel and the geometry is identical between
+  // streaming and parallel materialization.
   std::vector<RowRange> ranges_;
   std::vector<RowRange> chunks_;
-  size_t chunk_idx_ = 0;   // Next chunk (streaming sequential/snapshot).
-  size_t pos_ = 0;         // Next domain position (streaming index mode).
+  size_t chunk_idx_ = 0;   // Next chunk (streaming).
   bool decided_ = false;   // Parallel-vs-stream decision made at first Next.
   bool buffered_ = false;  // Batches pre-materialized into batches_.
   std::vector<VersionBatch> batches_;
@@ -174,27 +152,19 @@ struct VersionOp {
   Chronon tt_end;              // kCloseTxn payload.
 };
 
-/// Index configuration, exposed so the ablation benches can toggle access
-/// paths.
+/// Store configuration: scan parallelism and batching, MVCC coordination,
+/// and epoch partitioning.
 struct VersionStoreOptions {
-  bool index_valid_time = true;  ///< Interval index over valid periods.
-  bool index_txn_time = true;    ///< Snapshot index over transaction periods.
-  /// Allow the query layer to push `as of` / `when` time predicates down
-  /// into the index-aware scan entry points.  Off: every relation scan
-  /// degrades to a full scan plus filter (the ablation baseline, and the
-  /// pre-executor behavior).
-  bool time_pushdown = true;
-  /// Morsel-parallel scans: when set (and `exec_pool` is provided), a scan
-  /// whose candidate domain has at least `parallel_min_rows` rows runs its
-  /// filter + residual predicates on the pool's workers and merges matches
+  /// Morsel-parallel scans: when set (and `exec_pool` is provided), a
+  /// head-pin scan whose surviving domain has at least `parallel_min_rows`
+  /// rows runs its predicates on the pool's workers and merges matches
   /// back in ascending row order (bit-identical to the sequential scan).
   bool parallel_scan = false;
   /// The worker pool for parallel scans; non-owning, must outlive every
   /// store built with these options.  Null disables parallelism.
   exec::ThreadPool* exec_pool = nullptr;
   /// Scans over fewer candidate rows than this stay sequential — morsel
-  /// scheduling costs more than it buys on small domains (and the dynamic
-  /// probe side of a when-join is usually such a small domain).
+  /// scheduling costs more than it buys on small domains.
   size_t parallel_min_rows = 4096;
   /// Rows per scan batch (also the morsel size of a parallel scan, keeping
   /// batch boundaries thread-count-invariant).
@@ -211,8 +181,8 @@ struct VersionStoreOptions {
   /// partition carrying a `PartitionSynopsis`.  0 disables partitioning —
   /// one unbounded hot partition, the differential-test baseline.
   size_t partition_rows = 4096;
-  /// Consult sealed-partition synopses on every predicated sequential or
-  /// snapshot scan and skip partitions whose time bounds cannot intersect
+  /// Consult sealed-partition synopses on every predicated scan and skip
+  /// partitions whose time bounds cannot intersect
   /// the pushed-down window (the ablation toggle; sealing and synopsis
   /// maintenance continue regardless so the toggle is flippable per query).
   bool partition_pruning = true;
@@ -274,49 +244,26 @@ class VersionStore {
   /// Iterates live versions in row order.
   void ForEach(const std::function<void(RowId, const BitemporalTuple&)>& fn) const;
 
-  /// Rows whose transaction period contains `t` (the rollback access path);
-  /// falls back to a scan when the snapshot index is disabled.
-  std::vector<RowId> TxnAsOf(Chronon t) const;
-
-  /// Rows in the current stored state (transaction end = ∞).
+  /// Rows in the current stored state (transaction end = ∞), in row order:
+  /// the DML walk of kinds with transaction time.
   std::vector<RowId> CurrentRows() const;
 
-  /// Rows whose valid period overlaps `q`; falls back to a scan when the
-  /// interval index is disabled.
+  /// Rows whose valid period overlaps `q`, in (valid begin, row) order: an
+  /// interval-index probe (the DML walk of a historical window and the
+  /// writer's dynamic when-join step).
   std::vector<RowId> ValidOverlapping(Period q) const;
 
-  // --- Scan entry points ---------------------------------------------------
-  //
-  // Each resolves the best access path for its time predicate (snapshot
-  // index for transaction time, interval index for valid time, a
-  // kernel-filtered sweep when the index is disabled) and yields the
-  // matching live versions in row order, sliced into `VersionBatch`es.
-  // `residual` adds structured predicates checked while pulling.
+  /// The one scan: the live versions visible at `pin` that satisfy
+  /// `preds`, in row order, sliced into `VersionBatch`es (see
+  /// VersionBatchScan for the head-pin versus reader-pin contract).
+  VersionBatchScan BatchScan(SnapshotPin pin, BatchPredicates preds) const;
 
-  VersionBatchScan BatchScanAll(BatchPredicates residual = {}) const;
-  VersionBatchScan BatchScanCurrent(BatchPredicates residual = {}) const;
-  VersionBatchScan BatchScanAsOf(Chronon t,
-                                 BatchPredicates residual = {}) const;
-  VersionBatchScan BatchScanTxnOverlapping(Period q,
-                                           BatchPredicates residual = {}) const;
-  VersionBatchScan BatchScanValidDuring(Period q,
-                                        BatchPredicates residual = {}) const;
-
-  // --- Snapshot scan entry points ------------------------------------------
-  //
-  // Reader-thread entry points for snapshot-isolated reads (mvcc.h): bound
-  // by the pin's committed-row watermark and commit sequence, never by the
-  // mutation epoch, and never touching the (writer-mutable) index
-  // structures.  All predicates arrive structured — the relation layer
-  // translates its as-of / when windows into BatchPredicates, and the
-  // kernels evaluate them over pin-patched transaction ends.
-
-  /// Columnar snapshot sweep; the batch's `tt_end` column carries the
-  /// pin-effective values.  Yielded tuples have stable `values` and
-  /// `valid`; do not read their `txn` member (the writer may be closing it
-  /// in place).
-  VersionBatchScan BatchScanSnapshot(SnapshotPin pin,
-                                     BatchPredicates preds) const;
+  /// The writer's pin: every stored row (`rows = version_count()`) and
+  /// every close, including the open transaction's own appends and closes.
+  SnapshotPin HeadPin() const {
+    return SnapshotPin{SnapshotPin::kHeadSeq, versions_.size(),
+                       Chronon::Forever()};
+  }
 
   // --- Snapshot publication and pinned access ------------------------------
 
@@ -431,10 +378,10 @@ class VersionStore {
   size_t current_count() const;
 
   /// Monotone counter bumped by every slot mutation (append, close,
-  /// correction, undo, load, compaction).  Writer-thread scans capture it;
+  /// correction, undo, load, compaction).  Head-pin scans capture it;
   /// advancing such a scan under a different epoch is a lifetime bug and
-  /// aborts via TDB_INVARIANT_CHECK (see VersionBatchScan).  Snapshot scans are
-  /// exempt — the pin, not the epoch, bounds what they may read.
+  /// aborts via TDB_INVARIANT_CHECK (see VersionBatchScan).  Reader-pin
+  /// scans are exempt — the pin, not the epoch, bounds what they may read.
   uint64_t mutation_epoch() const { return mutation_epoch_; }
 
   /// Re-points the parallel-execution knobs of an existing store (the
@@ -471,9 +418,8 @@ class VersionStore {
   //
   // Sealed (cold) partitions are contiguous from row 0; `sealed_rows()` is
   // the first hot row.  The accessors below are writer-thread views for
-  // tests, tooling, and checkpoint serialization — concurrent readers go
-  // through `PruneRanges`, which bounds itself by the published partition
-  // count instead.
+  // tests, tooling, and checkpoint serialization — reader pins go through
+  // `PruneRanges`, which bounds them by the published partition count.
 
   size_t sealed_partition_count() const { return sealed_.size(); }
   const PartitionSynopsis& sealed_partition(size_t i) const {
@@ -491,17 +437,18 @@ class VersionStore {
     return sealed_[i].sketches[attr].MayContain(key);
   }
 
-  /// The surviving candidate row ranges of a sequential sweep over
-  /// `[0, limit)` under `preds`: ascending, disjoint, adjacent survivors
-  /// merged (so the no-prune result is the single range `[0, limit)` and
-  /// downstream chunk geometry matches the unpartitioned store exactly).
-  /// `pin` non-null marks a snapshot scan: partitions sealed entirely at or
-  /// above the pin's watermark are skipped outright, and transaction-time
-  /// upper bounds fall back to ∞ whenever a close in the partition was
-  /// stamped after the pin's sequence (DESIGN.md §14 soundness argument).
-  /// Thread-safe for concurrent snapshot readers; reports to `scan_stats`.
-  std::vector<RowRange> PruneRanges(const BatchPredicates& preds, size_t limit,
-                                    const SnapshotPin* pin) const;
+  /// The surviving candidate row ranges of a sweep over `[0, pin.rows)`
+  /// under `preds`: ascending, disjoint, adjacent survivors merged (so the
+  /// no-prune result is the single range `[0, pin.rows)` and downstream
+  /// chunk geometry matches the unpartitioned store exactly).  A head pin
+  /// reads the writer's own sealed directory.  A reader pin bounds itself
+  /// by the published partition count, skips partitions sealed entirely at
+  /// or above its watermark, and lets transaction-time upper bounds fall
+  /// back to ∞ whenever a close in the partition was stamped after the
+  /// pin's sequence (DESIGN.md §14 soundness argument).  Thread-safe for
+  /// concurrent reader pins; reports to `scan_stats`.
+  std::vector<RowRange> PruneRanges(const BatchPredicates& preds,
+                                    const SnapshotPin& pin) const;
 
   /// Checkpoint-load bracket: between BeginLoad and EndLoad, slot loading
   /// does not auto-seal (recovery installs the checkpoint's sealed
@@ -537,7 +484,8 @@ class VersionStore {
   };
 
   void IndexInsert(RowId row, const BitemporalTuple& t);
-  void IndexEraseValid(RowId row, const BitemporalTuple& t);
+  /// Drops `row` from the valid-time and current-row indexes.
+  void IndexErase(RowId row, const BitemporalTuple& t);
   void AttrIndexInsert(RowId row, const BitemporalTuple& t);
   void AttrIndexErase(RowId row, const BitemporalTuple& t);
 
@@ -610,7 +558,7 @@ class VersionStore {
   bool loading_ = false;  // BeginLoad/EndLoad bracket: suppress sealing.
   size_t live_count_ = 0;
   uint64_t mutation_epoch_ = 0;
-  SnapshotIndex txn_index_;
+  SnapshotIndex current_index_;  // Current-row set (DML walk, current_count).
   IntervalIndex valid_index_;
   std::map<size_t, std::unique_ptr<BTreeIndex>> attr_indexes_;
   std::function<void(const VersionOp&)> observer_;

@@ -1,5 +1,6 @@
 #include "tquel/evaluator.h"
 
+#include <algorithm>
 #include <functional>
 #include <unordered_map>
 
@@ -47,47 +48,57 @@ struct Level {
   }
 };
 
+// Calls `fn` on each index-probed row of `rel` that is visible under `spec`
+// (its `as of` window, else the current state for kinds with transaction
+// time), in the order given, stopping at the first error.  Writer path
+// only: the indexes are writer state with no published watermark, and
+// `Get`/`txn` read fields the writer mutates in place.
+template <typename Fn>
+Status ForEachProbed(const StoredRelation& rel, const std::vector<RowId>& rows,
+                     const ScanSpec& spec, const Fn& fn) {
+  const VersionStore* store = rel.store();
+  const bool txn_kind = SupportsTransactionTime(rel.temporal_class());
+  for (RowId row : rows) {
+    Result<const BitemporalTuple*> t = store->Get(row);
+    if (!t.ok()) continue;
+    const bool visible = spec.asof.has_value()
+                             ? (*t)->txn.Overlaps(*spec.asof)
+                             : !txn_kind || (*t)->IsCurrentState();
+    if (visible) {
+      TDB_RETURN_IF_ERROR(
+          fn(Candidate{&(*t)->values, (*t)->valid, (*t)->txn}));
+    }
+  }
+  return Status::OK();
+}
+
 // Materializes the candidate tuples of one participant.
 // When the where clause pinned an indexed attribute to a constant
 // (`eq_constraints`), the secondary index supplies the candidates instead
-// of a scan; visibility is re-checked, and the full where clause still runs
-// afterwards.  Otherwise the relation's `BatchScan` entry point resolves the
-// spec's `as of` / valid windows to its best access path (snapshot index,
-// interval index, or a sweep).
+// of a scan, in lookup order; visibility is re-checked, and the full where
+// clause still runs afterwards.  Otherwise the relation's `BatchScan`
+// sweeps the state at the spec's pin under its `as of` / valid windows.
 std::vector<Candidate> MaterializeParticipant(
     const StoredRelation& rel,
     const std::vector<std::pair<size_t, Value>>& eq_constraints,
     const ScanSpec& spec) {
   std::vector<Candidate> out;
   const VersionStore* store = rel.store();
-  const bool txn_kind = SupportsTransactionTime(rel.temporal_class());
-  auto visible = [&](const BitemporalTuple& t) {
-    if (spec.asof.has_value()) return t.txn.Overlaps(*spec.asof);
-    if (txn_kind) return t.IsCurrentState();
-    return true;
-  };
-
-  // Index probe path (yields in lookup order, not row order).  Disabled
-  // under a snapshot: the B+-tree and its row set are writer-thread state
-  // with no published watermark, and `Get`/`(*t)->txn` read fields the
-  // writer mutates in place.
   if (!spec.snapshot.has_value()) {
     for (const auto& [attr, key] : eq_constraints) {
       if (!store->HasAttributeIndex(attr)) continue;
       Result<std::vector<RowId>> rows = store->LookupAttribute(attr, key);
       if (!rows.ok()) break;
-      for (RowId row : *rows) {
-        Result<const BitemporalTuple*> t = store->Get(row);
-        if (t.ok() && visible(**t)) {
-          out.push_back(Candidate{&(*t)->values, (*t)->valid, (*t)->txn});
-        }
-      }
+      (void)ForEachProbed(rel, *rows, spec, [&out](const Candidate& c) {
+        out.push_back(c);
+        return Status::OK();
+      });
       return out;
     }
   }
 
-  // Scan path: columnar batches whose residual time predicates already ran
-  // through the branch-free kernels.
+  // Scan path: columnar batches whose time predicates already ran through
+  // the branch-free kernels.
   VersionBatchScan scan = rel.BatchScan(spec);
   VersionBatch batch;
   while (scan.Next(&batch)) {
@@ -273,8 +284,7 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
       spec.snapshot = ctx.snapshot->PinFor(rel.store());
     }
     if (!has_probe && bound.when != nullptr &&
-        SupportsValidTime(rel.temporal_class()) &&
-        rel.store()->options().time_pushdown) {
+        SupportsValidTime(rel.temporal_class())) {
       // A window derivable with nothing bound (prefix 0) is static: push it
       // into the one-shot materializing scan.  Otherwise probe whether one
       // becomes derivable once participants 0..i-1 are bound.
@@ -405,9 +415,11 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
       return Status::OK();
     }
     // Index-nested-loop step: re-derive the implied valid window from the
-    // when clause under the bound prefix (entries >= i are never read) and
-    // let the relation pick the matching index path.  A failed derivation
-    // just scans unconstrained — the leaf predicates stay authoritative.
+    // when clause under the bound prefix (entries >= i are never read).
+    // The writer probes the interval index with it and visits the visible
+    // rows in row order, the order of the sweep; a reader pin sweeps.  A
+    // failed derivation just scans unconstrained — the leaf predicates
+    // stay authoritative.
     const StoredRelation& rel = *bound.participants[i].relation;
     ScanSpec spec;
     spec.asof = asof;
@@ -419,6 +431,12 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
       TDB_ASSIGN_OR_RETURN(bool keep, level.Keep(c));
       return keep ? visit(c) : Status::OK();
     };
+    if (!spec.snapshot.has_value() && spec.valid_during.has_value()) {
+      std::vector<RowId> rows =
+          rel.store()->ValidOverlapping(*spec.valid_during);
+      std::sort(rows.begin(), rows.end());
+      return ForEachProbed(rel, rows, spec, probe);
+    }
     VersionBatchScan scan = rel.BatchScan(spec);
     VersionBatch& batch = level_batch[i];
     while (scan.Next(&batch)) {

@@ -25,7 +25,7 @@
 namespace temporadb {
 namespace {
 
-// --- Store level: BatchScan* vs a brute-force filter ------------------------
+// --- Store level: BatchScan vs a brute-force filter -------------------------
 
 class BatchVersionScanTest : public ::testing::Test {
  protected:
@@ -126,17 +126,25 @@ class BatchVersionScanTest : public ::testing::Test {
     auto append = [&all](Sequence v) {
       all.insert(all.end(), v.begin(), v.end());
     };
-    append(CollectBatches(store_.BatchScanAll()));
-    append(CollectBatches(store_.BatchScanCurrent()));
-    append(CollectBatches(store_.BatchScanAsOf(Chronon(1100))));
-    append(CollectBatches(
-        store_.BatchScanTxnOverlapping(Period(Chronon(1050), Chronon(1200)))));
-    append(CollectBatches(
-        store_.BatchScanValidDuring(Period(Chronon(1000), Chronon(1060)))));
-    BatchPredicates current_only;
-    current_only.txn_current = true;
-    append(CollectBatches(store_.BatchScanValidDuring(
-        Period(Chronon(950), Chronon(1300)), current_only)));
+    const auto scan = [this](BatchPredicates preds) {
+      return CollectBatches(store_.BatchScan(store_.HeadPin(), preds));
+    };
+    BatchPredicates current;
+    current.txn_current = true;
+    BatchPredicates asof;
+    asof.txn_contains = Chronon(1100);
+    BatchPredicates through;
+    through.txn_overlaps = Period(Chronon(1050), Chronon(1200));
+    BatchPredicates slice;
+    slice.valid_overlaps = Period(Chronon(1000), Chronon(1060));
+    BatchPredicates current_window = current;
+    current_window.valid_overlaps = Period(Chronon(950), Chronon(1300));
+    append(scan({}));
+    append(scan(current));
+    append(scan(asof));
+    append(scan(through));
+    append(scan(slice));
+    append(scan(current_window));
     return all;
   }
 

@@ -408,7 +408,7 @@ TEST_F(MvccTest, SnapshotScanMatchesBruteForceFilter) {
   });
 
   std::vector<const BitemporalTuple*> batch_mode;
-  VersionBatchScan bscan = store->BatchScanSnapshot(pin, preds);
+  VersionBatchScan bscan = store->BatchScan(pin, preds);
   VersionBatch batch;
   while (bscan.Next(&batch)) {
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -419,6 +419,89 @@ TEST_F(MvccTest, SnapshotScanMatchesBruteForceFilter) {
   // 300 appends + 50 truncated replacement versions (the 10 deletes of
   // rows appended "today" close without a replacement), minus 60 closes.
   EXPECT_EQ(batch_mode.size(), 290u);
+}
+
+// ---------------------------------------------------------------------------
+// Scan lifetimes: a head-pin scan is bound to the store state it opened on,
+// a reader-pin scan to its pin.
+// ---------------------------------------------------------------------------
+
+using MvccDeathTest = MvccTest;
+
+// Opens a relation `r` of `kind` holding `rows` committed appends.
+StoredRelation* Populate(Database* db, const std::string& kind, int rows) {
+  EXPECT_TRUE(
+      db->Execute("create " + kind + " relation r (name = string)").ok());
+  EXPECT_TRUE(db->Execute("range of x is r").ok());
+  for (int i = 0; i < rows; ++i) {
+    EXPECT_TRUE(
+        db->Execute("append to r (name = \"n" + std::to_string(i) + "\")")
+            .ok());
+  }
+  return *db->GetRelation("r");
+}
+
+TEST_F(MvccDeathTest, HeadPinScanAdvancedAfterAppendAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  auto db = Open();
+  StoredRelation* rel = Populate(db.get(), "temporal", 3);
+  EXPECT_DEATH(
+      {
+        VersionBatchScan scan = rel->BatchScan({});
+        (void)db->Execute("append to r (name = \"late\")");
+        VersionBatch batch;
+        (void)scan.Next(&batch);
+      },
+      "VersionBatchScan advanced after a store mutation");
+}
+
+TEST_F(MvccDeathTest, HeadPinScanAdvancedAfterCloseAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  DatabaseOptions options;
+  options.store_options.batch_rows = 2;  // Several batches to advance over.
+  auto db = Open(options);
+  StoredRelation* rel = Populate(db.get(), "rollback", 5);
+  EXPECT_DEATH(
+      {
+        VersionBatchScan scan = rel->BatchScan({});
+        VersionBatch batch;
+        (void)scan.Next(&batch);
+        // A rollback delete only closes transaction periods.
+        (void)db->Execute("delete x where x.name = \"n4\"");
+        (void)scan.Next(&batch);
+      },
+      "VersionBatchScan advanced after a store mutation");
+}
+
+TEST_F(MvccTest, PinnedScanOpenedBeforeACommitYieldsItsPinnedRows) {
+  auto db = Open();
+  StoredRelation* rel = Populate(db.get(), "temporal", 6);
+  auto drain = [](VersionBatchScan scan) {
+    std::vector<std::pair<RowId, std::string>> out;
+    VersionBatch batch;
+    while (scan.Next(&batch)) {
+      for (size_t i = 0; i < batch.size(); ++i) {
+        out.emplace_back(batch.rows[i],
+                         batch.tuples[i]->values[0].AsString());
+      }
+    }
+    return out;
+  };
+  const auto before = drain(rel->BatchScan({}));
+  ASSERT_EQ(before.size(), 6u);
+  Result<ReadSnapshot> snap = db->BeginReadSnapshot();
+  ASSERT_TRUE(snap.ok());
+  ScanSpec spec;
+  spec.snapshot = snap->PinFor(rel->store());
+  VersionBatchScan pinned = rel->BatchScan(spec);
+  // One commit that appends, closes and supersedes rows under the open scan.
+  clock_.AdvanceDays(1);
+  ASSERT_TRUE(db->Execute("append to r (name = \"late\")").ok());
+  ASSERT_TRUE(db->Execute("delete x where x.name = \"n1\"").ok());
+  ASSERT_TRUE(db->Execute("replace x (name = \"m\") where x.name = \"n2\"")
+                  .ok());
+  EXPECT_NE(drain(rel->BatchScan({})), before);
+  EXPECT_EQ(drain(std::move(pinned)), before);
 }
 
 }  // namespace

@@ -177,9 +177,14 @@ class ParallelVersionScanTest : public ::testing::Test {
     return out;
   }
 
+  // The writer's head-pin scan of the store under `preds`.
+  VersionBatchScan Scan(BatchPredicates preds = {}) const {
+    return store_.BatchScan(store_.HeadPin(), preds);
+  }
+
   // Runs every probe shape the figures exercise and returns their results
-  // concatenated, so one comparison covers sequential sweeps, snapshot- and
-  // interval-index-backed scans, and residual predicates.
+  // concatenated, so one comparison covers the plain sweep, each time
+  // predicate alone, and predicates combined.
   std::vector<std::pair<RowId, BitemporalTuple>> RunProbes() {
     std::vector<std::pair<RowId, BitemporalTuple>> all;
     auto append = [&all](std::vector<std::pair<RowId, BitemporalTuple>> v) {
@@ -187,18 +192,23 @@ class ParallelVersionScanTest : public ::testing::Test {
     };
     BatchPredicates current;
     current.txn_current = true;
+    BatchPredicates asof;  // Rollback.
+    asof.txn_contains = Chronon(1100);
+    BatchPredicates through;
+    through.txn_overlaps = Period(Chronon(1050), Chronon(1200));
+    BatchPredicates slice;  // Timeslice.
+    slice.valid_overlaps = Period(Chronon(1000), Chronon(1060));
+    BatchPredicates current_window = current;
+    current_window.valid_overlaps = Period(Chronon(950), Chronon(1300));
     BatchPredicates stab;
     stab.valid_overlaps = Period(Chronon(1000), Chronon(1001));
-    append(Collect(store_.BatchScanAll()));
-    append(Collect(store_.BatchScanCurrent()));
-    append(Collect(store_.BatchScanAsOf(Chronon(1100))));     // Rollback.
-    append(Collect(store_.BatchScanTxnOverlapping(
-        Period(Chronon(1050), Chronon(1200)))));
-    append(Collect(store_.BatchScanValidDuring(               // Timeslice.
-        Period(Chronon(1000), Chronon(1060)))));
-    append(Collect(store_.BatchScanValidDuring(
-        Period(Chronon(950), Chronon(1300)), current)));
-    append(Collect(store_.BatchScanAll(stab)));               // Residual sweep.
+    append(Collect(Scan()));
+    append(Collect(Scan(current)));
+    append(Collect(Scan(asof)));
+    append(Collect(Scan(through)));
+    append(Collect(Scan(slice)));
+    append(Collect(Scan(current_window)));
+    append(Collect(Scan(stab)));
     return all;
   }
 
@@ -214,7 +224,7 @@ TEST_F(ParallelVersionScanTest, BitIdenticalAcrossThreadCounts) {
   ASSERT_FALSE(baseline.empty());
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     exec::ThreadPool pool(threads);
-    // min_rows=1 forces the morsel path even for tiny index candidate sets.
+    // min_rows=1 forces the morsel path even for tiny stores.
     store_.ConfigureParallel(&pool, /*min_rows=*/1);
     std::vector<std::pair<RowId, BitemporalTuple>> got = RunProbes();
     ASSERT_EQ(got.size(), baseline.size()) << threads << " threads";
@@ -246,11 +256,9 @@ TEST_F(ParallelVersionScanTest, SmallDomainsStaySequential) {
   Populate(200, /*seed=*/3);
   exec::ThreadPool pool(4);
   store_.ConfigureParallel(&pool);  // Default threshold (4096) > 200 rows.
-  std::vector<std::pair<RowId, BitemporalTuple>> a =
-      Collect(store_.BatchScanAll());
+  std::vector<std::pair<RowId, BitemporalTuple>> a = Collect(Scan());
   store_.ConfigureParallel(nullptr);
-  std::vector<std::pair<RowId, BitemporalTuple>> b =
-      Collect(store_.BatchScanAll());
+  std::vector<std::pair<RowId, BitemporalTuple>> b = Collect(Scan());
   EXPECT_EQ(a, b);
 }
 

@@ -43,8 +43,6 @@ struct Harness {
   explicit Harness(size_t partition_rows, bool with_mvcc = false,
                    size_t batch_rows = 0) {
     VersionStoreOptions options;
-    options.index_valid_time = false;
-    options.index_txn_time = false;
     options.partition_rows = partition_rows;
     if (batch_rows > 0) options.batch_rows = batch_rows;
     if (with_mvcc) {
@@ -135,6 +133,29 @@ Sequence Filter(const VersionStore& store,
   return out;
 }
 
+// The writer's head-pin scan of `store` under `preds`.
+VersionBatchScan Head(const VersionStore& store, BatchPredicates preds = {}) {
+  return store.BatchScan(store.HeadPin(), preds);
+}
+
+BatchPredicates TxnAt(int64_t t) {
+  BatchPredicates preds;
+  preds.txn_contains = Chronon(t);
+  return preds;
+}
+
+BatchPredicates TxnIn(Period q) {
+  BatchPredicates preds;
+  preds.txn_overlaps = q;
+  return preds;
+}
+
+BatchPredicates ValidIn(Period q) {
+  BatchPredicates preds;
+  preds.valid_overlaps = q;
+  return preds;
+}
+
 Sequence CollectBatches(VersionBatchScan scan) {
   Sequence out;
   VersionBatch batch;
@@ -186,19 +207,21 @@ Sequence RunBatchProbes(const VersionStore& store) {
   auto append = [&all](Sequence v) {
     all.insert(all.end(), v.begin(), v.end());
   };
-  append(CollectBatches(store.BatchScanAll()));
-  append(CollectBatches(store.BatchScanCurrent()));
-  append(CollectBatches(store.BatchScanAsOf(Chronon(1005))));
-  append(CollectBatches(store.BatchScanAsOf(Chronon(1100))));
-  append(CollectBatches(store.BatchScanAsOf(Chronon(100000))));
+  BatchPredicates current;
+  current.txn_current = true;
+  append(CollectBatches(Head(store)));
+  append(CollectBatches(Head(store, current)));
+  append(CollectBatches(Head(store, TxnAt(1005))));
+  append(CollectBatches(Head(store, TxnAt(1100))));
+  append(CollectBatches(Head(store, TxnAt(100000))));
   append(CollectBatches(
-      store.BatchScanTxnOverlapping(Period(Chronon(1050), Chronon(1200)))));
+      Head(store, TxnIn(Period(Chronon(1050), Chronon(1200))))));
   append(CollectBatches(
-      store.BatchScanTxnOverlapping(Period(Chronon(0), Chronon(1002)))));
+      Head(store, TxnIn(Period(Chronon(0), Chronon(1002))))));
   append(CollectBatches(
-      store.BatchScanValidDuring(Period(Chronon(1000), Chronon(1060)))));
+      Head(store, ValidIn(Period(Chronon(1000), Chronon(1060))))));
   append(CollectBatches(
-      store.BatchScanValidDuring(Period(Chronon(900), Chronon(905)))));
+      Head(store, ValidIn(Period(Chronon(900), Chronon(905))))));
   return all;
 }
 
@@ -262,16 +285,16 @@ TEST(PartitionDifferentialTest, SnapshotPathMatchesUnpartitionedBaseline) {
       all.insert(all.end(), v.begin(), v.end());
     };
     BatchPredicates none;
-    append(CollectBatches(h.store->BatchScanSnapshot(pin, none)));
+    append(CollectBatches(h.store->BatchScan(pin, none)));
     BatchPredicates current;
     current.txn_current = true;
-    append(CollectBatches(h.store->BatchScanSnapshot(pin, current)));
+    append(CollectBatches(h.store->BatchScan(pin, current)));
     BatchPredicates asof;
     asof.txn_contains = Chronon(1100);
-    append(CollectBatches(h.store->BatchScanSnapshot(pin, asof)));
+    append(CollectBatches(h.store->BatchScan(pin, asof)));
     BatchPredicates when;
     when.valid_overlaps = Period(Chronon(1000), Chronon(1060));
-    append(CollectBatches(h.store->BatchScanSnapshot(pin, when)));
+    append(CollectBatches(h.store->BatchScan(pin, when)));
     return all;
   };
 
@@ -556,7 +579,7 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   // 160.  The matches are rows 10-11; the single surviving epoch is one
   // 8-row range = exactly 1 morsel, and the 7 pruned epochs form none.
   Sequence got = CollectBatches(
-      h.store->BatchScanValidDuring(Period(Chronon(100), Chronon(120))));
+      Head(*h.store, ValidIn(Period(Chronon(100), Chronon(120)))));
   EXPECT_EQ(got.size(), 2u);
   EXPECT_EQ(stats.considered(), 8u);
   EXPECT_EQ(stats.pruned_vt(), 7u);
@@ -571,7 +594,7 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   stats.Reset();
   h.store->ConfigurePartitionPruning(false);
   Sequence off = CollectBatches(
-      h.store->BatchScanValidDuring(Period(Chronon(100), Chronon(120))));
+      Head(*h.store, ValidIn(Period(Chronon(100), Chronon(120)))));
   ExpectSameSequence(off, got, "pruning toggle");
   EXPECT_EQ(stats.considered(), 0u);  // Synopsis walk skipped entirely.
   EXPECT_EQ(stats.morsels(), 8u);
@@ -580,7 +603,7 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   // As-of below every tt_start: all 8 epochs prune on transaction time and
   // no morsel forms at all.
   stats.Reset();
-  got = CollectBatches(h.store->BatchScanAsOf(Chronon(-5)));
+  got = CollectBatches(Head(*h.store, TxnAt(-5)));
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(stats.pruned_tt(), 8u);
   EXPECT_EQ(stats.scanned(), 0u);
@@ -590,7 +613,7 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   // As-of after every close: the 4 fully-closed epochs prune (finite tt
   // upper bound), the 4 epochs holding current rows cannot.
   stats.Reset();
-  got = CollectBatches(h.store->BatchScanAsOf(Chronon(500)));
+  got = CollectBatches(Head(*h.store, TxnAt(500)));
   EXPECT_EQ(got.size(), 32u);
   EXPECT_EQ(stats.pruned_tt(), 4u);
   EXPECT_EQ(stats.scanned(), 4u);
@@ -622,7 +645,7 @@ TEST(PartitionStatsTest, SnapshotScansSkipPartitionsSealedAboveThePin) {
   ScanStats stats;
   h.store->set_scan_stats(&stats);
   BatchPredicates none;
-  Sequence got = CollectBatches(h.store->BatchScanSnapshot(pin, none));
+  Sequence got = CollectBatches(h.store->BatchScan(pin, none));
   EXPECT_EQ(got.size(), 16u);  // Only the pinned prefix.
   EXPECT_EQ(stats.considered(), 4u);
   EXPECT_EQ(stats.pruned_snapshot(), 2u);
@@ -797,13 +820,10 @@ std::vector<std::string> FourClassQueries() {
 }
 
 TEST(PartitionDatabaseTest, FourClassesMatchAcrossPartitionSizesAndThreads) {
-  // Baseline: unpartitioned, sequential.  Time indexes off so the scans
-  // take the sequential-sweep path pruning applies to.
+  // Baseline: unpartitioned, sequential.
   ManualClock base_clock;
   VersionStoreOptions base_options;
   base_options.partition_rows = 0;
-  base_options.index_valid_time = false;
-  base_options.index_txn_time = false;
   std::unique_ptr<Database> base_db =
       BuildFourClassDb(&base_clock, base_options, /*max_threads=*/1);
   const std::vector<std::string> queries = FourClassQueries();
@@ -822,8 +842,6 @@ TEST(PartitionDatabaseTest, FourClassesMatchAcrossPartitionSizesAndThreads) {
       ManualClock clock;
       VersionStoreOptions options;
       options.partition_rows = partition_rows;
-      options.index_valid_time = false;
-      options.index_txn_time = false;
       if (threads > 1) {
         options.parallel_scan = true;
         options.parallel_min_rows = 1;

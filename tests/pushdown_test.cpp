@@ -1,7 +1,9 @@
-// Time pushdown equivalence: index-backed batch scans yield exactly the
-// rows of a full scan plus filter, and every TQuel query answers the same
-// rows, in the same order, with `time_pushdown` on and off (with and
-// without the time indexes).
+// One scan path: every relation scan spec yields exactly the rows of a
+// brute-force `ForEach` filter, in row order, at the writer's head pin and
+// at a reader pin; and every TQuel query answers the same rows, in the same
+// order, on the writer path and at a pin.  That includes the keyless
+// dynamic when-join, which the writer serves with an interval-index probe
+// per outer tuple and a pin with a pruned sweep.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +11,11 @@
 
 #include "common/random.h"
 #include "core/database.h"
+#include "temporal/read_snapshot.h"
 #include "temporal/stored_relation.h"
 
 namespace temporadb {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Pushdown equivalence: index-backed scans == full scan + filter
-// ---------------------------------------------------------------------------
 
 std::vector<RowId> Drain(VersionBatchScan scan) {
   std::vector<RowId> out;
@@ -27,7 +26,7 @@ std::vector<RowId> Drain(VersionBatchScan scan) {
   return out;
 }
 
-// The rows of every live version `keep` accepts: the full scan + filter.
+// The rows of every live version `keep` accepts: the brute-force filter.
 std::vector<RowId> Sweep(
     const VersionStore* store,
     const std::function<bool(const BitemporalTuple&)>& keep) {
@@ -38,11 +37,28 @@ std::vector<RowId> Sweep(
   return out;
 }
 
-// Grows a randomized bitemporal history: retroactive appends mixed with
-// logical deletes and replaces, the clock advancing between transactions.
+// What `spec` selects on a relation of class `cls`, tuple by tuple: the
+// windows of the dimensions the class maintains, and the current state of
+// kinds with transaction time when there is no `as of`.
+bool Selects(TemporalClass cls, const ScanSpec& spec,
+             const BitemporalTuple& t) {
+  if (SupportsTransactionTime(cls)) {
+    if (spec.asof.has_value() ? !t.txn.Overlaps(*spec.asof)
+                              : !t.IsCurrentState()) {
+      return false;
+    }
+  }
+  return !SupportsValidTime(cls) || !spec.valid_during.has_value() ||
+         t.valid.Overlaps(*spec.valid_during);
+}
+
+// Grows a randomized history: appends (retroactive ones where the class
+// has valid time) mixed with deletes and replaces, the clock advancing
+// between transactions.
 void GrowRandomHistory(Database* db, ManualClock* clock, StoredRelation* rel,
                        uint64_t seed, int steps) {
   Random rng(seed);
+  const bool valid_time = SupportsValidTime(rel->temporal_class());
   for (int step = 0; step < steps; ++step) {
     clock->AdvanceDays(static_cast<int64_t>(rng.UniformRange(1, 4)));
     Status s = db->WithTransaction([&](Transaction* txn) -> Status {
@@ -50,9 +66,11 @@ void GrowRandomHistory(Database* db, ManualClock* clock, StoredRelation* rel,
       if (op == 0 || rel->store()->live_count() < 6) {
         int64_t from = rng.UniformRange(0, 400);
         int64_t len = rng.UniformRange(1, 90);
+        std::optional<Period> valid;
+        if (valid_time) valid = Period(Chronon(from), Chronon(from + len));
         return rel->Append(
             txn, {Value(rng.NextName(4)), Value(rng.UniformRange(0, 5))},
-            Period(Chronon(from), Chronon(from + len)));
+            valid);
       }
       const int64_t pivot = rng.UniformRange(0, 5);
       TuplePredicate pred = [pivot](const std::vector<Value>& v) {
@@ -68,55 +86,65 @@ void GrowRandomHistory(Database* db, ManualClock* clock, StoredRelation* rel,
   }
 }
 
-void CheckScanEquivalence(const VersionStore* store, uint64_t seed) {
+// Every spec shape, at the head pin and at `pin`, against the filter.
+void CheckScans(const StoredRelation& rel, const SnapshotPin& pin,
+                uint64_t seed) {
+  const TemporalClass cls = rel.temporal_class();
   Random rng(seed);
   for (int trial = 0; trial < 25; ++trial) {
     const Chronon t(rng.UniformRange(0, 500));
     const int64_t qb = rng.UniformRange(0, 450);
     const Period q(Chronon(qb), Chronon(qb + rng.UniformRange(1, 60)));
-
-    EXPECT_EQ(Drain(store->BatchScanAsOf(t)),
-              Sweep(store, [t](const BitemporalTuple& v) {
-                return v.txn.Contains(t);
-              }))
-        << "as of " << t.ToString();
-    EXPECT_EQ(Drain(store->BatchScanTxnOverlapping(q)),
-              Sweep(store, [q](const BitemporalTuple& v) {
-                return v.txn.Overlaps(q);
-              }))
-        << "txn overlapping " << q.ToString();
-    EXPECT_EQ(Drain(store->BatchScanValidDuring(q)),
-              Sweep(store, [q](const BitemporalTuple& v) {
-                return v.valid.Overlaps(q);
-              }))
-        << "valid during " << q.ToString();
-  }
-  EXPECT_EQ(Drain(store->BatchScanCurrent()),
-            Sweep(store, [](const BitemporalTuple& v) {
-              return v.IsCurrentState();
-            }));
-}
-
-TEST(PushdownEquivalence, IndexedScansMatchFullScanOnRandomHistories) {
-  for (uint64_t seed : {1u, 7u, 42u}) {
-    for (bool indexed : {true, false}) {
-      ManualClock clock{Chronon(0)};
-      DatabaseOptions options;
-      options.clock = &clock;
-      options.store_options.index_valid_time = indexed;
-      options.store_options.index_txn_time = indexed;
-      std::unique_ptr<Database> db = std::move(*Database::Open(options));
-      ASSERT_TRUE(
-          db->Execute("create temporal relation h (name = string, n = int)")
-              .ok());
-      StoredRelation* rel = *db->GetRelation("h");
-      GrowRandomHistory(db.get(), &clock, rel, seed, 120);
-      CheckScanEquivalence(rel->store(), seed * 1000 + (indexed ? 1 : 0));
+    const int64_t wb = rng.UniformRange(0, 450);
+    const Period w(Chronon(wb), Chronon(wb + rng.UniformRange(1, 60)));
+    std::vector<ScanSpec> specs(5);
+    specs[1].asof = Period::At(t);
+    specs[2].asof = q;
+    specs[3].valid_during = w;
+    specs[4].asof = Period::At(t);
+    specs[4].valid_during = w;
+    for (ScanSpec spec : specs) {
+      const std::vector<RowId> want =
+          Sweep(rel.store(), [&](const BitemporalTuple& v) {
+            return Selects(cls, spec, v);
+          });
+      const std::string label =
+          std::string(TemporalClassName(cls)) + " as of " +
+          (spec.asof ? spec.asof->ToString() : "-") + " valid during " +
+          (spec.valid_during ? spec.valid_during->ToString() : "-");
+      EXPECT_EQ(Drain(rel.BatchScan(spec)), want) << "head pin, " << label;
+      spec.snapshot = pin;
+      EXPECT_EQ(Drain(rel.BatchScan(spec)), want) << "reader pin, " << label;
     }
   }
 }
 
-TEST(PushdownEquivalence, RelationScanIgnoresWindowsItCannotUse) {
+TEST(OneScanPath, EverySpecMatchesBruteForceAtHeadAndReaderPins) {
+  const char* kCreate[] = {
+      "create relation r (name = string, n = int)",
+      "create rollback relation r (name = string, n = int)",
+      "create historical relation r (name = string, n = int)",
+      "create temporal relation r (name = string, n = int)",
+  };
+  for (const char* create : kCreate) {
+    for (uint64_t seed : {1u, 7u, 42u}) {
+      ManualClock clock{Chronon(0)};
+      DatabaseOptions options;
+      options.clock = &clock;
+      // Small epochs, so the sweeps prune sealed partitions.
+      options.store_options.partition_rows = 16;
+      std::unique_ptr<Database> db = std::move(*Database::Open(options));
+      ASSERT_TRUE(db->Execute(create).ok()) << create;
+      StoredRelation* rel = *db->GetRelation("r");
+      GrowRandomHistory(db.get(), &clock, rel, seed, 120);
+      Result<ReadSnapshot> snap = db->BeginReadSnapshot();
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      CheckScans(*rel, snap->PinFor(rel->store()), seed * 1000);
+    }
+  }
+}
+
+TEST(OneScanPath, RelationScanIgnoresWindowsItCannotUse) {
   ManualClock clock{Chronon(0)};
   DatabaseOptions options;
   options.clock = &clock;
@@ -136,45 +164,41 @@ TEST(PushdownEquivalence, RelationScanIgnoresWindowsItCannotUse) {
 }
 
 // ---------------------------------------------------------------------------
-// Full-query equivalence: pushdown on == pushdown off
+// Full-query equivalence: the writer path == a reader pin
 // ---------------------------------------------------------------------------
 
-class QueryPair {
+class PinnedPair {
  public:
-  explicit QueryPair(bool with_indexes = true) {
-    for (int i = 0; i < 2; ++i) {
-      DatabaseOptions options;
-      options.clock = &clock_;
-      options.store_options.time_pushdown = (i == 0);
-      options.store_options.index_valid_time = with_indexes;
-      options.store_options.index_txn_time = with_indexes;
-      db_[i] = std::move(*Database::Open(options));
-    }
+  PinnedPair() {
+    DatabaseOptions options;
+    options.clock = &clock_;
+    db_ = std::move(*Database::Open(options));
   }
 
   void Exec(const std::string& source) {
-    for (auto& db : db_) {
-      Result<tquel::ExecResult> r = db->Execute(source);
-      ASSERT_TRUE(r.ok()) << source << ": " << r.status().ToString();
-    }
+    Result<tquel::ExecResult> r = db_->Execute(source);
+    ASSERT_TRUE(r.ok()) << source << ": " << r.status().ToString();
   }
 
-  // Both sides must yield bit-identical renderings (same rows, same order,
-  // same periods).
+  // The writer's answer and the answer at a pin of the same committed
+  // state must render bit-identically (same rows, same order, same
+  // periods).
   void ExpectSameRows(const std::string& query) {
-    Result<Rowset> on = db_[0]->Query(query);
-    Result<Rowset> off = db_[1]->Query(query);
-    ASSERT_TRUE(on.ok()) << query << ": " << on.status().ToString();
-    ASSERT_TRUE(off.ok()) << query << ": " << off.status().ToString();
-    EXPECT_EQ(on->Render(), off->Render()) << query;
+    Result<ReadSnapshot> snap = db_->BeginReadSnapshot();
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    Result<Rowset> writer = db_->Query(query);
+    Result<Rowset> pinned = db_->QueryAtSnapshot(*snap, query);
+    ASSERT_TRUE(writer.ok()) << query << ": " << writer.status().ToString();
+    ASSERT_TRUE(pinned.ok()) << query << ": " << pinned.status().ToString();
+    EXPECT_EQ(writer->Render(), pinned->Render()) << query;
   }
 
   ManualClock clock_{Chronon(0)};
-  std::unique_ptr<Database> db_[2];
+  std::unique_ptr<Database> db_;
 };
 
-TEST(PushdownEquivalence, TemporalQueriesMatchWithPushdownOff) {
-  QueryPair pair;
+TEST(OneScanPath, TemporalQueriesMatchAtAPin) {
+  PinnedPair pair;
   ASSERT_TRUE(pair.clock_.SetDate("01/01/80").ok());
   pair.Exec("create temporal relation faculty (name = string, rank = string)");
   pair.Exec(
@@ -200,12 +224,15 @@ TEST(PushdownEquivalence, TemporalQueriesMatchWithPushdownOff) {
   pair.ExpectSameRows(
       "retrieve (f.name) when \"01/01/78\" precede f");
   // Dynamic windows: the inner participant's window depends on the outer
-  // tuple (index-nested-loop when-join).
+  // tuple (an interval probe on the writer path, a sweep at the pin).
   pair.ExpectSameRows(
       "retrieve (a = f.name, b = g.name) when f overlap g");
   pair.ExpectSameRows(
       "retrieve (a = f.name, b = g.name) where f.name != g.name "
       "when f overlap g as of \"06/01/82\"");
+  pair.ExpectSameRows(
+      "retrieve (a = f.name, b = g.name) when f overlap g as of "
+      "\"06/01/81\" through \"12/31/82\"");
   pair.ExpectSameRows(
       "retrieve (a = f.name, b = g.name) when f overlap g or f precede g");
   pair.ExpectSameRows(
@@ -215,55 +242,43 @@ TEST(PushdownEquivalence, TemporalQueriesMatchWithPushdownOff) {
       "when f overlap \"06/01/81\"");
 }
 
-TEST(PushdownEquivalence, HistoricalQueriesMatchWithPushdownOff) {
-  // Run the same when-queries against a historical relation, with and
-  // without interval indexes, to cover the fallback paths.
-  for (bool indexed : {true, false}) {
-    QueryPair pair(indexed);
-    ASSERT_TRUE(pair.clock_.SetDate("01/01/80").ok());
-    pair.Exec("create historical relation h (name = string)");
-    pair.Exec(
-        "append to h (name = \"a\") valid from \"01/01/79\" to \"01/01/81\"");
-    pair.Exec(
-        "append to h (name = \"b\") valid from \"06/01/80\" to \"06/01/83\"");
-    pair.Exec(
-        "append to h (name = \"c\") valid from \"01/01/84\" to \"01/01/85\"");
-    pair.Exec("range of x is h");
-    pair.Exec("range of y is h");
+TEST(OneScanPath, HistoricalQueriesMatchAtAPin) {
+  PinnedPair pair;
+  ASSERT_TRUE(pair.clock_.SetDate("01/01/80").ok());
+  pair.Exec("create historical relation h (name = string)");
+  pair.Exec(
+      "append to h (name = \"a\") valid from \"01/01/79\" to \"01/01/81\"");
+  pair.Exec(
+      "append to h (name = \"b\") valid from \"06/01/80\" to \"06/01/83\"");
+  pair.Exec(
+      "append to h (name = \"c\") valid from \"01/01/84\" to \"01/01/85\"");
+  pair.Exec("range of x is h");
+  pair.Exec("range of y is h");
 
-    pair.ExpectSameRows("retrieve (x.name)");
-    pair.ExpectSameRows("retrieve (x.name) when x overlap \"07/01/80\"");
-    pair.ExpectSameRows("retrieve (x.name) when x precede \"01/01/83\"");
-    pair.ExpectSameRows("retrieve (a = x.name, b = y.name) when x overlap y");
-    pair.ExpectSameRows(
-        "retrieve (a = x.name, b = y.name) when x precede y and y overlap "
-        "\"06/01/84\"");
-  }
+  pair.ExpectSameRows("retrieve (x.name)");
+  pair.ExpectSameRows("retrieve (x.name) when x overlap \"07/01/80\"");
+  pair.ExpectSameRows("retrieve (x.name) when x precede \"01/01/83\"");
+  pair.ExpectSameRows("retrieve (a = x.name, b = y.name) when x overlap y");
+  pair.ExpectSameRows(
+      "retrieve (a = x.name, b = y.name) when x precede y and y overlap "
+      "\"06/01/84\"");
 }
 
-TEST(PushdownEquivalence, RandomizedQueriesMatchWithPushdownOff) {
+TEST(OneScanPath, RandomizedQueriesMatchAtAPin) {
   for (uint64_t seed : {3u, 11u}) {
-    QueryPair pair;
-    StoredRelation* rels[2];
-    for (int i = 0; i < 2; ++i) {
-      ASSERT_TRUE(pair.db_[i]
-                      ->Execute(
-                          "create temporal relation h (name = string, "
-                          "n = int)")
-                      .ok());
-      rels[i] = *pair.db_[i]->GetRelation("h");
-    }
-    // Grow the SAME history on both sides (same seed, same clock steps —
-    // reset the clock between the two replays).
-    for (int i = 0; i < 2; ++i) {
-      pair.clock_.SetTime(Chronon(0));
-      GrowRandomHistory(pair.db_[i].get(), &pair.clock_, rels[i], seed, 100);
-    }
+    PinnedPair pair;
+    pair.Exec("create temporal relation h (name = string, n = int)");
+    StoredRelation* rel = *pair.db_->GetRelation("h");
+    GrowRandomHistory(pair.db_.get(), &pair.clock_, rel, seed, 100);
     pair.Exec("range of u is h");
     pair.Exec("range of v is h");
     pair.ExpectSameRows("retrieve (u.name, u.n)");
     pair.ExpectSameRows("retrieve (u.name) when u overlap \"06/01/70\"");
+    // Keyless dynamic when-joins: the writer's interval probe visits the
+    // inner rows in row order, exactly as the pinned sweep does.
     pair.ExpectSameRows("retrieve (u.name, v.n) when u overlap v");
+    pair.ExpectSameRows(
+        "retrieve (u.name, v.n) when u overlap v as of \"03/01/70\"");
     pair.ExpectSameRows(
         "retrieve (u.name) as of \"03/01/70\" through \"09/01/70\"");
   }

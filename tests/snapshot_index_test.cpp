@@ -2,19 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
-#include "common/date.h"
-
 namespace temporadb {
 namespace {
-
-std::vector<uint64_t> AsOfRows(const SnapshotIndex& index, int64_t t) {
-  std::vector<uint64_t> rows;
-  index.AsOf(Chronon(t), [&](uint64_t row) { rows.push_back(row); });
-  std::sort(rows.begin(), rows.end());
-  return rows;
-}
 
 TEST(SnapshotIndex, CurrentSetLifecycle) {
   SnapshotIndex index;
@@ -28,23 +17,15 @@ TEST(SnapshotIndex, CurrentSetLifecycle) {
               StatusCode::kAlreadyExists);
 }
 
-TEST(SnapshotIndex, AsOfSeesCurrentFromStart) {
-  SnapshotIndex index;
-  ASSERT_TRUE(index.AddCurrent(1, Chronon(10)).ok());
-  EXPECT_TRUE(AsOfRows(index, 9).empty());
-  EXPECT_EQ(AsOfRows(index, 10), std::vector<uint64_t>{1});
-  EXPECT_EQ(AsOfRows(index, 1000), std::vector<uint64_t>{1});
-}
-
-TEST(SnapshotIndex, CloseMovesToClosedSet) {
+TEST(SnapshotIndex, CloseLeavesCurrentSet) {
   SnapshotIndex index;
   ASSERT_TRUE(index.AddCurrent(1, Chronon(10)).ok());
   ASSERT_TRUE(index.CloseCurrent(1, Chronon(50)).ok());
   EXPECT_FALSE(index.IsCurrent(1));
-  EXPECT_EQ(index.closed_count(), 1u);
-  EXPECT_EQ(AsOfRows(index, 30), std::vector<uint64_t>{1});
-  EXPECT_TRUE(AsOfRows(index, 50).empty());  // Half-open close.
-  EXPECT_TRUE(AsOfRows(index, 9).empty());
+  EXPECT_EQ(index.current_count(), 0u);
+  // An abort-time undo puts the row back.
+  ASSERT_TRUE(index.AddCurrent(1, Chronon(10)).ok());
+  EXPECT_TRUE(index.IsCurrent(1));
 }
 
 TEST(SnapshotIndex, CloseErrors) {
@@ -55,62 +36,12 @@ TEST(SnapshotIndex, CloseErrors) {
   EXPECT_TRUE(index.CloseCurrent(1, Chronon(5)).IsInvalidArgument());
 }
 
-TEST(SnapshotIndex, ZeroLengthCloseVanishes) {
-  // A version created and superseded in the same chronon never covered any
-  // stored state; no rollback can see it.
+TEST(SnapshotIndex, ZeroLengthCloseIsLegal) {
+  // A version created and superseded in the same chronon.
   SnapshotIndex index;
   ASSERT_TRUE(index.AddCurrent(1, Chronon(10)).ok());
   ASSERT_TRUE(index.CloseCurrent(1, Chronon(10)).ok());
-  EXPECT_EQ(index.closed_count(), 0u);
-  EXPECT_TRUE(AsOfRows(index, 10).empty());
-}
-
-TEST(SnapshotIndex, ReopenAsCurrentUndo) {
-  SnapshotIndex index;
-  ASSERT_TRUE(index.AddCurrent(1, Chronon(10)).ok());
-  ASSERT_TRUE(index.CloseCurrent(1, Chronon(50)).ok());
-  ASSERT_TRUE(index.ReopenAsCurrent(1, Chronon(10), Chronon(50)).ok());
-  EXPECT_TRUE(index.IsCurrent(1));
-  EXPECT_EQ(index.closed_count(), 0u);
-  EXPECT_EQ(AsOfRows(index, 1000), std::vector<uint64_t>{1});
-}
-
-TEST(SnapshotIndex, ReopenAfterZeroLengthClose) {
-  SnapshotIndex index;
-  ASSERT_TRUE(index.AddCurrent(1, Chronon(10)).ok());
-  ASSERT_TRUE(index.CloseCurrent(1, Chronon(10)).ok());
-  ASSERT_TRUE(index.ReopenAsCurrent(1, Chronon(10), Chronon(10)).ok());
-  EXPECT_TRUE(index.IsCurrent(1));
-}
-
-TEST(SnapshotIndex, AddClosedForCheckpointLoad) {
-  SnapshotIndex index;
-  ASSERT_TRUE(index.AddClosed(3, Period(Chronon(0), Chronon(10))).ok());
-  ASSERT_TRUE(index.AddClosed(4, Period(Chronon(5), Chronon(5))).ok());  // Empty: ignored.
-  EXPECT_EQ(index.closed_count(), 1u);
-  EXPECT_EQ(AsOfRows(index, 5), std::vector<uint64_t>{3});
-}
-
-TEST(SnapshotIndex, PaperTimelineRollback) {
-  // Figure 4's transaction periods.
-  auto day = [](const char* d) { return Date::Parse(d)->chronon(); };
-  SnapshotIndex index;
-  // Merrie associate: [08/25/77, 12/15/82); Merrie full: [12/15/82, inf).
-  ASSERT_TRUE(index.AddCurrent(0, day("08/25/77")).ok());
-  ASSERT_TRUE(index.AddCurrent(1, day("12/07/82")).ok());  // Tom.
-  ASSERT_TRUE(index.CloseCurrent(0, day("12/15/82")).ok());
-  ASSERT_TRUE(index.AddCurrent(2, day("12/15/82")).ok());  // Merrie full.
-  ASSERT_TRUE(index.AddCurrent(3, day("01/10/83")).ok());  // Mike.
-  ASSERT_TRUE(index.CloseCurrent(3, day("02/25/84")).ok());
-
-  EXPECT_EQ(AsOfRows(index, day("12/10/82").days()),
-            (std::vector<uint64_t>{0, 1}));
-  EXPECT_EQ(AsOfRows(index, day("12/20/82").days()),
-            (std::vector<uint64_t>{1, 2}));
-  EXPECT_EQ(AsOfRows(index, day("06/01/83").days()),
-            (std::vector<uint64_t>{1, 2, 3}));
-  EXPECT_EQ(AsOfRows(index, day("03/01/84").days()),
-            (std::vector<uint64_t>{1, 2}));
+  EXPECT_FALSE(index.IsCurrent(1));
 }
 
 TEST(SnapshotIndex, CurrentIteration) {

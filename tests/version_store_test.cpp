@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/date.h"
 #include "txn/clock.h"
 #include "txn/txn_manager.h"
 
@@ -14,6 +15,20 @@ BitemporalTuple Tuple(const char* name, int64_t txn_start) {
   t.valid = Period::All();
   t.txn = Period::From(Chronon(txn_start));
   return t;
+}
+
+// The rows of the stored state as of transaction time `t`: the head-pin
+// sweep with a transaction-time containment predicate.
+std::vector<RowId> AsOfRows(const VersionStore& store, int64_t t) {
+  BatchPredicates preds;
+  preds.txn_contains = Chronon(t);
+  VersionBatchScan scan = store.BatchScan(store.HeadPin(), preds);
+  std::vector<RowId> rows;
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    rows.insert(rows.end(), batch.rows.begin(), batch.rows.end());
+  }
+  return rows;
 }
 
 class VersionStoreTest : public ::testing::Test {
@@ -72,7 +87,7 @@ TEST_F(VersionStoreTest, AbortUndoesAppend) {
   ASSERT_TRUE(manager_.Abort(txn).ok());
   EXPECT_EQ(store_.live_count(), 0u);
   EXPECT_EQ(store_.version_count(), 0u);
-  EXPECT_TRUE(store_.TxnAsOf(Chronon(10)).empty());
+  EXPECT_TRUE(AsOfRows(store_, 10).empty());
   // A fresh append reuses row id 0.
   Transaction* t2 = BeginAt(20);
   EXPECT_EQ(*store_.Append(t2, Tuple("c", 20)), 0u);
@@ -88,7 +103,7 @@ TEST_F(VersionStoreTest, AbortUndoesCloseTxn) {
   ASSERT_TRUE(manager_.Abort(t2).ok());
   EXPECT_EQ(store_.current_count(), 1u);
   EXPECT_TRUE((*store_.Get(row))->IsCurrentState());
-  EXPECT_EQ(store_.TxnAsOf(Chronon(25)).size(), 1u);
+  EXPECT_EQ(AsOfRows(store_, 25).size(), 1u);
 }
 
 TEST_F(VersionStoreTest, AbortUndoesPhysicalDeleteAndUpdate) {
@@ -122,50 +137,65 @@ TEST_F(VersionStoreTest, PhysicalDeleteTombstones) {
   ASSERT_TRUE(manager_.Commit(t2).ok());
 }
 
-TEST_F(VersionStoreTest, TxnAsOfWithAndWithoutIndex) {
-  for (bool indexed : {true, false}) {
-    VersionStoreOptions options;
-    options.index_txn_time = indexed;
-    VersionStore store(options);
-    Transaction* t1 = BeginAt(10);
-    RowId a = *store.Append(t1, Tuple("a", 10));
-    ASSERT_TRUE(manager_.Commit(t1).ok());
-    Transaction* t2 = BeginAt(20);
-    ASSERT_TRUE(store.CloseTxn(t2, a, Chronon(20)).ok());
-    ASSERT_TRUE(store.Append(t2, Tuple("b", 20)).ok());
-    ASSERT_TRUE(manager_.Commit(t2).ok());
+TEST_F(VersionStoreTest, AsOfScanAndCurrentRows) {
+  Transaction* t1 = BeginAt(10);
+  RowId a = *store_.Append(t1, Tuple("a", 10));
+  ASSERT_TRUE(manager_.Commit(t1).ok());
+  Transaction* t2 = BeginAt(20);
+  ASSERT_TRUE(store_.CloseTxn(t2, a, Chronon(20)).ok());
+  ASSERT_TRUE(store_.Append(t2, Tuple("b", 20)).ok());
+  ASSERT_TRUE(manager_.Commit(t2).ok());
 
-    EXPECT_EQ(store.TxnAsOf(Chronon(15)), std::vector<RowId>{a}) << indexed;
-    EXPECT_EQ(store.TxnAsOf(Chronon(25)), std::vector<RowId>{1}) << indexed;
-    EXPECT_TRUE(store.TxnAsOf(Chronon(5)).empty()) << indexed;
-    EXPECT_EQ(store.CurrentRows(), std::vector<RowId>{1}) << indexed;
-  }
+  EXPECT_EQ(AsOfRows(store_, 15), std::vector<RowId>{a});
+  EXPECT_EQ(AsOfRows(store_, 25), std::vector<RowId>{1});
+  EXPECT_TRUE(AsOfRows(store_, 5).empty());
+  EXPECT_EQ(store_.CurrentRows(), std::vector<RowId>{1});
 }
 
-TEST_F(VersionStoreTest, ValidOverlappingWithAndWithoutIndex) {
-  for (bool indexed : {true, false}) {
-    VersionStoreOptions options;
-    options.index_valid_time = indexed;
-    VersionStore store(options);
-    Transaction* txn = BeginAt(10);
-    BitemporalTuple t = Tuple("a", 10);
-    t.valid = Period(Chronon(100), Chronon(200));
-    ASSERT_TRUE(store.Append(txn, t).ok());
-    BitemporalTuple u = Tuple("b", 10);
-    u.valid = Period(Chronon(300), Chronon(400));
-    ASSERT_TRUE(store.Append(txn, u).ok());
-    ASSERT_TRUE(manager_.Commit(txn).ok());
+TEST_F(VersionStoreTest, AsOfScanFollowsPaperTimeline) {
+  // Figure 4's transaction periods: Merrie associate [08/25/77, 12/15/82),
+  // Tom from 12/07/82, Merrie full from 12/15/82, Mike
+  // [01/10/83, 02/25/84).
+  auto day = [](const char* d) { return Date::Parse(d)->chronon().days(); };
+  Transaction* t1 = BeginAt(day("08/25/77"));
+  RowId merrie = *store_.Append(t1, Tuple("merrie", day("08/25/77")));
+  ASSERT_TRUE(manager_.Commit(t1).ok());
+  Transaction* t2 = BeginAt(day("12/07/82"));
+  ASSERT_TRUE(store_.Append(t2, Tuple("tom", day("12/07/82"))).ok());
+  ASSERT_TRUE(manager_.Commit(t2).ok());
+  Transaction* t3 = BeginAt(day("12/15/82"));
+  ASSERT_TRUE(store_.CloseTxn(t3, merrie, Chronon(day("12/15/82"))).ok());
+  ASSERT_TRUE(store_.Append(t3, Tuple("merrie", day("12/15/82"))).ok());
+  ASSERT_TRUE(manager_.Commit(t3).ok());
+  Transaction* t4 = BeginAt(day("01/10/83"));
+  RowId mike = *store_.Append(t4, Tuple("mike", day("01/10/83")));
+  ASSERT_TRUE(manager_.Commit(t4).ok());
+  Transaction* t5 = BeginAt(day("02/25/84"));
+  ASSERT_TRUE(store_.CloseTxn(t5, mike, Chronon(day("02/25/84"))).ok());
+  ASSERT_TRUE(manager_.Commit(t5).ok());
 
-    EXPECT_EQ(store.ValidOverlapping(Period(Chronon(150), Chronon(160))),
-              std::vector<RowId>{0})
-        << indexed;
-    EXPECT_EQ(store.ValidOverlapping(Period(Chronon(150), Chronon(350))).size(),
-              2u)
-        << indexed;
-    EXPECT_TRUE(
-        store.ValidOverlapping(Period(Chronon(200), Chronon(300))).empty())
-        << indexed;
-  }
+  EXPECT_EQ(AsOfRows(store_, day("12/10/82")), (std::vector<RowId>{0, 1}));
+  EXPECT_EQ(AsOfRows(store_, day("12/20/82")), (std::vector<RowId>{1, 2}));
+  EXPECT_EQ(AsOfRows(store_, day("06/01/83")), (std::vector<RowId>{1, 2, 3}));
+  EXPECT_EQ(AsOfRows(store_, day("03/01/84")), (std::vector<RowId>{1, 2}));
+}
+
+TEST_F(VersionStoreTest, ValidOverlappingProbesTheIntervalIndex) {
+  Transaction* txn = BeginAt(10);
+  BitemporalTuple t = Tuple("a", 10);
+  t.valid = Period(Chronon(100), Chronon(200));
+  ASSERT_TRUE(store_.Append(txn, t).ok());
+  BitemporalTuple u = Tuple("b", 10);
+  u.valid = Period(Chronon(300), Chronon(400));
+  ASSERT_TRUE(store_.Append(txn, u).ok());
+  ASSERT_TRUE(manager_.Commit(txn).ok());
+
+  EXPECT_EQ(store_.ValidOverlapping(Period(Chronon(150), Chronon(160))),
+            std::vector<RowId>{0});
+  EXPECT_EQ(store_.ValidOverlapping(Period(Chronon(150), Chronon(350))).size(),
+            2u);
+  EXPECT_TRUE(
+      store_.ValidOverlapping(Period(Chronon(200), Chronon(300))).empty());
 }
 
 TEST_F(VersionStoreTest, ObserverSeesCommittedMutationShapes) {
@@ -216,14 +246,15 @@ TEST_F(VersionStoreTest, LoadSlotPreservesTombstones) {
   EXPECT_EQ((*store.Get(2))->values[0].AsString(), "c");
 }
 
-TEST_F(VersionStoreTest, LoadSlotIndexesClosedVersions) {
+TEST_F(VersionStoreTest, LoadSlotKeepsClosedVersions) {
   VersionStore store;
   BitemporalTuple closed = Tuple("old", 10);
   closed.txn = Period(Chronon(10), Chronon(20));
   store.LoadSlot(closed);
   store.LoadSlot(Tuple("cur", 20));
-  EXPECT_EQ(store.TxnAsOf(Chronon(15)), std::vector<RowId>{0});
-  EXPECT_EQ(store.TxnAsOf(Chronon(25)), std::vector<RowId>{1});
+  EXPECT_EQ(AsOfRows(store, 15), std::vector<RowId>{0});
+  EXPECT_EQ(AsOfRows(store, 25), std::vector<RowId>{1});
+  EXPECT_EQ(store.CurrentRows(), std::vector<RowId>{1});
 }
 
 TEST_F(VersionStoreTest, ApproximateBytesGrows) {
