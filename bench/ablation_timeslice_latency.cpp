@@ -1,10 +1,9 @@
-// A4 — Valid timeslice latency: the interval-index probe (the access path
-// of historical DML and the writer's dynamic when-join step) against the
-// relation's pinned sweep (what every `retrieve` reads).
+// A4 — Valid timeslice latency: the relation's pinned sweep (what every
+// `retrieve` and `ValidTimeslice` read) answering valid-time stabs and
+// overlap windows, alone and through the full TQuel stack.
 //
-// The treap-backed interval index answers stabbing queries in
-// O(log n + k); the sweep runs one branch-free overlap kernel over every
-// version of the epochs whose valid-time bounds meet the window.
+// The sweep runs one branch-free overlap kernel over every version of the
+// epochs whose valid-time bounds meet the window.
 
 #include <benchmark/benchmark.h>
 
@@ -17,27 +16,19 @@ using namespace temporadb;
 
 namespace {
 
-size_t Drain(VersionBatchScan scan) {
+// The rows of `rel` valid some time during `window`: the relation's scan at
+// the head pin.
+size_t ValidDuring(const StoredRelation& rel, Period window) {
+  ScanSpec spec;
+  spec.valid_during = window;
+  VersionBatchScan scan = rel.BatchScan(spec);
   VersionBatch batch;
   size_t rows = 0;
   while (scan.Next(&batch)) rows += batch.size();
   return rows;
 }
 
-// The rows of `rel` valid some time during `window`: an interval-index
-// probe, or the relation's scan at the head pin.
-size_t ValidDuring(const StoredRelation& rel, Period window, bool indexed) {
-  if (indexed) {
-    std::vector<RowId> rows = rel.store()->ValidOverlapping(window);
-    benchmark::DoNotOptimize(rows);
-    return rows.size();
-  }
-  ScanSpec spec;
-  spec.valid_during = window;
-  return Drain(rel.BatchScan(spec));
-}
-
-void RunTimeslice(benchmark::State& state, bool indexed) {
+void BM_Timeslice_Sweep(benchmark::State& state) {
   bench::ScenarioDb sdb = bench::OpenScenarioDb();
   StoredRelation* rel = bench::PopulateStream(
       sdb.db.get(), sdb.clock.get(), "r", TemporalClass::kHistorical, 64,
@@ -46,7 +37,7 @@ void RunTimeslice(benchmark::State& state, bool indexed) {
   Chronon probe = boundaries[boundaries.size() / 2];
   size_t answer = 0;
   for (auto _ : state) {
-    answer = ValidDuring(*rel, Period::At(probe), indexed);
+    answer = ValidDuring(*rel, Period::At(probe));
     benchmark::DoNotOptimize(answer);
   }
   state.counters["answer_rows"] = static_cast<double>(answer);
@@ -54,15 +45,8 @@ void RunTimeslice(benchmark::State& state, bool indexed) {
       static_cast<double>(rel->store()->version_count());
 }
 
-void BM_Timeslice_Indexed(benchmark::State& state) {
-  RunTimeslice(state, true);
-}
-void BM_Timeslice_Sweep(benchmark::State& state) {
-  RunTimeslice(state, false);
-}
-
 // Overlap-range queries ("valid some time during [a, b)") of varying width.
-void RunOverlapWindow(benchmark::State& state, bool indexed) {
+void BM_OverlapWindow_Sweep(benchmark::State& state) {
   bench::ScenarioDb sdb = bench::OpenScenarioDb();
   StoredRelation* rel = bench::PopulateStream(
       sdb.db.get(), sdb.clock.get(), "r", TemporalClass::kHistorical, 64,
@@ -71,16 +55,9 @@ void RunOverlapWindow(benchmark::State& state, bool indexed) {
   Chronon mid = boundaries[boundaries.size() / 2];
   Period window(mid, mid + state.range(0));
   for (auto _ : state) {
-    size_t answer = ValidDuring(*rel, window, indexed);
+    size_t answer = ValidDuring(*rel, window);
     benchmark::DoNotOptimize(answer);
   }
-}
-
-void BM_OverlapWindow_Indexed(benchmark::State& state) {
-  RunOverlapWindow(state, true);
-}
-void BM_OverlapWindow_Sweep(benchmark::State& state) {
-  RunOverlapWindow(state, false);
 }
 
 // The same timeslice through the full TQuel stack: the paper's temporal
@@ -119,9 +96,7 @@ void BM_TemporalCube(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK(BM_Timeslice_Indexed)->Arg(1000)->Arg(4000)->Arg(16000);
 BENCHMARK(BM_Timeslice_Sweep)->Arg(1000)->Arg(4000)->Arg(16000);
-BENCHMARK(BM_OverlapWindow_Indexed)->Arg(1)->Arg(30)->Arg(365);
 BENCHMARK(BM_OverlapWindow_Sweep)->Arg(1)->Arg(30)->Arg(365);
 BENCHMARK(BM_TemporalCube)->Arg(1000)->Arg(4000)->Arg(16000)
     ->Unit(benchmark::kMillisecond);

@@ -1,12 +1,16 @@
 // A5 — Temporal join scaling: TQuel when-joins evaluated through the full
 // query stack at increasing relation sizes.
-//  - `when x overlap y` alone: the inner side is a dynamic step, an
-//    interval-index probe per outer tuple on the writer path.
+//  - `when x overlap y` alone: the inner side is a dynamic step, scanned
+//    once and indexed by valid period, then probed per outer tuple; on the
+//    writer path, at a reader pin, and with a one-key outer side (where
+//    the inner scan is most of the work).
 //  - `where x.key = y.key when x overlap y`: the equality key makes the
 //    inner side a hash step.
 //  - the non-temporal equi-join `where x.key = y.key` as a baseline.
 
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 #include "bench/bench_json.h"
 
@@ -43,11 +47,24 @@ bench::ScenarioDb BuildPair(size_t per_relation) {
   return sdb;
 }
 
-void RunQuery(benchmark::State& state, const char* query) {
+// Runs `query` on the writer path, or at one reader pin when `pinned`.
+void RunQuery(benchmark::State& state, const char* query,
+              bool pinned = false) {
   bench::ScenarioDb sdb = BuildPair(static_cast<size_t>(state.range(0)));
+  std::optional<ReadSnapshot> snap;
+  if (pinned) {
+    Result<ReadSnapshot> begun = sdb.db->BeginReadSnapshot();
+    if (!begun.ok()) {
+      state.SkipWithError(begun.status().ToString().c_str());
+      return;
+    }
+    snap = std::move(*begun);
+  }
   size_t answer = 0;
   for (auto _ : state) {
-    Result<Rowset> rows = sdb.db->Query(query);
+    Result<Rowset> rows = snap.has_value()
+                              ? sdb.db->QueryAtSnapshot(*snap, query)
+                              : sdb.db->Query(query);
     if (!rows.ok()) {
       state.SkipWithError(rows.status().ToString().c_str());
       break;
@@ -58,11 +75,21 @@ void RunQuery(benchmark::State& state, const char* query) {
   state.counters["answer_rows"] = static_cast<double>(answer);
 }
 
-// The executor re-derives x's period per outer tuple and probes b's
-// interval index with it, so the inner step touches only overlapping
-// versions.
+// The executor re-derives x's period per outer tuple and probes the
+// interval index over b's candidates with it, so the inner step touches
+// only overlapping versions.
 void BM_WhenOverlap(benchmark::State& state) {
   RunQuery(state, "retrieve (x.key) when x overlap y");
+}
+
+void BM_WhenOverlap_Pinned(benchmark::State& state) {
+  RunQuery(state, "retrieve (x.key) when x overlap y", /*pinned=*/true);
+}
+
+// About four outer tuples: the inner side is still scanned and indexed
+// whole, once.
+void BM_WhenOverlap_SmallOuter(benchmark::State& state) {
+  RunQuery(state, "retrieve (x.key) where x.key = \"k0\" when x overlap y");
 }
 
 void BM_WhenJoin_HashJoin(benchmark::State& state) {
@@ -76,6 +103,10 @@ void BM_EquiJoinOnly(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_WhenOverlap)->Arg(50)->Arg(200)->Arg(800)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WhenOverlap_Pinned)->Arg(50)->Arg(200)->Arg(800)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WhenOverlap_SmallOuter)->Arg(50)->Arg(200)->Arg(800)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WhenJoin_HashJoin)->Arg(50)->Arg(200)->Arg(800)
     ->Unit(benchmark::kMillisecond);

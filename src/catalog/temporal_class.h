@@ -77,23 +77,9 @@ constexpr TemporalClass DerivedClass(TemporalClass c) {
   return TemporalClass::kStatic;
 }
 
-/// True when `a` and `b` have a meet in the capability lattice, i.e. the
-/// classes are comparable: one side's capability set contains the other's.
-/// The one incomparable pair is rollback x historical — each maintains
-/// exactly the time dimension the other lacks, so a product would have to
-/// drop *both* dimensions, silently discarding all temporal content.  The
-/// product operators reject that pairing instead of guessing.
-constexpr bool HasMeetClass(TemporalClass a, TemporalClass b) {
-  const bool a_in_b = (!SupportsTransactionTime(a) || SupportsTransactionTime(b)) &&
-                      (!SupportsValidTime(a) || SupportsValidTime(b));
-  const bool b_in_a = (!SupportsTransactionTime(b) || SupportsTransactionTime(a)) &&
-                      (!SupportsValidTime(b) || SupportsValidTime(a));
-  return a_in_b || b_in_a;
-}
-
 /// The class of a relation produced by joining relations of classes `a` and
 /// `b`: the meet in the capability lattice (a dimension survives only if
-/// both inputs carry it).  Only meaningful when `HasMeetClass(a, b)`.
+/// both inputs carry it).
 constexpr TemporalClass MeetClass(TemporalClass a, TemporalClass b) {
   bool tt = SupportsTransactionTime(a) && SupportsTransactionTime(b);
   bool vt = SupportsValidTime(a) && SupportsValidTime(b);

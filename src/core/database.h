@@ -32,7 +32,8 @@ struct DatabaseOptions {
   /// The clock must outlive the database.
   const Clock* clock = nullptr;
 
-  /// Index toggles, exposed for the ablation benches.
+  /// Every relation's version-store configuration: scan parallelism and
+  /// batch size, epoch partitioning and pruning, the scan-stats sink.
   VersionStoreOptions store_options;
 
   /// fsync the WAL on every commit (durability); off for benchmarks that

@@ -1,170 +1,31 @@
 #include "index/interval_index.h"
 
-#include <cassert>
+#include <algorithm>
 
 namespace temporadb {
 
-bool IntervalIndex::KeyLess(const Node& a, Period p, RowId row) {
-  if (a.period.begin() != p.begin()) return a.period.begin() < p.begin();
-  return a.row < row;
+IntervalIndex::IntervalIndex(std::vector<Entry> entries)
+    : entries_(std::move(entries)) {
+  std::erase_if(entries_, [](const Entry& e) { return e.period.IsEmpty(); });
+  std::sort(entries_.begin(), entries_.end(),
+            [](const Entry& a, const Entry& b) {
+              if (a.period.begin() != b.period.begin()) {
+                return a.period.begin() < b.period.begin();
+              }
+              return a.id < b.id;
+            });
+  max_end_.resize(entries_.size());
+  BuildMaxEnd(0, entries_.size());
 }
 
-void IntervalIndex::Pull(Node* n) {
-  n->max_end = n->period.end();
-  if (n->left && n->left->max_end > n->max_end) n->max_end = n->left->max_end;
-  if (n->right && n->right->max_end > n->max_end)
-    n->max_end = n->right->max_end;
-}
-
-std::unique_ptr<IntervalIndex::Node> IntervalIndex::Merge(
-    std::unique_ptr<Node> a, std::unique_ptr<Node> b) {
-  // Precondition: every key in `a` < every key in `b`.
-  if (!a) return b;
-  if (!b) return a;
-  if (a->priority >= b->priority) {
-    a->right = Merge(std::move(a->right), std::move(b));
-    Pull(a.get());
-    return a;
-  }
-  b->left = Merge(std::move(a), std::move(b->left));
-  Pull(b.get());
-  return b;
-}
-
-void IntervalIndex::SplitNode(std::unique_ptr<Node> n, Period p, RowId row,
-                              std::unique_ptr<Node>* lo,
-                              std::unique_ptr<Node>* hi) {
-  if (!n) {
-    lo->reset();
-    hi->reset();
-    return;
-  }
-  if (KeyLess(*n, p, row)) {
-    std::unique_ptr<Node> right_lo;
-    SplitNode(std::move(n->right), p, row, &right_lo, hi);
-    n->right = std::move(right_lo);
-    Pull(n.get());
-    *lo = std::move(n);
-  } else {
-    std::unique_ptr<Node> left_hi;
-    SplitNode(std::move(n->left), p, row, lo, &left_hi);
-    n->left = std::move(left_hi);
-    Pull(n.get());
-    *hi = std::move(n);
-  }
-}
-
-Status IntervalIndex::Insert(Period p, RowId row) {
-  if (p.IsEmpty()) {
-    return Status::InvalidArgument("cannot index an empty period");
-  }
-  // xorshift for priorities; deterministic but well mixed.
-  rng_state_ ^= rng_state_ << 13;
-  rng_state_ ^= rng_state_ >> 7;
-  rng_state_ ^= rng_state_ << 17;
-  auto node = std::make_unique<Node>();
-  node->period = p;
-  node->row = row;
-  node->priority = rng_state_;
-  node->max_end = p.end();
-  std::unique_ptr<Node> lo, hi;
-  SplitNode(std::move(root_), p, row, &lo, &hi);
-  root_ = Merge(Merge(std::move(lo), std::move(node)), std::move(hi));
-  ++size_;
-  return Status::OK();
-}
-
-Status IntervalIndex::Remove(Period p, RowId row) {
-  // Split around the key, drop the exact match from the >= side's leftmost.
-  std::unique_ptr<Node> lo, hi;
-  SplitNode(std::move(root_), p, row, &lo, &hi);
-  // `hi`'s leftmost node is the smallest key >= (p.begin, row).
-  Node* parent = nullptr;
-  Node* cur = hi.get();
-  while (cur != nullptr && cur->left) {
-    parent = cur;
-    cur = cur->left.get();
-  }
-  bool found = cur != nullptr && cur->period == p && cur->row == row;
-  if (found) {
-    std::unique_ptr<Node> victim;
-    if (parent == nullptr) {
-      victim = std::move(hi);
-      hi = Merge(std::move(victim->left), std::move(victim->right));
-    } else {
-      victim = std::move(parent->left);
-      parent->left = Merge(std::move(victim->left), std::move(victim->right));
-      // Re-pull the augmentation along the left spine, bottom-up.
-      std::vector<Node*> spine;
-      for (Node* fix = hi.get(); fix != nullptr; fix = fix->left.get()) {
-        spine.push_back(fix);
-      }
-      for (auto it = spine.rbegin(); it != spine.rend(); ++it) Pull(*it);
-    }
-    --size_;
-  }
-  root_ = Merge(std::move(lo), std::move(hi));
-  return found ? Status::OK()
-               : Status::NotFound("interval entry not in index");
-}
-
-void IntervalIndex::Visit(const Node* n, Period q,
-                          const std::function<void(Period, RowId)>& fn) {
-  if (n == nullptr) return;
-  // Prune: nothing in this subtree ends after q.begin.
-  if (n->max_end <= q.begin()) return;
-  Visit(n->left.get(), q, fn);
-  if (n->period.Overlaps(q)) fn(n->period, n->row);
-  // Keys right of n begin at >= n->period.begin(); if n already begins at or
-  // beyond q.end, so does everything to the right.
-  if (n->period.begin() < q.end()) {
-    Visit(n->right.get(), q, fn);
-  }
-}
-
-void IntervalIndex::Stab(Chronon t,
-                         const std::function<void(Period, RowId)>& fn) const {
-  Overlapping(Period::At(t), fn);
-}
-
-void IntervalIndex::Overlapping(
-    Period q, const std::function<void(Period, RowId)>& fn) const {
-  if (q.IsEmpty()) return;
-  Visit(root_.get(), q, fn);
-}
-
-std::vector<IntervalIndex::RowId> IntervalIndex::StabRows(Chronon t) const {
-  std::vector<RowId> out;
-  Stab(t, [&](Period, RowId row) { out.push_back(row); });
-  return out;
-}
-
-Status IntervalIndex::CheckInvariants() const {
-  std::function<Status(const Node*, const Node*, const Node*)> check =
-      [&](const Node* n, const Node* lo, const Node* hi) -> Status {
-    if (n == nullptr) return Status::OK();
-    if (lo != nullptr && KeyLess(*n, lo->period, lo->row)) {
-      return Status::Internal("BST order violated (left)");
-    }
-    if (hi != nullptr && KeyLess(*hi, n->period, n->row)) {
-      return Status::Internal("BST order violated (right)");
-    }
-    if (n->left && n->left->priority > n->priority) {
-      return Status::Internal("heap order violated");
-    }
-    if (n->right && n->right->priority > n->priority) {
-      return Status::Internal("heap order violated");
-    }
-    Chronon want = n->period.end();
-    if (n->left && n->left->max_end > want) want = n->left->max_end;
-    if (n->right && n->right->max_end > want) want = n->right->max_end;
-    if (want != n->max_end) {
-      return Status::Internal("max_end augmentation stale");
-    }
-    TDB_RETURN_IF_ERROR(check(n->left.get(), lo, n));
-    return check(n->right.get(), n, hi);
-  };
-  return check(root_.get(), nullptr, nullptr);
+Chronon IntervalIndex::BuildMaxEnd(size_t lo, size_t hi) {
+  if (lo >= hi) return Chronon::Beginning();
+  const size_t mid = lo + (hi - lo) / 2;
+  const Chronon end = std::max({entries_[mid].period.end(),
+                                BuildMaxEnd(lo, mid),
+                                BuildMaxEnd(mid + 1, hi)});
+  max_end_[mid] = end;
+  return end;
 }
 
 }  // namespace temporadb

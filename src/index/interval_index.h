@@ -2,86 +2,64 @@
 #define TEMPORADB_INDEX_INTERVAL_INDEX_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/period.h"
-#include "common/result.h"
 
 namespace temporadb {
 
-/// A dynamic interval index over `Period`s, as a randomized treap ordered by
-/// (begin, row) and augmented with the subtree's maximum `end`.
+/// A static interval index over `Period`s: built once from (period, id)
+/// entries, then only queried.  The entries are sorted by (begin, id), and
+/// an implicit balanced tree over the sorted array — the node of a range
+/// `[lo, hi)` is its midpoint — carries each subtree's maximum `end`, which
+/// prunes subtrees that end before a query begins.
 ///
-/// Supports the two temporal access paths of the engine:
-///  - *stabbing*  — all periods containing a chronon (valid timeslice,
-///    transaction-time rollback to an instant);
-///  - *overlap*   — all periods intersecting a query period (the TQuel
-///    `when ... overlap` join and `as of ... through ...` ranges).
-///
-/// Both run in O(log n + k) expected time; the max-end augmentation prunes
-/// subtrees that end before the query begins.
+/// `Overlapping` reports every period intersecting a query period in
+/// (begin, id) order in O(log n + k); a stab at chronon `t` is the query
+/// `Period::At(t)`.  Empty periods are dropped at build time, so they are
+/// never reported.  The evaluator builds one per keyless when-join step
+/// over the step's candidates (tquel/evaluator.cpp).
 class IntervalIndex {
  public:
-  using RowId = uint64_t;
-
-  IntervalIndex() = default;
-  IntervalIndex(const IntervalIndex&) = delete;
-  IntervalIndex& operator=(const IntervalIndex&) = delete;
-
-  /// Adds `row` with period `p` (empty periods are rejected).
-  Status Insert(Period p, RowId row);
-
-  /// Removes the entry (p, row); NotFound if absent.
-  Status Remove(Period p, RowId row);
-
-  /// Calls `fn(p, row)` for every period containing `t`.
-  void Stab(Chronon t, const std::function<void(Period, RowId)>& fn) const;
-
-  /// Calls `fn(p, row)` for every period overlapping `q`.
-  void Overlapping(Period q,
-                   const std::function<void(Period, RowId)>& fn) const;
-
-  /// All rows stabbing `t`, collected (convenience).
-  std::vector<RowId> StabRows(Chronon t) const;
-
-  size_t size() const { return size_; }
-
-  /// Removes every entry (used when rebuilding after compaction).
-  void Clear() {
-    root_.reset();
-    size_ = 0;
-  }
-
-  /// Validates heap order, BST order, and max-end augmentation; for tests.
-  Status CheckInvariants() const;
-
- private:
-  struct Node {
+  using Id = uint64_t;
+  struct Entry {
     Period period;
-    RowId row;
-    uint64_t priority;
-    Chronon max_end;
-    std::unique_ptr<Node> left;
-    std::unique_ptr<Node> right;
+    Id id = 0;
   };
 
-  // Key order: (begin, row) lexicographic.
-  static bool KeyLess(const Node& a, Period p, RowId row);
+  IntervalIndex() = default;
+  explicit IntervalIndex(std::vector<Entry> entries);
 
-  static void Pull(Node* n);
-  static std::unique_ptr<Node> Merge(std::unique_ptr<Node> a,
-                                     std::unique_ptr<Node> b);
-  // Splits into (< key) and (>= key).
-  static void SplitNode(std::unique_ptr<Node> n, Period p, RowId row,
-                        std::unique_ptr<Node>* lo, std::unique_ptr<Node>* hi);
-  static void Visit(const Node* n, Period q,
-                    const std::function<void(Period, RowId)>& fn);
+  /// Calls `fn(period, id)` for every entry whose period overlaps `q`.
+  template <typename Fn>
+  void Overlapping(Period q, const Fn& fn) const {
+    if (!q.IsEmpty()) Visit(0, entries_.size(), q, fn);
+  }
 
-  std::unique_ptr<Node> root_;
-  size_t size_ = 0;
-  uint64_t rng_state_ = 0x853C49E6748FEA9BULL;
+  size_t size() const { return entries_.size(); }
+
+ private:
+  // Builds `max_end_` for the subtree of `[lo, hi)`; returns its maximum.
+  Chronon BuildMaxEnd(size_t lo, size_t hi);
+
+  // In-order walk of the subtree of `[lo, hi)`: left subtree, node, right
+  // subtree (iterated, not recursed).
+  template <typename Fn>
+  void Visit(size_t lo, size_t hi, Period q, const Fn& fn) const {
+    while (lo < hi) {
+      const size_t mid = lo + (hi - lo) / 2;
+      if (max_end_[mid] <= q.begin()) return;  // Nothing ends after q begins.
+      Visit(lo, mid, q, fn);
+      const Entry& e = entries_[mid];
+      // The node and everything right of it begin at or after e's begin.
+      if (e.period.begin() >= q.end()) return;
+      if (q.begin() < e.period.end()) fn(e.period, e.id);
+      lo = mid + 1;
+    }
+  }
+
+  std::vector<Entry> entries_;     // Non-empty periods, by (begin, id).
+  std::vector<Chronon> max_end_;   // Max end of the subtree rooted at i.
 };
 
 }  // namespace temporadb

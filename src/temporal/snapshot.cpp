@@ -8,17 +8,22 @@ namespace temporadb {
 
 namespace {
 
-// Calls `fn` on every version in the stored state as of transaction time
-// `t`: the head-pin sweep with a transaction-time containment predicate.
-void ForEachAsOf(const VersionStore& store, Chronon t,
-                 const std::function<void(const BitemporalTuple&)>& fn) {
-  BatchPredicates preds;
-  preds.txn_contains = t;
+// Calls `fn` on every version the head-pin sweep selects under `preds`.
+void ForEachSelected(const VersionStore& store, const BatchPredicates& preds,
+                     const std::function<void(const BitemporalTuple&)>& fn) {
   VersionBatchScan scan = store.BatchScan(store.HeadPin(), preds);
   VersionBatch batch;
   while (scan.Next(&batch)) {
     for (const BitemporalTuple* tuple : batch.tuples) fn(*tuple);
   }
+}
+
+// The stored state as of transaction time `t`.
+void ForEachAsOf(const VersionStore& store, Chronon t,
+                 const std::function<void(const BitemporalTuple&)>& fn) {
+  BatchPredicates preds;
+  preds.txn_contains = t;
+  ForEachSelected(store, preds, fn);
 }
 
 }  // namespace
@@ -36,14 +41,14 @@ StaticState RollbackSlice(const VersionStore& store, Chronon t) {
 StaticState ValidTimeslice(const VersionStore& store, Chronon v) {
   StaticState state;
   state.at = v;
-  for (RowId row : store.ValidOverlapping(Period::At(v))) {
-    Result<const BitemporalTuple*> tuple = store.Get(row);
-    if (!tuple.ok()) continue;
-    // Only the current stored state participates; superseded versions of a
-    // temporal relation belong to past states.
-    if (!(*tuple)->IsCurrentState()) continue;
-    state.rows.push_back((*tuple)->values);
-  }
+  // Only the current stored state participates; superseded versions of a
+  // temporal relation belong to past states.
+  BatchPredicates preds;
+  preds.txn_current = true;
+  preds.valid_overlaps = Period::At(v);
+  ForEachSelected(store, preds, [&](const BitemporalTuple& tuple) {
+    state.rows.push_back(tuple.values);
+  });
   std::sort(state.rows.begin(), state.rows.end());
   return state;
 }

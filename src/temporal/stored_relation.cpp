@@ -50,19 +50,25 @@ Result<std::vector<RowId>> StoredRelation::SelectVictims(
                                          match.key->attr, match.key->value));
     probe = !current_only || candidates.size() <= store_.current_count();
   }
-  if (probe) {
-    // The walk's order: the interval index yields (valid begin, row).
+  if (!probe && current_only) {
+    candidates = store_.CurrentRows();
+  } else if (!probe) {
+    // Every live row, or those of a historical window.
+    BatchPredicates preds;
+    preds.valid_overlaps = window;
+    VersionBatchScan scan = store_.BatchScan(store_.HeadPin(), preds);
+    VersionBatch batch;
+    while (scan.Next(&batch)) {
+      candidates.insert(candidates.end(), batch.rows.begin(),
+                        batch.rows.end());
+    }
+  }
+  if (probe || valid_walk) {
+    // The walk's order: (valid begin, row) under a historical window, else
+    // row order.
     const int64_t* begin = store_.chronon_valid_from();
     std::sort(candidates.begin(), candidates.end(), [&](RowId a, RowId b) {
       return valid_walk && begin[a] != begin[b] ? begin[a] < begin[b] : a < b;
-    });
-  } else if (current_only) {
-    candidates = store_.CurrentRows();
-  } else if (valid_walk) {
-    candidates = store_.ValidOverlapping(*window);
-  } else {
-    store_.ForEach([&](RowId row, const BitemporalTuple&) {
-      candidates.push_back(row);
     });
   }
   if (ScanStats* stats = store_.options().scan_stats) {

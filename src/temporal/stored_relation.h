@@ -176,10 +176,10 @@ class StoredRelation {
 
   /// The rows a DML statement changes, read from the state before it runs,
   /// in the order the kind's walk visits them: row order, but (valid begin,
-  /// row) over the interval index.  Candidates are the key's index rows or
+  /// row) under a historical window.  Candidates are the key's index rows or
   /// the walk's: the current state with transaction time (also when it is
-  /// shorter than the key's rows, which include closed versions),
-  /// `ValidOverlapping(window)` for a historical window, else every live
+  /// shorter than the key's rows, which include closed versions), a
+  /// head-pin scan of the window for a historical window, else every live
   /// row.  Visibility, `when`, `window` and `pred` then filter them.
   Result<std::vector<RowId>> SelectVictims(const VictimFilter& match,
                                            std::optional<Period> window) const;

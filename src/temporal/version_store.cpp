@@ -193,17 +193,9 @@ void VersionStore::IndexInsert(RowId row, const BitemporalTuple& t) {
     // Fresh row id: cannot already be in the current set.
     (void)current_index_.AddCurrent(row, t.txn.begin());
   }
-  if (!t.valid.IsEmpty()) {
-    // Non-empty period guaranteed by the guard above.
-    (void)valid_index_.Insert(t.valid, row);
-  }
 }
 
 void VersionStore::IndexErase(RowId row, const BitemporalTuple& t) {
-  if (!t.valid.IsEmpty()) {
-    // The entry was inserted by IndexInsert with this exact period.
-    (void)valid_index_.Remove(t.valid, row);
-  }
   if (t.IsCurrentState()) {
     // Current by the guard, so the close cannot miss; closing at the start
     // just drops the entry.
@@ -488,12 +480,6 @@ std::vector<RowId> VersionStore::CurrentRows() const {
   return out;
 }
 
-std::vector<RowId> VersionStore::ValidOverlapping(Period q) const {
-  std::vector<RowId> out;
-  valid_index_.Overlapping(q, [&](Period, RowId row) { out.push_back(row); });
-  return out;
-}
-
 VersionBatchScan VersionStore::BatchScan(SnapshotPin pin,
                                          BatchPredicates preds) const {
   return VersionBatchScan(this, pin, std::move(preds));
@@ -584,7 +570,6 @@ size_t VersionStore::CompactTombstones() {
   sealed_rows_ = 0;
   // Row ids changed: rebuild every index from scratch.
   current_index_.Clear();
-  valid_index_.Clear();
   for (auto& [attr, index] : attr_indexes_) index->Clear();
   for (RowId row = 0; row < versions_.size(); ++row) {
     SyncChrononColumns(row);

@@ -10,7 +10,6 @@
 
 #include "common/result.h"
 #include "index/btree.h"
-#include "index/interval_index.h"
 #include "index/snapshot_index.h"
 #include "temporal/bitemporal_tuple.h"
 #include "temporal/mvcc.h"
@@ -248,11 +247,6 @@ class VersionStore {
   /// the DML walk of kinds with transaction time.
   std::vector<RowId> CurrentRows() const;
 
-  /// Rows whose valid period overlaps `q`, in (valid begin, row) order: an
-  /// interval-index probe (the DML walk of a historical window and the
-  /// writer's dynamic when-join step).
-  std::vector<RowId> ValidOverlapping(Period q) const;
-
   /// The one scan: the live versions visible at `pin` that satisfy
   /// `preds`, in row order, sliced into `VersionBatch`es (see
   /// VersionBatchScan for the head-pin versus reader-pin contract).
@@ -484,7 +478,7 @@ class VersionStore {
   };
 
   void IndexInsert(RowId row, const BitemporalTuple& t);
-  /// Drops `row` from the valid-time and current-row indexes.
+  /// Drops `row` from the current-row set.
   void IndexErase(RowId row, const BitemporalTuple& t);
   void AttrIndexInsert(RowId row, const BitemporalTuple& t);
   void AttrIndexErase(RowId row, const BitemporalTuple& t);
@@ -559,7 +553,6 @@ class VersionStore {
   size_t live_count_ = 0;
   uint64_t mutation_epoch_ = 0;
   SnapshotIndex current_index_;  // Current-row set (DML walk, current_count).
-  IntervalIndex valid_index_;
   std::map<size_t, std::unique_ptr<BTreeIndex>> attr_indexes_;
   std::function<void(const VersionOp&)> observer_;
 };

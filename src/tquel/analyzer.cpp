@@ -572,10 +572,7 @@ void CollectJoinKey(const AstExprPtr& e, BoundRetrieve* bound) {
       bound->participants, e->right->variable, e->right->attribute);
   if (!l.ok() || !r.ok() || l->first == r->first) return;
   const ValueType type = AttributeType(bound->participants, *l);
-  if (type != AttributeType(bound->participants, *r) ||
-      type == ValueType::kFloat) {
-    return;
-  }
+  if (type != AttributeType(bound->participants, *r)) return;
   const auto [inner, outer] = l->first > r->first ? std::make_pair(*l, *r)
                                                   : std::make_pair(*r, *l);
   bound->join_keys[inner.first].push_back(
@@ -876,10 +873,8 @@ std::optional<AttributeKey> DmlProbeKey(const AstExprPtr& where,
     safe = safe && CannotFail(c, single);
     auto eq = MatchEqConstraint(c, single);
     // The B+-tree's exact lookup finds exactly the stored values `=` finds
-    // equal to the key.  Float keys still take the walk until a test shows
-    // every plan agrees on them.
+    // equal to the key.
     if (!key.has_value() && eq.has_value() &&
-        eq->second.value.type() != ValueType::kFloat &&
         p.relation->store()->HasAttributeIndex(eq->second.attr)) {
       key = std::move(eq->second);
     }

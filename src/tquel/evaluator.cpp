@@ -5,7 +5,7 @@
 #include <unordered_map>
 
 #include "common/strings.h"
-#include "rel/operators.h"
+#include "index/interval_index.h"
 #include "rel/temporal_ops.h"
 
 namespace temporadb {
@@ -35,49 +35,26 @@ struct Candidate {
 
 /// The access path planned for one participant (see EvaluateRetrieve).
 struct Level {
-  bool dynamic = false;                         ///< Re-scanned per prefix.
+  bool dynamic = false;                         ///< Probed per prefix.
   const BoundRetrieve::JoinKey* key = nullptr;  ///< Hash step when set.
   const Expr* filter = nullptr;                 ///< Its `local_filters`.
-  std::vector<Candidate> candidates;            ///< Fixed and hash steps.
+  std::vector<Candidate> candidates;
   /// Hash step: candidate indices per key value, in candidate order.
   std::unordered_map<Value, std::vector<size_t>, ValueHash> buckets;
-
-  Result<bool> Keep(const Candidate& c) const {
-    if (filter == nullptr) return true;
-    return EvalPredicate(*filter, *c.values);
-  }
+  /// Dynamic step: the candidates' valid periods, by candidate index.
+  IntervalIndex by_valid;
 };
-
-// Calls `fn` on each index-probed row of `rel` that is visible under `spec`
-// (its `as of` window, else the current state for kinds with transaction
-// time), in the order given, stopping at the first error.  Writer path
-// only: the indexes are writer state with no published watermark, and
-// `Get`/`txn` read fields the writer mutates in place.
-template <typename Fn>
-Status ForEachProbed(const StoredRelation& rel, const std::vector<RowId>& rows,
-                     const ScanSpec& spec, const Fn& fn) {
-  const VersionStore* store = rel.store();
-  const bool txn_kind = SupportsTransactionTime(rel.temporal_class());
-  for (RowId row : rows) {
-    Result<const BitemporalTuple*> t = store->Get(row);
-    if (!t.ok()) continue;
-    const bool visible = spec.asof.has_value()
-                             ? (*t)->txn.Overlaps(*spec.asof)
-                             : !txn_kind || (*t)->IsCurrentState();
-    if (visible) {
-      TDB_RETURN_IF_ERROR(
-          fn(Candidate{&(*t)->values, (*t)->valid, (*t)->txn}));
-    }
-  }
-  return Status::OK();
-}
 
 // Materializes the candidate tuples of one participant.
 // When the where clause pinned an indexed attribute to a constant
 // (`eq_constraints`), the secondary index supplies the candidates instead
-// of a scan, in lookup order; visibility is re-checked, and the full where
-// clause still runs afterwards.  Otherwise the relation's `BatchScan`
-// sweeps the state at the spec's pin under its `as of` / valid windows.
+// of a scan, in lookup order, and only those visible under `spec` (its
+// `as of` window, else the current state for kinds with transaction time)
+// are kept; the full where clause still runs afterwards.  Writer path
+// only: the indexes are writer state with no published watermark, and
+// `Get`/`txn` read fields the writer mutates in place.  Otherwise the
+// relation's `BatchScan` sweeps the state at the spec's pin under its
+// `as of` / valid windows.
 std::vector<Candidate> MaterializeParticipant(
     const StoredRelation& rel,
     const std::vector<std::pair<size_t, Value>>& eq_constraints,
@@ -85,14 +62,19 @@ std::vector<Candidate> MaterializeParticipant(
   std::vector<Candidate> out;
   const VersionStore* store = rel.store();
   if (!spec.snapshot.has_value()) {
+    const bool txn_kind = SupportsTransactionTime(rel.temporal_class());
     for (const auto& [attr, key] : eq_constraints) {
       if (!store->HasAttributeIndex(attr)) continue;
       Result<std::vector<RowId>> rows = store->LookupAttribute(attr, key);
       if (!rows.ok()) break;
-      (void)ForEachProbed(rel, *rows, spec, [&out](const Candidate& c) {
-        out.push_back(c);
-        return Status::OK();
-      });
+      for (RowId row : *rows) {
+        Result<const BitemporalTuple*> t = store->Get(row);
+        if (!t.ok()) continue;
+        const bool visible = spec.asof.has_value()
+                                 ? (*t)->txn.Overlaps(*spec.asof)
+                                 : !txn_kind || (*t)->IsCurrentState();
+        if (visible) out.push_back({&(*t)->values, (*t)->valid, (*t)->txn});
+      }
       return out;
     }
   }
@@ -212,7 +194,14 @@ Result<Rowset> FinalizeAggregates(const BoundRetrieve& bound, Rowset raw) {
     if (bound.target_aggs[i].is_aggregate) out_pos[i] += group_by.size();
   }
   TDB_ASSIGN_OR_RETURN(Rowset grouped, Aggregate(raw, group_by, specs));
-  return ProjectColumns(grouped, out_pos);
+  // Aggregates are static: a row is its values, permuted back.
+  Rowset out(grouped.schema().Project(out_pos), TemporalClass::kStatic);
+  for (Row& row : grouped.rows()) {
+    Row permuted;
+    for (size_t pos : out_pos) permuted.values.push_back(row.values[pos]);
+    out.rows().push_back(std::move(permuted));
+  }
+  return out;
 }
 
 }  // namespace
@@ -244,17 +233,19 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
   //     static windows, then bucketed by key, so each bound prefix visits
   //     only the candidates whose key equals the prefix's.
   //  3. A participant whose when-clause window depends on earlier
-  //     participants becomes a *dynamic* scan — re-planned per bound
-  //     prefix, i.e. an index-nested-loop join probing the interval index
-  //     with the outer tuple's valid period.
+  //     participants becomes a *dynamic* step: materialized once, then
+  //     indexed by valid period, so each bound prefix visits only the
+  //     candidates overlapping the window the when clause derives from it
+  //     (an index-nested-loop join).
   //  4. Otherwise the participant is materialized up front with its fixed
   //     pushed-down windows (`as of`, plus any valid window the when clause
   //     implies from literals alone).
   //
   // Each participant's `local_filters` run on its candidates before any
-  // combination is built.  Buckets keep materialization order and are
-  // probed in outer order, so the result rows and their order are those of
-  // the plain nested loop over the same candidates.
+  // combination is built.  Buckets and interval hits keep materialization
+  // order and are probed in outer order, so the result rows and their
+  // order are those of the plain nested loop over the same candidates, at
+  // the writer's head pin and at a reader pin alike.
   const size_t n = bound.participants.size();
   const std::vector<std::pair<size_t, Value>> no_constraints;
   std::vector<Level> levels(n);
@@ -295,15 +286,23 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
             bound.when->PushdownWindow(i, shape_probe, i).has_value();
       }
     }
-    if (level.dynamic) continue;
     level.candidates = MaterializeParticipant(rel, eqs, spec);
     if (level.filter != nullptr) {
       size_t kept = 0;
       for (const Candidate& c : level.candidates) {
-        TDB_ASSIGN_OR_RETURN(bool keep, level.Keep(c));
+        TDB_ASSIGN_OR_RETURN(bool keep,
+                             EvalPredicate(*level.filter, *c.values));
         if (keep) level.candidates[kept++] = c;
       }
       level.candidates.resize(kept);
+    }
+    if (level.dynamic) {
+      std::vector<IntervalIndex::Entry> entries;
+      entries.reserve(level.candidates.size());
+      for (size_t k = 0; k < level.candidates.size(); ++k) {
+        entries.push_back({level.candidates[k].valid, k});
+      }
+      level.by_valid = IntervalIndex(std::move(entries));
     }
     if (level.key == nullptr) continue;
     for (size_t k = 0; k < level.candidates.size(); ++k) {
@@ -384,12 +383,6 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
     return out.AddRow(std::move(row));
   };
 
-  // One reusable batch buffer per nesting level: `Next` overwrites it, so
-  // hoisting the buffers out of the recursion means each level's (typically
-  // tiny) inner probes stop paying per-probe allocations.  Per level, not
-  // shared: a deeper dynamic participant must not clobber the batch an
-  // outer level is still iterating.
-  std::vector<VersionBatch> level_batch(n);
   std::function<Status(size_t)> enumerate = [&](size_t i) -> Status {
     if (i == n) return emit();
     const Level& level = levels[i];
@@ -408,41 +401,26 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
       }
       return Status::OK();
     }
-    if (!level.dynamic) {
+    // A dynamic step re-derives the implied valid window from the when
+    // clause under the bound prefix (entries >= i are never read) and
+    // visits the candidates overlapping it, in candidate order.  A failed
+    // derivation visits every candidate — the leaf predicates stay
+    // authoritative.
+    const std::optional<Period> window =
+        level.dynamic ? bound.when->PushdownWindow(i, valid_binding, i)
+                      : std::nullopt;
+    if (!window.has_value()) {
       for (const Candidate& c : level.candidates) {
         TDB_RETURN_IF_ERROR(visit(c));
       }
       return Status::OK();
     }
-    // Index-nested-loop step: re-derive the implied valid window from the
-    // when clause under the bound prefix (entries >= i are never read).
-    // The writer probes the interval index with it and visits the visible
-    // rows in row order, the order of the sweep; a reader pin sweeps.  A
-    // failed derivation just scans unconstrained — the leaf predicates
-    // stay authoritative.
-    const StoredRelation& rel = *bound.participants[i].relation;
-    ScanSpec spec;
-    spec.asof = asof;
-    spec.valid_during = bound.when->PushdownWindow(i, valid_binding, i);
-    if (ctx.snapshot != nullptr) {
-      spec.snapshot = ctx.snapshot->PinFor(rel.store());
-    }
-    auto probe = [&](const Candidate& c) -> Status {
-      TDB_ASSIGN_OR_RETURN(bool keep, level.Keep(c));
-      return keep ? visit(c) : Status::OK();
-    };
-    if (!spec.snapshot.has_value() && spec.valid_during.has_value()) {
-      std::vector<RowId> rows =
-          rel.store()->ValidOverlapping(*spec.valid_during);
-      std::sort(rows.begin(), rows.end());
-      return ForEachProbed(rel, rows, spec, probe);
-    }
-    VersionBatchScan scan = rel.BatchScan(spec);
-    VersionBatch& batch = level_batch[i];
-    while (scan.Next(&batch)) {
-      for (size_t k = 0; k < batch.size(); ++k) {
-        TDB_RETURN_IF_ERROR(probe(Candidate::FromBatch(batch, k)));
-      }
+    std::vector<size_t> hits;
+    level.by_valid.Overlapping(
+        *window, [&hits](Period, IntervalIndex::Id k) { hits.push_back(k); });
+    std::sort(hits.begin(), hits.end());
+    for (size_t k : hits) {
+      TDB_RETURN_IF_ERROR(visit(level.candidates[k]));
     }
     return Status::OK();
   };

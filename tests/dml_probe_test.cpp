@@ -355,21 +355,36 @@ TEST_F(DmlProbeTest, FloatLiteralOnIntAttributeWalks) {
   EXPECT_EQ(pair.Diff(kRelations), 0u);
 }
 
-// A float key stays on the walk, also where overflow has stored a NaN.
-TEST_F(DmlProbeTest, FloatKeyWalks) {
+// A float key probes, and selects the rows the walk does, also among the
+// float values where `=` is subtle: NaN (stored by overflow), -0.0 against
+// 0.0, +inf, -inf and null.
+TEST_F(DmlProbeTest, FloatKeysProbeLikeTheWalk) {
   Pair pair;
   pair.SetDay(kDay);
   pair.MustRun("create static relation f (x = float, n = int)");
   pair.MustRun("create index on f (x)");
   pair.MustRun("range of g is f");
-  pair.MustRun("append to f (x = 1.0, n = 1)");
-  pair.MustRun("append to f (x = 2.0, n = 2)");
   const std::string big = "1" + std::string(200, '0') + ".0";  // 1e200
-  pair.MustRun("replace g (x = g.x * " + big + " * " + big +
-               ") where g.n = 1");
-  pair.MustRun("replace g (x = g.x - g.x) where g.n = 1");  // inf - inf
-  ExpectWalk(&pair, "delete g where g.x = 2.0", 2);
+  const std::string inf = "(" + big + " * " + big + ")";
+  const std::vector<std::string> floats = {
+      "0.0",       "0.0 * (0 - 1.0)",  "2.0", inf, "(0 - " + big + ") * " + big,
+      inf + " - " + inf};
+  for (int round = 0; round < 2; ++round) {
+    for (size_t i = 0; i < floats.size(); ++i) {
+      pair.MustRun("append to f (x = " + floats[i] +
+                   ", n = " + std::to_string(i) + ")");
+    }
+    pair.MustRun("append to f (n = 9)");  // x is null.
+  }
+  const Value zero(0.0);
+  EXPECT_EQ(KeyRows(&pair, "f", "x", zero), 4u);  // 0.0 and -0.0, twice.
+  ExpectProbe(&pair, "replace g (n = 7) where g.x = 0.0", "f", "x", zero);
+  ExpectProbe(&pair, "replace g (n = 8) where g.x = 2.0 and g.n = 2", "f",
+              "x", Value(2.0));
+  ExpectProbe(&pair, "delete g where g.x = 1.5", "f", "x", Value(1.5));
+  ExpectProbe(&pair, "delete g where g.x = 0.0", "f", "x", zero);
   EXPECT_EQ(pair.Diff({"f"}), 0u);
+  EXPECT_EQ(LiveRows(&pair, "f"), 10u);
 }
 
 // Int keys at and beyond 2^53, where doubles stop telling ints apart: `=`

@@ -10,131 +10,127 @@
 namespace temporadb {
 namespace {
 
+using Entry = IntervalIndex::Entry;
+
 Period P(int64_t a, int64_t b) { return Period(Chronon(a), Chronon(b)); }
 
-std::vector<uint64_t> Sorted(std::vector<uint64_t> v) {
-  std::sort(v.begin(), v.end());
-  return v;
+// The ids `index` reports for `q`, in the order it reports them.
+std::vector<uint64_t> Hits(const IntervalIndex& index, Period q) {
+  std::vector<uint64_t> ids;
+  index.Overlapping(q, [&](Period, uint64_t id) { ids.push_back(id); });
+  return ids;
+}
+
+std::vector<uint64_t> HitsAt(const IntervalIndex& index, int64_t t) {
+  return Hits(index, Period::At(Chronon(t)));
 }
 
 TEST(IntervalIndex, EmptyIndex) {
   IntervalIndex index;
-  EXPECT_TRUE(index.StabRows(Chronon(5)).empty());
+  EXPECT_TRUE(HitsAt(index, 5).empty());
+  EXPECT_TRUE(Hits(index, Period::All()).empty());
   EXPECT_EQ(index.size(), 0u);
-  EXPECT_TRUE(index.CheckInvariants().ok());
 }
 
-TEST(IntervalIndex, RejectsEmptyPeriod) {
-  IntervalIndex index;
-  EXPECT_FALSE(index.Insert(P(5, 5), 1).ok());
-  EXPECT_FALSE(index.Insert(P(6, 5), 1).ok());
+TEST(IntervalIndex, EmptyPeriodsAreNeverReported) {
+  const IntervalIndex index({{P(5, 5), 1}, {P(6, 5), 2}, {P(0, 10), 3}});
+  EXPECT_EQ(index.size(), 1u);
+  EXPECT_EQ(Hits(index, Period::All()), std::vector<uint64_t>{3});
+  EXPECT_EQ(HitsAt(index, 5), std::vector<uint64_t>{3});
+  // An empty query overlaps nothing, not even a period around it.
+  EXPECT_TRUE(Hits(index, P(5, 5)).empty());
+  EXPECT_TRUE(Hits(index, P(7, 3)).empty());
 }
 
 TEST(IntervalIndex, StabBasics) {
-  IntervalIndex index;
-  ASSERT_TRUE(index.Insert(P(0, 10), 1).ok());
-  ASSERT_TRUE(index.Insert(P(5, 15), 2).ok());
-  ASSERT_TRUE(index.Insert(P(20, 30), 3).ok());
-  EXPECT_EQ(Sorted(index.StabRows(Chronon(7))), (std::vector<uint64_t>{1, 2}));
-  EXPECT_EQ(Sorted(index.StabRows(Chronon(0))), (std::vector<uint64_t>{1}));
-  EXPECT_TRUE(index.StabRows(Chronon(15)).empty());  // Half-open ends.
-  EXPECT_EQ(Sorted(index.StabRows(Chronon(29))), (std::vector<uint64_t>{3}));
-  EXPECT_TRUE(index.StabRows(Chronon(30)).empty());
+  const IntervalIndex index({{P(0, 10), 1}, {P(5, 15), 2}, {P(20, 30), 3}});
+  EXPECT_EQ(HitsAt(index, 7), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(HitsAt(index, 0), (std::vector<uint64_t>{1}));
+  EXPECT_TRUE(HitsAt(index, 15).empty());  // Half-open ends.
+  EXPECT_EQ(HitsAt(index, 29), (std::vector<uint64_t>{3}));
+  EXPECT_TRUE(HitsAt(index, 30).empty());
+  EXPECT_TRUE(HitsAt(index, -1).empty());
 }
 
 TEST(IntervalIndex, OpenEndedPeriods) {
-  IntervalIndex index;
-  ASSERT_TRUE(index.Insert(Period::From(Chronon(100)), 7).ok());
-  EXPECT_EQ(index.StabRows(Chronon(1000000)), std::vector<uint64_t>{7});
-  EXPECT_TRUE(index.StabRows(Chronon(99)).empty());
+  const IntervalIndex index({{Period::From(Chronon(100)), 7},
+                             {Period::All(), 8},
+                             {P(0, 50), 9}});
+  EXPECT_EQ(HitsAt(index, 1000000), (std::vector<uint64_t>{8, 7}));
+  EXPECT_EQ(HitsAt(index, 99), (std::vector<uint64_t>{8}));
+  EXPECT_EQ(Hits(index, Period::From(Chronon(40))),
+            (std::vector<uint64_t>{8, 9, 7}));
+  EXPECT_EQ(Hits(index, Period::All()), (std::vector<uint64_t>{8, 9, 7}));
 }
 
 TEST(IntervalIndex, OverlappingQuery) {
-  IntervalIndex index;
-  ASSERT_TRUE(index.Insert(P(0, 10), 1).ok());
-  ASSERT_TRUE(index.Insert(P(8, 12), 2).ok());
-  ASSERT_TRUE(index.Insert(P(12, 20), 3).ok());
-  std::vector<uint64_t> rows;
-  index.Overlapping(P(9, 12), [&](Period, uint64_t row) {
-    rows.push_back(row);
-  });
-  EXPECT_EQ(Sorted(rows), (std::vector<uint64_t>{1, 2}));
-  rows.clear();
-  index.Overlapping(P(10, 13), [&](Period, uint64_t row) {
-    rows.push_back(row);
-  });
-  EXPECT_EQ(Sorted(rows), (std::vector<uint64_t>{2, 3}));
+  const IntervalIndex index({{P(0, 10), 1}, {P(8, 12), 2}, {P(12, 20), 3}});
+  EXPECT_EQ(Hits(index, P(9, 12)), (std::vector<uint64_t>{1, 2}));
+  EXPECT_EQ(Hits(index, P(10, 13)), (std::vector<uint64_t>{2, 3}));
+  EXPECT_TRUE(Hits(index, P(20, 25)).empty());
 }
 
-TEST(IntervalIndex, RemoveSpecificEntry) {
-  IntervalIndex index;
-  ASSERT_TRUE(index.Insert(P(0, 10), 1).ok());
-  ASSERT_TRUE(index.Insert(P(0, 10), 2).ok());  // Same period, other row.
-  ASSERT_TRUE(index.Remove(P(0, 10), 1).ok());
-  EXPECT_EQ(index.StabRows(Chronon(5)), std::vector<uint64_t>{2});
-  EXPECT_TRUE(index.Remove(P(0, 10), 1).IsNotFound());
-  EXPECT_TRUE(index.Remove(P(1, 10), 2).IsNotFound());  // Period must match.
-  ASSERT_TRUE(index.CheckInvariants().ok());
+// Hits come in (begin, id) order, whatever order the entries were given in;
+// equal begins are ordered by id, and one id may carry several periods.
+TEST(IntervalIndex, EqualBeginsReportInIdOrder) {
+  const IntervalIndex index({{P(5, 9), 4},
+                             {P(5, 6), 2},
+                             {P(5, 20), 3},
+                             {P(0, 30), 9},
+                             {P(10, 15), 1},
+                             {P(5, 7), 1}});
+  EXPECT_EQ(Hits(index, P(5, 6)), (std::vector<uint64_t>{9, 1, 2, 3, 4}));
+  EXPECT_EQ(HitsAt(index, 8), (std::vector<uint64_t>{9, 3, 4}));
+  EXPECT_EQ(HitsAt(index, 12), (std::vector<uint64_t>{9, 3, 1}));
 }
 
-TEST(IntervalIndex, DuplicateRowDifferentPeriods) {
-  IntervalIndex index;
-  ASSERT_TRUE(index.Insert(P(0, 5), 1).ok());
-  ASSERT_TRUE(index.Insert(P(10, 15), 1).ok());
-  EXPECT_EQ(index.StabRows(Chronon(2)), std::vector<uint64_t>{1});
-  EXPECT_EQ(index.StabRows(Chronon(12)), std::vector<uint64_t>{1});
-  ASSERT_TRUE(index.Remove(P(0, 5), 1).ok());
-  EXPECT_TRUE(index.StabRows(Chronon(2)).empty());
-  EXPECT_EQ(index.StabRows(Chronon(12)), std::vector<uint64_t>{1});
-}
-
-// Parameterized randomized comparison against a brute-force model.
+// Randomized comparison against a brute-force filter.
 class IntervalIndexFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IntervalIndexFuzzTest, MatchesBruteForce) {
   const int n = GetParam();
-  IntervalIndex index;
-  std::vector<std::pair<Period, uint64_t>> model;
+  std::vector<Entry> model;
   Random rng(static_cast<uint64_t>(n) * 1299709 + 31);
   for (int i = 0; i < n; ++i) {
     int64_t begin = static_cast<int64_t>(rng.Uniform(200));
-    int64_t len = 1 + static_cast<int64_t>(rng.Uniform(40));
+    int64_t len = static_cast<int64_t>(rng.Uniform(40));  // 0: empty.
     Period p = rng.OneIn(10) ? Period::From(Chronon(begin))
                              : P(begin, begin + len);
-    ASSERT_TRUE(index.Insert(p, static_cast<uint64_t>(i)).ok());
-    model.emplace_back(p, static_cast<uint64_t>(i));
-    // Occasionally remove a random entry.
-    if (!model.empty() && rng.OneIn(4)) {
-      size_t victim = rng.Uniform(model.size());
-      ASSERT_TRUE(
-          index.Remove(model[victim].first, model[victim].second).ok());
-      model.erase(model.begin() + static_cast<ptrdiff_t>(victim));
-    }
+    model.push_back({p, static_cast<uint64_t>(i)});
   }
-  ASSERT_TRUE(index.CheckInvariants().ok());
-  EXPECT_EQ(index.size(), model.size());
-  // Stab at every chronon in range.
+  const IntervalIndex index(model);
+  // The brute force's hits for `q`, in (begin, id) order.
+  const auto want = [&](Period q) {
+    std::vector<Entry> hits;
+    for (const Entry& e : model) {
+      if (e.period.Overlaps(q)) hits.push_back(e);
+    }
+    std::sort(hits.begin(), hits.end(), [](const Entry& a, const Entry& b) {
+      return a.period.begin() != b.period.begin()
+                 ? a.period.begin() < b.period.begin()
+                 : a.id < b.id;
+    });
+    std::vector<uint64_t> ids;
+    for (const Entry& e : hits) ids.push_back(e.id);
+    return ids;
+  };
+  // Stab at every third chronon in range.
   for (int64_t t = -5; t <= 250; t += 3) {
-    std::vector<uint64_t> want;
-    for (const auto& [p, row] : model) {
-      if (p.Contains(Chronon(t))) want.push_back(row);
-    }
-    EXPECT_EQ(Sorted(index.StabRows(Chronon(t))), Sorted(want)) << "t=" << t;
+    const Period q = Period::At(Chronon(t));
+    EXPECT_EQ(Hits(index, q), want(q)) << "t=" << t;
   }
-  // Overlap queries of varying width.
+  // Overlap queries of varying width, and open-ended ones.
   for (int64_t b = 0; b < 200; b += 17) {
-    Period q = P(b, b + 25);
-    std::vector<uint64_t> want, got;
-    for (const auto& [p, row] : model) {
-      if (p.Overlaps(q)) want.push_back(row);
+    for (const Period q : {P(b, b + 25), P(b, b + 1 + b / 4),
+                           Period::From(Chronon(b))}) {
+      EXPECT_EQ(Hits(index, q), want(q)) << "q=" << q.ToString();
     }
-    index.Overlapping(q, [&](Period, uint64_t row) { got.push_back(row); });
-    EXPECT_EQ(Sorted(got), Sorted(want)) << "q=" << q.ToString();
   }
+  EXPECT_EQ(Hits(index, Period::All()), want(Period::All()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, IntervalIndexFuzzTest,
-                         ::testing::Values(10, 100, 500, 2000));
+                         ::testing::Values(1, 10, 100, 500, 2000));
 
 }  // namespace
 }  // namespace temporadb

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <functional>
 #include <memory>
 #include <string>
@@ -396,23 +398,62 @@ class JoinTrapTest : public ::testing::Test {
 };
 
 // `=` compares int 3 and float 3.0 equal, but a hash keyed on the stored
-// values would not; such keys, and float = float keys (-0.0 = 0.0), stay
-// on the nested loop.
-TEST_F(JoinTrapTest, MixedAndFloatKeysFallBackToTheNestedLoop) {
+// values would not; such mixed keys stay on the nested loop.
+TEST_F(JoinTrapTest, MixedKeysFallBackToTheNestedLoop) {
   Exec("create relation p (k = int, f = float)");
   Exec("create relation q (k = float, f = float)");
   Exec("range of x is p");
   Exec("range of y is q");
   Append("p", {Value(int64_t{3}), Value(0.0)});
   Append("q", {Value(3.0), Value(-0.0)});
-  EXPECT_EQ(Query("retrieve (x.k, yk = y.k) where x.k = y.k").size(), 1u);
-  EXPECT_EQ(Query("retrieve (x.f, yf = y.f) where x.f = y.f").size(), 1u);
-  for (const char* q : {"retrieve (x.k) where x.k = y.k",
-                        "retrieve (x.f) where x.f = y.f"}) {
-    Result<tquel::BoundRetrieve> bound = Analyze(q);
-    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
-    for (const auto& keys : bound->join_keys) EXPECT_TRUE(keys.empty()) << q;
+  const std::string q = "retrieve (x.k, yk = y.k) where x.k = y.k";
+  EXPECT_EQ(Query(q).size(), 1u);
+  Result<tquel::BoundRetrieve> bound = Analyze(q);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  for (const auto& keys : bound->join_keys) EXPECT_TRUE(keys.empty());
+}
+
+// Float = float keys hash: `=`, `Hash` and the B+-tree agree that NaN
+// equals NaN, -0.0 equals 0.0, and null equals null.  So the hash step and
+// the `not (x != y)` nested loop give the same rows in the same order, and
+// an index probe on a float literal gives the walk's rows.
+TEST_F(JoinTrapTest, FloatKeysGiveTheSameRowsOnEveryPlan) {
+  Exec("create relation p (f = float, tag = string)");
+  Exec("create relation q (f = float, tag = string)");
+  Exec("range of x is p");
+  Exec("range of y is q");
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> keys = {
+      Value(0.0), Value(-0.0), Value(std::nan("")), Value(inf),
+      Value(-inf), Value::Null(), Value(1.5),       Value(2.0)};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Append("p", {keys[i], Value("p" + std::to_string(i))});
+    Append("q", {keys[keys.size() - 1 - i], Value("q" + std::to_string(i))});
   }
+  const std::string hashed = "retrieve (x.tag, ytag = y.tag) where x.f = y.f";
+  Result<tquel::BoundRetrieve> bound = Analyze(hashed);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  EXPECT_EQ(bound->join_keys[1].size(), 1u);
+  const std::vector<std::string> joined = Query(hashed);
+  EXPECT_EQ(joined,
+            Query("retrieve (x.tag, ytag = y.tag) where not (x.f != y.f)"));
+  // 0.0 and -0.0 pair up four ways; every other key meets its one twin.
+  EXPECT_EQ(joined.size(), 4u + 6u);
+
+  const std::vector<std::string> literals = {"0.0", "1.5", "2.0", "3.0"};
+  std::vector<std::vector<std::string>> walked;
+  for (const std::string& k : literals) {
+    walked.push_back(Query("retrieve (x.tag) where x.f = " + k));
+  }
+  Exec("create index on p (f)");
+  for (size_t i = 0; i < literals.size(); ++i) {
+    const std::string probed = "retrieve (x.tag) where x.f = " + literals[i];
+    Result<tquel::BoundRetrieve> plan = Analyze(probed);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_EQ(plan->eq_constraints[0].size(), 1u) << probed;
+    EXPECT_EQ(Query(probed), walked[i]) << probed;
+  }
+  EXPECT_EQ(walked[0].size(), 2u);
 }
 
 // Null = null holds under Value::Compare, so null keys meet in one bucket

@@ -180,24 +180,6 @@ TEST_F(VersionStoreTest, AsOfScanFollowsPaperTimeline) {
   EXPECT_EQ(AsOfRows(store_, day("03/01/84")), (std::vector<RowId>{1, 2}));
 }
 
-TEST_F(VersionStoreTest, ValidOverlappingProbesTheIntervalIndex) {
-  Transaction* txn = BeginAt(10);
-  BitemporalTuple t = Tuple("a", 10);
-  t.valid = Period(Chronon(100), Chronon(200));
-  ASSERT_TRUE(store_.Append(txn, t).ok());
-  BitemporalTuple u = Tuple("b", 10);
-  u.valid = Period(Chronon(300), Chronon(400));
-  ASSERT_TRUE(store_.Append(txn, u).ok());
-  ASSERT_TRUE(manager_.Commit(txn).ok());
-
-  EXPECT_EQ(store_.ValidOverlapping(Period(Chronon(150), Chronon(160))),
-            std::vector<RowId>{0});
-  EXPECT_EQ(store_.ValidOverlapping(Period(Chronon(150), Chronon(350))).size(),
-            2u);
-  EXPECT_TRUE(
-      store_.ValidOverlapping(Period(Chronon(200), Chronon(300))).empty());
-}
-
 TEST_F(VersionStoreTest, ObserverSeesCommittedMutationShapes) {
   std::vector<VersionOp::Kind> kinds;
   store_.set_observer(
