@@ -31,6 +31,15 @@ Status Rowset::AddRow(Row row) {
   return Status::OK();
 }
 
+Result<Rowset::Appender> Rowset::MakeAppender(size_t arity) {
+  if (arity != schema_.size()) {
+    return Status::InvalidArgument(StringPrintf(
+        "row arity %zu does not match schema arity %zu", arity,
+        schema_.size()));
+  }
+  return Appender(this);
+}
+
 std::string Rowset::Render(const std::string& title) const {
   TablePrinter printer;
   for (const Attribute& attr : schema_.attributes()) {

@@ -47,6 +47,31 @@ class Rowset {
   /// requires.
   Status AddRow(Row row);
 
+  /// Appends rows in place for a producer whose every row has the same
+  /// arity.  `MakeAppender` checks that arity against the schema once, and
+  /// `Add` sets exactly the periods the class maintains, so no row is
+  /// re-checked.  The rowset must outlive the appender and must not be
+  /// moved while it is in use.
+  class Appender {
+   public:
+    /// Appends a row carrying `valid` if the class has valid time and `txn`
+    /// if it has transaction time, and returns its values, which the caller
+    /// fills with exactly the schema's arity of values.
+    std::vector<Value>& Add(const Period& valid, const Period& txn) {
+      Row& row = out_->rows_.emplace_back();
+      if (out_->has_valid_time()) row.valid = valid;
+      if (out_->has_txn_time()) row.txn = txn;
+      row.values.reserve(out_->schema_.size());
+      return row.values;
+    }
+
+   private:
+    friend class Rowset;
+    explicit Appender(Rowset* out) : out_(out) {}
+    Rowset* out_;
+  };
+  Result<Appender> MakeAppender(size_t arity);
+
   /// Renders in the visual style of the paper's figures (double bar before
   /// the DBMS-maintained temporal columns, grouped (from)/(to) and
   /// (start)/(end) sub-headers; event relations print a single "(at)").

@@ -770,6 +770,15 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
                          CompileScalarExpr(value_expr, bound.participants));
     TDB_ASSIGN_OR_RETURN(ValueType vt, InferType(t.expr, bound.participants));
     bound.target_exprs.push_back(std::move(expr));
+    std::optional<BoundRetrieve::ColumnRef> column;
+    if (value_expr->kind == AstExprKind::kColumn) {
+      TDB_ASSIGN_OR_RETURN(auto loc,
+                           ResolveColumn(bound.participants,
+                                         value_expr->variable,
+                                         value_expr->attribute));
+      column = BoundRetrieve::ColumnRef{loc.first, loc.second};
+    }
+    bound.target_columns.push_back(column);
     bound.target_names.push_back(t.name);
     bound.target_types.push_back(vt);
     // Track which participants feed the target list (they determine the

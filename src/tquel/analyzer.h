@@ -2,6 +2,7 @@
 #define TEMPORADB_TQUEL_ANALYZER_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,16 @@ struct BoundRetrieve {
   std::vector<std::string> target_names;
   std::vector<ValueType> target_types;
   std::vector<size_t> target_vars;  ///< Participant ordinals used in targets.
+
+  /// Where target i (for an aggregate, its input) is a plain column
+  /// reference, `target_columns[i]` holds its participant ordinal and
+  /// attribute index, and the evaluator copies that value instead of
+  /// evaluating `target_exprs[i]`; nullopt for any other target.
+  struct ColumnRef {
+    size_t participant;
+    size_t attr;
+  };
+  std::vector<std::optional<ColumnRef>> target_columns;
 
   /// Aggregation (Quel's count/sum/avg/min/max/any in the target list).
   /// When present, non-aggregate targets become grouping keys, aggregation

@@ -67,6 +67,7 @@ std::vector<Candidate> MaterializeParticipant(
       if (!store->HasAttributeIndex(attr)) continue;
       Result<std::vector<RowId>> rows = store->LookupAttribute(attr, key);
       if (!rows.ok()) break;
+      out.reserve(rows->size());
       for (RowId row : *rows) {
         Result<const BitemporalTuple*> t = store->Get(row);
         if (!t.ok()) continue;
@@ -80,10 +81,13 @@ std::vector<Candidate> MaterializeParticipant(
   }
 
   // Scan path: columnar batches whose time predicates already ran through
-  // the branch-free kernels.
+  // the branch-free kernels.  Room is made batch by batch, growing
+  // geometrically past the first batch.
   VersionBatchScan scan = rel.BatchScan(spec);
   VersionBatch batch;
   while (scan.Next(&batch)) {
+    const size_t need = out.size() + batch.size();
+    if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
     for (size_t i = 0; i < batch.size(); ++i) {
       out.push_back(Candidate::FromBatch(batch, i));
     }
@@ -319,68 +323,87 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
   }
   TDB_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(attrs)));
   Rowset out(std::move(schema), bound.result_class, bound.result_model);
+  // One participant yields at most one row per candidate.
+  if (n == 1) out.rows().reserve(levels[0].candidates.size());
+  TDB_ASSIGN_OR_RETURN(Rowset::Appender append,
+                       out.MakeAppender(bound.target_exprs.size()));
   const bool want_valid = SupportsValidTime(bound.result_class);
   const bool want_txn = SupportsTransactionTime(bound.result_class);
 
   // Nested-loop over the candidate product: participant 0 is the outermost
   // loop.  `chosen`/`valid_binding` hold the tuple bound at each level.
+  // `where` and computed targets read the evaluation row: one candidate's
+  // own values, or for a join the bound tuples' values concatenated into
+  // `flat`, which is assembled only when something reads it.
   std::vector<const Candidate*> chosen(n);
   PeriodBinding valid_binding(n);
   std::vector<Value> flat;
-  flat.reserve(bound.total_arity);
+  const bool computed_target =
+      std::find(bound.target_columns.begin(), bound.target_columns.end(),
+                std::nullopt) != bound.target_columns.end();
+  const bool assemble_flat =
+      n > 1 && (bound.where != nullptr || computed_target);
+  if (assemble_flat) flat.reserve(bound.total_arity);
 
   auto emit = [&]() -> Status {
-    // Assemble the flattened row.
-    flat.clear();
-    for (size_t i = 0; i < n; ++i) {
-      flat.insert(flat.end(), chosen[i]->values->begin(),
-                  chosen[i]->values->end());
+    const std::vector<Value>& values = n == 1 ? *chosen[0]->values : flat;
+    if (assemble_flat) {
+      flat.clear();
+      for (size_t i = 0; i < n; ++i) {
+        flat.insert(flat.end(), chosen[i]->values->begin(),
+                    chosen[i]->values->end());
+      }
     }
     bool keep = true;
     if (bound.where != nullptr) {
-      TDB_ASSIGN_OR_RETURN(keep, EvalPredicate(*bound.where, flat));
+      TDB_ASSIGN_OR_RETURN(keep, EvalPredicate(*bound.where, values));
     }
     if (keep && bound.when != nullptr) {
       TDB_ASSIGN_OR_RETURN(keep, bound.when->Eval(valid_binding));
     }
     if (!keep) return Status::OK();
-    Row row;
+    Period valid = Period::All();
     if (want_valid) {
-      Period v;
       if (bound.valid_from != nullptr) {
         TDB_ASSIGN_OR_RETURN(Period from,
                              bound.valid_from->Eval(valid_binding));
         if (bound.valid_at) {
-          v = Period::At(from.begin());
+          valid = Period::At(from.begin());
         } else {
           TDB_ASSIGN_OR_RETURN(Period to,
                                bound.valid_to->Eval(valid_binding));
-          v = Period(from.begin(), to.begin());
+          valid = Period(from.begin(), to.begin());
         }
       } else {
         // Default: the intersection of the target-list variables' valid
         // periods.
-        v = valid_binding[bound.target_vars[0]];
+        valid = valid_binding[bound.target_vars[0]];
         for (size_t k = 1; k < bound.target_vars.size(); ++k) {
-          v = v.Intersect(valid_binding[bound.target_vars[k]]);
+          valid = valid.Intersect(valid_binding[bound.target_vars[k]]);
         }
       }
-      if (v.IsEmpty()) return Status::OK();
-      row.valid = v;
+      if (valid.IsEmpty()) return Status::OK();
     }
+    Period txn = Period::All();
     if (want_txn) {
-      Period t = chosen[bound.target_vars[0]]->txn;
+      txn = chosen[bound.target_vars[0]]->txn;
       for (size_t k = 1; k < bound.target_vars.size(); ++k) {
-        t = t.Intersect(chosen[bound.target_vars[k]]->txn);
+        txn = txn.Intersect(chosen[bound.target_vars[k]]->txn);
       }
-      if (t.IsEmpty()) return Status::OK();
-      row.txn = t;
+      if (txn.IsEmpty()) return Status::OK();
     }
-    for (const ExprPtr& e : bound.target_exprs) {
-      TDB_ASSIGN_OR_RETURN(Value v, e->Eval(flat));
-      row.values.push_back(std::move(v));
+    // The row goes in place; a failing target fails the whole statement,
+    // so a partly filled row is never returned.
+    std::vector<Value>& row = append.Add(valid, txn);
+    for (size_t k = 0; k < bound.target_exprs.size(); ++k) {
+      if (const auto& column = bound.target_columns[k]) {
+        row.push_back((*chosen[column->participant]->values)[column->attr]);
+      } else {
+        TDB_ASSIGN_OR_RETURN(Value v, bound.target_exprs[k]->Eval(values));
+        row.push_back(std::move(v));
+      }
     }
-    return out.AddRow(std::move(row));
+    return Status::OK();
   };
 
   std::function<Status(size_t)> enumerate = [&](size_t i) -> Status {

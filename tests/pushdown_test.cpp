@@ -195,6 +195,28 @@ class PinnedPair {
     EXPECT_EQ(writer->Render(), pinned->Render()) << query;
   }
 
+  // The writer and a pin of the same state both fail `query`, with one
+  // status.
+  void ExpectSameError(const std::string& query) {
+    Result<ReadSnapshot> snap = db_->BeginReadSnapshot();
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    Result<Rowset> writer = db_->Query(query);
+    Result<Rowset> pinned = db_->QueryAtSnapshot(*snap, query);
+    EXPECT_FALSE(writer.ok()) << query;
+    EXPECT_EQ(writer.status().ToString(), pinned.status().ToString())
+        << query;
+  }
+
+  // The first column of the writer's answer, in row order.
+  std::vector<std::string> FirstColumn(const std::string& query) {
+    std::vector<std::string> out;
+    Result<Rowset> rows = db_->Query(query);
+    EXPECT_TRUE(rows.ok()) << query << ": " << rows.status().ToString();
+    if (!rows.ok()) return out;
+    for (const Row& r : rows->rows()) out.push_back(r.values[0].ToString());
+    return out;
+  }
+
   ManualClock clock_{Chronon(0)};
   std::unique_ptr<Database> db_;
 };
@@ -259,6 +281,18 @@ TEST(OneScanPath, HistoricalQueriesMatchAtAPin) {
 
   pair.ExpectSameRows("retrieve (x.name)");
   pair.ExpectSameRows("retrieve (x.name) when x overlap \"07/01/80\"");
+  // One participant answers in row order, at either pin (the pin renders
+  // like the writer), with copied and computed targets alike.
+  using Names = std::vector<std::string>;
+  EXPECT_EQ(pair.FirstColumn("retrieve (x.name)"), (Names{"a", "b", "c"}));
+  EXPECT_EQ(pair.FirstColumn("retrieve (x.name) when x overlap \"07/01/80\""),
+            (Names{"a", "b"}));
+  EXPECT_EQ(pair.FirstColumn("retrieve (x.name, y = x.name) valid at begin "
+                             "of x where x.name != \"b\""),
+            (Names{"a", "c"}));
+  pair.ExpectSameRows(
+      "retrieve (x.name, y = x.name) valid at begin of x where x.name != "
+      "\"b\"");
   pair.ExpectSameRows("retrieve (x.name) when x precede \"01/01/83\"");
   pair.ExpectSameRows("retrieve (a = x.name, b = y.name) when x overlap y");
   pair.ExpectSameRows(
@@ -283,6 +317,19 @@ TEST(OneScanPath, RandomizedQueriesMatchAtAPin) {
         "retrieve (u.name, v.n) when u overlap v as of \"03/01/70\"");
     pair.ExpectSameRows(
         "retrieve (u.name) as of \"03/01/70\" through \"09/01/70\"");
+    pair.ExpectSameRows(
+        "retrieve (u.name, m = u.n * 2) valid from begin of u to "
+        "\"01/01/71\" where u.n > 0");
+    // A failing target or `where` fails with one status at either pin; the
+    // same statements over an empty relation never evaluate it.
+    ASSERT_FALSE(pair.FirstColumn("retrieve (u.name)").empty());
+    pair.ExpectSameError("retrieve (q = u.n / 0)");
+    pair.ExpectSameError("retrieve (u.name, q = u.n / 0) as of \"03/01/70\"");
+    pair.ExpectSameError("retrieve (u.name) where u.name > 3");
+    pair.Exec("create temporal relation e (name = string, n = int)");
+    pair.Exec("range of w is e");
+    pair.ExpectSameRows("retrieve (q = w.n / 0)");
+    pair.ExpectSameRows("retrieve (w.name) where w.name > 3");
   }
 }
 

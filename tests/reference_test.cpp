@@ -8,7 +8,8 @@
 //  - a seeded random statement stream over all four kinds, edge values
 //    included, gets the same status, count, answer and stored facts from
 //    the engine — with and without indexes, unpartitioned and with tiny
-//    partitions — as from the reference.
+//    partitions — as from the reference, and every retrieve the same
+//    status and answer again at a reader pin.
 
 #include "workload/reference.h"
 
@@ -21,6 +22,7 @@
 #include "common/random.h"
 #include "core/database.h"
 #include "core/paper_scenario.h"
+#include "temporal/read_snapshot.h"
 #include "txn/clock.h"
 
 namespace temporadb {
@@ -269,7 +271,9 @@ class Differential {
     }
   }
 
-  // `create index` statements reach only the indexed engines.
+  // `create index` statements reach only the indexed engines.  A
+  // `retrieve` also runs at a reader pin of each engine's committed state,
+  // which must give the writer's status and the reference's answer.
   void Run(int64_t day, const std::string& stmt) {
     SCOPED_TRACE(stmt);
     const Result<Answer> want = model_.Execute(stmt, Chronon(day));
@@ -277,7 +281,14 @@ class Differential {
       ++succeeded_;
       if (want->count > 0) ++nonempty_;
     }
+    const auto expect_answer = [&](const Rowset& rows) {
+      EXPECT_EQ(rows.temporal_class(), want->result_class);
+      EXPECT_TRUE(reference::SameFacts(RowsetFacts(rows), want->rows))
+          << "engine:" << Render(RowsetFacts(rows))
+          << "\nreference:" << Render(want->rows);
+    };
     const bool index = stmt.rfind("create index", 0) == 0;
+    const bool retrieve = stmt.rfind("retrieve", 0) == 0;
     for (const auto& e : engines_) {
       if (index && !e->indexed) continue;
       e->clock.SetTime(Chronon(day));
@@ -285,15 +296,20 @@ class Differential {
       ASSERT_EQ(got.ok(), want.ok())
           << "engine " << got.status().ToString() << " vs reference "
           << want.status().ToString();
+      if (retrieve) {
+        Result<ReadSnapshot> snap = e->db->BeginReadSnapshot();
+        ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+        const Result<Rowset> pinned = e->db->QueryAtSnapshot(*snap, stmt);
+        EXPECT_EQ(pinned.status().ToString(), got.status().ToString())
+            << "at a reader pin";
+        if (pinned.ok() && want.ok()) expect_answer(*pinned);
+      }
       if (!got.ok()) continue;
       if (got->kind == tquel::ExecResult::Kind::kCount) {
         EXPECT_EQ(got->count, want->count);
       }
       if (got->kind != tquel::ExecResult::Kind::kRows) continue;
-      EXPECT_EQ(got->rows.temporal_class(), want->result_class);
-      EXPECT_TRUE(reference::SameFacts(RowsetFacts(got->rows), want->rows))
-          << "engine:" << Render(RowsetFacts(got->rows))
-          << "\nreference:" << Render(want->rows);
+      expect_answer(got->rows);
     }
   }
 
@@ -386,15 +402,23 @@ class StatementGenerator {
                              : "retrieve (" + var + ".k, " + var + ".n, " +
                                    var + ".t)" + Where(var);
       case 5: {
-        std::string q = "retrieve (" + var + ".k, " + var + ".t)" + Where(var);
+        // Plain column targets beside a computed one.
+        std::string q = "retrieve (" + var + ".k, " + var + ".t" +
+                        (rng_.OneIn(2) ? ", m = " + var + ".n + 1" : "") +
+                        ")" + Where(var);
         if (valid_time && rng_.OneIn(2)) q += When(var, day);
+        if (valid_time) q += ResultValid(day);
         if (kind % 2 == 1 && rng_.OneIn(2)) q += " as of " + Date(day);
         return q;
       }
       case 6: {
         // A self-join: hash step, nested loop or when-join.
         const std::string other = var + "2";
-        std::string q = "retrieve (" + var + ".n, " + other + ".t)";
+        std::string q = "retrieve (" + var + ".n, " + other + ".t" +
+                        (rng_.OneIn(2)
+                             ? ", m = " + var + ".n + " + other + ".n"
+                             : "") +
+                        ")";
         switch (rng_.Uniform(3)) {
           case 0:
             q += " where " + var + ".k = " + other + ".k";
@@ -449,6 +473,19 @@ class StatementGenerator {
       default:
         return " valid from " + Date(from) + " to " +
                Date(from + 1 + static_cast<int64_t>(rng_.Uniform(15)));
+    }
+  }
+  // A retrieve's result valid clause, which replaces the default period.
+  std::string ResultValid(int64_t day) {
+    const int64_t from = day - 20 + static_cast<int64_t>(rng_.Uniform(40));
+    switch (rng_.Uniform(3)) {
+      case 0:
+        return "";
+      case 1:
+        return " valid at " + Date(from);
+      default:
+        return " valid from " + Date(from) + " to " +
+               Date(from + static_cast<int64_t>(rng_.Uniform(15)));
     }
   }
   std::string Where(const std::string& var) {

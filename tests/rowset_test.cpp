@@ -52,6 +52,25 @@ TEST(Rowset, ArityChecked) {
   EXPECT_TRUE(stat.AddRow(row).IsInvalidArgument());
 }
 
+TEST(Rowset, AppenderChecksArityOnceAndKeepsTheClassPeriods) {
+  Rowset hist(FacultySchema(), TemporalClass::kHistorical);
+  EXPECT_TRUE(hist.MakeAppender(1).status().IsInvalidArgument());
+  Result<Rowset::Appender> append = hist.MakeAppender(2);
+  ASSERT_TRUE(append.ok());
+  const Period valid = Period::From(Chronon(3));
+  for (const char* name : {"Merrie", "Tom"}) {
+    std::vector<Value>& values = append->Add(valid, Period::At(Chronon(9)));
+    values.push_back(Value(name));
+    values.push_back(Value("full"));
+  }
+  ASSERT_EQ(hist.size(), 2u);
+  EXPECT_EQ(hist.rows()[1].values[0], Value("Tom"));
+  // A historical rowset keeps the valid period and drops the transaction
+  // period, as AddRow would require.
+  EXPECT_EQ(hist.rows()[0].valid, valid);
+  EXPECT_FALSE(hist.rows()[0].txn.has_value());
+}
+
 TEST(Rowset, RenderStaticHasNoTemporalColumns) {
   Rowset stat(FacultySchema(), TemporalClass::kStatic);
   ASSERT_TRUE(stat.AddRow(StaticRow("Merrie", "full")).ok());
