@@ -11,7 +11,7 @@
 #include "bench/bench_common.h"
 #include "common/period.h"
 #include "common/random.h"
-#include "rel/kernels.h"
+#include "temporal/kernels.h"
 #include "temporal/snapshot.h"
 
 using namespace temporadb;

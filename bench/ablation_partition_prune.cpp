@@ -1,17 +1,19 @@
 // A11 — Epoch-partition pruning: narrow timeslice and as-of latency versus
-// history depth, synopsis pruning on and off.
+// history depth, against the same history in one unpartitioned store.
 //
 // The version store seals its append stream into fixed-size transaction-time
 // epochs, each carrying a temporal synopsis (time bounds, currency, key
 // sketch).  A scan whose pushed-down window provably misses an epoch skips
-// it before any morsel forms, so a narrow probe against a deep history
+// it before any batch forms, so a narrow probe against a deep history
 // should cost the few epochs it intersects — sublinear in depth — while the
-// unpruned scan stays linear.  The acceptance bar is >=5x at 1M versions.
+// unpartitioned store's scan stays linear.  The acceptance bar is >=5x at 1M
+// versions.
 
 #include <benchmark/benchmark.h>
 
 #include <map>
 #include <memory>
+#include <utility>
 
 #include "bench/bench_json.h"
 
@@ -21,10 +23,10 @@ using namespace temporadb;
 
 namespace {
 
-// One populated store per history depth, built once and shared by every
-// benchmark at that depth (1M versions take a couple of seconds to build;
-// rebuilding per arm would dominate the run).  The pruning toggle and the
-// stats sink are re-pointed per arm, which is exactly what they exist for.
+// One populated store per history depth and shape (epoch-partitioned, or
+// flat with nothing to prune), built once and shared by every benchmark on
+// it (1M versions take a couple of seconds to build; rebuilding per arm
+// would dominate the run).  The stats sink is re-pointed per arm.
 struct Fixture {
   std::unique_ptr<ManualClock> clock;
   std::unique_ptr<TxnManager> manager;
@@ -33,15 +35,17 @@ struct Fixture {
   int64_t last_day = 0;
 };
 
-Fixture* DeepHistory(size_t depth) {
-  static std::map<size_t, std::unique_ptr<Fixture>> cache;
-  std::unique_ptr<Fixture>& slot = cache[depth];
+Fixture* DeepHistory(size_t depth, bool partitioned) {
+  static std::map<std::pair<size_t, bool>, std::unique_ptr<Fixture>> cache;
+  std::unique_ptr<Fixture>& slot = cache[{depth, partitioned}];
   if (slot != nullptr) return slot.get();
   slot = std::make_unique<Fixture>();
   slot->clock = std::make_unique<ManualClock>();
   slot->manager = std::make_unique<TxnManager>(slot->clock.get());
-  // Default 4096-row epochs; pruning toggled per arm below.
-  slot->store = std::make_unique<VersionStore>();
+  // Default 4096-row epochs, or one unbounded hot partition.
+  VersionStoreOptions store_options;
+  if (!partitioned) store_options.partition_rows = 0;
+  slot->store = std::make_unique<VersionStore>(store_options);
   bench::LargeHistoryOptions opts;
   opts.versions = depth;
   opts.seed = 17;
@@ -76,8 +80,7 @@ void ReportStats(benchmark::State& state, const Fixture* f,
 // that far back (outside the retroactive-correction trickle), so almost
 // every later epoch prunes on its valid-time bounds.
 void RunTimeslice(benchmark::State& state, bool pruned) {
-  Fixture* f = DeepHistory(static_cast<size_t>(state.range(0)));
-  f->store->ConfigurePartitionPruning(pruned);
+  Fixture* f = DeepHistory(static_cast<size_t>(state.range(0)), pruned);
   ScanStats stats;
   f->store->set_scan_stats(&stats);
   BatchPredicates preds;
@@ -96,8 +99,7 @@ void RunTimeslice(benchmark::State& state, bool pruned) {
 // later has min(tt_start) above the probe, so the transaction-time bounds
 // prune it regardless of how many of its rows are still current.
 void RunAsOf(benchmark::State& state, bool pruned) {
-  Fixture* f = DeepHistory(static_cast<size_t>(state.range(0)));
-  f->store->ConfigurePartitionPruning(pruned);
+  Fixture* f = DeepHistory(static_cast<size_t>(state.range(0)), pruned);
   ScanStats stats;
   f->store->set_scan_stats(&stats);
   BatchPredicates preds;

@@ -65,7 +65,6 @@ int main(int argc, char** argv) {
   d.sync_every = FlagU64(argc, argv, "--sync-every", small ? 500 : 3000);
   d.reader_threads = FlagU64(argc, argv, "--readers", 4);
   d.queries_per_class = FlagU64(argc, argv, "--oracle-queries", 4);
-  d.verify_threads = FlagU64(argc, argv, "--verify-threads", 4);
   d.deep_check_every = FlagU64(argc, argv, "--deep-every", 4);
   d.store.partition_rows =
       static_cast<size_t>(FlagU64(argc, argv, "--partition-rows", 4096));

@@ -57,10 +57,15 @@ inline bool GetLengthPrefixed(std::string_view* in, std::string_view* out) {
   return true;
 }
 
+/// The FNV-1a offset basis: the checksum of no bytes.
+constexpr uint64_t kChecksum64Seed = 1469598103934665603ULL;
+
 /// FNV-1a over a byte range; used as the checkpoint-file and WAL-record
-/// checksum.
-inline uint64_t Checksum64(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
+/// checksum.  `seed` continues a running checksum, so
+/// `Checksum64(b, nb, Checksum64(a, na))` is the checksum of `a` then `b`.
+inline uint64_t Checksum64(const char* data, size_t n,
+                           uint64_t seed = kChecksum64Seed) {
+  uint64_t h = seed;
   for (size_t i = 0; i < n; ++i) {
     h ^= static_cast<unsigned char>(data[i]);
     h *= 1099511628211ULL;

@@ -5,13 +5,14 @@
 // mutex/condition-variable wrappers over the standard library.
 //
 // temporadb's concurrency correctness rests on lock discipline in exactly
-// two places — the morsel scheduler (`exec::ThreadPool`) and the WAL
-// group-commit queue (`CommitQueue`) — and on a *single-writer* contract
-// everywhere else (the embedded Database, its version stores, and the
-// WAL writer are externally synchronized; parallel scans only ever read
-// under a captured mutation epoch, see version_store.h).  TSAN checks the
-// lock discipline dynamically, on the interleavings a test happens to hit;
-// these annotations let the clang frontend prove it on every build:
+// one place — the WAL group-commit queue (`CommitQueue`) — and on a
+// *single-writer* contract everywhere else (the embedded Database, its
+// version stores, and the WAL writer are externally synchronized; every
+// scan runs on its calling thread, the writer's under a captured mutation
+// epoch and a snapshot reader's under its pin, see version_store.h).  TSAN
+// checks the lock discipline dynamically, on the interleavings a test
+// happens to hit; these annotations let the clang frontend prove it on
+// every build:
 //
 //   cmake -B build -S . -DTDB_ANALYZE=ON  # clang only; -Wthread-safety -Werror
 //

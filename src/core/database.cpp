@@ -96,25 +96,68 @@ bool StripChecksum(std::string_view* in) {
   return GetFixed64(in, &sum) && sum == Checksum64(in->data(), in->size());
 }
 
+// Streams a checkpoint payload into `file` from offset 8 (after the
+// checksum) in fixed-size chunks, carrying the checksum across them, so a
+// checkpoint holds one chunk of any relation in memory at a time.
+class PayloadWriter {
+ public:
+  static constexpr size_t kChunkBytes = 64 << 10;
+
+  explicit PayloadWriter(File* file) : file_(file) {}
+
+  // Encode target; call Flush after each append.
+  std::string* buffer() { return &buf_; }
+
+  // Writes every whole chunk buffered so far; with `all`, the tail too.
+  Status Flush(bool all) {
+    size_t done = 0;
+    while (buf_.size() - done >= kChunkBytes ||
+           (all && done < buf_.size())) {
+      const size_t n = std::min(kChunkBytes, buf_.size() - done);
+      sum_ = Checksum64(buf_.data() + done, n, sum_);
+      TDB_RETURN_IF_ERROR(file_->WriteAt(offset_, buf_.data() + done, n));
+      offset_ += n;
+      done += n;
+    }
+    buf_.erase(0, done);
+    return Status::OK();
+  }
+
+  // Flushes the tail, then writes the payload's checksum at offset 0.
+  Status Finish() {
+    TDB_RETURN_IF_ERROR(Flush(/*all=*/true));
+    std::string head;
+    PutFixed64(&head, sum_);
+    return file_->WriteAt(0, head.data(), head.size());
+  }
+
+ private:
+  File* file_;
+  uint64_t offset_ = 8;
+  uint64_t sum_ = kChecksum64Seed;
+  std::string buf_;
+};
+
 // Writes and fsyncs the file into a fresh checkpoint directory; making its
 // directory entry durable is the caller's SyncDir.
 Status WriteRelationFile(FileSystem* fs, const std::string& path,
                          const VersionStore& store) {
-  std::string blob(8, '\0');  // Checksum, patched in below.
-  PutFixed64(&blob, store.sealed_partition_count());
-  for (size_t i = 0; i < store.sealed_partition_count(); ++i) {
-    store.sealed_partition(i).EncodeTo(&blob);
-  }
-  store.ForEachSlot([&](RowId, const BitemporalTuple* tuple) {
-    blob.push_back(tuple != nullptr ? 1 : 0);
-    if (tuple != nullptr) tuple->EncodeTo(&blob);
-  });
-  std::string sum;
-  PutFixed64(&sum, Checksum64(blob.data() + 8, blob.size() - 8));
-  blob.replace(0, 8, sum);
   TDB_ASSIGN_OR_RETURN(std::unique_ptr<File> file,
                        fs->OpenFile(path, /*create=*/true));
-  TDB_RETURN_IF_ERROR(file->WriteAt(0, blob.data(), blob.size()));
+  PayloadWriter out(file.get());
+  PutFixed64(out.buffer(), store.sealed_partition_count());
+  for (size_t i = 0; i < store.sealed_partition_count(); ++i) {
+    store.sealed_partition(i).EncodeTo(out.buffer());
+  }
+  Status st = out.Flush(/*all=*/false);
+  store.ForEachSlot([&](RowId, const BitemporalTuple* tuple) {
+    if (!st.ok()) return;
+    out.buffer()->push_back(tuple != nullptr ? 1 : 0);
+    if (tuple != nullptr) tuple->EncodeTo(out.buffer());
+    st = out.Flush(/*all=*/false);
+  });
+  TDB_RETURN_IF_ERROR(st);
+  TDB_RETURN_IF_ERROR(out.Finish());
   return file->Sync();
 }
 
@@ -128,14 +171,6 @@ Database::Database(DatabaseOptions options)
   // Every store shares this database's MVCC state: commit publication,
   // close-sequence stamping, and the correction fence all run through it.
   options_.store_options.mvcc = &mvcc_;
-  if (options_.store_options.parallel_scan) {
-    size_t threads = options_.max_threads != 0
-                         ? options_.max_threads
-                         : std::thread::hardware_concurrency();
-    pool_ = std::make_unique<exec::ThreadPool>(threads);
-    // Every store created from here on (including by recovery) shares it.
-    options_.store_options.exec_pool = pool_.get();
-  }
 }
 
 Database::~Database() {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "catalog/catalog.h"
-#include "exec/thread_pool.h"
 #include "rel/relation.h"
 #include "storage/fs.h"
 #include "storage/wal.h"
@@ -32,8 +31,8 @@ struct DatabaseOptions {
   /// The clock must outlive the database.
   const Clock* clock = nullptr;
 
-  /// Every relation's version-store configuration: scan parallelism and
-  /// batch size, epoch partitioning and pruning, the scan-stats sink.
+  /// Every relation's version-store configuration: scan batch size, epoch
+  /// partitioning, the scan-stats sink.
   VersionStoreOptions store_options;
 
   /// fsync the WAL on every commit (durability); off for benchmarks that
@@ -44,12 +43,6 @@ struct DatabaseOptions {
   /// Crash tests pass a `FaultInjectionFileSystem`; it must outlive the
   /// database.
   FileSystem* fs = nullptr;
-
-  /// Worker threads for parallel scans, used when
-  /// `store_options.parallel_scan` is set (the database then owns a
-  /// `ThreadPool` and wires it into every relation's version store).
-  /// 0: one thread per hardware core.
-  size_t max_threads = 0;
 };
 
 /// The temporadb embedded database: catalog + relations + transactions +
@@ -72,10 +65,10 @@ struct DatabaseOptions {
 /// Threading contract: externally synchronized, single writer.  `Database`
 /// holds no mutex by design — the embedded model gives every handle one
 /// owner, and a mutex here would serialize nothing real while hiding
-/// misuse from TSan.  Internal parallelism is confined to two annotated
-/// components: the `ThreadPool` fanning out read-only scan morsels, and
-/// the WAL `CommitQueue` batching concurrent commit barriers (see
-/// DESIGN.md §11.1 for the full lock hierarchy).
+/// misuse from TSan.  Every scan runs on its calling thread: the writer's
+/// on the writer, a snapshot reader's on that reader (`BeginReadSnapshot`,
+/// `QueryAtSnapshot`).  The one internal lock is the WAL `CommitQueue`,
+/// which batches concurrent commit barriers (see DESIGN.md §11.1).
 class Database {
  public:
   static Result<std::unique_ptr<Database>> Open(DatabaseOptions options = {});
@@ -199,10 +192,6 @@ class Database {
   std::unordered_map<uint64_t, StoredRelation*> relations_by_id_;
   std::map<std::string, std::string> ranges_;
   std::map<std::string, Rowset> derived_;
-
-  // Parallel-scan worker pool, created when store_options.parallel_scan is
-  // set; every relation's version store shares it.
-  std::unique_ptr<exec::ThreadPool> pool_;
 
   // Persistence.
   std::unique_ptr<WriteAheadLog> wal_;

@@ -15,9 +15,8 @@ namespace temporadb {
 /// A half-open row range `[begin, end)` of a scan domain that survived
 /// partition pruning.  Ranges are produced in ascending order with adjacent
 /// survivors merged, so a store where nothing prunes yields the single range
-/// `[0, limit)` — and every downstream consumer (streaming pulls, batch
-/// chunking, morsel generation) sees geometry bit-identical to the
-/// unpartitioned store.
+/// `[0, limit)` — and the batch chunking downstream sees geometry
+/// bit-identical to the unpartitioned store.
 struct RowRange {
   size_t begin = 0;
   size_t end = 0;
@@ -108,8 +107,8 @@ struct PartitionSynopsis {
 
 /// Pruning observability counters, shared by every scan of the stores that
 /// point at one instance (`VersionStoreOptions::scan_stats`; non-owning,
-/// null = off).  Atomic so concurrent snapshot readers and morsel workers
-/// can all report; `Reset()` between queries gives per-query numbers.
+/// null = off).  Atomic so concurrent snapshot readers and the writer can
+/// all report; `Reset()` between queries gives per-query numbers.
 ///
 /// Accounting identity (per predicated sequential/snapshot scan):
 ///   considered == pruned_tt + pruned_vt + pruned_snapshot + scanned.
@@ -117,7 +116,7 @@ struct PartitionSynopsis {
 /// the counters untouched.  `rows_scanned` counts rows in surviving sealed
 /// partitions plus the hot tail; `batch_morsels_formed` counts the
 /// batch-aligned chunks a batch scan actually formed — a pruned partition
-/// contributes zero (pruning happens before morsel geometry exists).
+/// contributes zero (pruning happens before the chunk grid exists).
 /// `dml_rows_examined` counts the candidate rows DML victim selection
 /// examined (`StoredRelation::SelectVictims`).
 struct ScanStats {

@@ -5,9 +5,7 @@
 #include <limits>
 
 #include "common/check.h"
-#include "exec/parallel_scan.h"
-#include "exec/thread_pool.h"
-#include "rel/kernels.h"
+#include "temporal/kernels.h"
 
 namespace temporadb {
 
@@ -19,6 +17,21 @@ namespace {
 bool NeverMatches(const BatchPredicates& p) {
   return (p.valid_overlaps.has_value() && p.valid_overlaps->IsEmpty()) ||
          (p.txn_overlaps.has_value() && p.txn_overlaps->IsEmpty());
+}
+
+// Slices disjoint ascending row ranges (the survivors of partition pruning)
+// into contiguous chunks of at most `chunk_rows` rows, restarting the grid
+// at every range boundary: a pruned partition contributes no chunk, and the
+// single range [0, n) gives the plain every-`chunk_rows` grid.
+std::vector<RowRange> RangeChunks(const std::vector<RowRange>& ranges,
+                                  size_t chunk_rows) {
+  std::vector<RowRange> chunks;
+  for (const RowRange& r : ranges) {
+    for (size_t b = r.begin; b < r.end; b += chunk_rows) {
+      chunks.push_back(RowRange{b, std::min(b + chunk_rows, r.end)});
+    }
+  }
+  return chunks;
 }
 
 }  // namespace
@@ -33,28 +46,17 @@ VersionBatchScan::VersionBatchScan(const VersionStore* store, SnapshotPin pin,
       preds_(preds),
       pin_(pin),
       // The epoch is writer state: a reader pin must not load it.
-      epoch_(pin.IsHead() ? store->mutation_epoch() : 0),
-      batch_rows_(store->options().batch_rows == 0
-                      ? 1
-                      : store->options().batch_rows) {
-  assert(pin_.rows <= std::numeric_limits<uint32_t>::max() &&
-         "selection vectors index rows as uint32");
+      epoch_(pin.IsHead() ? store->mutation_epoch() : 0) {
+  TDB_INVARIANT_CHECK(pin_.rows <= std::numeric_limits<uint32_t>::max(),
+                      "selection vectors index rows as uint32");
   if (NeverMatches(preds_)) return;
-  ranges_ = store->PruneRanges(preds_, pin_);
-  chunks_ = exec::RangeChunks(ranges_, batch_rows_);
+  const std::vector<RowRange> ranges = store->PruneRanges(preds_, pin_);
+  chunks_ = RangeChunks(ranges,
+                        std::max<size_t>(store->options().batch_rows, 1));
   if (ScanStats* stats = store->options().scan_stats) {
     stats->batch_morsels_formed.fetch_add(chunks_.size(),
                                           std::memory_order_relaxed);
   }
-}
-
-bool VersionBatchScan::ShouldRunParallel() const {
-  // Reader-pin scans stay on the calling reader thread (see
-  // VersionBatchScan).
-  if (!pin_.IsHead()) return false;
-  const VersionStoreOptions& o = store_->options();
-  if (!o.parallel_scan || o.exec_pool == nullptr) return false;
-  return pin_.rows >= o.parallel_min_rows;
 }
 
 void VersionBatchScan::ProbeRange(size_t begin, size_t end,
@@ -131,25 +133,6 @@ void VersionBatchScan::ProbeRange(size_t begin, size_t end,
   }
 }
 
-void VersionBatchScan::MaterializeParallel() {
-  exec::MorselOptions morsels;
-  morsels.morsel_rows = batch_rows_;
-  // One morsel per pre-chunked range slice and one batch per morsel: the
-  // chunk grid is `chunks_`, exactly what the streaming pull walks, so
-  // batch boundaries are invariant across thread counts and identical to
-  // the unpartitioned store whenever nothing pruned.
-  batches_ = exec::ParallelScanRanges<VersionBatch>(
-      store_->options().exec_pool, ranges_,
-      [this](size_t begin, size_t end, std::vector<VersionBatch>* out) {
-        VersionBatch batch;
-        ProbeRange(begin, end, &batch);
-        out->push_back(std::move(batch));
-      },
-      morsels);
-  buffered_ = true;
-  batch_pos_ = 0;
-}
-
 bool VersionBatchScan::Next(VersionBatch* out) {
   if (pin_.IsHead()) {
     TDB_INVARIANT_CHECK(
@@ -157,19 +140,6 @@ bool VersionBatchScan::Next(VersionBatch* out) {
         "VersionBatchScan advanced after a store mutation; the head pin's "
         "watermark and closes are stale (open a fresh scan, or use a read "
         "snapshot for scans that must survive commits)");
-  }
-  if (!decided_) {
-    decided_ = true;
-    if (ShouldRunParallel()) MaterializeParallel();
-  }
-  if (buffered_) {
-    while (batch_pos_ < batches_.size()) {
-      VersionBatch& b = batches_[batch_pos_++];
-      if (b.empty()) continue;
-      *out = std::move(b);
-      return true;
-    }
-    return false;
   }
   while (chunk_idx_ < chunks_.size()) {
     const RowRange c = chunks_[chunk_idx_++];
@@ -798,7 +768,7 @@ std::vector<RowRange> VersionStore::PruneRanges(const BatchPredicates& preds,
   // writer thread's own and may use the directory size directly.
   const uint64_t sealed_count =
       reader ? sealed_count_.load(std::memory_order_acquire) : sealed_.size();
-  if (!options_.partition_pruning || !predicated || sealed_count == 0) {
+  if (!predicated || sealed_count == 0) {
     out.push_back(RowRange{0, limit});
     return out;
   }

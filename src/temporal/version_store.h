@@ -19,16 +19,12 @@
 
 namespace temporadb {
 
-namespace exec {
-class ThreadPool;
-}  // namespace exec
-
 using RowId = uint64_t;
 
 class VersionStore;
 
 /// Structured predicates of a batch scan, evaluated with the branch-free
-/// kernels (rel/kernels.h) over the store's contiguous chronon columns
+/// kernels (temporal/kernels.h) over the store's contiguous chronon columns
 /// instead of per-tuple `Period` calls.  A scan carries *all* its time
 /// predicates here: it never reads `BitemporalTuple::txn`, which the writer
 /// closes in place.
@@ -87,19 +83,16 @@ struct VersionBatch {
 /// They capture the store's mutation epoch at open: advancing one after the
 /// store was mutated is a lifetime bug (the watermark and the closes it
 /// saw go stale), so `Next` checks the epoch with an always-on
-/// `TDB_INVARIANT_CHECK` and aborts rather than yield stale rows.  When the
-/// store enables `parallel_scan` and the surviving domain reaches
-/// `parallel_min_rows`, the first pull materializes every batch with a
-/// morsel-parallel probe: one morsel per batch-sized chunk, merged in
-/// morsel order (bit-identical sequence AND identical batch boundaries for
-/// every thread count).
+/// `TDB_INVARIANT_CHECK` and aborts rather than yield stale rows.
 ///
 /// **Reader-pin scans** (a pin from `Database::BeginReadSnapshot`) run on
 /// reader threads concurrently with the writer, bound by the pin's
 /// committed-row watermark and commit sequence instead of the epoch (see
-/// mvcc.h).  They run on the calling thread.  Yielded tuples have stable
-/// `values` and `valid`; do not read their `txn` member (the writer may be
-/// closing it in place).
+/// mvcc.h).  Yielded tuples have stable `values` and `valid`; do not read
+/// their `txn` member (the writer may be closing it in place).
+///
+/// Either way the scan runs on the calling thread, probing one batch-sized
+/// chunk of the surviving ranges per pull.
 class VersionBatchScan {
  public:
   VersionBatchScan(const VersionStore* store, SnapshotPin pin,
@@ -110,31 +103,21 @@ class VersionBatchScan {
   bool Next(VersionBatch* out);
 
  private:
-  bool ShouldRunParallel() const;
-  void MaterializeParallel();
   /// Probes the contiguous rows `[begin, end)`, appending the survivors to
   /// `out`: `tt_end` is read through the close-sequence patch into a
   /// scratch column and the kernel chain runs range-relative over it, so no
-  /// plain load ever races the writer's in-place closes.  Pure read; safe
-  /// from many threads at once.
+  /// plain load ever races the writer's in-place closes.
   void ProbeRange(size_t begin, size_t end, VersionBatch* out) const;
 
   const VersionStore* store_;
   BatchPredicates preds_;
   SnapshotPin pin_;
   uint64_t epoch_;  // Store mutation epoch at open (checked for head pins).
-  size_t batch_rows_;
-  // Surviving ranges after partition pruning and their batch_rows-aligned
-  // chunk grid.  One chunk = one batch = one morsel, so pruned partitions
-  // never form a batch or a morsel and the geometry is identical between
-  // streaming and parallel materialization.
-  std::vector<RowRange> ranges_;
+  // The batch_rows-aligned chunk grid over the ranges that survive
+  // partition pruning.  One chunk = one batch, so pruned partitions never
+  // form a batch.
   std::vector<RowRange> chunks_;
-  size_t chunk_idx_ = 0;   // Next chunk (streaming).
-  bool decided_ = false;   // Parallel-vs-stream decision made at first Next.
-  bool buffered_ = false;  // Batches pre-materialized into batches_.
-  std::vector<VersionBatch> batches_;
-  size_t batch_pos_ = 0;
+  size_t chunk_idx_ = 0;  // Next chunk to probe.
 };
 
 /// A low-level mutation on a version store, as observed by the redo log.
@@ -151,22 +134,10 @@ struct VersionOp {
   Chronon tt_end;              // kCloseTxn payload.
 };
 
-/// Store configuration: scan parallelism and batching, MVCC coordination,
-/// and epoch partitioning.
+/// Store configuration: scan batching, MVCC coordination, and epoch
+/// partitioning.
 struct VersionStoreOptions {
-  /// Morsel-parallel scans: when set (and `exec_pool` is provided), a
-  /// head-pin scan whose surviving domain has at least `parallel_min_rows`
-  /// rows runs its predicates on the pool's workers and merges matches
-  /// back in ascending row order (bit-identical to the sequential scan).
-  bool parallel_scan = false;
-  /// The worker pool for parallel scans; non-owning, must outlive every
-  /// store built with these options.  Null disables parallelism.
-  exec::ThreadPool* exec_pool = nullptr;
-  /// Scans over fewer candidate rows than this stay sequential — morsel
-  /// scheduling costs more than it buys on small domains.
-  size_t parallel_min_rows = 4096;
-  /// Rows per scan batch (also the morsel size of a parallel scan, keeping
-  /// batch boundaries thread-count-invariant).
+  /// Rows per scan batch.
   size_t batch_rows = 1024;
   /// Shared MVCC coordination state (one per Database); non-owning, must
   /// outlive the store.  Null disables snapshot support: the store still
@@ -178,13 +149,10 @@ struct VersionStoreOptions {
   /// when MVCC is on — a sealed partition must never lose rows to an
   /// abort-time unappend) the prefix is sealed into an immutable cold
   /// partition carrying a `PartitionSynopsis`.  0 disables partitioning —
-  /// one unbounded hot partition, the differential-test baseline.
+  /// one unbounded hot partition, the differential-test baseline.  Every
+  /// predicated scan consults the sealed partitions' synopses and skips
+  /// those whose time bounds cannot intersect the pushed-down window.
   size_t partition_rows = 4096;
-  /// Consult sealed-partition synopses on every predicated scan and skip
-  /// partitions whose time bounds cannot intersect
-  /// the pushed-down window (the ablation toggle; sealing and synopsis
-  /// maintenance continue regardless so the toggle is flippable per query).
-  bool partition_pruning = true;
   /// Pruning observability sink (partition.h); non-owning, may be shared
   /// across stores, null = off.  Counters are atomic — snapshot readers on
   /// other threads report through the same instance.
@@ -206,10 +174,10 @@ struct VersionStoreOptions {
 ///
 /// Threading contract: externally synchronized, single writer.  Mutators
 /// must not race with each other; readers come in two safe flavors: the
-/// writer's own morsel-parallel scans (read-only workers behind the
-/// mutation-epoch runtime check) and snapshot-isolated reader threads
-/// bound to a `SnapshotPin` (watermark + commit-sequence visibility,
-/// stable slab/column storage — see mvcc.h and DESIGN.md §13).  In-place
+/// writer's own head-pin scans (behind the mutation-epoch runtime check)
+/// and snapshot-isolated reader threads bound to a `SnapshotPin`
+/// (watermark + commit-sequence visibility, stable slab/column storage —
+/// see mvcc.h and DESIGN.md §13).  In-place
 /// corrections and compaction are fenced off from snapshot readers by
 /// `MvccState::BeginCorrection`.  See DESIGN.md §11.1.
 class VersionStore {
@@ -378,16 +346,6 @@ class VersionStore {
   /// scans are exempt — the pin, not the epoch, bounds what they may read.
   uint64_t mutation_epoch() const { return mutation_epoch_; }
 
-  /// Re-points the parallel-execution knobs of an existing store (the
-  /// thread-sweep benches and determinism tests retarget one populated
-  /// store rather than rebuilding 100k versions per thread count).  Must
-  /// not be called while any scan on this store is open.
-  void ConfigureParallel(exec::ThreadPool* pool, size_t min_rows = 0) {
-    options_.exec_pool = pool;
-    options_.parallel_scan = pool != nullptr;
-    if (min_rows > 0) options_.parallel_min_rows = min_rows;
-  }
-
   /// Re-sizes the scan batches of an existing store (the batch-size sweeps
   /// retarget one populated store).  Must not be called while any scan on
   /// this store is open.
@@ -395,17 +353,9 @@ class VersionStore {
     if (rows > 0) options_.batch_rows = rows;
   }
 
-  /// Flips synopsis-based partition pruning on an existing store (the
-  /// ablation and the differential tests compare pruned vs. unpruned scans
-  /// over one populated history).  Sealing is unaffected — partitions and
-  /// synopses keep being maintained either way.  Writer-thread only; must
-  /// not be called while snapshot readers are scanning.
-  void ConfigurePartitionPruning(bool enabled) {
-    options_.partition_pruning = enabled;
-  }
-
-  /// Re-points the pruning-counter sink (see VersionStoreOptions).  Same
-  /// call discipline as ConfigurePartitionPruning.
+  /// Re-points the pruning-counter sink (see VersionStoreOptions).
+  /// Writer-thread only; must not be called while snapshot readers are
+  /// scanning.
   void set_scan_stats(ScanStats* stats) { options_.scan_stats = stats; }
 
   // --- Epoch partitions -----------------------------------------------------

@@ -58,10 +58,6 @@ Status WorkloadDriver::Setup() {
   if (!db.ok()) return db.status();
   db_ = std::move(*db);
 
-  const size_t threads =
-      options_.verify_threads > 1 ? options_.verify_threads : 2;
-  pool_ = std::make_unique<exec::ThreadPool>(threads);
-
   for (const WorkloadOp& op : WorkloadDdl(options_.gen)) {
     TDB_RETURN_IF_ERROR(ApplyBoth(op));
   }
@@ -225,14 +221,6 @@ Status WorkloadDriver::RunSegment(size_t n_ops, size_t segment) {
   return st;
 }
 
-void WorkloadDriver::ConfigurePrimary(size_t threads) {
-  for (const RelationInfo& info : db_->ListRelations()) {
-    Result<StoredRelation*> rel = db_->GetRelation(info.name);
-    if (!rel.ok()) continue;
-    (*rel)->store()->ConfigureParallel(threads > 1 ? pool_.get() : nullptr, 1);
-  }
-}
-
 void WorkloadDriver::ComparePath(const std::string& query,
                                  const Result<reference::Answer>& want,
                                  const Result<Rowset>& got,
@@ -304,22 +292,15 @@ void WorkloadDriver::VerifySync(size_t sync_idx) {
   Random rng(options_.gen.seed * 0x2545F4914F6CDD1DULL +
              static_cast<uint64_t>(sync_idx));
   const int64_t horizon = gen_.day();
-  const size_t n_threads =
-      options_.verify_threads > 1 ? options_.verify_threads : 2;
   for (QueryClass cls : kQueryClasses) {
     for (size_t k = 0; k < options_.queries_per_class; ++k) {
       const std::string query = MakeQuery(cls, &rng, options_.gen, horizon);
       ++report_.oracle_queries;
       const Result<reference::Answer> want =
           reference_.Execute(query, Chronon(horizon));
-      for (const size_t threads : {size_t{1}, n_threads}) {
-        ConfigurePrimary(threads);
-        ComparePath(query, want, db_->Query(query),
-                    "batch/t" + std::to_string(threads));
-      }
+      ComparePath(query, want, db_->Query(query), "writer");
       // Snapshot path: a fresh pin over the quiesced writer must equal the
       // reference too.
-      ConfigurePrimary(1);
       Result<ReadSnapshot> snap = db_->BeginReadSnapshot();
       if (!snap.ok()) {
         Mismatch("sync pin failed: " + snap.status().ToString());
@@ -329,7 +310,6 @@ void WorkloadDriver::VerifySync(size_t sync_idx) {
       }
     }
   }
-  ConfigurePrimary(1);
   if (options_.deep_check_every > 0 &&
       sync_idx % options_.deep_check_every == 0) {
     DeepCheck("sync " + std::to_string(sync_idx));

@@ -38,9 +38,6 @@ struct DriverOptions {
   /// Oracle queries per query class per sync point.
   size_t queries_per_class = 4;
 
-  /// N in the {1, N}-thread leg of the verification matrix.
-  size_t verify_threads = 4;
-
   /// Full stored-content equivalence against the reference every k-th sync
   /// point (and always once at the end).
   size_t deep_check_every = 2;
@@ -92,7 +89,7 @@ struct WorkloadReport {
 /// MVCC pin path.  Every statement must succeed on both sides and select
 /// as many facts.  At every sync point the readers are quiesced and each
 /// query class is answered by the reference, demanding the same rows from
-/// the engine on {1, N} threads and on the snapshot path; periodically the
+/// the engine on the writer path and on the snapshot path; periodically the
 /// entire stored bitemporal content is compared fact for fact.
 /// Single-use: one `Run()` per driver.
 class WorkloadDriver {
@@ -123,7 +120,6 @@ class WorkloadDriver {
   void VerifySync(size_t sync_idx);
   void DeepCheck(const std::string& where);
   void CheckStatsIdentity(const std::string& where);
-  void ConfigurePrimary(size_t threads);
   void ComparePath(const std::string& query,
                    const Result<reference::Answer>& want,
                    const Result<Rowset>& got, const std::string& path);
@@ -135,7 +131,6 @@ class WorkloadDriver {
   std::unique_ptr<ManualClock> clock_;
   std::unique_ptr<Database> db_;
   reference::ReferenceModel reference_;
-  std::unique_ptr<exec::ThreadPool> pool_;
   ScanStats stats_;
   /// Fenced ops (in-place corrections on the relations without transaction
   /// time) buffered during the concurrent phase, applied — to engine and

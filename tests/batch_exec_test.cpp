@@ -3,8 +3,8 @@
 // over every live version yields, in row order — at the version-store
 // boundary — and every TQuel query must answer what the reference model
 // (workload/reference.h) answers, over all four temporal classes, every
-// clause combination, batch sizes {1, 7, 1024} and thread counts
-// {1, 2, 4, 8}, with the same row order in every configuration.
+// clause combination and batch sizes {1, 7, 1024}, with the same row order
+// in every configuration.
 
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 
 #include "common/random.h"
 #include "core/database.h"
-#include "exec/thread_pool.h"
 #include "temporal/version_store.h"
 #include "txn/clock.h"
 #include "txn/txn_manager.h"
@@ -32,8 +31,7 @@ class BatchVersionScanTest : public ::testing::Test {
   BatchVersionScanTest() : manager_(&clock_) {}
 
   // Seeded random bitemporal history (appends with half-open or bounded
-  // valid periods, interleaved transaction-time closes), same chaos recipe
-  // as the parallel-scan differential.
+  // valid periods, interleaved transaction-time closes).
   void Populate(size_t n_ops, uint64_t seed) {
     Random rng(seed);
     int64_t day = 1000;
@@ -174,22 +172,14 @@ TEST_F(BatchVersionScanTest, MatchBruteForceFilterAcrossBatchSizes) {
   }
 }
 
-TEST_F(BatchVersionScanTest, BitIdenticalAcrossThreadCountsAndBatchSizes) {
+TEST_F(BatchVersionScanTest, SecondSeedMatchesAcrossBatchSizes) {
   Populate(5000, /*seed=*/23);
-  store_.ConfigureParallel(nullptr);
   Sequence baseline = RunExpectedProbes();
   ASSERT_FALSE(baseline.empty());
   for (size_t batch_rows : {1u, 7u, 1024u}) {
     store_.ConfigureBatchRows(batch_rows);
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      exec::ThreadPool pool(threads);
-      // min_rows=1 forces the morsel path even for tiny candidate sets.
-      store_.ConfigureParallel(&pool, /*min_rows=*/1);
-      ExpectSameSequence(RunBatchProbes(), baseline,
-                         "batch_rows=" + std::to_string(batch_rows) + " " +
-                             std::to_string(threads) + " threads");
-      store_.ConfigureParallel(nullptr);
-    }
+    ExpectSameSequence(RunBatchProbes(), baseline,
+                       "batch_rows=" + std::to_string(batch_rows));
   }
 }
 
@@ -244,12 +234,10 @@ std::vector<std::pair<int64_t, std::string>> FourClassScript() {
 }
 
 std::unique_ptr<Database> BuildFourClassDb(ManualClock* clock,
-                                           const VersionStoreOptions& store,
-                                           size_t max_threads) {
+                                           const VersionStoreOptions& store) {
   DatabaseOptions options;
   options.clock = clock;
   options.store_options = store;
-  options.max_threads = max_threads;
   std::unique_ptr<Database> db = std::move(*Database::Open(options));
   for (const auto& [day, stmt] : FourClassScript()) {
     clock->SetTime(Chronon(day));
@@ -313,7 +301,7 @@ std::vector<std::string> AllClauseQueries() {
   return queries;
 }
 
-TEST(BatchDatabaseTest, QueriesMatchReferenceAcrossBatchSizesAndThreads) {
+TEST(BatchDatabaseTest, QueriesMatchReferenceAcrossBatchSizes) {
   reference::ReferenceModel model;
   for (const auto& [day, stmt] : FourClassScript()) {
     Result<reference::Answer> r = model.Execute(stmt, Chronon(day));
@@ -335,40 +323,33 @@ TEST(BatchDatabaseTest, QueriesMatchReferenceAcrossBatchSizesAndThreads) {
   // order of the first configuration.
   std::vector<Rowset> first;
   for (size_t batch_rows : {1u, 7u, 1024u}) {
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      const std::string config = " (batch_rows=" + std::to_string(batch_rows) +
-                                 ", threads=" + std::to_string(threads) + ")";
-      ManualClock clock;
-      VersionStoreOptions options;
-      options.batch_rows = batch_rows;
-      if (threads > 1) {
-        options.parallel_scan = true;
-        options.parallel_min_rows = 1;
+    const std::string config =
+        " (batch_rows=" + std::to_string(batch_rows) + ")";
+    ManualClock clock;
+    VersionStoreOptions options;
+    options.batch_rows = batch_rows;
+    std::unique_ptr<Database> db = BuildFourClassDb(&clock, options);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const std::string& q = queries[qi];
+      Result<Rowset> got = db->Query(q);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().message();
+      std::vector<reference::Fact> facts;
+      for (const Row& row : got->rows()) {
+        facts.push_back(reference::Fact{row.values,
+                                        row.valid.value_or(Period::All()),
+                                        row.txn.value_or(Period::All())});
       }
-      std::unique_ptr<Database> db =
-          BuildFourClassDb(&clock, options, threads);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        const std::string& q = queries[qi];
-        Result<Rowset> got = db->Query(q);
-        ASSERT_TRUE(got.ok()) << q << ": " << got.status().message();
-        std::vector<reference::Fact> facts;
-        for (const Row& row : got->rows()) {
-          facts.push_back(reference::Fact{row.values,
-                                          row.valid.value_or(Period::All()),
-                                          row.txn.value_or(Period::All())});
-        }
-        ASSERT_EQ(got->temporal_class(), want[qi].result_class) << q << config;
-        ASSERT_TRUE(reference::SameFacts(std::move(facts), want[qi].rows))
-            << q << config << ": " << got->size() << " rows vs "
-            << want[qi].rows.size();
-        if (first.size() < queries.size()) {
-          first.push_back(std::move(*got));
-          continue;
-        }
-        for (size_t i = 0; i < got->size(); ++i) {
-          ASSERT_TRUE(got->rows()[i] == first[qi].rows()[i])
-              << q << " row " << i << config;
-        }
+      ASSERT_EQ(got->temporal_class(), want[qi].result_class) << q << config;
+      ASSERT_TRUE(reference::SameFacts(std::move(facts), want[qi].rows))
+          << q << config << ": " << got->size() << " rows vs "
+          << want[qi].rows.size();
+      if (first.size() < queries.size()) {
+        first.push_back(std::move(*got));
+        continue;
+      }
+      for (size_t i = 0; i < got->size(); ++i) {
+        ASSERT_TRUE(got->rows()[i] == first[qi].rows()[i])
+            << q << " row " << i << config;
       }
     }
   }

@@ -271,8 +271,8 @@ TEST_F(MvccTest, InPlaceRewritesAreFencedWhileSnapshotsArePinned) {
 
 // ---------------------------------------------------------------------------
 // Differential: chronon columns mirror the slots exactly across physical
-// corrections, tombstone compaction, and reopen-from-WAL; row-mode and
-// batch-mode scans agree at 1 and 4 scan threads.
+// corrections, tombstone compaction, and reopen-from-WAL; scans agree at
+// every batch size.
 // ---------------------------------------------------------------------------
 
 // Asserts every chronon column entry equals the corresponding slot field.
@@ -339,37 +339,30 @@ TEST_F(MvccTest, ColumnsMirrorSlotsAcrossCorrectionsCompactionAndReopen) {
     ASSERT_TRUE(db->Execute("append to t (name = \"late\")").ok());
   }  // "Crash": reopen loads the checkpoint and replays the WAL tail.
 
-  // Reopen at scan-thread counts {1, 4} and batch sizes {7, 1024}, and
-  // check that every configuration sees identical content and synced
-  // columns.
+  // Reopen at batch sizes {7, 1024}, and check that every configuration
+  // sees identical content and synced columns.
   std::optional<Rowset> reference_h, reference_t;
-  for (int threads : {1, 4}) {
-    for (size_t batch : {7u, 1024u}) {
-      DatabaseOptions options = base;
-      options.store_options.batch_rows = batch;
-      options.store_options.parallel_scan = threads > 1;
-      options.max_threads = threads;
-      auto db = Open(options);
-      ExpectColumnsMirrorSlots((*db->GetRelation("h"))->store());
-      ExpectColumnsMirrorSlots((*db->GetRelation("t"))->store());
-      ASSERT_TRUE(db->Execute("range of x is h").ok());
-      ASSERT_TRUE(db->Execute("range of y is t").ok());
-      Result<Rowset> h = db->Query("retrieve (x.name)");
-      Result<Rowset> t = db->Query(
-          "retrieve (y.name) as of \"" + Date(clock_.Now()).ToString() +
-          "\"");
-      ASSERT_TRUE(h.ok()) << h.status().ToString();
-      ASSERT_TRUE(t.ok()) << t.status().ToString();
-      if (!reference_h.has_value()) {
-        reference_h = *h;
-        reference_t = *t;
-        continue;
-      }
-      EXPECT_TRUE(Rowset::SameContent(*h, *reference_h))
-          << "threads=" << threads << " batch=" << batch;
-      EXPECT_TRUE(Rowset::SameContent(*t, *reference_t))
-          << "threads=" << threads << " batch=" << batch;
+  for (size_t batch : {7u, 1024u}) {
+    DatabaseOptions options = base;
+    options.store_options.batch_rows = batch;
+    auto db = Open(options);
+    ExpectColumnsMirrorSlots((*db->GetRelation("h"))->store());
+    ExpectColumnsMirrorSlots((*db->GetRelation("t"))->store());
+    ASSERT_TRUE(db->Execute("range of x is h").ok());
+    ASSERT_TRUE(db->Execute("range of y is t").ok());
+    Result<Rowset> h = db->Query("retrieve (x.name)");
+    Result<Rowset> t = db->Query(
+        "retrieve (y.name) as of \"" + Date(clock_.Now()).ToString() +
+        "\"");
+    ASSERT_TRUE(h.ok()) << h.status().ToString();
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    if (!reference_h.has_value()) {
+      reference_h = *h;
+      reference_t = *t;
+      continue;
     }
+    EXPECT_TRUE(Rowset::SameContent(*h, *reference_h)) << "batch=" << batch;
+    EXPECT_TRUE(Rowset::SameContent(*t, *reference_t)) << "batch=" << batch;
   }
 }
 

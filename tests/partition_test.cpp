@@ -1,10 +1,10 @@
 // Epoch-partition differential: a partitioned store (any partition size,
-// any thread count, writer or snapshot scan) must be bit-identical to the
-// unpartitioned baseline, which matches a brute-force filter — pruning may
+// writer or snapshot scan) must be bit-identical to the unpartitioned
+// baseline, which matches a brute-force filter — pruning may
 // only skip partitions the pushed-down window provably misses.  Also covers synopsis maintenance across
 // corrections straddling a seal boundary, checkpoint/recovery of the
 // partition directory, the ScanStats accounting identity (including that
-// pruned partitions never form morsels), and the key sketch's
+// pruned partitions never form batches), and the key sketch's
 // no-false-negative contract.
 
 #include "temporal/partition.h"
@@ -21,7 +21,6 @@
 
 #include "common/random.h"
 #include "core/database.h"
-#include "exec/thread_pool.h"
 #include "temporal/version_store.h"
 #include "txn/clock.h"
 #include "txn/txn_manager.h"
@@ -253,20 +252,6 @@ TEST(PartitionDifferentialTest, BatchScansMatchUnpartitionedBaseline) {
     const std::string label = std::string("partition_rows=") + std::to_string(partition_rows);
     ExpectSameSequence(RunBatchProbes(*h.store), want_batches,
                        label + " batches");
-    // Pruning off must not change anything either (sealing still happened).
-    h.store->ConfigurePartitionPruning(false);
-    ExpectSameSequence(RunBatchProbes(*h.store), want_batches,
-                       label + " batches, pruning off");
-    h.store->ConfigurePartitionPruning(true);
-
-    for (size_t threads : {1u, 4u}) {
-      exec::ThreadPool pool(threads);
-      h.store->ConfigureParallel(&pool, /*min_rows=*/1);
-      ExpectSameSequence(
-          RunBatchProbes(*h.store), want_batches,
-          label + " batches, threads=" + std::to_string(threads));
-      h.store->ConfigureParallel(nullptr);
-    }
   }
 }
 
@@ -547,37 +532,40 @@ TEST_F(PartitionPersistenceTest, RecoveredSynopsesKeepPruningSound) {
 
 TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   // 64 committed rows in 8 aligned epochs; batch_rows == partition_rows so
-  // one surviving epoch is exactly one morsel.  Row i: valid [10i, 10i+5),
-  // tt [i, ∞); rows 0-31 then closed at day 200.
-  Harness h(/*partition_rows=*/8, /*with_mvcc=*/false, /*batch_rows=*/8);
-  {
-    h.clock.SetTime(Chronon(100));
-    Transaction* txn = *h.manager.Begin();
+  // one surviving epoch is exactly one batch.  Row i: valid [10i, 10i+5),
+  // tt [i, ∞); rows 0-31 then closed at day 200.  `flat` holds the same
+  // history unpartitioned: nothing to prune.
+  auto build = [](Harness* h) {
+    h->clock.SetTime(Chronon(100));
+    Transaction* txn = *h->manager.Begin();
     for (int i = 0; i < 64; ++i) {
       BitemporalTuple t;
       t.values = {Value(static_cast<int64_t>(i)), Value("v")};
       t.valid = Period(Chronon(10 * i), Chronon(10 * i + 5));
       t.txn = Period::From(Chronon(i));
-      ASSERT_TRUE(h.store->Append(txn, std::move(t)).ok());
+      ASSERT_TRUE(h->store->Append(txn, std::move(t)).ok());
     }
-    h.Commit(txn);
-  }
-  {
-    h.clock.SetTime(Chronon(200));
-    Transaction* txn = *h.manager.Begin();
+    h->Commit(txn);
+    h->clock.SetTime(Chronon(200));
+    txn = *h->manager.Begin();
     for (RowId row = 0; row < 32; ++row) {
-      ASSERT_TRUE(h.store->CloseTxn(txn, row, Chronon(200)).ok());
+      ASSERT_TRUE(h->store->CloseTxn(txn, row, Chronon(200)).ok());
     }
-    h.Commit(txn);
-  }
+    h->Commit(txn);
+  };
+  Harness h(/*partition_rows=*/8, /*with_mvcc=*/false, /*batch_rows=*/8);
+  build(&h);
+  Harness flat(/*partition_rows=*/0, /*with_mvcc=*/false, /*batch_rows=*/8);
+  build(&flat);
   ASSERT_EQ(h.store->sealed_partition_count(), 8u);
+  ASSERT_EQ(flat.store->sealed_partition_count(), 0u);
   ScanStats stats;
   h.store->set_scan_stats(&stats);
 
   // Valid-time window [100, 120): only epoch 1 (rows 8-15, valid reach
   // [80, 155)) can intersect — epoch 0 tops out at 75, epoch 2 starts at
   // 160.  The matches are rows 10-11; the single surviving epoch is one
-  // 8-row range = exactly 1 morsel, and the 7 pruned epochs form none.
+  // 8-row range = exactly 1 batch, and the 7 pruned epochs form none.
   Sequence got = CollectBatches(
       Head(*h.store, ValidIn(Period(Chronon(100), Chronon(120)))));
   EXPECT_EQ(got.size(), 2u);
@@ -590,18 +578,19 @@ TEST(PartitionStatsTest, AccountingIdentityAndMorselSuppression) {
   EXPECT_EQ(stats.considered(), stats.pruned_tt() + stats.pruned_vt() +
                                     stats.pruned_snapshot() + stats.scanned());
 
-  // With pruning off, the same scan forms the full 8 morsels.
+  // The flat twin has no synopsis to consult, so the same scan forms the
+  // full 8 batches.
   stats.Reset();
-  h.store->ConfigurePartitionPruning(false);
+  flat.store->set_scan_stats(&stats);
   Sequence off = CollectBatches(
-      Head(*h.store, ValidIn(Period(Chronon(100), Chronon(120)))));
-  ExpectSameSequence(off, got, "pruning toggle");
+      Head(*flat.store, ValidIn(Period(Chronon(100), Chronon(120)))));
+  ExpectSameSequence(off, got, "flat twin");
   EXPECT_EQ(stats.considered(), 0u);  // Synopsis walk skipped entirely.
   EXPECT_EQ(stats.morsels(), 8u);
-  h.store->ConfigurePartitionPruning(true);
+  flat.store->set_scan_stats(nullptr);
 
   // As-of below every tt_start: all 8 epochs prune on transaction time and
-  // no morsel forms at all.
+  // no batch forms at all.
   stats.Reset();
   got = CollectBatches(Head(*h.store, TxnAt(-5)));
   EXPECT_TRUE(got.empty());
@@ -730,12 +719,10 @@ TEST(PartitionSynopsisTest, EncodeDecodeRoundTrip) {
 // --- Four relation classes through the query stack -------------------------
 
 std::unique_ptr<Database> BuildFourClassDb(ManualClock* clock,
-                                           const VersionStoreOptions& store,
-                                           size_t max_threads) {
+                                           const VersionStoreOptions& store) {
   DatabaseOptions options;
   options.clock = clock;
   options.store_options = store;
-  options.max_threads = max_threads;
   std::unique_ptr<Database> db = std::move(*Database::Open(options));
   EXPECT_TRUE(
       db->Execute("create relation snap (name = string, n = int)").ok());
@@ -819,13 +806,13 @@ std::vector<std::string> FourClassQueries() {
   return queries;
 }
 
-TEST(PartitionDatabaseTest, FourClassesMatchAcrossPartitionSizesAndThreads) {
-  // Baseline: unpartitioned, sequential.
+TEST(PartitionDatabaseTest, FourClassesMatchAcrossPartitionSizes) {
+  // Baseline: unpartitioned.
   ManualClock base_clock;
   VersionStoreOptions base_options;
   base_options.partition_rows = 0;
   std::unique_ptr<Database> base_db =
-      BuildFourClassDb(&base_clock, base_options, /*max_threads=*/1);
+      BuildFourClassDb(&base_clock, base_options);
   const std::vector<std::string> queries = FourClassQueries();
   std::vector<Rowset> baseline;
   size_t nonempty = 0;
@@ -838,28 +825,20 @@ TEST(PartitionDatabaseTest, FourClassesMatchAcrossPartitionSizesAndThreads) {
   ASSERT_GT(nonempty, queries.size() / 2);
 
   for (size_t partition_rows : {1u, 127u, 4096u}) {
-    for (size_t threads : {1u, 4u}) {
-      ManualClock clock;
-      VersionStoreOptions options;
-      options.partition_rows = partition_rows;
-      if (threads > 1) {
-        options.parallel_scan = true;
-        options.parallel_min_rows = 1;
-      }
-      std::unique_ptr<Database> db =
-          BuildFourClassDb(&clock, options, threads);
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        const std::string& q = queries[qi];
-        Result<Rowset> got = db->Query(q);
-        ASSERT_TRUE(got.ok()) << q << ": " << got.status().message();
-        ASSERT_EQ(got->size(), baseline[qi].size())
-            << q << " (partition_rows=" << partition_rows
-            << ", threads=" << threads << ")";
-        for (size_t i = 0; i < got->size(); ++i) {
-          ASSERT_TRUE(got->rows()[i] == baseline[qi].rows()[i])
-              << q << " row " << i << " (partition_rows=" << partition_rows
-              << ", threads=" << threads << ")";
-        }
+    ManualClock clock;
+    VersionStoreOptions options;
+    options.partition_rows = partition_rows;
+    std::unique_ptr<Database> db = BuildFourClassDb(&clock, options);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const std::string& q = queries[qi];
+      Result<Rowset> got = db->Query(q);
+      ASSERT_TRUE(got.ok()) << q << ": " << got.status().message();
+      ASSERT_EQ(got->size(), baseline[qi].size())
+          << q << " (partition_rows=" << partition_rows << ")";
+      for (size_t i = 0; i < got->size(); ++i) {
+        ASSERT_TRUE(got->rows()[i] == baseline[qi].rows()[i])
+            << q << " row " << i << " (partition_rows=" << partition_rows
+            << ")";
       }
     }
   }

@@ -527,6 +527,55 @@ TEST_F(PersistenceTest, CorruptOrTruncatedRelationFileIsCorruption) {
   EXPECT_TRUE(s.ok()) << s.ToString();
 }
 
+TEST_F(PersistenceTest, RelationFileSpanningSeveralChunksRoundTrips) {
+  // The file is written in 64 KiB chunks with the checksum carried across
+  // them; ~400 KiB of tuples spans several.
+  const std::string pad(2000, 'p');
+  std::string path;
+  {
+    auto db = Open();
+    ASSERT_TRUE(db->Execute("create relation t (n = int, s = string)").ok());
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_TRUE(db->Execute("append to t (n = " + std::to_string(i) +
+                              ", s = \"" + pad + std::to_string(i) + "\")")
+                      .ok());
+    }
+    ASSERT_TRUE(db->Checkpoint().ok());
+    path = dir_ + "/ckpt-1/rel-" +
+           std::to_string((*db->GetRelation("t"))->info().id) + ".tdb";
+  }
+  std::string good;
+  {
+    std::ifstream in(path, std::ios::binary);
+    ASSERT_TRUE(in.good()) << path;
+    good.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(good.size(), 8u + 4 * (64u << 10));
+  {
+    auto db = Open();
+    ASSERT_TRUE(db->Execute("range of x is t").ok());
+    Result<Rowset> rows = db->Query("retrieve (x.n, x.s)");
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->size(), 200u);
+    for (int i = 0; i < 200; ++i) {
+      EXPECT_EQ(rows->rows()[i].values[0].AsInt(), i);
+      EXPECT_EQ(rows->rows()[i].values[1].AsString(), pad + std::to_string(i));
+    }
+  }
+  // One flipped byte in the last chunk fails the checksum.
+  std::string flipped = good;
+  flipped[flipped.size() - 2] ^= 0x01;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(flipped.data(), static_cast<std::streamsize>(flipped.size()));
+  }
+  DatabaseOptions options;
+  options.path = dir_;
+  options.clock = &clock_;
+  Status s = Database::Open(options).status();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
 TEST_F(PersistenceTest, MissingRelationFileIsAnError) {
   // A checkpoint without rel-<id>.tdb (for instance one written in an older
   // on-disk format) is refused with a status, not loaded as empty.

@@ -1,9 +1,9 @@
 // The workload suite's CI tier: the seeded HR/payroll generator must be
 // byte-deterministic, and the mixed-phase driver — serialized writer +
 // concurrent snapshot readers — must answer what the reference model
-// (workload/reference.h) answers on the writer path at {1, N} threads and
-// on the snapshot path, across partition sizes, with the ScanStats
-// accounting identity holding at every sync point.  `TDB_WORKLOAD_SMALL` shrinks the run for
+// (workload/reference.h) answers on the writer path and on the snapshot
+// path, across partition sizes, with the ScanStats accounting identity
+// holding at every sync point.  `TDB_WORKLOAD_SMALL` shrinks the run for
 // the sanitizer jobs; the full-size version of this harness is
 // bench/bench_workload.cpp.
 
@@ -36,7 +36,6 @@ DriverOptions TestDriver(uint32_t partition_rows) {
   d.sync_every = SmallTier() ? 250 : 400;
   d.reader_threads = 2;
   d.queries_per_class = 3;
-  d.verify_threads = 3;
   d.deep_check_every = 2;
   return d;
 }

@@ -1,4 +1,4 @@
-// tdb-analyze-fixture: treat-as=src/rel/kernels.h rules=kernel-purity
+// tdb-analyze-fixture: treat-as=src/temporal/kernels.h rules=kernel-purity
 // Seeded violations: heap allocation, exception edges, virtual dispatch,
 // and boxed temporal types inside the kernel layer.
 #include "kernel_purity_types.h"

@@ -1,4 +1,4 @@
-// tdb-analyze-fixture: treat-as=src/rel/kernels.h rules=kernel-purity
+// tdb-analyze-fixture: treat-as=src/temporal/kernels.h rules=kernel-purity
 // Clean control: a branch-free selection kernel in the real repo idiom —
 // raw int64 chronon columns in, uint32 selection vector out, no heap, no
 // exceptions, no dispatch.

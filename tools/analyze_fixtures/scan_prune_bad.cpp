@@ -10,9 +10,7 @@ struct RowRange {
   size_t end = 0;
 };
 
-namespace exec {
 void RangeChunks(const RowRange* ranges, size_t n);
-}  // namespace exec
 
 class VersionStore;
 
@@ -44,13 +42,13 @@ VersionScan VersionStore::ScanAll() const { return VersionScan(this); }
 
 VersionScan VersionStore::ScanRaw() const {  // EXPECT(scan-prune): never reaches PruneRanges
   RowRange r;
-  exec::RangeChunks(&r, 1);
+  RangeChunks(&r, 1);
   return VersionScan();
 }
 
 VersionScan VersionStore::BatchScanEager() const {  // EXPECT(scan-prune): RangeChunks
   RowRange r;
-  exec::RangeChunks(&r, 1);
+  RangeChunks(&r, 1);
   PruneRanges(&r, 1);
   return VersionScan();
 }

@@ -16,9 +16,7 @@ struct SnapshotPin {
   uint64_t rows = 0;
 };
 
-namespace exec {
 void RangeChunks(const RowRange* ranges, size_t n);
-}  // namespace exec
 
 class VersionStore;
 
@@ -53,7 +51,7 @@ VersionScan VersionStore::ScanSnapshot(SnapshotPin pin) const {
 VersionScan VersionStore::BatchScanAll() const {
   RowRange r;
   PruneRanges(&r, 1);
-  exec::RangeChunks(&r, 1);
+  RangeChunks(&r, 1);
   return VersionScan(this);
 }
 

@@ -40,7 +40,7 @@ Rules (names are stable; they appear in findings and suppressions):
   chronon-arith     Raw int64 arithmetic on chronon-typed values (operands
                     marked by `Chronon::days()`, `Chronon::Rep`, the
                     sentinel reps, or the chronon column/synopsis fields)
-                    is confined to common/chronon.* and rel/kernels.*.
+                    is confined to common/chronon.* and temporal/kernels.*.
                     Everywhere else must use the saturating Chronon
                     operators — re-deriving the pre-saturation overflow UB
                     in a new file is exactly what this rule exists to stop.
@@ -58,7 +58,7 @@ Rules (names are stable; they appear in findings and suppressions):
                     function both prunes and forms chunk geometry
                     (`RangeChunks`), the prune must come first.
 
-  kernel-purity     rel/kernels.* stays free of virtual dispatch, heap
+  kernel-purity     temporal/kernels.* stays free of virtual dispatch, heap
                     allocation (new/delete/malloc), exception edges
                     (throw/try), and boxed `Value`/`Period` types — the
                     kernels exist to touch nothing but flat arrays.
@@ -357,7 +357,7 @@ ATOMIC_OPERATOR_SUGAR = {
 # declarations whose reference marks an expression as chronon-typed.
 CHRONON_SANCTIONED = {
     "src/common/chronon.h", "src/common/chronon.cpp",
-    "src/rel/kernels.h", "src/rel/kernels.cpp",
+    "src/temporal/kernels.h", "src/temporal/kernels.cpp",
 }
 CHRONON_FIELDS = {
     "col_valid_from_", "col_valid_to_", "col_tt_start_", "col_tt_end_",
@@ -376,7 +376,7 @@ SCAN_ENTRY_RE = re.compile(r"^(Scan|BatchScan)\w*$|^\w*Snapshot$")
 SCAN_FILE = "src/temporal/version_store.cpp"
 
 # Rule: kernel-purity.
-KERNEL_FILES = {"src/rel/kernels.h", "src/rel/kernels.cpp"}
+KERNEL_FILES = {"src/temporal/kernels.h", "src/temporal/kernels.cpp"}
 HEAP_FUNCTIONS = {"malloc", "calloc", "realloc", "free",
                   "operator new", "operator new[]",
                   "operator delete", "operator delete[]"}
@@ -912,7 +912,7 @@ def analyze_tu(ctx: TuContext):
                         subtree_contains_chronon_mark(cursor):
                     ctx.add(cursor, "chronon-arith",
                             f"raw int64 '{op}' on a chronon-typed operand "
-                            "outside common/chronon.* and rel/kernels.*; "
+                            "outside common/chronon.* and temporal/kernels.*; "
                             "use the saturating Chronon operators — raw rep "
                             "arithmetic is how the pre-saturation overflow "
                             "UB happened")
@@ -928,7 +928,8 @@ def analyze_tu(ctx: TuContext):
                         ctx.add(cursor, "chronon-arith",
                                 "raw increment/decrement of a chronon-typed "
                                 "operand outside common/chronon.* and "
-                                "rel/kernels.*; use Chronon::Next()/Prev() "
+                                "temporal/kernels.*; use "
+                                "Chronon::Next()/Prev() "
                                 "(they saturate at the sentinels)")
 
         if "kernel-purity" in ctx.rules:
@@ -1015,7 +1016,7 @@ def analyze_tu(ctx: TuContext):
                     ctx.add(fn, "scan-prune",
                             f"{fn.spelling} forms chunk geometry "
                             "(RangeChunks) before PruneRanges; pruned "
-                            "partitions must never form morsels")
+                            "partitions must never form batches")
 
     if "result-discipline" in ctx.rules:
         for fn, values, oks in result_fns:

@@ -23,15 +23,15 @@ express, because they are properties of *this* codebase's discipline:
      src/catalog/temporal_class.h, and the analyzer's gating of
      when/valid/as-of in src/tquel/analyzer.cpp.
 
-  4. kernel-purity  — the branch-free selection kernels (src/rel/kernels.*)
-     operate on raw chronon columns and selection vectors only.  Boxed
-     `Value`s, `Period` objects, or virtual dispatch in that layer would
-     reintroduce exactly the per-row overhead the vectorized path exists to
-     remove, and would do it silently (everything still passes the
-     differential tests, just slower).
+  4. kernel-purity  — the branch-free selection kernels
+     (src/temporal/kernels.*) operate on raw chronon columns and selection
+     vectors only.  Boxed `Value`s, `Period` objects, or virtual dispatch in
+     that layer would reintroduce exactly the per-row overhead the
+     vectorized path exists to remove, and would do it silently (everything
+     still passes the differential tests, just slower).
 
   5. invariant-check — no bare `assert(` on cross-thread visibility state
-     in src/temporal or src/exec.  A plain assert compiles away in release
+     in src/temporal.  A plain assert compiles away in release
      builds, which is precisely where concurrent readers run; invariants
      over the MVCC coordination state (watermarks, commit sequences, the
      publish seqlock) must use TDB_INVARIANT_CHECK from common/check.h so
@@ -309,8 +309,8 @@ def check_clause_matrix() -> None:
 # --------------------------------------------------------------------------
 
 KERNEL_FILES = [
-    SRC / "rel" / "kernels.h",
-    SRC / "rel" / "kernels.cpp",
+    SRC / "temporal" / "kernels.h",
+    SRC / "temporal" / "kernels.cpp",
 ]
 KERNEL_IMPURITIES = re.compile(r"\b(Value|Period|virtual)\b")
 
@@ -341,7 +341,7 @@ CROSS_THREAD_IDENTS = re.compile(
     r"publish_word|commit_seq|active_snapshots|correcting)\b"
 )
 BARE_ASSERT = re.compile(r"(?<![\w.])assert\s*\(")
-INVARIANT_DIRS = [SRC / "temporal", SRC / "exec"]
+INVARIANT_DIRS = [SRC / "temporal"]
 
 
 def check_invariant_checks() -> None:
