@@ -12,7 +12,6 @@
 #include "common/period.h"
 #include "common/random.h"
 #include "temporal/kernels.h"
-#include "temporal/snapshot.h"
 
 using namespace temporadb;
 
@@ -31,7 +30,8 @@ void RunWideTimeslice(benchmark::State& state, size_t batch_rows) {
       sdb.db.get(), sdb.clock.get(), "r", TemporalClass::kHistorical, 64,
       static_cast<size_t>(state.range(0)), 17);
   (void)sdb.db->Execute("range of f is r");
-  std::vector<Chronon> boundaries = ValidBoundaries(*rel->store());
+  std::vector<Chronon> boundaries =
+      paper::Boundaries(*sdb.db->Query("show r"), &Row::valid);
   Chronon lo = boundaries[boundaries.size() / 4];
   Chronon hi = boundaries[3 * boundaries.size() / 4];
   std::string query = "retrieve (f.name, f.rank) valid from \"" +

@@ -11,7 +11,6 @@
 #include "bench/bench_json.h"
 
 #include "bench/bench_common.h"
-#include "temporal/snapshot.h"
 
 using namespace temporadb;
 
@@ -27,8 +26,10 @@ Built Build(size_t churn) {
   Built out{bench::OpenScenarioDb(), nullptr, Chronon(0)};
   out.rel = bench::PopulateStream(out.sdb.db.get(), out.sdb.clock.get(), "r",
                                   TemporalClass::kRollback, 64, churn, 99);
-  // Probe the middle of the transaction-time line.
-  std::vector<Chronon> boundaries = TransactionBoundaries(*out.rel->store());
+  // Probe the middle of the transaction-time line: the transaction
+  // periods of every stored version (`show r`).
+  std::vector<Chronon> boundaries =
+      paper::Boundaries(*out.sdb.db->Query("show r"), &Row::txn);
   out.probe = boundaries[boundaries.size() / 2];
   return out;
 }

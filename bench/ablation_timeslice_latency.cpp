@@ -1,6 +1,6 @@
 // A4 — Valid timeslice latency: the relation's pinned sweep (what every
-// `retrieve` and `ValidTimeslice` read) answering valid-time stabs and
-// overlap windows, alone and through the full TQuel stack.
+// `retrieve` reads) answering valid-time stabs and overlap windows, alone
+// and through the full TQuel stack.
 //
 // The sweep runs one branch-free overlap kernel over every version of the
 // epochs whose valid-time bounds meet the window.
@@ -10,7 +10,6 @@
 #include "bench/bench_json.h"
 
 #include "bench/bench_common.h"
-#include "temporal/snapshot.h"
 
 using namespace temporadb;
 
@@ -33,7 +32,8 @@ void BM_Timeslice_Sweep(benchmark::State& state) {
   StoredRelation* rel = bench::PopulateStream(
       sdb.db.get(), sdb.clock.get(), "r", TemporalClass::kHistorical, 64,
       static_cast<size_t>(state.range(0)), 17);
-  std::vector<Chronon> boundaries = ValidBoundaries(*rel->store());
+  std::vector<Chronon> boundaries =
+      paper::Boundaries(*sdb.db->Query("show r"), &Row::valid);
   Chronon probe = boundaries[boundaries.size() / 2];
   size_t answer = 0;
   for (auto _ : state) {
@@ -51,7 +51,8 @@ void BM_OverlapWindow_Sweep(benchmark::State& state) {
   StoredRelation* rel = bench::PopulateStream(
       sdb.db.get(), sdb.clock.get(), "r", TemporalClass::kHistorical, 64,
       8000, 17);
-  std::vector<Chronon> boundaries = ValidBoundaries(*rel->store());
+  std::vector<Chronon> boundaries =
+      paper::Boundaries(*sdb.db->Query("show r"), &Row::valid);
   Chronon mid = boundaries[boundaries.size() / 2];
   Period window(mid, mid + state.range(0));
   for (auto _ : state) {
@@ -70,7 +71,9 @@ void BM_TemporalCube(benchmark::State& state) {
       sdb.db.get(), sdb.clock.get(), "r", TemporalClass::kTemporal, 64,
       static_cast<size_t>(state.range(0)), 17, /*bounded_valid=*/true);
   (void)sdb.db->Execute("range of f is r");
-  std::vector<Chronon> boundaries = ValidBoundaries(*rel->store());
+  // The valid periods of the current state.
+  std::vector<Chronon> boundaries = paper::Boundaries(
+      *sdb.db->Query("retrieve (f.name, f.rank)"), &Row::valid);
   std::string when_at = boundaries[boundaries.size() / 2].ToString();
   // Transaction days advance 1..3 per op from day 3650, so this as-of
   // names a past state about three quarters through the stream — late

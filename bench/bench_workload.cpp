@@ -66,8 +66,10 @@ int main(int argc, char** argv) {
   d.reader_threads = FlagU64(argc, argv, "--readers", 4);
   d.queries_per_class = FlagU64(argc, argv, "--oracle-queries", 4);
   d.deep_check_every = FlagU64(argc, argv, "--deep-every", 4);
-  d.store.partition_rows =
-      static_cast<size_t>(FlagU64(argc, argv, "--partition-rows", 4096));
+  // The small tier's 2,000 ops would never fill a 4096-row partition, so
+  // it seals at 256 rows to check the reference against pruned scans too.
+  d.store.partition_rows = static_cast<size_t>(
+      FlagU64(argc, argv, "--partition-rows", small ? 256 : 4096));
 
   std::printf("bench_workload: HR/payroll bitemporal workload suite\n");
   std::printf(

@@ -1,12 +1,13 @@
 // Reproduces Figure 5: an historical relation as a sequence of slices along
-// *valid* time.  The same transaction script as Figure 3, plus a fourth,
-// correcting transaction that removes an erroneous tuple without trace —
-// the operation a rollback relation cannot perform.
+// *valid* time, one `retrieve ... when r overlap "<v>"` per valid boundary
+// of the current state.  The same transaction script as Figure 3, plus a
+// fourth, correcting transaction that removes an erroneous tuple without
+// trace — the operation a rollback relation cannot perform.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "temporal/snapshot.h"
 
 using namespace temporadb;
 
@@ -22,15 +23,18 @@ int main() {
            .ok()) {
     return 1;
   }
-  Result<StoredRelation*> rel = sdb.db->GetRelation("r");
-  if (!rel.ok()) return 1;
-
-  std::vector<StaticState> slices = HistoricalSlices(*(*rel)->store());
-  for (const StaticState& slice : slices) {
+  Result<std::vector<paper::CubeState>> slices =
+      paper::Cube(sdb.db.get(), "r");
+  if (!slices.ok()) return 1;
+  for (paper::CubeState& slice : *slices) {
     std::printf("tuples valid at %s:\n", slice.at.ToString().c_str());
-    for (const auto& row : slice.rows) {
-      std::printf("  | %-4s | %-3s |\n", row[0].ToString().c_str(),
-                  row[1].ToString().c_str());
+    std::vector<Row>& rows = slice.rows.rows();
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      return a.values < b.values;
+    });
+    for (const Row& row : rows) {
+      std::printf("  | %-4s | %-3s |\n", row.values[0].ToString().c_str(),
+                  row.values[1].ToString().c_str());
     }
     std::printf("\n");
   }

@@ -1,12 +1,13 @@
 // Reproduces Figure 7: a temporal relation as a sequence of *historical
-// states* indexed by transaction time.  The fourth transaction deletes a
-// tuple that "should not have been there in the first place" — and unlike
-// Figure 5, every earlier historical state still shows it.
+// states* indexed by transaction time, one `retrieve ... as of "<t>"` per
+// transaction boundary.  The fourth transaction deletes a tuple that
+// "should not have been there in the first place" — and unlike Figure 5,
+// every earlier historical state still shows it.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "bench/bench_common.h"
-#include "temporal/snapshot.h"
 
 using namespace temporadb;
 
@@ -22,19 +23,24 @@ int main() {
            .ok()) {
     return 1;
   }
-  Result<StoredRelation*> rel = sdb.db->GetRelation("r");
-  if (!rel.ok()) return 1;
-
-  std::vector<HistoricalState> states = TemporalStates(*(*rel)->store());
+  Result<std::vector<paper::CubeState>> states =
+      paper::Cube(sdb.db.get(), "r");
+  if (!states.ok()) return 1;
   int txn = 0;
-  for (const HistoricalState& state : states) {
+  for (paper::CubeState& state : *states) {
     ++txn;
     std::printf("historical state as of %s (transaction %d):\n",
                 state.at.ToString().c_str(), txn);
-    for (const BitemporalTuple& t : state.rows) {
+    std::vector<Row>& rows = state.rows.rows();
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      if (a.values != b.values) return a.values < b.values;
+      return a.valid->begin() < b.valid->begin();
+    });
+    for (const Row& row : rows) {
       std::printf("  | %-4s | %-3s | valid %s\n",
-                  t.values[0].ToString().c_str(),
-                  t.values[1].ToString().c_str(), t.valid.ToString().c_str());
+                  row.values[0].ToString().c_str(),
+                  row.values[1].ToString().c_str(),
+                  row.valid->ToString().c_str());
     }
     std::printf("\n");
   }

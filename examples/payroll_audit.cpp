@@ -12,7 +12,6 @@
 #include <cstdio>
 
 #include "core/database.h"
-#include "rel/temporal_ops.h"
 
 using namespace temporadb;
 

@@ -2,15 +2,13 @@
 // faculty change over the last 5 years?" (§4.1), which a static database
 // cannot answer.
 //
-// Strategy: slice the historical relation at a sequence of valid chronons
-// (programmatic timeslice), then aggregate each slice with the relational
-// algebra layer.
+// Strategy: one TQuel aggregate per valid chronon, `when f overlap "<d>"`
+// slicing the historical relation at that chronon: a total count, and a
+// count per rank.
 
 #include <cstdio>
 
 #include "core/database.h"
-#include "rel/aggregate.h"
-#include "rel/temporal_ops.h"
 
 using namespace temporadb;
 
@@ -49,28 +47,23 @@ int main() {
     if (!db->Execute(stmt).ok()) return 1;
   }
 
-  Result<StoredRelation*> rel = db->GetRelation("faculty");
-  if (!rel.ok()) return 1;
-  Result<Rowset> history = ScanStored(**rel);
-  if (!history.ok()) return 1;
-
   std::printf("| as of    | faculty count | by rank                      |\n");
   std::printf("|----------|---------------|------------------------------|\n");
   for (int year = 1980; year <= 1985; ++year) {
     Date probe = *Date::FromYmd(year, 1, 1);
-    Result<Rowset> slice = Timeslice(*history, probe.chronon());
-    if (!slice.ok()) return 1;
-    // Count per rank via the aggregate operator.
+    const std::string when = " when f overlap \"" + probe.ToString() + "\"";
+    Result<Rowset> total = db->Query("retrieve (n = count(f.name))" + when);
     Result<Rowset> by_rank =
-        Aggregate(*slice, {1}, {{AggFunc::kCount, 0, "n"}});
-    if (!by_rank.ok()) return 1;
+        db->Query("retrieve (f.rank, n = count(f.name))" + when);
+    if (!total.ok() || !by_rank.ok()) return 1;
     std::string breakdown;
     for (const Row& row : by_rank->rows()) {
       breakdown += row.values[0].AsString() + ":" +
                    row.values[1].ToString() + " ";
     }
-    std::printf("| %s | %13zu | %-28s |\n", probe.ToString().c_str(),
-                slice->size(), breakdown.c_str());
+    std::printf("| %s | %13s | %-28s |\n", probe.ToString().c_str(),
+                total->rows()[0].values[0].ToString().c_str(),
+                breakdown.c_str());
   }
   std::printf(
       "\nEach row is a valid timeslice of one historical relation — the "

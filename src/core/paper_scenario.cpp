@@ -1,5 +1,7 @@
 #include "core/paper_scenario.h"
 
+#include <set>
+
 #include "common/strings.h"
 
 namespace temporadb {
@@ -126,6 +128,41 @@ std::vector<ScriptStep> CubeScript(TemporalClass temporal_class) {
                      "x.name = \"c\""});
   }
   return steps;
+}
+
+std::vector<Chronon> Boundaries(const Rowset& rows,
+                                std::optional<Period> Row::*period) {
+  std::set<Chronon> boundaries;
+  for (const Row& row : rows.rows()) {
+    const std::optional<Period>& p = row.*period;
+    if (!p.has_value()) continue;
+    for (Chronon c : {p->begin(), p->end()}) {
+      if (c.IsFinite()) boundaries.insert(c);
+    }
+  }
+  return std::vector<Chronon>(boundaries.begin(), boundaries.end());
+}
+
+Result<std::vector<CubeState>> Cube(Database* db,
+                                    const std::string& relation) {
+  TDB_ASSIGN_OR_RETURN(Rowset shown, db->Query("show " + relation));
+  TDB_RETURN_IF_ERROR(
+      db->Execute("range of " + relation + " is " + relation).status());
+  std::string targets;
+  for (const Attribute& attr : shown.schema().attributes()) {
+    targets += (targets.empty() ? "" : ", ") + relation + "." + attr.name;
+  }
+  const bool txn = shown.has_txn_time();
+  const std::string cut =
+      txn ? " as of \"" : " when " + relation + " overlap \"";
+  std::vector<CubeState> states;
+  for (Chronon at : Boundaries(shown, txn ? &Row::txn : &Row::valid)) {
+    std::string stmt =
+        "retrieve (" + targets + ")" + cut + at.ToString() + "\"";
+    TDB_ASSIGN_OR_RETURN(Rowset rows, db->Query(stmt));
+    states.push_back(CubeState{at, std::move(stmt), std::move(rows)});
+  }
+  return states;
 }
 
 }  // namespace paper

@@ -1,6 +1,7 @@
 #ifndef TEMPORADB_CORE_PAPER_SCENARIO_H_
 #define TEMPORADB_CORE_PAPER_SCENARIO_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,27 @@ std::vector<ScriptStep> PromotionEventsScript();
 /// erroneous tuple inserted by the first transaction.  `temporal_class`
 /// picks the relation kind.
 std::vector<ScriptStep> CubeScript(TemporalClass temporal_class);
+
+/// The distinct finite endpoints of `rows`' `period` (`&Row::txn` or
+/// `&Row::valid`), ascending: the instants at which their state changed.
+std::vector<Chronon> Boundaries(const Rowset& rows,
+                                std::optional<Period> Row::*period);
+
+/// One state of a cube: the boundary it is taken at, the statement that
+/// reads it, and the statement's answer.
+struct CubeState {
+  Chronon at;
+  std::string stmt;
+  Rowset rows;
+};
+
+/// The cube of Figures 3, 5 and 7: `relation` read as a sequence of states,
+/// one `retrieve` of all its attributes per boundary of its `show` rows.  A
+/// relation with transaction time is cut along transaction periods
+/// (`as of "<t>"`, Figures 3 and 7), an historical one along valid periods
+/// (`when <relation> overlap "<v>"`, Figure 5); a static relation has no
+/// states.  Declares `relation` as a range variable over itself.
+Result<std::vector<CubeState>> Cube(Database* db, const std::string& relation);
 
 }  // namespace paper
 }  // namespace temporadb

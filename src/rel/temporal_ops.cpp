@@ -1,120 +1,6 @@
 #include "rel/temporal_ops.h"
 
-#include "common/strings.h"
-
 namespace temporadb {
-
-namespace {
-
-// The rollback window of transaction time `t` (§4.2): the state then.
-ScanSpec AsOf(Chronon t) {
-  ScanSpec spec;
-  spec.asof = Period::At(t);
-  return spec;
-}
-
-// Adds every version `scan` yields to `out`: values copied from the stored
-// tuple, periods decoded from the batch's chronon columns (the same reps
-// the store's columns mirror, so identical to the tuple's).
-Status AddScanned(VersionBatchScan scan, bool with_valid, bool with_txn,
-                  Rowset* out) {
-  VersionBatch batch;
-  while (scan.Next(&batch)) {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Row row;
-      row.values = batch.tuples[i]->values;
-      if (with_valid) {
-        row.valid = Period(Chronon(batch.valid_from[i]),
-                           Chronon(batch.valid_to[i]));
-      }
-      if (with_txn) {
-        row.txn = Period(Chronon(batch.tt_start[i]), Chronon(batch.tt_end[i]));
-      }
-      TDB_RETURN_IF_ERROR(out->AddRow(std::move(row)));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Result<Rowset> ScanStored(const StoredRelation& rel) {
-  TemporalClass cls = rel.temporal_class();
-  Rowset out(rel.schema(), cls, rel.data_model());
-  const bool with_valid = SupportsValidTime(cls);
-  const bool with_txn = SupportsTransactionTime(cls);
-  const VersionStore* store = rel.store();
-  TDB_RETURN_IF_ERROR(AddScanned(store->BatchScan(store->HeadPin(), {}),
-                                 with_valid, with_txn, &out));
-  return out;
-}
-
-Result<Rowset> Rollback(const StoredRelation& rel, Chronon t) {
-  TemporalClass cls = rel.temporal_class();
-  if (!SupportsTransactionTime(cls)) {
-    return Status::NotSupported(StringPrintf(
-        "relation '%s' is %s and does not support rollback ('as of'); only "
-        "rollback and temporal relations maintain transaction time",
-        rel.info().name.c_str(),
-        std::string(TemporalClassName(cls)).c_str()));
-  }
-  // Rollback strips transaction time from the result: rollback relations
-  // yield static rowsets, temporal relations yield historical ones.
-  TemporalClass derived = cls == TemporalClass::kRollback
-                              ? TemporalClass::kStatic
-                              : TemporalClass::kHistorical;
-  Rowset out(rel.schema(), derived, rel.data_model());
-  const bool with_valid = SupportsValidTime(derived);
-  TDB_RETURN_IF_ERROR(
-      AddScanned(rel.BatchScan(AsOf(t)), with_valid, false, &out));
-  return out;
-}
-
-Result<Rowset> RollbackKeepTxn(const StoredRelation& rel, Chronon t) {
-  TemporalClass cls = rel.temporal_class();
-  if (!SupportsTransactionTime(cls)) {
-    return Status::NotSupported(StringPrintf(
-        "relation '%s' is %s and does not support rollback ('as of')",
-        rel.info().name.c_str(),
-        std::string(TemporalClassName(cls)).c_str()));
-  }
-  Rowset out(rel.schema(), cls, rel.data_model());
-  const bool with_valid = SupportsValidTime(cls);
-  TDB_RETURN_IF_ERROR(
-      AddScanned(rel.BatchScan(AsOf(t)), with_valid, true, &out));
-  return out;
-}
-
-Result<Rowset> Timeslice(const Rowset& input, Chronon v) {
-  if (!input.has_valid_time()) {
-    return Status::NotSupported(
-        "timeslice requires valid time (historical or temporal relation)");
-  }
-  // Slicing drops valid time; transaction time (if any) survives.
-  TemporalClass derived = input.has_txn_time() ? TemporalClass::kRollback
-                                               : TemporalClass::kStatic;
-  Rowset out(input.schema(), derived, input.data_model());
-  for (const Row& row : input.rows()) {
-    if (!row.valid->Contains(v)) continue;
-    Row sliced;
-    sliced.values = row.values;
-    sliced.txn = row.txn;
-    TDB_RETURN_IF_ERROR(out.AddRow(std::move(sliced)));
-  }
-  return out;
-}
-
-Result<Rowset> CurrentState(const StoredRelation& rel) {
-  TemporalClass cls = rel.temporal_class();
-  const bool with_valid = SupportsValidTime(cls);
-  TemporalClass derived =
-      with_valid ? TemporalClass::kHistorical : TemporalClass::kStatic;
-  Rowset out(rel.schema(), derived, rel.data_model());
-  // An empty spec resolves to the current stored state for kinds with
-  // transaction time and a full sweep otherwise, in row order either way.
-  TDB_RETURN_IF_ERROR(AddScanned(rel.BatchScan({}), with_valid, false, &out));
-  return out;
-}
 
 // ---------------------------------------------------------------------------
 // Temporal expressions

@@ -6,43 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "rel/relation.h"
-#include "temporal/stored_relation.h"
+#include "common/period.h"
+#include "common/result.h"
 
 namespace temporadb {
-
-/// Temporal operators and the TQuel temporal-expression machinery.
-
-/// Materializes a stored relation into a rowset in its natural class:
-///  - static     ⇒ bare rows;
-///  - rollback   ⇒ rows with transaction periods (the Figure 4 view);
-///  - historical ⇒ rows with valid periods (the Figure 6 view);
-///  - temporal   ⇒ rows with both (the Figure 8 view).
-Result<Rowset> ScanStored(const StoredRelation& rel);
-
-/// The paper's *rollback* operation: the state of a rollback or temporal
-/// relation as of transaction time `t`.
-///  - On a rollback relation, yields a **static** rowset (§4.2: "the result
-///    of a query on a static rollback database is a pure static relation").
-///  - On a temporal relation, yields an **historical** rowset (§4.4: the
-///    rollback operation "selects a particular historical state").
-/// `NotSupported` on kinds without transaction time.
-Result<Rowset> Rollback(const StoredRelation& rel, Chronon t);
-
-/// Like `Rollback`, but keeps the transaction periods on the rows (used
-/// when the derived relation itself must be temporal/rollback-class, i.e.
-/// for further `as of` queries; §4.4's derived temporal relations).
-Result<Rowset> RollbackKeepTxn(const StoredRelation& rel, Chronon t);
-
-/// Valid timeslice of an historical rowset: rows whose valid period
-/// contains `v`, as a static rowset.  `NotSupported` without valid time.
-Result<Rowset> Timeslice(const Rowset& input, Chronon v);
-
-/// The current stored state of any relation, as a rowset that keeps the
-/// kind's *valid* dimension but drops transaction time: the historical view
-/// a plain `retrieve` sees.  (For static/rollback kinds this is a static
-/// rowset.)
-Result<Rowset> CurrentState(const StoredRelation& rel);
 
 // ---------------------------------------------------------------------------
 // TQuel temporal expressions and predicates

@@ -625,10 +625,21 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
 
     Result<ExecResult> operator()(const ShowStmt& s) {
       TDB_ASSIGN_OR_RETURN(StoredRelation * rel, ctx.get_relation(s.relation));
-      TDB_ASSIGN_OR_RETURN(Rowset rows, ScanStored(*rel));
+      // Every stored version in row order, with the periods its kind keeps.
       ExecResult r;
       r.kind = ExecResult::Kind::kRows;
-      r.rows = std::move(rows);
+      r.rows = Rowset(rel->schema(), rel->temporal_class(), rel->data_model());
+      TDB_ASSIGN_OR_RETURN(Rowset::Appender append,
+                           r.rows.MakeAppender(rel->schema().size()));
+      const VersionStore* store = rel->store();
+      VersionBatchScan scan = store->BatchScan(store->HeadPin(), {});
+      VersionBatch batch;
+      while (scan.Next(&batch)) {
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const Candidate c = Candidate::FromBatch(batch, i);
+          append.Add(c.valid, c.txn) = *c.values;
+        }
+      }
       return r;
     }
 

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "temporal/snapshot.h"
+#include <memory>
+
 #include "tests/relation_test_util.h"
 
 namespace temporadb {
@@ -15,9 +16,11 @@ class HistoricalRelationTest : public testutil::RelationFixture {
   std::vector<std::string> RanksValidAt(const char* date,
                                         const char* name) {
     std::vector<std::string> ranks;
-    StaticState slice = ValidTimeslice(*relation_->store(), Day(date));
-    for (const auto& row : slice.rows) {
-      if (row[0].AsString() == name) ranks.push_back(row[1].AsString());
+    for (const BitemporalTuple& t :
+         testutil::ScanSorted(*relation_, testutil::ValidAt(Day(date)))) {
+      if (t.values[0].AsString() == name) {
+        ranks.push_back(t.values[1].AsString());
+      }
     }
     return ranks;
   }
@@ -200,6 +203,59 @@ TEST_F(HistoricalRelationTest, EventModelRequiresInstants) {
   // Default valid on an event relation is "at now".
   ASSERT_TRUE(Append("02/01/80", "Sign2", "x").ok());
   EXPECT_EQ(VersionsOf("Sign2")[0].valid, Period::At(Day("02/01/80")));
+}
+
+// --- The same reads as TQuel statements -----------------------------------
+
+// `when x overlap "<v>"` is the timeslice: the facts valid at `v`, still
+// with their valid periods.  `as of` needs transaction time.
+TEST(HistoricalStatements, WhenSlicesValidTime) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(
+      &clock,
+      {{"", "create historical relation r (name = string, rank = string)"},
+       {"", "range of x is r"},
+       {"01/01/80", "append to r (name = \"a\", rank = \"old\") valid from "
+                    "\"01/01/80\" to \"06/01/80\""},
+       {"", "append to r (name = \"a\", rank = \"new\") valid from "
+            "\"06/01/80\" to \"inf\""}});
+  Result<Rowset> slice =
+      db->Query("retrieve (x.name, x.rank) when x overlap \"03/01/80\"");
+  ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+  EXPECT_EQ(slice->temporal_class(), TemporalClass::kHistorical);
+  ASSERT_EQ(slice->size(), 1u);
+  EXPECT_EQ(slice->rows()[0].values[1].AsString(), "old");
+  EXPECT_TRUE(db->Query("retrieve (x.rank) as of \"03/01/80\"")
+                  .status()
+                  .IsNotSupported());
+}
+
+// The cube of an historical relation (Figure 5) cuts it at the distinct
+// endpoints of its valid periods, one `when` statement each.
+TEST(HistoricalStatements, CubeCutsAtValidPeriodEndpoints) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(
+      &clock,
+      {{"", "create historical relation r (name = string, rank = string)"},
+       {"01/01/80", "append to r (name = \"Merrie\", rank = \"associate\") "
+                    "valid from \"09/01/77\" to \"12/01/82\""},
+       {"", "append to r (name = \"Merrie\", rank = \"full\") valid from "
+            "\"12/01/82\" to \"inf\""},
+       {"", "append to r (name = \"Ann\", rank = \"full\") valid from "
+            "\"06/01/80\" to \"01/01/81\""}});
+  Result<std::vector<paper::CubeState>> cube = paper::Cube(db.get(), "r");
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  // Boundaries: 09/01/77, 06/01/80, 01/01/81, 12/01/82.
+  ASSERT_EQ(cube->size(), 4u);
+  const std::vector<size_t> sizes = {1, 2, 1, 1};
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ((*cube)[i].rows.size(), sizes[i]) << (*cube)[i].stmt;
+  }
+  EXPECT_EQ((*cube)[1].at, Date::Parse("06/01/80")->chronon());
+  EXPECT_EQ((*cube)[1].stmt,
+            "retrieve (r.name, r.rank) when r overlap \"06/01/80\"");
+  EXPECT_EQ((*cube)[0].rows.rows()[0].values[1].AsString(), "associate");
+  EXPECT_EQ((*cube)[3].rows.rows()[0].values[1].AsString(), "full");
 }
 
 }  // namespace

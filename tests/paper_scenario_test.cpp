@@ -9,7 +9,7 @@
 
 #include "core/database.h"
 #include "core/paper_scenario.h"
-#include "temporal/snapshot.h"
+#include "tests/relation_test_util.h"
 
 namespace temporadb {
 namespace {
@@ -286,22 +286,30 @@ TEST(PaperScenario, Figure9PromotionEventRelation) {
   EXPECT_EQ(rows[5].txn, From("12/07/82"));
 }
 
+// The cube of `script`'s relation `r`, one state per boundary.
+std::vector<paper::CubeState> CubeOf(
+    const std::vector<paper::ScriptStep>& script) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(&clock, script);
+  Result<std::vector<paper::CubeState>> cube = paper::Cube(db.get(), "r");
+  EXPECT_TRUE(cube.ok()) << cube.status().ToString();
+  return cube.ok() ? std::move(*cube) : std::vector<paper::CubeState>{};
+}
+
+bool Holds(const Rowset& rows, const char* name) {
+  for (const Row& row : rows.rows()) {
+    if (row.values[0].AsString() == name) return true;
+  }
+  return false;
+}
+
 TEST(PaperScenario, CubeScenariosMatchFigures3And5And7) {
   // Rollback cube (Figure 3): states at each transaction boundary.
   {
-    ManualClock clock;
-    DatabaseOptions options;
-    options.clock = &clock;
-    auto db = Database::Open(options);
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE(
-        paper::Replay(db->get(), &clock,
-                      paper::CubeScript(TemporalClass::kRollback))
-            .ok());
-    Result<StoredRelation*> rel = (*db)->GetRelation("r");
-    ASSERT_TRUE(rel.ok());
-    std::vector<StaticState> states = RollbackStates(*(*rel)->store());
+    std::vector<paper::CubeState> states =
+        CubeOf(paper::CubeScript(TemporalClass::kRollback));
     ASSERT_EQ(states.size(), 3u);
+    EXPECT_EQ(states[0].stmt, "retrieve (r.name, r.value) as of \"01/01/80\"");
     EXPECT_EQ(states[0].rows.size(), 3u);  // T1: a b c
     EXPECT_EQ(states[1].rows.size(), 4u);  // T2: + d
     EXPECT_EQ(states[2].rows.size(), 4u);  // T3: - b + e
@@ -310,18 +318,8 @@ TEST(PaperScenario, CubeScenariosMatchFigures3And5And7) {
   // the erroneous tuple from the current historical state while past
   // states keep it.
   {
-    ManualClock clock;
-    DatabaseOptions options;
-    options.clock = &clock;
-    auto db = Database::Open(options);
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE(
-        paper::Replay(db->get(), &clock,
-                      paper::CubeScript(TemporalClass::kTemporal))
-            .ok());
-    Result<StoredRelation*> rel = (*db)->GetRelation("r");
-    ASSERT_TRUE(rel.ok());
-    std::vector<HistoricalState> states = TemporalStates(*(*rel)->store());
+    std::vector<paper::CubeState> states =
+        CubeOf(paper::CubeScript(TemporalClass::kTemporal));
     ASSERT_EQ(states.size(), 4u);
     EXPECT_EQ(states[0].rows.size(), 3u);
     EXPECT_EQ(states[1].rows.size(), 4u);
@@ -330,35 +328,75 @@ TEST(PaperScenario, CubeScenariosMatchFigures3And5And7) {
     // temporal relation never forgets history, only corrects it.
     EXPECT_EQ(states[2].rows.size(), 5u);
     EXPECT_EQ(states[3].rows.size(), 4u);  // "c" erased as erroneous.
-    for (const BitemporalTuple& t : states[3].rows) {
-      EXPECT_NE(t.values[0].AsString(), "c");
-    }
+    EXPECT_FALSE(Holds(states[3].rows, "c"));
     // The deletion is append-only: rolling back to T3 still shows "c".
-    bool c_at_t3 = false;
-    for (const BitemporalTuple& t : states[2].rows) {
-      if (t.values[0].AsString() == "c") c_at_t3 = true;
-    }
-    EXPECT_TRUE(c_at_t3);
+    EXPECT_TRUE(Holds(states[2].rows, "c"));
   }
   // Historical cube (Figure 5): the correction physically removed "c";
   // no slice of the final state contains it.
   {
-    ManualClock clock;
-    DatabaseOptions options;
-    options.clock = &clock;
-    auto db = Database::Open(options);
-    ASSERT_TRUE(db.ok());
-    ASSERT_TRUE(paper::Replay(db->get(), &clock,
-                              paper::CubeScript(TemporalClass::kHistorical))
-                    .ok());
-    Result<StoredRelation*> rel = (*db)->GetRelation("r");
-    ASSERT_TRUE(rel.ok());
-    for (const StaticState& slice : HistoricalSlices(*(*rel)->store())) {
-      for (const auto& row : slice.rows) {
-        EXPECT_NE(row[0].AsString(), "c");
-      }
+    std::vector<paper::CubeState> slices =
+        CubeOf(paper::CubeScript(TemporalClass::kHistorical));
+    ASSERT_EQ(slices.size(), 3u);
+    EXPECT_EQ(slices[0].stmt,
+              "retrieve (r.name, r.value) when r overlap \"01/01/80\"");
+    for (const paper::CubeState& slice : slices) {
+      EXPECT_FALSE(Holds(slice.rows, "c")) << slice.stmt;
     }
   }
+}
+
+// Boundaries are the distinct finite endpoints of the chosen periods,
+// ascending; a transaction that changed nothing adds none, and an empty
+// relation has no states.
+TEST(PaperScenario, CubeBoundariesAreSortedAndDistinct) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(
+      &clock,
+      {{"", "create rollback relation r (name = string, rank = string)"},
+       {"", "range of x is r"}});
+  Result<std::vector<paper::CubeState>> empty = paper::Cube(db.get(), "r");
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_TRUE(empty->empty());
+
+  ASSERT_TRUE(paper::Replay(
+                  db.get(), &clock,
+                  {{"01/01/80", "append to r (name = \"a\", rank = \"1\")"},
+                   {"03/01/80", "append to r (name = \"b\", rank = \"2\")"},
+                   {"03/15/80", "delete x where x.name = \"nobody\""},
+                   {"04/01/80",
+                    "replace x (rank = \"9\") where x.name = \"a\""}})
+                  .ok());
+  Result<Rowset> shown = db->Query("show r");
+  ASSERT_TRUE(shown.ok()) << shown.status().ToString();
+  EXPECT_EQ(paper::Boundaries(*shown, &Row::txn),
+            (std::vector<Chronon>{Day("01/01/80"), Day("03/01/80"),
+                                  Day("04/01/80")}));
+  EXPECT_TRUE(paper::Boundaries(*shown, &Row::valid).empty());
+}
+
+// A static relation has no time axis: `show` carries no periods, `as of`
+// and `when` are rejected, and its cube has no states.
+TEST(PaperScenario, StaticRelationHasNoTimeAxis) {
+  ManualClock clock;
+  std::unique_ptr<Database> db =
+      testutil::Replayed(&clock, paper::StaticFacultyScript());
+  ASSERT_TRUE(db->Execute("range of f is faculty").ok());
+  Result<Rowset> shown = db->Query("show faculty");
+  ASSERT_TRUE(shown.ok()) << shown.status().ToString();
+  EXPECT_EQ(shown->temporal_class(), TemporalClass::kStatic);
+  ASSERT_EQ(shown->size(), 2u);
+  EXPECT_FALSE(shown->rows()[0].valid.has_value());
+  EXPECT_FALSE(shown->rows()[0].txn.has_value());
+  EXPECT_TRUE(db->Query("retrieve (f.rank) as of \"01/01/80\"")
+                  .status()
+                  .IsNotSupported());
+  EXPECT_TRUE(db->Query("retrieve (f.rank) when f overlap \"01/01/80\"")
+                  .status()
+                  .IsNotSupported());
+  Result<std::vector<paper::CubeState>> cube = paper::Cube(db.get(), "faculty");
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  EXPECT_TRUE(cube->empty());
 }
 
 TEST(PaperScenario, TaxonomyViolationsAreRejected) {

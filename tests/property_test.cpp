@@ -1,12 +1,12 @@
 // Cross-kind property tests: the taxonomy's semantic identities checked
 // over randomized update streams.
 //
-//  P1  Rollback(t) of a rollback relation == the static relation obtained by
-//      replaying the transaction prefix <= t.
+//  P1  The state as of t of a rollback relation == the static relation
+//      obtained by replaying the transaction prefix <= t.
 //  P2  The current state of a temporal relation == the historical relation
 //      produced by the same stream.
-//  P3  HistoricalStateAsOf(t) of a temporal relation == the historical
-//      relation produced by replaying the prefix <= t.
+//  P3  The historical state as of t of a temporal relation == the
+//      historical relation produced by replaying the prefix <= t.
 //  P4  Append-only: committed versions of rollback/temporal relations never
 //      mutate; version counts never shrink.
 
@@ -18,7 +18,6 @@
 
 #include "common/random.h"
 #include "temporal/coalesce.h"
-#include "temporal/snapshot.h"
 #include "tests/relation_test_util.h"
 
 namespace temporadb {
@@ -152,13 +151,17 @@ TEST_P(StreamPropertyTest, P1RollbackEqualsReplayedPrefix) {
       if (op.txn_day > probe) break;
       ASSERT_TRUE(ApplyOp(replay.get(), &manager2, &clock2, op, false).ok());
     }
-    StaticState slice = RollbackSlice(*rollback->store(), Chronon(probe));
+    std::vector<std::vector<Value>> slice;
+    for (const BitemporalTuple& t :
+         testutil::ScanSorted(*rollback, testutil::AsOf(Chronon(probe)))) {
+      slice.push_back(t.values);
+    }
     std::vector<std::vector<Value>> replay_rows;
     replay->store()->ForEach([&](RowId, const BitemporalTuple& t) {
       replay_rows.push_back(t.values);
     });
     std::sort(replay_rows.begin(), replay_rows.end());
-    EXPECT_EQ(slice.rows, replay_rows) << "probe day " << probe;
+    EXPECT_EQ(slice, replay_rows) << "probe day " << probe;
   }
 }
 
@@ -198,9 +201,8 @@ TEST_P(StreamPropertyTest, P3TemporalRollbackEqualsReplayedHistorical) {
       ASSERT_TRUE(ApplyOp(replay.get(), &manager2, &clock2, op, true).ok());
     }
     // The temporal relation's historical state as of `probe`...
-    HistoricalState state =
-        HistoricalStateAsOf(*temporal->store(), Chronon(probe));
-    std::vector<BitemporalTuple> got = state.rows;
+    std::vector<BitemporalTuple> got =
+        testutil::ScanSorted(*temporal, testutil::AsOf(Chronon(probe)));
     for (BitemporalTuple& t : got) t.txn = Period::All();
     got = Coalesce(std::move(got));
     // ...equals the historical relation built from the prefix.
@@ -246,13 +248,17 @@ TEST_P(StreamPropertyTest, P5TimesliceConsistency) {
     ASSERT_TRUE(ApplyOp(historical.get(), &manager, &clock, op, true).ok());
   }
   for (int64_t probe = 980; probe < 1400; probe += 13) {
-    StaticState slice = ValidTimeslice(*historical->store(), Chronon(probe));
+    std::vector<std::vector<Value>> slice;
+    for (const BitemporalTuple& t : testutil::ScanSorted(
+             *historical, testutil::ValidAt(Chronon(probe)))) {
+      slice.push_back(t.values);
+    }
     std::vector<std::vector<Value>> expected;
     historical->store()->ForEach([&](RowId, const BitemporalTuple& t) {
       if (t.valid.Contains(Chronon(probe))) expected.push_back(t.values);
     });
     std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(slice.rows, expected) << "probe " << probe;
+    EXPECT_EQ(slice, expected) << "probe " << probe;
   }
 }
 

@@ -1,7 +1,9 @@
 // The reference model (workload/reference.h) against the paper and against
 // the engine:
 //  - it reproduces Figures 2-9 tuple for tuple from the same scripts the
-//    engine replays (core/paper_scenario.h), and the paper's query answers;
+//    engine replays (core/paper_scenario.h), every state of the cubes of
+//    Figures 3, 5 and 7 statement for statement, and the paper's query
+//    answers;
 //  - the int keys at 2^53 that doubles cannot tell apart select the same
 //    rows on every plan the engine has (walk, index probe, hash step,
 //    nested loop) as in the reference;
@@ -74,10 +76,12 @@ std::string Render(const std::vector<Fact>& facts) {
 }
 
 // Replays `script` into the reference (the clock as the engine's would be)
-// and into an engine; both must hold exactly `want` in `relation`.
+// and into an engine; both must hold exactly `want` in `relation`.  The
+// replayed engine goes to `engine` when one is given.
 void ExpectFigure(const std::vector<paper::ScriptStep>& script,
                   const std::string& relation, const std::vector<Fact>& want,
-                  ReferenceModel* model) {
+                  ReferenceModel* model,
+                  std::unique_ptr<Database>* engine = nullptr) {
   Chronon now = Day("01/01/70");
   for (const paper::ScriptStep& step : script) {
     if (!step.date.empty()) now = Day(step.date.c_str());
@@ -96,6 +100,27 @@ void ExpectFigure(const std::vector<paper::ScriptStep>& script,
   ASSERT_TRUE(paper::Replay(db.get(), &clock, script).ok());
   EXPECT_TRUE(reference::SameFacts(EngineFacts(db.get(), relation), want))
       << "engine:" << Render(EngineFacts(db.get(), relation));
+  if (engine != nullptr) *engine = std::move(db);
+}
+
+// Every state of the cube of `r` (Figures 3, 5 and 7: the statements
+// `paper::Cube` runs on the engine) gets the same answer from the
+// reference, holding the same script.
+void ExpectCubeStates(Database* db, ReferenceModel* model) {
+  ASSERT_NE(db, nullptr);
+  Result<std::vector<paper::CubeState>> cube = paper::Cube(db, "r");
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+  ASSERT_FALSE(cube->empty());
+  const Chronon now = Day("01/01/85");
+  ASSERT_TRUE(model->Execute("range of r is r", now).ok());
+  for (const paper::CubeState& state : *cube) {
+    const Result<Answer> want = model->Execute(state.stmt, now);
+    ASSERT_TRUE(want.ok()) << state.stmt << ": " << want.status().ToString();
+    EXPECT_EQ(state.rows.temporal_class(), want->result_class) << state.stmt;
+    EXPECT_TRUE(reference::SameFacts(RowsetFacts(state.rows), want->rows))
+        << state.stmt << "\nengine:" << Render(RowsetFacts(state.rows))
+        << "\nreference:" << Render(want->rows);
+  }
 }
 
 // The one row of `query`'s answer on the reference.
@@ -143,8 +168,10 @@ TEST(ReferenceFigures, Figures3And4Rollback) {
       Fact{{Value("d"), Value(int64_t{4})}, Period::All(), From("02/01/80")},
       Fact{{Value("e"), Value(int64_t{5})}, Period::All(), From("03/01/80")}};
   ReferenceModel cube_model;
+  std::unique_ptr<Database> cube_db;
   ExpectFigure(paper::CubeScript(TemporalClass::kRollback), "r", cube,
-               &cube_model);
+               &cube_model, &cube_db);
+  ExpectCubeStates(cube_db.get(), &cube_model);
 }
 
 TEST(ReferenceFigures, Figures5And6Historical) {
@@ -173,8 +200,10 @@ TEST(ReferenceFigures, Figures5And6Historical) {
       Fact{{Value("d"), Value(int64_t{4})}, From("02/01/80"), Period::All()},
       Fact{{Value("e"), Value(int64_t{5})}, From("03/01/80"), Period::All()}};
   ReferenceModel cube_model;
+  std::unique_ptr<Database> cube_db;
   ExpectFigure(paper::CubeScript(TemporalClass::kHistorical), "r", cube,
-               &cube_model);
+               &cube_model, &cube_db);
+  ExpectCubeStates(cube_db.get(), &cube_model);
 }
 
 TEST(ReferenceFigures, Figures7And8Temporal) {
@@ -217,8 +246,10 @@ TEST(ReferenceFigures, Figures7And8Temporal) {
       Fact{{d, Value(int64_t{4})}, From("02/01/80"), From("02/01/80")},
       Fact{{e, Value(int64_t{5})}, From("03/01/80"), From("03/01/80")}};
   ReferenceModel cube_model;
+  std::unique_ptr<Database> cube_db;
   ExpectFigure(paper::CubeScript(TemporalClass::kTemporal), "r", cube,
-               &cube_model);
+               &cube_model, &cube_db);
+  ExpectCubeStates(cube_db.get(), &cube_model);
 }
 
 TEST(ReferenceFigures, Figure9Events) {

@@ -3,14 +3,73 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "core/database.h"
+#include "core/paper_scenario.h"
 #include "temporal/stored_relation.h"
 #include "txn/clock.h"
 #include "txn/txn_manager.h"
 
 namespace temporadb {
 namespace testutil {
+
+/// The versions `rel.BatchScan(spec)` selects, sorted by values, then valid
+/// begin: the state a scan reads, in the order the figures print it.
+inline std::vector<BitemporalTuple> ScanSorted(const StoredRelation& rel,
+                                               const ScanSpec& spec) {
+  std::vector<BitemporalTuple> out;
+  VersionBatchScan scan = rel.BatchScan(spec);
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    for (const BitemporalTuple* t : batch.tuples) out.push_back(*t);
+  }
+  std::sort(out.begin(), out.end(),
+            [](const BitemporalTuple& a, const BitemporalTuple& b) {
+              if (a.values != b.values) return a.values < b.values;
+              return a.valid.begin() < b.valid.begin();
+            });
+  return out;
+}
+
+/// The stored state as of transaction time `t` (a rollback).
+inline ScanSpec AsOf(Chronon t) {
+  ScanSpec spec;
+  spec.asof = Period::At(t);
+  return spec;
+}
+
+/// The current state's tuples valid at `v` (a timeslice).
+inline ScanSpec ValidAt(Chronon v) {
+  ScanSpec spec;
+  spec.valid_during = Period::At(v);
+  return spec;
+}
+
+/// An in-memory database on `clock` after `steps` (core/paper_scenario.h):
+/// the statement-level counterpart of `RelationFixture`.
+inline std::unique_ptr<Database> Replayed(
+    ManualClock* clock, const std::vector<paper::ScriptStep>& steps) {
+  DatabaseOptions options;
+  options.clock = clock;
+  std::unique_ptr<Database> db = std::move(*Database::Open(options));
+  Status s = paper::Replay(db.get(), clock, steps);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  return db;
+}
+
+/// The rows `query` answers on `db`, sorted (values, then periods).
+inline std::vector<Row> SortedRows(Database* db, const std::string& query) {
+  Result<Rowset> rows = db->Query(query);
+  EXPECT_TRUE(rows.ok()) << query << ": " << rows.status().ToString();
+  if (!rows.ok()) return {};
+  std::vector<Row> out = rows->rows();
+  std::sort(out.begin(), out.end());
+  return out;
+}
 
 /// Shared fixture for stored-relation tests: a (name, rank) relation of a
 /// chosen temporal class, a manual clock, and one-shot transaction helpers.

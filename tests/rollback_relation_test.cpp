@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "temporal/snapshot.h"
+#include <memory>
+
 #include "tests/relation_test_util.h"
 
 namespace temporadb {
@@ -12,10 +13,15 @@ class RollbackRelationTest : public testutil::RelationFixture {
  protected:
   RollbackRelationTest() { MakeRelation(TemporalClass::kRollback); }
 
+  std::vector<BitemporalTuple> StateAsOf(const char* date) {
+    return testutil::ScanSorted(*relation_, testutil::AsOf(Day(date)));
+  }
+
   std::vector<std::string> NamesAsOf(const char* date) {
-    StaticState state = RollbackSlice(*relation_->store(), Day(date));
     std::vector<std::string> names;
-    for (const auto& row : state.rows) names.push_back(row[0].AsString());
+    for (const BitemporalTuple& t : StateAsOf(date)) {
+      names.push_back(t.values[0].AsString());
+    }
     return names;
   }
 };
@@ -69,12 +75,12 @@ TEST_F(RollbackRelationTest, RollbackToIncorrectPastState) {
   // relation" — the error stays visible at its historical position.
   ASSERT_TRUE(Append("12/01/82", "Tom", "full").ok());  // Wrong rank.
   ASSERT_TRUE(Replace("12/07/82", "Tom", "associate").ok());
-  StaticState before = RollbackSlice(*relation_->store(), Day("12/03/82"));
-  ASSERT_EQ(before.rows.size(), 1u);
-  EXPECT_EQ(before.rows[0][1].AsString(), "full");  // The error, preserved.
-  StaticState after = RollbackSlice(*relation_->store(), Day("12/08/82"));
-  ASSERT_EQ(after.rows.size(), 1u);
-  EXPECT_EQ(after.rows[0][1].AsString(), "associate");
+  std::vector<BitemporalTuple> before = StateAsOf("12/03/82");
+  ASSERT_EQ(before.size(), 1u);
+  EXPECT_EQ(before[0].values[1].AsString(), "full");  // The error, preserved.
+  std::vector<BitemporalTuple> after = StateAsOf("12/08/82");
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].values[1].AsString(), "associate");
 }
 
 TEST_F(RollbackRelationTest, CommittedVersionsAreImmutable) {
@@ -88,16 +94,13 @@ TEST_F(RollbackRelationTest, CommittedVersionsAreImmutable) {
   EXPECT_EQ(VersionsOf("Ann")[0].txn, Between("01/01/80", "02/01/80"));
 }
 
-TEST_F(RollbackRelationTest, RollbackStatesSequence) {
+TEST_F(RollbackRelationTest, SequenceOfStaticStates) {
   ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
   ASSERT_TRUE(Append("02/01/80", "b", "2").ok());
   ASSERT_TRUE(Delete("03/01/80", "a").status().ok());
-  std::vector<StaticState> states = RollbackStates(*relation_->store());
-  ASSERT_EQ(states.size(), 3u);
-  EXPECT_EQ(states[0].rows.size(), 1u);
-  EXPECT_EQ(states[1].rows.size(), 2u);
-  EXPECT_EQ(states[2].rows.size(), 1u);
-  EXPECT_EQ(states[2].rows[0][0].AsString(), "b");
+  EXPECT_EQ(StateAsOf("01/01/80").size(), 1u);
+  EXPECT_EQ(StateAsOf("02/01/80").size(), 2u);
+  EXPECT_EQ(NamesAsOf("03/01/80"), std::vector<std::string>{"b"});
 }
 
 TEST_F(RollbackRelationTest, SameDayInsertAndDeleteInvisible) {
@@ -138,6 +141,43 @@ TEST_F(RollbackRelationTest, AbortLeavesNoTrace) {
   EXPECT_EQ(VersionsOf("Ann")[0].txn, Since("01/01/80"));
   EXPECT_TRUE(VersionsOf("Bob").empty());
   EXPECT_EQ(NamesAsOf("03/01/80"), std::vector<std::string>{"Ann"});
+}
+
+// --- The same reads as TQuel statements -----------------------------------
+
+// `as of t` reads the static state a replay of the transactions up to `t`
+// leaves, as a static relation; before the first transaction it is empty.
+TEST(RollbackStatements, AsOfEqualsReplayedPrefix) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(
+      &clock,
+      {{"", "create rollback relation r (name = string, rank = string)"},
+       {"", "range of x is r"},
+       {"01/01/80", "append to r (name = \"a\", rank = \"1\")"},
+       {"02/01/80", "append to r (name = \"b\", rank = \"2\")"},
+       {"03/01/80", "replace x (rank = \"3\") where x.name = \"a\""},
+       {"04/01/80", "delete x where x.name = \"b\""}});
+  const auto as_of = [&](const char* date) {
+    return testutil::SortedRows(
+        db.get(), "retrieve (x.name, x.rank) as of \"" + std::string(date) +
+                      "\"");
+  };
+
+  std::vector<Row> s1 = as_of("01/15/80");
+  ASSERT_EQ(s1.size(), 1u);
+  EXPECT_EQ(s1[0].values[1].AsString(), "1");
+  EXPECT_EQ(as_of("03/15/80").size(), 2u);
+  std::vector<Row> s4 = as_of("04/15/80");
+  ASSERT_EQ(s4.size(), 1u);
+  EXPECT_EQ(s4[0].values[0].AsString(), "a");
+  EXPECT_EQ(s4[0].values[1].AsString(), "3");
+  EXPECT_TRUE(as_of("01/01/79").empty());
+  // Rollback of a rollback relation is a pure static relation (§4.2).
+  Result<Rowset> state =
+      db->Query("retrieve (x.name, x.rank) as of \"06/01/80\"");
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  EXPECT_EQ(state->temporal_class(), TemporalClass::kStatic);
+  EXPECT_FALSE(state->rows()[0].txn.has_value());
 }
 
 }  // namespace

@@ -2,118 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include "tests/relation_test_util.h"
+#include "common/date.h"
 
 namespace temporadb {
 namespace {
-
-class TemporalOpsTest : public testutil::RelationFixture {};
-
-TEST_F(TemporalOpsTest, ScanStoredCarriesNaturalColumns) {
-  MakeRelation(TemporalClass::kTemporal);
-  ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
-  Result<Rowset> rows = ScanStored(*relation_);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->temporal_class(), TemporalClass::kTemporal);
-  ASSERT_EQ(rows->size(), 1u);
-  EXPECT_TRUE(rows->rows()[0].valid.has_value());
-  EXPECT_TRUE(rows->rows()[0].txn.has_value());
-
-  MakeRelation(TemporalClass::kStatic);
-  ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
-  Result<Rowset> stat = ScanStored(*relation_);
-  ASSERT_TRUE(stat.ok());
-  EXPECT_FALSE(stat->rows()[0].valid.has_value());
-  EXPECT_FALSE(stat->rows()[0].txn.has_value());
-}
-
-TEST_F(TemporalOpsTest, RollbackDerivedClasses) {
-  MakeRelation(TemporalClass::kRollback);
-  ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
-  Result<Rowset> rows = Rollback(*relation_, Day("06/01/80"));
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->temporal_class(), TemporalClass::kStatic);
-  EXPECT_EQ(rows->size(), 1u);
-
-  MakeRelation(TemporalClass::kTemporal);
-  ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
-  Result<Rowset> hist = Rollback(*relation_, Day("06/01/80"));
-  ASSERT_TRUE(hist.ok());
-  EXPECT_EQ(hist->temporal_class(), TemporalClass::kHistorical);
-  EXPECT_TRUE(hist->rows()[0].valid.has_value());
-}
-
-TEST_F(TemporalOpsTest, RollbackRejectedWithoutTransactionTime) {
-  MakeRelation(TemporalClass::kHistorical);
-  EXPECT_TRUE(Rollback(*relation_, Chronon(0)).status().IsNotSupported());
-  MakeRelation(TemporalClass::kStatic);
-  EXPECT_TRUE(Rollback(*relation_, Chronon(0)).status().IsNotSupported());
-  EXPECT_TRUE(
-      RollbackKeepTxn(*relation_, Chronon(0)).status().IsNotSupported());
-}
-
-TEST_F(TemporalOpsTest, RollbackBeforeCreationIsEmpty) {
-  MakeRelation(TemporalClass::kRollback);
-  ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
-  Result<Rowset> rows = Rollback(*relation_, Day("01/01/79"));
-  ASSERT_TRUE(rows.ok());
-  EXPECT_TRUE(rows->empty());
-}
-
-TEST_F(TemporalOpsTest, RollbackKeepTxnKeepsPeriods) {
-  MakeRelation(TemporalClass::kTemporal);
-  ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
-  Result<Rowset> rows = RollbackKeepTxn(*relation_, Day("06/01/80"));
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(rows->temporal_class(), TemporalClass::kTemporal);
-  EXPECT_EQ(*rows->rows()[0].txn, Since("01/01/80"));
-}
-
-TEST_F(TemporalOpsTest, TimesliceHistoricalToStatic) {
-  MakeRelation(TemporalClass::kHistorical);
-  ASSERT_TRUE(Append("01/01/80", "a", "old",
-                     Between("01/01/80", "06/01/80")).ok());
-  ASSERT_TRUE(Append("01/01/80", "a", "new", Since("06/01/80")).ok());
-  Result<Rowset> scan = ScanStored(*relation_);
-  ASSERT_TRUE(scan.ok());
-  Result<Rowset> slice = Timeslice(*scan, Day("03/01/80"));
-  ASSERT_TRUE(slice.ok());
-  EXPECT_EQ(slice->temporal_class(), TemporalClass::kStatic);
-  ASSERT_EQ(slice->size(), 1u);
-  EXPECT_EQ(slice->rows()[0].values[1].AsString(), "old");
-}
-
-TEST_F(TemporalOpsTest, TimesliceTemporalKeepsTxn) {
-  MakeRelation(TemporalClass::kTemporal);
-  ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
-  Result<Rowset> scan = ScanStored(*relation_);
-  ASSERT_TRUE(scan.ok());
-  Result<Rowset> slice = Timeslice(*scan, Day("06/01/80"));
-  ASSERT_TRUE(slice.ok());
-  EXPECT_EQ(slice->temporal_class(), TemporalClass::kRollback);
-  EXPECT_TRUE(slice->rows()[0].txn.has_value());
-}
-
-TEST_F(TemporalOpsTest, TimesliceRequiresValidTime) {
-  MakeRelation(TemporalClass::kStatic);
-  ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
-  Result<Rowset> scan = ScanStored(*relation_);
-  ASSERT_TRUE(scan.ok());
-  EXPECT_TRUE(Timeslice(*scan, Chronon(0)).status().IsNotSupported());
-}
-
-TEST_F(TemporalOpsTest, CurrentStateShapes) {
-  MakeRelation(TemporalClass::kTemporal);
-  ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
-  ASSERT_TRUE(Replace("02/01/80", "a", "2", Since("01/01/80")).ok());
-  Result<Rowset> current = CurrentState(*relation_);
-  ASSERT_TRUE(current.ok());
-  EXPECT_EQ(current->temporal_class(), TemporalClass::kHistorical);
-  ASSERT_EQ(current->size(), 1u);  // Only the current belief.
-  EXPECT_EQ(current->rows()[0].values[1].AsString(), "2");
-}
-
-// --- Temporal expression machinery ---------------------------------------
 
 TEST(TemporalExprs, VarAndLiteral) {
   PeriodBinding binding{Period(Chronon(0), Chronon(10))};

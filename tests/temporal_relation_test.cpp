@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "temporal/snapshot.h"
+#include <memory>
+
 #include "tests/relation_test_util.h"
 
 namespace temporadb {
@@ -128,13 +129,15 @@ TEST_F(TemporalRelationTest, SequenceOfHistoricalStates) {
   ASSERT_TRUE(Append("01/01/80", "a", "1").ok());
   ASSERT_TRUE(Append("02/01/80", "b", "2").ok());
   ASSERT_TRUE(Delete("03/01/80", "a", Period::All()).ok());
-  std::vector<HistoricalState> states = TemporalStates(*relation_->store());
-  ASSERT_EQ(states.size(), 3u);
-  EXPECT_EQ(states[0].rows.size(), 1u);
-  EXPECT_EQ(states[1].rows.size(), 2u);
-  EXPECT_EQ(states[2].rows.size(), 1u);
+  const auto state_as_of = [&](const char* date) {
+    return testutil::ScanSorted(*relation_, testutil::AsOf(Day(date)));
+  };
+  EXPECT_EQ(state_as_of("01/01/80").size(), 1u);
+  std::vector<BitemporalTuple> second = state_as_of("02/01/80");
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(state_as_of("03/01/80").size(), 1u);
   // Each state is a complete historical relation with valid periods.
-  EXPECT_EQ(states[1].rows[0].valid, Since("01/01/80"));
+  EXPECT_EQ(second[0].valid, Since("01/01/80"));
 }
 
 TEST_F(TemporalRelationTest, AbortRestoresEverything) {
@@ -176,6 +179,65 @@ TEST_F(TemporalRelationTest, EventRelation) {
   ASSERT_EQ(versions.size(), 2u);
   EXPECT_EQ(versions[0].txn, Between("12/01/82", "12/07/82"));
   EXPECT_TRUE(versions[1].IsCurrentState());
+}
+
+// --- The same reads as TQuel statements -----------------------------------
+
+// `when` slices the current historical state only: the superseded "full"
+// version covers the same valid chronons but is past knowledge.  The slice
+// and a plain `retrieve` keep both periods.
+TEST(TemporalStatements, WhenSlicesCurrentStateOnly) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(
+      &clock,
+      {{"", "create temporal relation r (name = string, rank = string)"},
+       {"", "range of x is r"},
+       {"01/01/80", "append to r (name = \"Tom\", rank = \"full\")"},
+       {"02/01/80", "replace x (rank = \"associate\") valid from "
+                    "\"01/01/80\" to \"inf\" where x.name = \"Tom\""}});
+  for (const char* query :
+       {"retrieve (x.name, x.rank) when x overlap \"06/01/80\"",
+        "retrieve (x.name, x.rank)"}) {
+    Result<Rowset> rows = db->Query(query);
+    ASSERT_TRUE(rows.ok()) << query << ": " << rows.status().ToString();
+    EXPECT_EQ(rows->temporal_class(), TemporalClass::kTemporal) << query;
+    ASSERT_EQ(rows->size(), 1u) << query;
+    EXPECT_EQ(rows->rows()[0].values[1].AsString(), "associate") << query;
+    EXPECT_TRUE(rows->rows()[0].txn.has_value()) << query;
+  }
+}
+
+// `as of t` reads the historical state current at `t`, valid periods and
+// stored transaction periods included; a later deletion of the whole
+// validity leaves it intact and empties later states.
+TEST(TemporalStatements, AsOfReadsPastHistoricalState) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(
+      &clock,
+      {{"", "create temporal relation r (name = string, rank = string)"},
+       {"", "range of x is r"},
+       {"01/01/80", "append to r (name = \"a\", rank = \"1\")"},
+       {"03/01/80",
+        "delete x valid from \"-inf\" to \"inf\" where x.name = \"a\""}});
+  Result<Rowset> before =
+      db->Query("retrieve (x.name, x.rank) as of \"02/01/80\"");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  EXPECT_EQ(before->temporal_class(), TemporalClass::kTemporal);
+  ASSERT_EQ(before->size(), 1u);
+  const Chronon jan = Date::Parse("01/01/80")->chronon();
+  const Chronon mar = Date::Parse("03/01/80")->chronon();
+  EXPECT_EQ(before->rows()[0].valid, Period::From(jan));
+  EXPECT_EQ(before->rows()[0].txn, Period(jan, mar));
+  EXPECT_TRUE(testutil::SortedRows(
+                  db.get(), "retrieve (x.name, x.rank) as of \"04/01/80\"")
+                  .empty());
+
+  // `show` lists every stored version with both periods.
+  Result<Rowset> shown = db->Query("show r");
+  ASSERT_TRUE(shown.ok()) << shown.status().ToString();
+  EXPECT_EQ(shown->temporal_class(), TemporalClass::kTemporal);
+  ASSERT_EQ(shown->size(), 1u);
+  EXPECT_EQ(shown->rows()[0].txn, Period(jan, mar));
 }
 
 }  // namespace
