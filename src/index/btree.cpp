@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 
 namespace temporadb {
 
@@ -29,8 +30,6 @@ void BTreeIndex::SplitChild(Node* parent, size_t idx) {
                            child->postings.end());
     child->keys.resize(mid);
     child->postings.resize(mid);
-    right->next = child->next;
-    child->next = right.get();
     parent->keys.insert(parent->keys.begin() + idx, right->keys.front());
     parent->children.insert(parent->children.begin() + idx + 1,
                             std::move(right));
@@ -135,29 +134,6 @@ std::vector<BTreeIndex::RowId> BTreeIndex::Lookup(const Value& key) const {
   return {};
 }
 
-void BTreeIndex::Range(
-    const Value* lo, const Value* hi,
-    const std::function<void(const Value&, RowId)>& fn) const {
-  const Node* leaf;
-  if (lo != nullptr) {
-    leaf = FindLeaf(*lo);
-  } else {
-    const Node* node = root_.get();
-    if (node == nullptr) return;
-    while (!node->leaf) node = node->children.front().get();
-    leaf = node;
-  }
-  while (leaf != nullptr) {
-    for (size_t i = 0; i < leaf->keys.size(); ++i) {
-      const Value& k = leaf->keys[i];
-      if (lo != nullptr && k < *lo) continue;
-      if (hi != nullptr && *hi < k) return;
-      for (RowId row : leaf->postings[i]) fn(k, row);
-    }
-    leaf = leaf->next;
-  }
-}
-
 int BTreeIndex::height() const {
   int h = 0;
   const Node* node = root_.get();
@@ -170,7 +146,9 @@ int BTreeIndex::height() const {
 
 Status BTreeIndex::CheckInvariants() const {
   if (!root_) return Status::OK();
-  // Recursively check sortedness and child/key arity.
+  // Recursively check sortedness against the separators, child/key arity,
+  // and count the postings.
+  size_t counted = 0;
   std::function<Status(const Node*, const Value*, const Value*)> check =
       [&](const Node* node, const Value* lo, const Value* hi) -> Status {
     for (size_t i = 0; i + 1 < node->keys.size(); ++i) {
@@ -186,7 +164,7 @@ Status BTreeIndex::CheckInvariants() const {
       if (node->children.size() != node->keys.size() + 1) {
         return Status::Internal("internal node arity mismatch");
       }
-      if (node->leaf && !node->postings.empty()) {
+      if (!node->postings.empty()) {
         return Status::Internal("internal node has postings");
       }
       for (size_t i = 0; i < node->children.size(); ++i) {
@@ -198,25 +176,13 @@ Status BTreeIndex::CheckInvariants() const {
       if (node->postings.size() != node->keys.size()) {
         return Status::Internal("leaf postings arity mismatch");
       }
+      for (const std::vector<RowId>& rows : node->postings) {
+        counted += rows.size();
+      }
     }
     return Status::OK();
   };
   TDB_RETURN_IF_ERROR(check(root_.get(), nullptr, nullptr));
-  // Leaf chain must be globally sorted.
-  const Node* node = root_.get();
-  while (!node->leaf) node = node->children.front().get();
-  const Value* prev = nullptr;
-  size_t counted = 0;
-  while (node != nullptr) {
-    for (size_t i = 0; i < node->keys.size(); ++i) {
-      if (prev != nullptr && node->keys[i] < *prev) {
-        return Status::Internal("leaf chain out of order");
-      }
-      prev = &node->keys[i];
-      counted += node->postings[i].size();
-    }
-    node = node->next;
-  }
   if (counted != size_) {
     return Status::Internal("size counter does not match postings");
   }

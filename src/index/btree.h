@@ -2,7 +2,6 @@
 #define TEMPORADB_INDEX_BTREE_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -14,8 +13,9 @@ namespace temporadb {
 /// An in-memory B+-tree mapping attribute `Value`s to row-id postings.
 ///
 /// Keys are ordered by `Value`'s total order; duplicates are supported (a
-/// key holds a postings vector).  Used for equality/range predicates on
-/// explicit attributes; the temporal dimensions use `IntervalIndex`.
+/// key holds a postings vector, in insertion order).  Used for equality
+/// probes on explicit attributes; the temporal dimensions use
+/// `IntervalIndex`.
 class BTreeIndex {
  public:
   using RowId = uint64_t;
@@ -33,11 +33,6 @@ class BTreeIndex {
   /// All rows with exactly this key.
   std::vector<RowId> Lookup(const Value& key) const;
 
-  /// Calls `fn(key, row)` for each posting with `lo <= key <= hi` in key
-  /// order.  Either bound may be omitted (open range).
-  void Range(const Value* lo, const Value* hi,
-             const std::function<void(const Value&, RowId)>& fn) const;
-
   size_t size() const { return size_; }
 
   /// Removes every entry (used when rebuilding after compaction).
@@ -49,7 +44,7 @@ class BTreeIndex {
   /// Tree height (1 = just a leaf); exposed for tests.
   int height() const;
 
-  /// Validates B+-tree invariants (sortedness, fill, linkage); for tests.
+  /// Validates B+-tree invariants (sortedness, arity, size); for tests.
   Status CheckInvariants() const;
 
  private:
@@ -62,7 +57,6 @@ class BTreeIndex {
     std::vector<std::unique_ptr<Node>> children;
     // Leaf: postings[i] are the rows for keys[i].
     std::vector<std::vector<RowId>> postings;
-    Node* next = nullptr;  // Leaf chain for range scans.
   };
 
   // Splits child `idx` of `parent`, which must be full.

@@ -117,8 +117,9 @@ struct PartitionSynopsis {
 /// partitions plus the hot tail; `batch_morsels_formed` counts the
 /// batch-aligned chunks a batch scan actually formed — a pruned partition
 /// contributes zero (pruning happens before the chunk grid exists).
-/// `dml_rows_examined` counts the candidate rows DML victim selection
-/// examined (`StoredRelation::SelectVictims`).
+/// `dml_rows_examined` counts the rows DML victim selection read
+/// (`StoredRelation::SelectVictims`): a key's whole posting list, or the
+/// rows its scan yielded.
 struct ScanStats {
   std::atomic<uint64_t> partitions_considered{0};
   std::atomic<uint64_t> partitions_pruned_tt{0};

@@ -41,49 +41,24 @@ Result<size_t> StoredRelation::CorrectErase(
 
 Result<std::vector<RowId>> StoredRelation::SelectVictims(
     const VictimFilter& match, std::optional<Period> window) const {
-  const bool current_only = SupportsTransactionTime(info_.temporal_class);
-  const bool valid_walk = !current_only && window.has_value();
-  std::vector<RowId> candidates;
-  bool probe = false;
-  if (match.key.has_value()) {
-    TDB_ASSIGN_OR_RETURN(candidates, store_.LookupAttribute(
-                                         match.key->attr, match.key->value));
-    probe = !current_only || candidates.size() <= store_.current_count();
-  }
-  if (!probe && current_only) {
-    candidates = store_.CurrentRows();
-  } else if (!probe) {
-    // Every live row, or those of a historical window.
-    BatchPredicates preds;
-    preds.valid_overlaps = window;
-    VersionBatchScan scan = store_.BatchScan(store_.HeadPin(), preds);
-    VersionBatch batch;
-    while (scan.Next(&batch)) {
-      candidates.insert(candidates.end(), batch.rows.begin(),
-                        batch.rows.end());
-    }
-  }
-  if (probe || valid_walk) {
-    // The walk's order: (valid begin, row) under a historical window, else
-    // row order.
-    const int64_t* begin = store_.chronon_valid_from();
-    std::sort(candidates.begin(), candidates.end(), [&](RowId a, RowId b) {
-      return valid_walk && begin[a] != begin[b] ? begin[a] < begin[b] : a < b;
-    });
+  ScanSpec spec;
+  spec.valid_during = window;
+  size_t examined = 0;
+  std::vector<Candidate> candidates = Candidates(spec, match.key, &examined);
+  if (window.has_value() && !SupportsTransactionTime(info_.temporal_class)) {
+    // The historical walk's order: (valid begin, row).
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const Candidate& a, const Candidate& b) {
+                       return a.valid.begin() < b.valid.begin();
+                     });
   }
   if (ScanStats* stats = store_.options().scan_stats) {
-    stats->dml_rows_examined.fetch_add(candidates.size(),
-                                       std::memory_order_relaxed);
+    stats->dml_rows_examined.fetch_add(examined, std::memory_order_relaxed);
   }
-  const auto outside = [&](const BitemporalTuple& t) {
-    return window.has_value() && !t.valid.Overlaps(*window);
-  };
   std::vector<RowId> victims;
-  for (RowId row : candidates) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
-    if (current_only ? !t->IsCurrentState() : outside(*t)) continue;
-    if (match.when != nullptr && !match.when(t->valid)) continue;
-    if (!outside(*t) && match.pred(t->values)) victims.push_back(row);
+  for (const Candidate& c : candidates) {
+    if (match.when != nullptr && !match.when(c.valid)) continue;
+    if (match.pred(*c.values)) victims.push_back(c.row);
   }
   return victims;
 }
@@ -136,6 +111,52 @@ VersionBatchScan StoredRelation::BatchScan(const ScanSpec& spec) const {
   return store_.BatchScan(
       spec.snapshot.has_value() ? *spec.snapshot : store_.HeadPin(),
       std::move(preds));
+}
+
+std::vector<Candidate> StoredRelation::Candidates(
+    const ScanSpec& spec, const std::optional<AttributeKey>& key,
+    size_t* examined) const {
+  std::vector<Candidate> out;
+  if (key.has_value() && !spec.snapshot.has_value()) {
+    Result<std::vector<RowId>> rows =
+        store_.LookupAttribute(key->attr, key->value);
+    if (rows.ok()) {
+      // Postings are in insertion order (a correction re-files its row
+      // last); the scan's order is the row's.
+      std::sort(rows->begin(), rows->end());
+      if (examined != nullptr) *examined = rows->size();
+      out.reserve(rows->size());
+      const bool txn_kind = SupportsTransactionTime(info_.temporal_class);
+      const bool valid_kind = SupportsValidTime(info_.temporal_class);
+      for (RowId row : *rows) {
+        Result<const BitemporalTuple*> got = store_.Get(row);
+        if (!got.ok()) continue;
+        const BitemporalTuple& t = **got;
+        if (txn_kind && !(spec.asof.has_value() ? t.txn.Overlaps(*spec.asof)
+                                                : t.IsCurrentState())) {
+          continue;
+        }
+        if (valid_kind && spec.valid_during.has_value() &&
+            !t.valid.Overlaps(*spec.valid_during)) {
+          continue;
+        }
+        out.push_back({row, &t.values, t.valid, t.txn});
+      }
+      return out;
+    }
+  }
+  // Room is made batch by batch, growing geometrically past the first.
+  VersionBatchScan scan = BatchScan(spec);
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    const size_t need = out.size() + batch.size();
+    if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
+    for (size_t i = 0; i < batch.size(); ++i) {
+      out.push_back(Candidate::FromBatch(batch, i));
+    }
+  }
+  if (examined != nullptr) *examined = out.size();
+  return out;
 }
 
 Status StoredRelation::CreateIndex(std::string_view attribute) {

@@ -24,8 +24,8 @@ using TuplePredicate = std::function<bool(const std::vector<Value>&)>;
 using PeriodPredicate = std::function<bool(Period)>;
 
 /// An equality key on an indexed attribute, `values[attr] == value`, that a
-/// DML `where` clause implies.  It only chooses the candidate rows: the
-/// predicate still runs on each of them.
+/// statement's `where` clause implies (`tquel::ProbeKey`).  It only chooses
+/// the candidate rows: the predicate still runs on each of them.
 struct AttributeKey {
   size_t attr;
   Value value;
@@ -51,11 +51,12 @@ using UpdateSpec = std::vector<UpdateAction>;
 /// An assignment to a constant value.
 UpdateAction ConstUpdate(size_t index, Value v);
 
-/// The time windows a query pushes down into a relation scan.  The scan
-/// yields exactly the visible versions whose transaction period overlaps
-/// `asof` and whose valid period overlaps `valid_during` (for the
-/// dimensions the kind maintains); the evaluator still re-checks its exact
-/// predicates per tuple.
+/// The time windows a statement pushes down into its candidate step
+/// (`StoredRelation::Candidates`, `BatchScan`).  It yields exactly the
+/// visible versions whose transaction period overlaps `asof` and whose
+/// valid period overlaps `valid_during` (for the dimensions the kind
+/// maintains); retrieve still re-checks its exact predicates per tuple, and
+/// DML passes its valid window here.
 struct ScanSpec {
   /// Transaction-time window of an `as of [... through ...]` clause.
   std::optional<Period> asof;
@@ -67,6 +68,25 @@ struct ScanSpec {
   /// before the pin, and is exempt from the mutation-epoch staleness
   /// check.  Empty: the writer's head pin.
   std::optional<SnapshotPin> snapshot;
+};
+
+/// One version a statement considers: its row, values and both periods
+/// (degenerate dimensions are whatever the kind stores).  Under a reader pin
+/// `txn` carries the pin-effective end, read from the scan's chronon
+/// columns: the tuple's own `txn` is closed in place by the writer and must
+/// not be read on a reader thread.
+struct Candidate {
+  RowId row;
+  const std::vector<Value>* values;
+  Period valid;
+  Period txn;
+
+  /// Position `i` of a scan batch.
+  static Candidate FromBatch(const VersionBatch& b, size_t i) {
+    return Candidate{b.rows[i], &b.tuples[i]->values,
+                     Period(Chronon(b.valid_from[i]), Chronon(b.valid_to[i])),
+                     Period(Chronon(b.tt_start[i]), Chronon(b.tt_end[i]))};
+  }
 };
 
 /// Applies an update spec to a copy of `values`.
@@ -116,7 +136,7 @@ class StoredRelation {
   /// filters targets by their valid period (TQuel's `when` on DML); it is
   /// NotSupported on kinds without valid time.  Returns the number of
   /// tuples affected.  A `key` that `pred` implies lets the attribute
-  /// index supply the candidates (see `SelectVictims`).
+  /// index supply the candidates (see `Candidates`).
   Result<size_t> DeleteWhere(Transaction* txn, const TuplePredicate& pred,
                              std::optional<Period> valid,
                              const PeriodPredicate& when = nullptr,
@@ -156,6 +176,19 @@ class StoredRelation {
   /// ascending row order.
   VersionBatchScan BatchScan(const ScanSpec& spec) const;
 
+  /// The one candidate step of retrieve and DML: the versions
+  /// `BatchScan(spec)` yields, in ascending row order.  With a `key` at the
+  /// head pin the key's attribute-index rows stand in for the scan: those
+  /// visible under `spec` (its `as of` window, else the current state with
+  /// transaction time; its valid window with valid time), which are the
+  /// scan's versions with `values[key.attr] == key.value`.  A reader pin
+  /// ignores the key (the B+-trees are writer state).  `examined`, when
+  /// set, receives the rows the step read: the key's whole posting list,
+  /// or the scan's yield.
+  std::vector<Candidate> Candidates(const ScanSpec& spec,
+                                    const std::optional<AttributeKey>& key,
+                                    size_t* examined = nullptr) const;
+
   /// Creates a secondary index on the named attribute (used by the query
   /// evaluator for equality predicates).
   Status CreateIndex(std::string_view attribute);
@@ -174,13 +207,12 @@ class StoredRelation {
                                         const UpdateSpec& updates,
                                         std::optional<Period> valid) = 0;
 
-  /// The rows a DML statement changes, read from the state before it runs,
-  /// in the order the kind's walk visits them: row order, but (valid begin,
-  /// row) under a historical window.  Candidates are the key's index rows or
-  /// the walk's: the current state with transaction time (also when it is
-  /// shorter than the key's rows, which include closed versions), a
-  /// head-pin scan of the window for a historical window, else every live
-  /// row.  Visibility, `when`, `window` and `pred` then filter them.
+  /// The rows a DML statement changes, read from the state before it runs:
+  /// `Candidates` at the head pin, with `window` as the valid window (so
+  /// with transaction time only the current state, and only versions
+  /// overlapping the window), probing `match.key` when there is one.
+  /// `when` and then `pred` filter them.  They come back in row order, but
+  /// in (valid begin, row) order under a historical window.
   Result<std::vector<RowId>> SelectVictims(const VictimFilter& match,
                                            std::optional<Period> window) const;
 

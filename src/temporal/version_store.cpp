@@ -152,27 +152,6 @@ bool VersionBatchScan::Next(VersionBatch* out) {
 
 VersionStore::VersionStore(VersionStoreOptions options) : options_(options) {}
 
-// The secondary-index mutators below return Status for API generality, but
-// every call in this file maintains an index entry for a slot this store
-// just validated (fresh row id, live version, period shape checked by the
-// caller), so failure would mean the store's own invariants are broken —
-// the drops are deliberate and each carries its reason.
-
-void VersionStore::IndexInsert(RowId row, const BitemporalTuple& t) {
-  if (t.IsCurrentState()) {
-    // Fresh row id: cannot already be in the current set.
-    (void)current_index_.AddCurrent(row, t.txn.begin());
-  }
-}
-
-void VersionStore::IndexErase(RowId row, const BitemporalTuple& t) {
-  if (t.IsCurrentState()) {
-    // Current by the guard, so the close cannot miss; closing at the start
-    // just drops the entry.
-    (void)current_index_.CloseCurrent(row, t.txn.begin());
-  }
-}
-
 void VersionStore::AttrIndexInsert(RowId row, const BitemporalTuple& t) {
   for (auto& [attr, index] : attr_indexes_) {
     if (attr < t.values.size()) index->Insert(t.values[attr], row);
@@ -197,7 +176,6 @@ void VersionStore::SyncChrononColumns(RowId row) {
 
 RowId VersionStore::RawAppend(BitemporalTuple tuple) {
   RowId row = versions_.size();
-  IndexInsert(row, tuple);
   AttrIndexInsert(row, tuple);
   versions_.push_back(Slot{std::move(tuple), false});
   col_valid_from_.push_back(0);
@@ -235,7 +213,6 @@ void VersionStore::RawUnappend(RowId row) {
   }
   Slot& slot = versions_[row];
   if (!slot.tombstone) {
-    IndexErase(row, slot.tuple);
     AttrIndexErase(row, slot.tuple);
     --live_count_;
   }
@@ -262,7 +239,6 @@ Status VersionStore::RawCloseTxn(RowId row, Chronon tt_end) {
     return Status::InvalidArgument(
         "transaction end precedes transaction start");
   }
-  TDB_RETURN_IF_ERROR(current_index_.CloseCurrent(row, tt_end));
   t.txn = Period(t.txn.begin(), tt_end);
   // The close is the one in-place mutation snapshot readers must see — or
   // not see, depending on their pin.  Stamp the publishing commit sequence
@@ -291,10 +267,7 @@ Status VersionStore::RawCloseTxn(RowId row, Chronon tt_end) {
 void VersionStore::RawReopenTxn(RowId row, Chronon old_end) {
   assert(old_end.IsForever());
   Slot& slot = versions_[row];
-  Chronon start = slot.tuple.txn.begin();
-  // Undo of a close this transaction performed: the row left the set.
-  (void)current_index_.AddCurrent(row, start);
-  slot.tuple.txn = Period(start, old_end);
+  slot.tuple.txn = Period(slot.tuple.txn.begin(), old_end);
   // Abort-time undo of a close.  Restore ∞ atomically (a snapshot reader
   // may be loading this entry right now); the stale close stamp is left in
   // place deliberately — with tt_end = ∞ the row reads as current no
@@ -309,7 +282,6 @@ Status VersionStore::RawPhysicalDelete(RowId row) {
     return Status::NotFound("no such version");
   }
   Slot& slot = versions_[row];
-  IndexErase(row, slot.tuple);
   AttrIndexErase(row, slot.tuple);
   slot.tombstone = true;
   col_live_[row] = 0;
@@ -325,7 +297,6 @@ void VersionStore::RawUndelete(RowId row, BitemporalTuple tuple) {
   slot.tuple = std::move(tuple);
   slot.tombstone = false;
   SyncChrononColumns(row);
-  IndexInsert(row, slot.tuple);
   AttrIndexInsert(row, slot.tuple);
   ++live_count_;
   RepatchSealedSynopsis(row);
@@ -337,11 +308,9 @@ Status VersionStore::RawPhysicalUpdate(RowId row, BitemporalTuple tuple) {
     return Status::NotFound("no such version");
   }
   Slot& slot = versions_[row];
-  IndexErase(row, slot.tuple);
   AttrIndexErase(row, slot.tuple);
   slot.tuple = std::move(tuple);
   SyncChrononColumns(row);
-  IndexInsert(row, slot.tuple);
   AttrIndexInsert(row, slot.tuple);
   RepatchSealedSynopsis(row);
   ++mutation_epoch_;
@@ -444,12 +413,6 @@ void VersionStore::ForEach(
   }
 }
 
-std::vector<RowId> VersionStore::CurrentRows() const {
-  std::vector<RowId> out;
-  current_index_.Current([&](RowId row) { out.push_back(row); });
-  return out;
-}
-
 VersionBatchScan VersionStore::BatchScan(SnapshotPin pin,
                                          BatchPredicates preds) const {
   return VersionBatchScan(this, pin, std::move(preds));
@@ -539,11 +502,9 @@ size_t VersionStore::CompactTombstones() {
   sealed_.Truncate(0);
   sealed_rows_ = 0;
   // Row ids changed: rebuild every index from scratch.
-  current_index_.Clear();
   for (auto& [attr, index] : attr_indexes_) index->Clear();
   for (RowId row = 0; row < versions_.size(); ++row) {
     SyncChrononColumns(row);
-    IndexInsert(row, versions_[row].tuple);
     AttrIndexInsert(row, versions_[row].tuple);
   }
   // The published watermark now exceeds the row count; re-publish so later
@@ -578,10 +539,6 @@ Result<std::vector<RowId>> VersionStore::LookupAttribute(
     return Status::FailedPrecondition("attribute is not indexed");
   }
   return it->second->Lookup(key);
-}
-
-size_t VersionStore::current_count() const {
-  return current_index_.current_count();
 }
 
 size_t VersionStore::ApproximateBytes() const {

@@ -10,7 +10,6 @@
 
 #include "common/result.h"
 #include "index/btree.h"
-#include "index/snapshot_index.h"
 #include "temporal/bitemporal_tuple.h"
 #include "temporal/mvcc.h"
 #include "temporal/partition.h"
@@ -211,10 +210,6 @@ class VersionStore {
   /// Iterates live versions in row order.
   void ForEach(const std::function<void(RowId, const BitemporalTuple&)>& fn) const;
 
-  /// Rows in the current stored state (transaction end = ∞), in row order:
-  /// the DML walk of kinds with transaction time.
-  std::vector<RowId> CurrentRows() const;
-
   /// The one scan: the live versions visible at `pin` that satisfy
   /// `preds`, in row order, sliced into `VersionBatch`es (see
   /// VersionBatchScan for the head-pin versus reader-pin contract).
@@ -337,7 +332,6 @@ class VersionStore {
 
   size_t live_count() const { return live_count_; }
   size_t version_count() const { return versions_.size(); }
-  size_t current_count() const;
 
   /// Monotone counter bumped by every slot mutation (append, close,
   /// correction, undo, load, compaction).  Head-pin scans capture it;
@@ -427,9 +421,6 @@ class VersionStore {
     bool tombstone = false;
   };
 
-  void IndexInsert(RowId row, const BitemporalTuple& t);
-  /// Drops `row` from the current-row set.
-  void IndexErase(RowId row, const BitemporalTuple& t);
   void AttrIndexInsert(RowId row, const BitemporalTuple& t);
   void AttrIndexErase(RowId row, const BitemporalTuple& t);
 
@@ -502,7 +493,6 @@ class VersionStore {
   bool loading_ = false;  // BeginLoad/EndLoad bracket: suppress sealing.
   size_t live_count_ = 0;
   uint64_t mutation_epoch_ = 0;
-  SnapshotIndex current_index_;  // Current-row set (DML walk, current_count).
   std::map<size_t, std::unique_ptr<BTreeIndex>> attr_indexes_;
   std::function<void(const VersionOp&)> observer_;
 };

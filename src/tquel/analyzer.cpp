@@ -811,7 +811,10 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
   }
 
   // 5. Compile clauses.
-  bound.eq_constraints.resize(bound.participants.size());
+  for (size_t i = 0; i < bound.participants.size(); ++i) {
+    bound.probe_keys.push_back(
+        ProbeKey(stmt.where, stmt.when, bound.participants, i));
+  }
   if (stmt.where != nullptr) {
     TDB_ASSIGN_OR_RETURN(bound.where,
                          CompileScalarExpr(stmt.where, bound.participants));
@@ -821,10 +824,6 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
     std::vector<std::vector<AstExprPtr>> local(n > 1 ? n : 0);
     if (n > 1) bound.join_keys.resize(n);
     ForEachConjunct(stmt.where, [&](const AstExprPtr& c) {
-      if (auto eq = MatchEqConstraint(c, bound.participants)) {
-        bound.eq_constraints[eq->first].emplace_back(
-            eq->second.attr, std::move(eq->second.value));
-      }
       if (n == 1) return;
       CollectJoinKey(c, &bound);
       std::set<size_t> vars;
@@ -872,19 +871,19 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
   return bound;
 }
 
-std::optional<AttributeKey> DmlProbeKey(const AstExprPtr& where,
-                                        const AstTemporalPredPtr& when,
-                                        const Participant& p) {
-  const std::vector<Participant> single{p};
+std::optional<AttributeKey> ProbeKey(
+    const AstExprPtr& where, const AstTemporalPredPtr& when,
+    const std::vector<Participant>& participants, size_t p) {
   bool safe = CannotFail(when);
   std::optional<AttributeKey> key;
   ForEachConjunct(where, [&](const AstExprPtr& c) {
-    safe = safe && CannotFail(c, single);
-    auto eq = MatchEqConstraint(c, single);
+    safe = safe && CannotFail(c, participants);
+    auto eq = MatchEqConstraint(c, participants);
     // The B+-tree's exact lookup finds exactly the stored values `=` finds
     // equal to the key.
-    if (!key.has_value() && eq.has_value() &&
-        p.relation->store()->HasAttributeIndex(eq->second.attr)) {
+    if (!key.has_value() && eq.has_value() && eq->first == p &&
+        participants[p].relation->store()->HasAttributeIndex(
+            eq->second.attr)) {
       key = std::move(eq->second);
     }
   });

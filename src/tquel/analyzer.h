@@ -81,15 +81,14 @@ struct BoundRetrieve {
   TemporalExprPtr asof_at;          ///< Null => no rollback.
   TemporalExprPtr asof_through;
 
-  /// Conjunctive equality constraints extracted from the where clause, per
-  /// participant ordinal: (attribute index, constant).  The evaluator
-  /// probes secondary attribute indexes with these instead of scanning.
-  /// The full where clause is still evaluated afterwards, so they are a
-  /// pure access-path optimization.
-  std::vector<std::vector<std::pair<size_t, Value>>> eq_constraints;
+  /// `probe_keys[i]`: participant i's attribute-index key (`ProbeKey`),
+  /// which `StoredRelation::Candidates` probes in place of a scan.  The
+  /// full where clause still runs afterwards, so a key is a pure
+  /// access-path choice.
+  std::vector<std::optional<AttributeKey>> probe_keys;
 
   /// Join planning, filled only when more than one participant is bound.
-  /// Like `eq_constraints`, both only choose which tuple combinations the
+  /// Like `probe_keys`, both only choose which tuple combinations the
   /// evaluator builds; every combination it builds still runs the full
   /// `where` and `when`.
   ///
@@ -119,14 +118,17 @@ struct BoundRetrieve {
 Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
                                       const AnalyzerContext& ctx);
 
-/// The index key a single-variable DML statement over `p` may probe: the
-/// first top-level `var.attr = literal` conjunct of `where` on an indexed
-/// attribute (type rules of `eq_constraints`) whose exact lookup agrees
-/// with `=`.  None if a top-level conjunct or the `when` clause can fail at
-/// run time: a probe runs them on fewer rows than the walk would.
-std::optional<AttributeKey> DmlProbeKey(const AstExprPtr& where,
-                                        const AstTemporalPredPtr& when,
-                                        const Participant& p);
+/// The attribute-index key participant `p` of `participants` probes, for
+/// retrieve and DML alike: the first top-level `var.attr = literal`
+/// conjunct of `where` over `p` on an indexed attribute, where the literal
+/// denotes a value of the attribute's type (no float literal on an int
+/// attribute, date literals parsed, string keys only for string
+/// attributes).  None if a top-level conjunct of `where` or the `when`
+/// clause can fail at run time: a probe runs them on fewer rows than the
+/// scan would, and the statement must fail exactly as the scan does.
+std::optional<AttributeKey> ProbeKey(
+    const AstExprPtr& where, const AstTemporalPredPtr& when,
+    const std::vector<Participant>& participants, size_t p);
 
 /// Compiles a scalar AST expression against a participant list; `allow_columns`
 /// false rejects any attribute reference (append-statement constants).

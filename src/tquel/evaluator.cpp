@@ -13,26 +13,6 @@ namespace tquel {
 
 namespace {
 
-/// One candidate tuple of a participant: values plus both periods (kept
-/// internally regardless of the relation's class; degenerate dimensions are
-/// `Period::All()`).
-struct Candidate {
-  const std::vector<Value>* values;
-  Period valid;
-  Period txn;
-
-  /// Position `i` of a scan batch.  The periods are decoded from the batch's
-  /// chronon columns: under a snapshot its tt_end column carries the
-  /// *pin-effective* transaction ends, whereas the tuples' own `txn` fields
-  /// are written plainly by the writer and must not be read from a reader
-  /// thread.
-  static Candidate FromBatch(const VersionBatch& b, size_t i) {
-    return Candidate{&b.tuples[i]->values,
-                     Period(Chronon(b.valid_from[i]), Chronon(b.valid_to[i])),
-                     Period(Chronon(b.tt_start[i]), Chronon(b.tt_end[i]))};
-  }
-};
-
 /// The access path planned for one participant (see EvaluateRetrieve).
 struct Level {
   bool dynamic = false;                         ///< Probed per prefix.
@@ -44,56 +24,6 @@ struct Level {
   /// Dynamic step: the candidates' valid periods, by candidate index.
   IntervalIndex by_valid;
 };
-
-// Materializes the candidate tuples of one participant.
-// When the where clause pinned an indexed attribute to a constant
-// (`eq_constraints`), the secondary index supplies the candidates instead
-// of a scan, in lookup order, and only those visible under `spec` (its
-// `as of` window, else the current state for kinds with transaction time)
-// are kept; the full where clause still runs afterwards.  Writer path
-// only: the indexes are writer state with no published watermark, and
-// `Get`/`txn` read fields the writer mutates in place.  Otherwise the
-// relation's `BatchScan` sweeps the state at the spec's pin under its
-// `as of` / valid windows.
-std::vector<Candidate> MaterializeParticipant(
-    const StoredRelation& rel,
-    const std::vector<std::pair<size_t, Value>>& eq_constraints,
-    const ScanSpec& spec) {
-  std::vector<Candidate> out;
-  const VersionStore* store = rel.store();
-  if (!spec.snapshot.has_value()) {
-    const bool txn_kind = SupportsTransactionTime(rel.temporal_class());
-    for (const auto& [attr, key] : eq_constraints) {
-      if (!store->HasAttributeIndex(attr)) continue;
-      Result<std::vector<RowId>> rows = store->LookupAttribute(attr, key);
-      if (!rows.ok()) break;
-      out.reserve(rows->size());
-      for (RowId row : *rows) {
-        Result<const BitemporalTuple*> t = store->Get(row);
-        if (!t.ok()) continue;
-        const bool visible = spec.asof.has_value()
-                                 ? (*t)->txn.Overlaps(*spec.asof)
-                                 : !txn_kind || (*t)->IsCurrentState();
-        if (visible) out.push_back({&(*t)->values, (*t)->valid, (*t)->txn});
-      }
-      return out;
-    }
-  }
-
-  // Scan path: columnar batches whose time predicates already ran through
-  // the branch-free kernels.  Room is made batch by batch, growing
-  // geometrically past the first batch.
-  VersionBatchScan scan = rel.BatchScan(spec);
-  VersionBatch batch;
-  while (scan.Next(&batch)) {
-    const size_t need = out.size() + batch.size();
-    if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
-    for (size_t i = 0; i < batch.size(); ++i) {
-      out.push_back(Candidate::FromBatch(batch, i));
-    }
-  }
-  return out;
-}
 
 // Converts a TQuel value for storage into a date attribute when the user
 // wrote a string literal ("09/01/77").
@@ -228,22 +158,22 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
     }
   }
 
-  // Plan one access path per participant, in this order of precedence:
+  // Every participant is materialized once by `StoredRelation::Candidates`
+  // with its fixed pushed-down windows (`as of`, plus any valid window the
+  // when clause implies from literals alone), through its probe key
+  // (`probe_keys`) when it has one.  Then it is probed in one of three
+  // ways, in this order of precedence:
   //
-  //  1. An attribute-index probe (`eq_constraints` on an indexed attribute)
-  //     supplies the candidates in place of a scan.
-  //  2. A participant with an equality join key to an earlier participant
-  //     (`join_keys`) becomes a *hash* step: materialized once with its
-  //     static windows, then bucketed by key, so each bound prefix visits
-  //     only the candidates whose key equals the prefix's.
-  //  3. A participant whose when-clause window depends on earlier
-  //     participants becomes a *dynamic* step: materialized once, then
-  //     indexed by valid period, so each bound prefix visits only the
-  //     candidates overlapping the window the when clause derives from it
-  //     (an index-nested-loop join).
-  //  4. Otherwise the participant is materialized up front with its fixed
-  //     pushed-down windows (`as of`, plus any valid window the when clause
-  //     implies from literals alone).
+  //  1. A participant with an equality join key to an earlier participant
+  //     (`join_keys`) becomes a *hash* step: its candidates are bucketed by
+  //     key, so each bound prefix visits only the candidates whose key
+  //     equals the prefix's.
+  //  2. A participant whose when-clause window depends on earlier
+  //     participants becomes a *dynamic* step: its candidates are indexed
+  //     by valid period, so each bound prefix visits only the candidates
+  //     overlapping the window the when clause derives from it (an
+  //     index-nested-loop join).
+  //  3. Otherwise each bound prefix visits every candidate.
   //
   // Each participant's `local_filters` run on its candidates before any
   // combination is built.  Buckets and interval hits keep materialization
@@ -251,24 +181,12 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
   // order are those of the plain nested loop over the same candidates, at
   // the writer's head pin and at a reader pin alike.
   const size_t n = bound.participants.size();
-  const std::vector<std::pair<size_t, Value>> no_constraints;
   std::vector<Level> levels(n);
   for (size_t i = 0; i < n; ++i) {
     Level& level = levels[i];
     const StoredRelation& rel = *bound.participants[i].relation;
-    const auto& eqs = i < bound.eq_constraints.size()
-                          ? bound.eq_constraints[i]
-                          : no_constraints;
     if (i < bound.local_filters.size()) {
       level.filter = bound.local_filters[i].get();
-    }
-    bool has_probe = false;
-    for (const auto& [attr, key] : eqs) {
-      (void)key;
-      if (rel.store()->HasAttributeIndex(attr)) {
-        has_probe = true;
-        break;
-      }
     }
     if (i < bound.join_keys.size() && !bound.join_keys[i].empty()) {
       level.key = &bound.join_keys[i].front();
@@ -278,8 +196,7 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
     if (ctx.snapshot != nullptr) {
       spec.snapshot = ctx.snapshot->PinFor(rel.store());
     }
-    if (!has_probe && bound.when != nullptr &&
-        SupportsValidTime(rel.temporal_class())) {
+    if (bound.when != nullptr && SupportsValidTime(rel.temporal_class())) {
       // A window derivable with nothing bound (prefix 0) is static: push it
       // into the one-shot materializing scan.  Otherwise probe whether one
       // becomes derivable once participants 0..i-1 are bound.
@@ -290,7 +207,7 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
             bound.when->PushdownWindow(i, shape_probe, i).has_value();
       }
     }
-    level.candidates = MaterializeParticipant(rel, eqs, spec);
+    level.candidates = rel.Candidates(spec, bound.probe_keys[i]);
     if (level.filter != nullptr) {
       size_t kept = 0;
       for (const Candidate& c : level.candidates) {
@@ -562,7 +479,7 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
           size_t count,
           p.relation->DeleteWhere(
               ctx.txn, CompilePredicate(std::move(where), &pred_error), valid,
-              when, DmlProbeKey(s.where, s.when, p)));
+              when, ProbeKey(s.where, s.when, {p}, 0)));
       TDB_RETURN_IF_ERROR(pred_error);
       ExecResult r;
       r.kind = ExecResult::Kind::kCount;
@@ -591,7 +508,7 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
           size_t count,
           p.relation->ReplaceWhere(
               ctx.txn, CompilePredicate(std::move(where), &pred_error),
-              updates, valid, when, DmlProbeKey(s.where, s.when, p)));
+              updates, valid, when, ProbeKey(s.where, s.when, {p}, 0)));
       TDB_RETURN_IF_ERROR(pred_error);
       ExecResult r;
       r.kind = ExecResult::Kind::kCount;
@@ -614,7 +531,7 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
           size_t count,
           p.relation->CorrectErase(
               ctx.txn, CompilePredicate(std::move(where), &pred_error),
-              DmlProbeKey(s.where, nullptr, p)));
+              ProbeKey(s.where, nullptr, {p}, 0)));
       TDB_RETURN_IF_ERROR(pred_error);
       ExecResult r;
       r.kind = ExecResult::Kind::kCount;

@@ -298,6 +298,21 @@ TEST(OneScanPath, HistoricalQueriesMatchAtAPin) {
   pair.ExpectSameRows(
       "retrieve (a = x.name, b = y.name) when x precede y and y overlap "
       "\"06/01/84\"");
+
+  // A correction re-files its row last in the key's B+-tree postings; the
+  // probe still answers in row order, like the scan and the pin.
+  pair.Exec("create historical relation k (key = int, n = int)");
+  pair.Exec("create index on k (key)");
+  pair.Exec("range of z is k");
+  for (const char* n : {"1", "2"}) {
+    pair.Exec(std::string("append to k (key = 1, n = ") + n +
+              ") valid from \"01/01/80\" to \"01/01/90\"");
+  }
+  pair.Exec(
+      "delete z valid from \"01/01/85\" to \"01/01/90\" where z.n = 1");
+  pair.ExpectSameRows("retrieve (z.n) where z.key = 1");
+  EXPECT_EQ(pair.FirstColumn("retrieve (z.n) where z.key = 1"),
+            (Names{"1", "2"}));
 }
 
 TEST(OneScanPath, RandomizedQueriesMatchAtAPin) {
@@ -326,6 +341,13 @@ TEST(OneScanPath, RandomizedQueriesMatchAtAPin) {
     pair.ExpectSameError("retrieve (q = u.n / 0)");
     pair.ExpectSameError("retrieve (u.name, q = u.n / 0) as of \"03/01/70\"");
     pair.ExpectSameError("retrieve (u.name) where u.name > 3");
+    // An index must not hide them either: a `where` or `when` that can
+    // fail takes no probe key, so the writer scans like the pin.
+    pair.Exec("create index on h (n)");
+    pair.ExpectSameError("retrieve (u.name) where u.n / 0 > 1 and u.n = 99");
+    pair.ExpectSameError(
+        "retrieve (u.name) where u.n = 3 when begin of (u overlap "
+        "\"06/01/70\") precede \"01/01/72\"");
     pair.Exec("create temporal relation e (name = string, n = int)");
     pair.Exec("range of w is e");
     pair.ExpectSameRows("retrieve (q = w.n / 0)");

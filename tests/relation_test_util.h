@@ -35,6 +35,25 @@ inline std::vector<BitemporalTuple> ScanSorted(const StoredRelation& rel,
   return out;
 }
 
+/// The rows a head-pin scan of `store` under `preds` yields, in row order.
+inline std::vector<RowId> HeadPinRows(const VersionStore& store,
+                                      BatchPredicates preds) {
+  std::vector<RowId> rows;
+  VersionBatchScan scan = store.BatchScan(store.HeadPin(), std::move(preds));
+  VersionBatch batch;
+  while (scan.Next(&batch)) {
+    rows.insert(rows.end(), batch.rows.begin(), batch.rows.end());
+  }
+  return rows;
+}
+
+/// The rows of `store`'s current state (transaction end = ∞), in row order.
+inline std::vector<RowId> CurrentStateRows(const VersionStore& store) {
+  BatchPredicates preds;
+  preds.txn_current = true;
+  return HeadPinRows(store, std::move(preds));
+}
+
 /// The stored state as of transaction time `t` (a rollback).
 inline ScanSpec AsOf(Chronon t) {
   ScanSpec spec;

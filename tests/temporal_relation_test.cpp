@@ -154,7 +154,7 @@ TEST_F(TemporalRelationTest, AbortRestoresEverything) {
   ASSERT_EQ(versions.size(), 1u);
   EXPECT_EQ(versions[0].values[1].AsString(), "full");
   EXPECT_TRUE(versions[0].IsCurrentState());
-  EXPECT_EQ(relation_->store()->current_count(), 1u);
+  EXPECT_EQ(testutil::CurrentStateRows(*relation_->store()).size(), 1u);
 }
 
 TEST_F(TemporalRelationTest, DefaultValidPeriodIsFromNow) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/date.h"
+#include "tests/relation_test_util.h"
 #include "txn/clock.h"
 #include "txn/txn_manager.h"
 
@@ -17,18 +18,14 @@ BitemporalTuple Tuple(const char* name, int64_t txn_start) {
   return t;
 }
 
+using testutil::CurrentStateRows;
+
 // The rows of the stored state as of transaction time `t`: the head-pin
 // sweep with a transaction-time containment predicate.
 std::vector<RowId> AsOfRows(const VersionStore& store, int64_t t) {
   BatchPredicates preds;
   preds.txn_contains = Chronon(t);
-  VersionBatchScan scan = store.BatchScan(store.HeadPin(), preds);
-  std::vector<RowId> rows;
-  VersionBatch batch;
-  while (scan.Next(&batch)) {
-    rows.insert(rows.end(), batch.rows.begin(), batch.rows.end());
-  }
-  return rows;
+  return testutil::HeadPinRows(store, preds);
 }
 
 class VersionStoreTest : public ::testing::Test {
@@ -53,7 +50,7 @@ TEST_F(VersionStoreTest, AppendAssignsDenseRowIds) {
   EXPECT_EQ(*store_.Append(txn, Tuple("b", 10)), 1u);
   ASSERT_TRUE(manager_.Commit(txn).ok());
   EXPECT_EQ(store_.live_count(), 2u);
-  EXPECT_EQ(store_.current_count(), 2u);
+  EXPECT_EQ(CurrentStateRows(store_), (std::vector<RowId>{0, 1}));
   EXPECT_EQ((*store_.Get(0))->values[0].AsString(), "a");
 }
 
@@ -71,12 +68,16 @@ TEST_F(VersionStoreTest, CloseTxnEndsCurrentState) {
   Transaction* t2 = BeginAt(20);
   ASSERT_TRUE(store_.CloseTxn(t2, row, Chronon(20)).ok());
   ASSERT_TRUE(manager_.Commit(t2).ok());
-  EXPECT_EQ(store_.current_count(), 0u);
+  EXPECT_TRUE(CurrentStateRows(store_).empty());
   EXPECT_EQ((*store_.Get(row))->txn, Period(Chronon(10), Chronon(20)));
   // Double close fails.
   Transaction* t3 = BeginAt(30);
   EXPECT_EQ(store_.CloseTxn(t3, row, Chronon(30)).code(),
             StatusCode::kFailedPrecondition);
+  // A close before the version's start fails and leaves it current.
+  RowId later = *store_.Append(t3, Tuple("b", 30));
+  EXPECT_TRUE(store_.CloseTxn(t3, later, Chronon(25)).IsInvalidArgument());
+  EXPECT_EQ(CurrentStateRows(store_), std::vector<RowId>{later});
   ASSERT_TRUE(manager_.Abort(t3).ok());
 }
 
@@ -101,7 +102,7 @@ TEST_F(VersionStoreTest, AbortUndoesCloseTxn) {
   Transaction* t2 = BeginAt(20);
   ASSERT_TRUE(store_.CloseTxn(t2, row, Chronon(20)).ok());
   ASSERT_TRUE(manager_.Abort(t2).ok());
-  EXPECT_EQ(store_.current_count(), 1u);
+  EXPECT_EQ(CurrentStateRows(store_), std::vector<RowId>{row});
   EXPECT_TRUE((*store_.Get(row))->IsCurrentState());
   EXPECT_EQ(AsOfRows(store_, 25).size(), 1u);
 }
@@ -137,7 +138,7 @@ TEST_F(VersionStoreTest, PhysicalDeleteTombstones) {
   ASSERT_TRUE(manager_.Commit(t2).ok());
 }
 
-TEST_F(VersionStoreTest, AsOfScanAndCurrentRows) {
+TEST_F(VersionStoreTest, AsOfScanAndCurrentState) {
   Transaction* t1 = BeginAt(10);
   RowId a = *store_.Append(t1, Tuple("a", 10));
   ASSERT_TRUE(manager_.Commit(t1).ok());
@@ -149,7 +150,7 @@ TEST_F(VersionStoreTest, AsOfScanAndCurrentRows) {
   EXPECT_EQ(AsOfRows(store_, 15), std::vector<RowId>{a});
   EXPECT_EQ(AsOfRows(store_, 25), std::vector<RowId>{1});
   EXPECT_TRUE(AsOfRows(store_, 5).empty());
-  EXPECT_EQ(store_.CurrentRows(), std::vector<RowId>{1});
+  EXPECT_EQ(CurrentStateRows(store_), std::vector<RowId>{1});
 }
 
 TEST_F(VersionStoreTest, AsOfScanFollowsPaperTimeline) {
@@ -211,7 +212,7 @@ TEST_F(VersionStoreTest, ApplyReplayReproducesState) {
     ASSERT_TRUE(replica.ApplyReplay(op).ok());
   }
   EXPECT_EQ(replica.version_count(), store_.version_count());
-  EXPECT_EQ(replica.current_count(), store_.current_count());
+  EXPECT_EQ(CurrentStateRows(replica), CurrentStateRows(store_));
   for (RowId row = 0; row < store_.version_count(); ++row) {
     EXPECT_EQ(**replica.Get(row), **store_.Get(row)) << row;
   }
@@ -236,7 +237,7 @@ TEST_F(VersionStoreTest, LoadSlotKeepsClosedVersions) {
   store.LoadSlot(Tuple("cur", 20));
   EXPECT_EQ(AsOfRows(store, 15), std::vector<RowId>{0});
   EXPECT_EQ(AsOfRows(store, 25), std::vector<RowId>{1});
-  EXPECT_EQ(store.CurrentRows(), std::vector<RowId>{1});
+  EXPECT_EQ(CurrentStateRows(store), std::vector<RowId>{1});
 }
 
 TEST_F(VersionStoreTest, ApproximateBytesGrows) {
