@@ -5,7 +5,10 @@
 //    writer path, at a reader pin, and with a one-key outer side (where
 //    the inner scan is most of the work).
 //  - `where x.key = y.key when x overlap y`: the equality key makes the
-//    inner side a hash step.
+//    inner side a hash step.  With `create index on b (key)` the hash step
+//    probes only the outer side's keys: one key under a one-key outer side,
+//    every key (past half the rows, so the probe sweeps instead) under the
+//    whole of a.
 //  - the non-temporal equi-join `where x.key = y.key` as a baseline.
 
 #include <benchmark/benchmark.h>
@@ -20,7 +23,10 @@ using namespace temporadb;
 
 namespace {
 
-bench::ScenarioDb BuildPair(size_t per_relation) {
+// Two historical relations of `per_relation` versions over
+// per_relation / 4 + 1 keys; b's key is indexed (after the load) when
+// `indexed`.
+bench::ScenarioDb BuildPair(size_t per_relation, bool indexed) {
   bench::ScenarioDb sdb = bench::OpenScenarioDb();
   Random rng(5);
   for (const char* name : {"a", "b"}) {
@@ -42,6 +48,7 @@ bench::ScenarioDb BuildPair(size_t per_relation) {
       });
     }
   }
+  if (indexed) (void)sdb.db->Execute("create index on b (key)");
   (void)sdb.db->Execute("range of x is a");
   (void)sdb.db->Execute("range of y is b");
   return sdb;
@@ -49,8 +56,9 @@ bench::ScenarioDb BuildPair(size_t per_relation) {
 
 // Runs `query` on the writer path, or at one reader pin when `pinned`.
 void RunQuery(benchmark::State& state, const char* query,
-              bool pinned = false) {
-  bench::ScenarioDb sdb = BuildPair(static_cast<size_t>(state.range(0)));
+              bool pinned = false, bool indexed = false) {
+  bench::ScenarioDb sdb =
+      BuildPair(static_cast<size_t>(state.range(0)), indexed);
   std::optional<ReadSnapshot> snap;
   if (pinned) {
     Result<ReadSnapshot> begun = sdb.db->BeginReadSnapshot();
@@ -96,6 +104,20 @@ void BM_WhenJoin_HashJoin(benchmark::State& state) {
   RunQuery(state, "retrieve (x.key) where x.key = y.key when x overlap y");
 }
 
+void BM_WhenJoin_HashJoin_Indexed(benchmark::State& state) {
+  RunQuery(state, "retrieve (x.key) where x.key = y.key when x overlap y",
+           /*pinned=*/false, /*indexed=*/true);
+}
+
+// About four outer tuples of one key: the indexed hash step reads that
+// key's postings only.
+void BM_WhenJoin_SmallOuter_Indexed(benchmark::State& state) {
+  RunQuery(state,
+           "retrieve (x.key) where x.key = \"k0\" and x.key = y.key when x "
+           "overlap y",
+           /*pinned=*/false, /*indexed=*/true);
+}
+
 void BM_EquiJoinOnly(benchmark::State& state) {
   RunQuery(state, "retrieve (x.key) where x.key = y.key");
 }
@@ -109,6 +131,10 @@ BENCHMARK(BM_WhenOverlap_Pinned)->Arg(50)->Arg(200)->Arg(800)
 BENCHMARK(BM_WhenOverlap_SmallOuter)->Arg(50)->Arg(200)->Arg(800)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_WhenJoin_HashJoin)->Arg(50)->Arg(200)->Arg(800)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WhenJoin_HashJoin_Indexed)->Arg(50)->Arg(200)->Arg(800)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WhenJoin_SmallOuter_Indexed)->Arg(50)->Arg(200)->Arg(800)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EquiJoinOnly)->Arg(50)->Arg(200)->Arg(800)
     ->Unit(benchmark::kMillisecond);

@@ -14,6 +14,12 @@ size_t LowerBound(const std::vector<Value>& keys, const Value& key) {
       std::lower_bound(keys.begin(), keys.end(), key) - keys.begin());
 }
 
+// First position whose key is > `key`.
+size_t UpperBound(const std::vector<Value>& keys, const Value& key) {
+  return static_cast<size_t>(
+      std::upper_bound(keys.begin(), keys.end(), key) - keys.begin());
+}
+
 }  // namespace
 
 void BTreeIndex::SplitChild(Node* parent, size_t idx) {
@@ -61,8 +67,8 @@ void BTreeIndex::InsertNonFull(Node* node, const Value& key, RowId row) {
       return;
     }
     size_t pos = LowerBound(node->keys, key);
-    // Descend right of equal separators so equal keys cluster in one leaf
-    // run reachable by the leaf chain.
+    // Descend right of equal separators: child i holds the keys in
+    // [keys[i-1], keys[i]).
     if (pos < node->keys.size() && node->keys[pos] == key) ++pos;
     Node* child = node->children[pos].get();
     if (child->keys.size() >= kOrder) {
@@ -124,14 +130,45 @@ Status BTreeIndex::Remove(const Value& key, RowId row) {
   return Status::OK();
 }
 
-std::vector<BTreeIndex::RowId> BTreeIndex::Lookup(const Value& key) const {
-  const Node* leaf = FindLeaf(key);
-  if (leaf == nullptr) return {};
-  size_t pos = LowerBound(leaf->keys, key);
-  if (pos < leaf->keys.size() && leaf->keys[pos] == key) {
-    return leaf->postings[pos];
+bool BTreeIndex::ForEachInRange(
+    const std::optional<KeyBound>& lo, const std::optional<KeyBound>& hi,
+    const std::function<bool(const Value&, const std::vector<RowId>&)>& fn)
+    const {
+  return root_ == nullptr || WalkRange(root_.get(), lo, hi, fn);
+}
+
+bool BTreeIndex::WalkRange(
+    const Node* node, const std::optional<KeyBound>& lo,
+    const std::optional<KeyBound>& hi,
+    const std::function<bool(const Value&, const std::vector<RowId>&)>& fn)
+    const {
+  const std::vector<Value>& keys = node->keys;
+  if (!node->leaf) {
+    // Child i holds the keys in [keys[i-1], keys[i]): visit the children
+    // from the one that would hold `lo` to the one that would hold `hi`.
+    // Stale separators (lazy deletion) only widen the walk.
+    const size_t first = lo.has_value() ? UpperBound(keys, lo->value) : 0;
+    const size_t last =
+        hi.has_value() ? UpperBound(keys, hi->value) : keys.size();
+    for (size_t i = first; i <= last && i < node->children.size(); ++i) {
+      if (!WalkRange(node->children[i].get(), lo, hi, fn)) return false;
+    }
+    return true;
   }
-  return {};
+  size_t i = 0;
+  if (lo.has_value()) {
+    i = lo->inclusive ? LowerBound(keys, lo->value)
+                      : UpperBound(keys, lo->value);
+  }
+  for (; i < keys.size(); ++i) {
+    const Value& k = keys[i];
+    if (hi.has_value() &&
+        (hi->inclusive ? hi->value < k : !(k < hi->value))) {
+      break;
+    }
+    if (!fn(k, node->postings[i])) return false;
+  }
+  return true;
 }
 
 int BTreeIndex::height() const {

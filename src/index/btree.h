@@ -2,7 +2,9 @@
 #define TEMPORADB_INDEX_BTREE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/result.h"
@@ -10,11 +12,17 @@
 
 namespace temporadb {
 
+/// One end of a key range: `value`, which the range holds when `inclusive`.
+struct KeyBound {
+  Value value;
+  bool inclusive = true;
+};
+
 /// An in-memory B+-tree mapping attribute `Value`s to row-id postings.
 ///
-/// Keys are ordered by `Value`'s total order; duplicates are supported (a
-/// key holds a postings vector, in insertion order).  Used for equality
-/// probes on explicit attributes; the temporal dimensions use
+/// Keys are ordered by `Value`'s total order (null first); duplicates are
+/// supported (a key holds a postings vector, in insertion order).  Used for
+/// key-range probes on explicit attributes; the temporal dimensions use
 /// `IntervalIndex`.
 class BTreeIndex {
  public:
@@ -30,8 +38,14 @@ class BTreeIndex {
   /// Removes one posting of `row` under `key`; NotFound if absent.
   Status Remove(const Value& key, RowId row);
 
-  /// All rows with exactly this key.
-  std::vector<RowId> Lookup(const Value& key) const;
+  /// Calls `fn(key, postings)` for every stored key between `lo` and `hi`,
+  /// in key order; an absent bound leaves its end open, and a point is
+  /// `[v, v]`.  Stops as soon as `fn` returns false, and then returns
+  /// false.
+  bool ForEachInRange(
+      const std::optional<KeyBound>& lo, const std::optional<KeyBound>& hi,
+      const std::function<bool(const Value&, const std::vector<RowId>&)>& fn)
+      const;
 
   size_t size() const { return size_; }
 
@@ -63,6 +77,11 @@ class BTreeIndex {
   void SplitChild(Node* parent, size_t idx);
   void InsertNonFull(Node* node, const Value& key, RowId row);
   const Node* FindLeaf(const Value& key) const;
+  bool WalkRange(
+      const Node* node, const std::optional<KeyBound>& lo,
+      const std::optional<KeyBound>& hi,
+      const std::function<bool(const Value&, const std::vector<RowId>&)>& fn)
+      const;
 
   std::unique_ptr<Node> root_;
   size_t size_ = 0;

@@ -86,7 +86,7 @@ Result<size_t> HistoricalRelation::DoReplaceWhere(Transaction* txn,
 
 Result<size_t> HistoricalRelation::CorrectErase(
     Transaction* txn, const TuplePredicate& pred,
-    const std::optional<AttributeKey>& key) {
+    const std::optional<KeyRanges>& key) {
   TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
                        SelectVictims({pred, nullptr, key}, std::nullopt));
   for (RowId row : victims) {

@@ -41,7 +41,7 @@ class HistoricalRelation : public StoredRelation {
 
   Result<size_t> CorrectErase(
       Transaction* txn, const TuplePredicate& pred,
-      const std::optional<AttributeKey>& key = {}) override;
+      const std::optional<KeyRanges>& key = {}) override;
 
  private:
   /// Removes validity over `del` from each victim: trims it, splits it

@@ -31,7 +31,7 @@ Result<std::vector<Value>> ApplyUpdates(const UpdateSpec& updates,
 }
 
 Result<size_t> StoredRelation::CorrectErase(
-    Transaction*, const TuplePredicate&, const std::optional<AttributeKey>&) {
+    Transaction*, const TuplePredicate&, const std::optional<KeyRanges>&) {
   return Status::NotSupported(StringPrintf(
       "physical corrections are only meaningful for historical relations; "
       "'%s' is %s",
@@ -65,7 +65,7 @@ Result<std::vector<RowId>> StoredRelation::SelectVictims(
 
 Result<size_t> StoredRelation::DeleteWhere(
     Transaction* txn, const TuplePredicate& pred, std::optional<Period> valid,
-    const PeriodPredicate& when, const std::optional<AttributeKey>& key) {
+    const PeriodPredicate& when, const std::optional<KeyRanges>& key) {
   if (when != nullptr && !SupportsValidTime(info_.temporal_class)) {
     return Status::NotSupported(StringPrintf(
         "relation '%s' is %s and does not maintain valid time; a 'when' "
@@ -79,7 +79,7 @@ Result<size_t> StoredRelation::DeleteWhere(
 Result<size_t> StoredRelation::ReplaceWhere(
     Transaction* txn, const TuplePredicate& pred, const UpdateSpec& updates,
     std::optional<Period> valid, const PeriodPredicate& when,
-    const std::optional<AttributeKey>& key) {
+    const std::optional<KeyRanges>& key) {
   if (when != nullptr && !SupportsValidTime(info_.temporal_class)) {
     return Status::NotSupported(StringPrintf(
         "relation '%s' is %s and does not maintain valid time; a 'when' "
@@ -114,21 +114,45 @@ VersionBatchScan StoredRelation::BatchScan(const ScanSpec& spec) const {
 }
 
 std::vector<Candidate> StoredRelation::Candidates(
-    const ScanSpec& spec, const std::optional<AttributeKey>& key,
+    const ScanSpec& spec, const std::optional<KeyRanges>& key,
     size_t* examined) const {
   std::vector<Candidate> out;
-  if (key.has_value() && !spec.snapshot.has_value()) {
-    Result<std::vector<RowId>> rows =
-        store_.LookupAttribute(key->attr, key->value);
-    if (rows.ok()) {
-      // Postings are in insertion order (a correction re-files its row
-      // last); the scan's order is the row's.
-      std::sort(rows->begin(), rows->end());
-      if (examined != nullptr) *examined = rows->size();
-      out.reserve(rows->size());
+  const BTreeIndex* index =
+      key.has_value() && !spec.snapshot.has_value()
+          ? store_.AttributeIndex(key->attr)
+          : nullptr;
+  if (index != nullptr) {
+    // Count first, so that giving up costs a walk and no copies.
+    const size_t limit =
+        static_cast<size_t>(kProbeFraction * store_.HeadPin().rows);
+    size_t count = 0;
+    bool within = true;
+    for (size_t r = 0; within && r < key->ranges.size(); ++r) {
+      within = index->ForEachInRange(
+          key->ranges[r].lo, key->ranges[r].hi,
+          [&](const Value&, const std::vector<RowId>& postings) {
+            count += postings.size();
+            return count <= limit;
+          });
+    }
+    if (within) {
+      std::vector<RowId> rows;
+      rows.reserve(count);
+      for (const KeyRange& r : key->ranges) {
+        index->ForEachInRange(
+            r.lo, r.hi, [&](const Value&, const std::vector<RowId>& postings) {
+              rows.insert(rows.end(), postings.begin(), postings.end());
+              return true;
+            });
+      }
+      // Postings are in key, then insertion order (a correction re-files
+      // its row last); the scan's order is the row's.
+      std::sort(rows.begin(), rows.end());
+      if (examined != nullptr) *examined = rows.size();
+      out.reserve(rows.size());
       const bool txn_kind = SupportsTransactionTime(info_.temporal_class);
       const bool valid_kind = SupportsValidTime(info_.temporal_class);
-      for (RowId row : *rows) {
+      for (RowId row : rows) {
         Result<const BitemporalTuple*> got = store_.Get(row);
         if (!got.ok()) continue;
         const BitemporalTuple& t = **got;

@@ -23,12 +23,25 @@ using TuplePredicate = std::function<bool(const std::vector<Value>&)>;
 /// clause"; only kinds with valid time accept one.
 using PeriodPredicate = std::function<bool(Period)>;
 
-/// An equality key on an indexed attribute, `values[attr] == value`, that a
-/// statement's `where` clause implies (`tquel::ProbeKey`).  It only chooses
+/// A range of keys, between `lo` and `hi` in `Value`'s order; an absent end
+/// is open (see `BTreeIndex::ForEachInRange`).
+struct KeyRange {
+  std::optional<KeyBound> lo;
+  std::optional<KeyBound> hi;
+
+  /// The one key `v`: [v, v].
+  static KeyRange Point(const Value& v) {
+    return KeyRange{KeyBound{v, true}, KeyBound{v, true}};
+  }
+};
+
+/// The keys on an indexed attribute that a statement can select,
+/// `values[attr]` in one of `ranges` (disjoint; none selects nothing): the range a `where` clause's literal conjuncts imply
+/// (`tquel::ProbeKey`), or a hash step's outer key values.  It only chooses
 /// the candidate rows: the predicate still runs on each of them.
-struct AttributeKey {
+struct KeyRanges {
   size_t attr;
-  Value value;
+  std::vector<KeyRange> ranges;
 };
 
 /// A DML statement's selection, which the kinds' `Do*` overrides forward
@@ -36,7 +49,7 @@ struct AttributeKey {
 struct VictimFilter {
   const TuplePredicate& pred;
   const PeriodPredicate& when;
-  const std::optional<AttributeKey>& key;
+  const std::optional<KeyRanges>& key;
 };
 
 /// One attribute assignment of a `replace` statement.  `compute` receives
@@ -140,7 +153,7 @@ class StoredRelation {
   Result<size_t> DeleteWhere(Transaction* txn, const TuplePredicate& pred,
                              std::optional<Period> valid,
                              const PeriodPredicate& when = nullptr,
-                             const std::optional<AttributeKey>& key = {});
+                             const std::optional<KeyRanges>& key = {});
 
   /// Applies `updates` to the facts matching `pred` (and `when`) over the
   /// valid period.  Returns the number of tuples affected.
@@ -148,14 +161,14 @@ class StoredRelation {
                               const UpdateSpec& updates,
                               std::optional<Period> valid,
                               const PeriodPredicate& when = nullptr,
-                              const std::optional<AttributeKey>& key = {});
+                              const std::optional<KeyRanges>& key = {});
 
   /// Historical-only physical correction: removes matching versions
   /// entirely, leaving no trace (§4.3: "there is no record kept of the
   /// errors that have been corrected").  NotSupported elsewhere.
   virtual Result<size_t> CorrectErase(
       Transaction* txn, const TuplePredicate& pred,
-      const std::optional<AttributeKey>& key = {});
+      const std::optional<KeyRanges>& key = {});
 
   /// The relation's one scan: the state at a pin, as a pin-bounded,
   /// partition-pruned kernel sweep.  `spec.snapshot` names a reader pin;
@@ -178,19 +191,24 @@ class StoredRelation {
 
   /// The one candidate step of retrieve and DML: the versions
   /// `BatchScan(spec)` yields, in ascending row order.  With a `key` at the
-  /// head pin the key's attribute-index rows stand in for the scan: those
-  /// visible under `spec` (its `as of` window, else the current state with
-  /// transaction time; its valid window with valid time), which are the
-  /// scan's versions with `values[key.attr] == key.value`.  A reader pin
-  /// ignores the key (the B+-trees are writer state).  `examined`, when
-  /// set, receives the rows the step read: the key's whole posting list,
-  /// or the scan's yield.
+  /// head pin the attribute index's postings in the key's ranges stand in
+  /// for the scan: those visible under `spec` (its `as of` window, else the
+  /// current state with transaction time; its valid window with valid
+  /// time), which are the scan's versions with `values[key.attr]` in a
+  /// range.  The walk gives up, and the scan runs, once its postings exceed
+  /// `kProbeFraction` of the pin's rows.  A reader pin ignores the key (the
+  /// B+-trees are writer state).  `examined`, when set, receives the rows
+  /// the step read: the ranges' postings, or the scan's yield.
   std::vector<Candidate> Candidates(const ScanSpec& spec,
-                                    const std::optional<AttributeKey>& key,
+                                    const std::optional<KeyRanges>& key,
                                     size_t* examined = nullptr) const;
 
-  /// Creates a secondary index on the named attribute (used by the query
-  /// evaluator for equality predicates).
+  /// The share of the head pin's rows past which a key's postings are
+  /// swept instead of probed (EXPERIMENTS.md A8).
+  static constexpr double kProbeFraction = 0.5;
+
+  /// Creates a secondary index on the named attribute (the B+-tree
+  /// `Candidates` walks for a key).
   Status CreateIndex(std::string_view attribute);
 
   /// The underlying version store (query layer access path).

@@ -532,15 +532,6 @@ Status VersionStore::CreateAttributeIndex(size_t attr_index) {
   return Status::OK();
 }
 
-Result<std::vector<RowId>> VersionStore::LookupAttribute(
-    size_t attr_index, const Value& key) const {
-  auto it = attr_indexes_.find(attr_index);
-  if (it == attr_indexes_.end()) {
-    return Status::FailedPrecondition("attribute is not indexed");
-  }
-  return it->second->Lookup(key);
-}
-
 size_t VersionStore::ApproximateBytes() const {
   size_t bytes = versions_.size() * (sizeof(Slot) + 4 * sizeof(int64_t));
   for (RowId row = 0; row < versions_.size(); ++row) {

@@ -299,15 +299,12 @@ class VersionStore {
   /// second call).  Maintained across all mutations, undo, and replay.
   Status CreateAttributeIndex(size_t attr_index);
 
-  /// True when attribute `attr_index` is indexed.
-  bool HasAttributeIndex(size_t attr_index) const {
-    return attr_indexes_.contains(attr_index);
+  /// The B+-tree of attribute `attr_index` (every live version, any
+  /// transaction state), or null when the attribute is not indexed.
+  const BTreeIndex* AttributeIndex(size_t attr_index) const {
+    auto it = attr_indexes_.find(attr_index);
+    return it == attr_indexes_.end() ? nullptr : it->second.get();
   }
-
-  /// Rows (live versions, any transaction state) whose attribute equals
-  /// `key`; FailedPrecondition when the attribute is not indexed.
-  Result<std::vector<RowId>> LookupAttribute(size_t attr_index,
-                                             const Value& key) const;
 
   /// Replay entry points used by recovery and checkpoint load: apply an
   /// operation *without* a transaction (no undo, no observer).

@@ -1,5 +1,6 @@
 #include "tquel/analyzer.h"
 
+#include <algorithm>
 #include <charconv>
 #include <set>
 
@@ -503,24 +504,31 @@ ValueType AttributeType(const std::vector<Participant>& participants,
       .type.value_type();
 }
 
-// Matches a `var.attr = <constant>` conjunct (either side) as an index-probe
-// key: (participant ordinal, key).  The literal must denote a value of the
-// attribute's type: no float literal on an int attribute, date literals
-// parsed, string keys only for string attributes.
-std::optional<std::pair<size_t, AttributeKey>> MatchEqConstraint(
+// A `var.attr <op> literal` conjunct, op one of = < <= > >=, as a range of
+// the attribute's keys.
+struct KeyConstraint {
+  size_t participant;
+  size_t attr;
+  bool equality;
+  KeyRange range;
+};
+
+// Matches a key constraint (the literal on either side).  The literal must
+// denote a value of the attribute's type: no float literal on an int
+// attribute, date literals parsed, string keys only for string attributes.
+std::optional<KeyConstraint> MatchKeyConstraint(
     const AstExprPtr& e, const std::vector<Participant>& participants) {
-  if (e->kind != AstExprKind::kBinary || e->op != AstBinaryOp::kEq) return {};
-  const AstExprPtr& l = e->left;
-  const AstExprPtr& r = e->right;
-  const AstExprPtr* column = nullptr;
-  const AstExprPtr* literal = nullptr;
-  if (l->kind == AstExprKind::kColumn && IsLiteral(r)) {
-    column = &l;
-    literal = &r;
-  } else if (r->kind == AstExprKind::kColumn && IsLiteral(l)) {
-    column = &r;
-    literal = &l;
-  } else {
+  if (e->kind != AstExprKind::kBinary || !IsComparison(e->op) ||
+      e->op == AstBinaryOp::kNe) {
+    return {};
+  }
+  const AstExprPtr* column = &e->left;
+  const AstExprPtr* literal = &e->right;
+  const bool flipped =
+      e->right->kind == AstExprKind::kColumn && IsLiteral(e->left);
+  if (flipped) {
+    std::swap(column, literal);
+  } else if (e->left->kind != AstExprKind::kColumn || !IsLiteral(e->right)) {
     return {};
   }
   Result<std::pair<size_t, size_t>> loc = ResolveColumn(
@@ -555,7 +563,33 @@ std::optional<std::pair<size_t, AttributeKey>> MatchEqConstraint(
     default:
       return {};
   }
-  return std::make_pair(loc->first, AttributeKey{loc->second, std::move(key)});
+  const AstBinaryOp op = e->op;
+  KeyRange range;
+  if (op == AstBinaryOp::kEq) {
+    range = KeyRange::Point(key);
+  } else {
+    // `x < lit` and `lit > x` bound x from above.
+    const bool upper =
+        (op == AstBinaryOp::kLt || op == AstBinaryOp::kLe) != flipped;
+    const bool inclusive = op == AstBinaryOp::kLe || op == AstBinaryOp::kGe;
+    (upper ? range.hi : range.lo) = KeyBound{std::move(key), inclusive};
+  }
+  return KeyConstraint{loc->first, loc->second, op == AstBinaryOp::kEq,
+                       std::move(range)};
+}
+
+// Narrows `r` to the keys `with` also holds.
+void Intersect(KeyRange* r, const KeyRange& with) {
+  if (with.lo.has_value() &&
+      (!r->lo.has_value() || r->lo->value < with.lo->value ||
+       (!(with.lo->value < r->lo->value) && !with.lo->inclusive))) {
+    r->lo = with.lo;
+  }
+  if (with.hi.has_value() &&
+      (!r->hi.has_value() || with.hi->value < r->hi->value ||
+       (!(r->hi->value < with.hi->value) && !with.hi->inclusive))) {
+    r->hi = with.hi;
+  }
 }
 
 // Records a `x.attr = y.attr` conjunct between two participants as a join
@@ -637,6 +671,18 @@ bool CannotFail(const AstTemporalPredPtr& p) {
   return p == nullptr ||
          (CannotFail(p->left_expr) && CannotFail(p->right_expr) &&
           CannotFail(p->left_pred) && CannotFail(p->right_pred));
+}
+
+// Whether no top-level conjunct of `where` and nothing in `when` can fail.
+// Only then may a plan run them on fewer tuple combinations than the nested
+// loop: the statement must fail exactly as the nested loop does.
+bool CannotFail(const AstExprPtr& where, const AstTemporalPredPtr& when,
+                const std::vector<Participant>& participants) {
+  bool safe = CannotFail(when);
+  ForEachConjunct(where, [&](const AstExprPtr& c) {
+    safe = safe && CannotFail(c, participants);
+  });
+  return safe;
 }
 
 // Compiles the conjunction of `conjuncts` over `p`'s own values.
@@ -818,19 +864,19 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
   if (stmt.where != nullptr) {
     TDB_ASSIGN_OR_RETURN(bound.where,
                          CompileScalarExpr(stmt.where, bound.participants));
-    // Join planning runs only for joins: single-variable reads keep their
-    // plain access path.
+    // Join planning runs only for joins (single-variable reads keep their
+    // plain access path), and only when nothing can fail.
     const size_t n = bound.participants.size();
-    std::vector<std::vector<AstExprPtr>> local(n > 1 ? n : 0);
-    if (n > 1) bound.join_keys.resize(n);
+    const bool plan =
+        n > 1 && CannotFail(stmt.where, stmt.when, bound.participants);
+    std::vector<std::vector<AstExprPtr>> local(plan ? n : 0);
+    if (plan) bound.join_keys.resize(n);
     ForEachConjunct(stmt.where, [&](const AstExprPtr& c) {
-      if (n == 1) return;
+      if (!plan) return;
       CollectJoinKey(c, &bound);
       std::set<size_t> vars;
       ReferencedParticipants(c, bound.participants, &vars);
-      if (vars.size() == 1 && CannotFail(c, bound.participants)) {
-        local[*vars.begin()].push_back(c);
-      }
+      if (vars.size() == 1) local[*vars.begin()].push_back(c);
     });
     for (size_t i = 0; i < local.size(); ++i) {
       TDB_ASSIGN_OR_RETURN(ExprPtr filter,
@@ -871,23 +917,30 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
   return bound;
 }
 
-std::optional<AttributeKey> ProbeKey(
+std::optional<KeyRanges> ProbeKey(
     const AstExprPtr& where, const AstTemporalPredPtr& when,
     const std::vector<Participant>& participants, size_t p) {
-  bool safe = CannotFail(when);
-  std::optional<AttributeKey> key;
+  if (!CannotFail(where, when, participants)) return std::nullopt;
+  std::vector<KeyConstraint> keys;
   ForEachConjunct(where, [&](const AstExprPtr& c) {
-    safe = safe && CannotFail(c, participants);
-    auto eq = MatchEqConstraint(c, participants);
-    // The B+-tree's exact lookup finds exactly the stored values `=` finds
-    // equal to the key.
-    if (!key.has_value() && eq.has_value() && eq->first == p &&
-        participants[p].relation->store()->HasAttributeIndex(
-            eq->second.attr)) {
-      key = std::move(eq->second);
+    std::optional<KeyConstraint> k = MatchKeyConstraint(c, participants);
+    if (k.has_value() && k->participant == p &&
+        participants[p].relation->store()->AttributeIndex(k->attr) !=
+            nullptr) {
+      keys.push_back(std::move(*k));
     }
   });
-  return safe ? key : std::nullopt;
+  if (keys.empty()) return std::nullopt;
+  auto chosen = std::find_if(keys.begin(), keys.end(),
+                             [](const KeyConstraint& k) { return k.equality; });
+  if (chosen == keys.end()) chosen = keys.begin();
+  // The B+-tree orders keys as `Value::Compare` does, so the walk finds
+  // exactly the stored values the conjuncts admit.
+  KeyRange range;
+  for (const KeyConstraint& k : keys) {
+    if (k.attr == chosen->attr) Intersect(&range, k.range);
+  }
+  return KeyRanges{chosen->attr, {std::move(range)}};
 }
 
 }  // namespace tquel

@@ -81,16 +81,17 @@ struct BoundRetrieve {
   TemporalExprPtr asof_at;          ///< Null => no rollback.
   TemporalExprPtr asof_through;
 
-  /// `probe_keys[i]`: participant i's attribute-index key (`ProbeKey`),
-  /// which `StoredRelation::Candidates` probes in place of a scan.  The
-  /// full where clause still runs afterwards, so a key is a pure
+  /// `probe_keys[i]`: participant i's attribute-index key range
+  /// (`ProbeKey`), which `StoredRelation::Candidates` probes in place of a
+  /// scan.  The full where clause still runs afterwards, so a key is a pure
   /// access-path choice.
-  std::vector<std::optional<AttributeKey>> probe_keys;
+  std::vector<std::optional<KeyRanges>> probe_keys;
 
-  /// Join planning, filled only when more than one participant is bound.
-  /// Like `probe_keys`, both only choose which tuple combinations the
-  /// evaluator builds; every combination it builds still runs the full
-  /// `where` and `when`.
+  /// Join planning, filled only when more than one participant is bound
+  /// and no top-level where conjunct and not the `when` can fail (the rule
+  /// of `ProbeKey`).  Like `probe_keys`, both only choose which tuple
+  /// combinations the evaluator builds; every combination it builds still
+  /// runs the full `where` and `when`.
   ///
   /// `join_keys[i]`: the where clause's top-level `x.attr = y.attr`
   /// conjuncts between participant i and an *earlier* participant, whose
@@ -104,9 +105,8 @@ struct BoundRetrieve {
   std::vector<std::vector<JoinKey>> join_keys;
 
   /// `local_filters[i]`: the top-level where conjuncts that reference only
-  /// participant i and cannot fail at run time (comparisons of columns and
-  /// literals of comparable types, under and/or/not), compiled over that
-  /// participant's own values.  Null when there are none.
+  /// participant i, compiled over that participant's own values.  Null when
+  /// there are none.
   std::vector<ExprPtr> local_filters;
 
   TemporalClass result_class = TemporalClass::kStatic;
@@ -118,15 +118,17 @@ struct BoundRetrieve {
 Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
                                       const AnalyzerContext& ctx);
 
-/// The attribute-index key participant `p` of `participants` probes, for
-/// retrieve and DML alike: the first top-level `var.attr = literal`
-/// conjunct of `where` over `p` on an indexed attribute, where the literal
-/// denotes a value of the attribute's type (no float literal on an int
-/// attribute, date literals parsed, string keys only for string
-/// attributes).  None if a top-level conjunct of `where` or the `when`
-/// clause can fail at run time: a probe runs them on fewer rows than the
-/// scan would, and the statement must fail exactly as the scan does.
-std::optional<AttributeKey> ProbeKey(
+/// The attribute-index key range participant `p` of `participants` probes,
+/// for retrieve and DML alike: the first top-level `var.attr = literal`
+/// conjunct of `where` over `p` on an indexed attribute picks the
+/// attribute, else the first `var.attr {<, <=, >, >=} literal` one; every
+/// such conjunct on that attribute narrows the one range.  The literal
+/// (either side) must denote a value of the attribute's type (no float
+/// literal on an int attribute, date literals parsed, string keys only for
+/// string attributes).  None if a top-level conjunct of `where` or the
+/// `when` clause can fail at run time: a probe runs them on fewer rows than
+/// the scan would, and the statement must fail exactly as the scan does.
+std::optional<KeyRanges> ProbeKey(
     const AstExprPtr& where, const AstTemporalPredPtr& when,
     const std::vector<Participant>& participants, size_t p);
 

@@ -210,7 +210,8 @@ struct ShowStmt {
 };
 
 /// `create index on <relation> (<attribute>)` — a secondary B+-tree index
-/// used by the evaluator for equality predicates.
+/// walked for key ranges: equality and literal bounds, and a hash step's
+/// outer keys.
 struct CreateIndexStmt {
   std::string relation;
   std::string attribute;

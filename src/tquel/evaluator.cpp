@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/strings.h"
 #include "index/interval_index.h"
@@ -167,7 +168,9 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
   //  1. A participant with an equality join key to an earlier participant
   //     (`join_keys`) becomes a *hash* step: its candidates are bucketed by
   //     key, so each bound prefix visits only the candidates whose key
-  //     equals the prefix's.
+  //     equals the prefix's.  Without a probe key of its own, an indexed
+  //     join attribute is probed at the head pin for the outer
+  //     candidates' key values, the only buckets ever visited.
   //  2. A participant whose when-clause window depends on earlier
   //     participants becomes a *dynamic* step: its candidates are indexed
   //     by valid period, so each bound prefix visits only the candidates
@@ -207,7 +210,21 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
             bound.when->PushdownWindow(i, shape_probe, i).has_value();
       }
     }
-    level.candidates = rel.Candidates(spec, bound.probe_keys[i]);
+    std::optional<KeyRanges> key = bound.probe_keys[i];
+    if (!key.has_value() && level.key != nullptr &&
+        !spec.snapshot.has_value() &&
+        rel.store()->AttributeIndex(level.key->attr) != nullptr) {
+      // Distinct under `==`, which `Hash` and the B+-tree's order agree
+      // with (keys of one type).
+      std::unordered_set<Value, ValueHash> outer;
+      for (const Candidate& c : levels[level.key->outer].candidates) {
+        outer.insert((*c.values)[level.key->outer_attr]);
+      }
+      key = KeyRanges{level.key->attr, {}};
+      key->ranges.reserve(outer.size());
+      for (const Value& v : outer) key->ranges.push_back(KeyRange::Point(v));
+    }
+    level.candidates = rel.Candidates(spec, key);
     if (level.filter != nullptr) {
       size_t kept = 0;
       for (const Candidate& c : level.candidates) {

@@ -304,6 +304,58 @@ TEST_F(AnalyzerTest, DmlEmptyValidPeriodRejected) {
       ResolveDmlValidClause(std::get<AppendStmt>(*stmt).valid).ok());
 }
 
+// Renders participant 0's probe key as "attr [lo, hi)", "-" for none.
+std::string ProbeKeyOf(const Result<BoundRetrieve>& bound) {
+  if (!bound.ok()) return bound.status().ToString();
+  const std::optional<KeyRanges>& key = bound->probe_keys[0];
+  if (!key.has_value()) return "-";
+  std::string out = std::to_string(key->attr);
+  for (const KeyRange& r : key->ranges) {
+    out += " ";
+    out += r.lo ? (r.lo->inclusive ? "[" : "(") + r.lo->value.ToString()
+                : "(-";
+    out += ", ";
+    out += r.hi ? r.hi->value.ToString() + (r.hi->inclusive ? "]" : ")")
+                : "+)";
+  }
+  return out;
+}
+
+// `ProbeKey`: the literal conjuncts on one indexed attribute intersect into
+// one key range; an equality picks its attribute first.  A literal of
+// another type, `!=`, an `or`, a conjunct that can fail and an unindexed
+// attribute give none.
+TEST_F(AnalyzerTest, ProbeKeyIntersectsLiteralBounds) {
+  AddRelation("faculty", TemporalClass::kStatic);
+  AddRange("f", "faculty");
+  StoredRelation* rel = relations_["faculty"].get();
+  ASSERT_TRUE(rel->CreateIndex("name").ok());
+  ASSERT_TRUE(rel->CreateIndex("salary").ok());
+  ASSERT_TRUE(rel->CreateIndex("hired").ok());
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"f.salary >= 10 and f.salary < 20", "2 [10, 20)"},
+      {"10 < f.salary and 20 >= f.salary", "2 (10, 20]"},
+      {"f.salary >= 5 and f.salary > 5 and f.salary < 9 and f.salary <= 9",
+       "2 (5, 9)"},
+      {"f.salary > 5 and f.salary >= 5", "2 (5, +)"},
+      {"f.salary <= 7", "2 (-, 7]"},
+      {"f.salary = 7 and f.salary >= 3", "2 [7, 7]"},
+      {"f.salary > 30 and f.salary < 10", "2 (30, 10)"},
+      {"f.salary >= 10 and f.name = \"x\"", "0 [x, x]"},
+      {"f.rank = \"x\" and f.salary > 1", "2 (1, +)"},
+      {"f.hired >= \"01/01/80\"", "3 [01/01/80, +)"},
+      {"f.salary < 10.5", "-"},
+      {"f.salary != 3", "-"},
+      {"f.salary >= 10 or f.salary < 2", "-"},
+      {"f.salary >= 10 and f.salary / 0 > 1", "-"},
+      {"f.rank > \"a\"", "-"},
+  };
+  for (const auto& [where, want] : cases) {
+    EXPECT_EQ(ProbeKeyOf(Analyze("retrieve (f.rank) where " + where)), want)
+        << where;
+  }
+}
+
 }  // namespace
 }  // namespace tquel
 }  // namespace temporadb

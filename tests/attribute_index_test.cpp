@@ -19,10 +19,7 @@ class AttributeIndexStoreTest : public testutil::RelationFixture {
   AttributeIndexStoreTest() { MakeRelation(TemporalClass::kTemporal); }
 
   std::vector<RowId> Lookup(const char* name) {
-    Result<std::vector<RowId>> rows =
-        relation_->store()->LookupAttribute(0, Value(name));
-    EXPECT_TRUE(rows.ok());
-    return rows.ok() ? *rows : std::vector<RowId>{};
+    return testutil::IndexRows(*relation_->store(), 0, Value(name));
   }
 };
 
@@ -40,12 +37,8 @@ TEST_F(AttributeIndexStoreTest, CreateIndexValidation) {
   ASSERT_TRUE(relation_->CreateIndex("name").ok());
   EXPECT_EQ(relation_->CreateIndex("name").code(),
             StatusCode::kAlreadyExists);
-  EXPECT_TRUE(relation_->store()->HasAttributeIndex(0));
-  EXPECT_FALSE(relation_->store()->HasAttributeIndex(1));
-  EXPECT_TRUE(relation_->store()
-                  ->LookupAttribute(1, Value("x"))
-                  .status()
-                  .code() == StatusCode::kFailedPrecondition);
+  EXPECT_NE(relation_->store()->AttributeIndex(0), nullptr);
+  EXPECT_EQ(relation_->store()->AttributeIndex(1), nullptr);
 }
 
 TEST_F(AttributeIndexStoreTest, MaintainedAcrossMutations) {

@@ -1,7 +1,8 @@
 // DML victim selection through attribute indexes.  A delete / replace /
-// correct whose where clause pins an indexed attribute to a literal takes
-// its candidates from the index instead of walking the relation; it must
-// rewrite exactly the rows, in exactly the order, of the walk.  Every case
+// correct whose where clause pins an indexed attribute to a literal, or
+// bounds it by literals, takes its candidates from the index instead of
+// walking the relation; it must rewrite exactly the rows, in exactly the
+// order, of the walk.  Every case
 // runs the same statements on two databases, one with `create index` and
 // one without, and compares them slot for slot: row id, tombstone flag and
 // tuple, in all four relation kinds.  `ScanStats::dml_rows_examined` shows
@@ -17,6 +18,7 @@
 #include <vector>
 
 #include "core/database.h"
+#include "tests/relation_test_util.h"
 #include "workload/generator.h"
 
 namespace temporadb {
@@ -289,10 +291,36 @@ class DmlProbeTest : public ::testing::Test {
   static uint64_t KeyRows(Pair* pair, const std::string& rel,
                           const std::string& attr, const Value& key) {
     StoredRelation* r = *pair->indexed()->GetRelation(rel);
-    Result<std::vector<RowId>> rows =
-        r->store()->LookupAttribute(*r->schema().IndexOf(attr), key);
-    EXPECT_TRUE(rows.ok()) << rows.status().ToString();
-    return rows.ok() ? rows->size() : 0;
+    return testutil::IndexRows(*r->store(), *r->schema().IndexOf(attr), key)
+        .size();
+  }
+
+  // Versions (any state) of `rel` whose attribute `attr` lies in `range`.
+  static uint64_t RangeRows(Pair* pair, const std::string& rel,
+                            const std::string& attr, const KeyRange& range) {
+    StoredRelation* r = *pair->indexed()->GetRelation(rel);
+    const BTreeIndex* index =
+        r->store()->AttributeIndex(*r->schema().IndexOf(attr));
+    uint64_t n = 0;
+    if (index == nullptr) return n;
+    index->ForEachInRange(range.lo, range.hi,
+                          [&](const Value&, const std::vector<RowId>& rows) {
+                            n += rows.size();
+                            return true;
+                          });
+    return n;
+  }
+
+  // Runs `stmt`, whose literal conjuncts bound `rel.attr` to `range`, and
+  // checks that it examined exactly the range's versions as they stood
+  // before it ran.
+  static void ExpectRangeProbe(Pair* pair, const std::string& stmt,
+                               const std::string& rel,
+                               const std::string& attr,
+                               const KeyRange& range) {
+    const uint64_t versions = RangeRows(pair, rel, attr, range);
+    EXPECT_GT(versions, 0u) << stmt;
+    EXPECT_EQ(pair->Examined(stmt), versions) << stmt;
   }
 
   // Runs `stmt`, which keys `rel.attr` on `key`, and checks that it
@@ -344,6 +372,51 @@ TEST_F(DmlProbeTest, EveryKindProbesItsKey) {
               "delete p valid from " + Day(kDay - 350) + " to " +
                   Day(kDay - 100) + " where p.emp = 8",
               "pay", "emp", Value(int64_t{8}));
+  EXPECT_EQ(pair.Diff(kRelations), 0u);
+}
+
+// Literal bounds on an indexed attribute probe one key range, in every
+// kind, with `when` and `valid` clauses, on int, string and date keys, and
+// select exactly the walk's victims.  A band over every key passes half
+// the rows and walks.
+TEST_F(DmlProbeTest, RangeKeysProbeLikeTheWalk) {
+  Pair pair;
+  Build(&pair);
+  const auto bound = [](Value v, bool inclusive) {
+    return KeyBound{std::move(v), inclusive};
+  };
+  const auto emp = [](int64_t e) { return Value(e); };
+  ExpectRangeProbe(&pair, "replace p (amount = 1) where p.emp >= 5 and "
+                          "p.emp < 9",
+                   "pay", "emp",
+                   KeyRange{bound(emp(5), true), bound(emp(9), false)});
+  ExpectRangeProbe(&pair,
+                   "delete a valid from " + Day(kDay - 100) + " to " +
+                       Day(kDay - 50) + " where 30 <= a.emp and 34 > a.emp",
+                   "assigns", "emp",
+                   KeyRange{bound(emp(30), true), bound(emp(34), false)});
+  // The correction above re-filed its rows; a second range over them.
+  ExpectRangeProbe(&pair, "replace a (dept = \"k\") where a.emp > 31 and "
+                          "a.emp <= 32",
+                   "assigns", "emp",
+                   KeyRange{bound(emp(31), false), bound(emp(32), true)});
+  ExpectRangeProbe(&pair, "replace h (dept = \"r\") where h.n < 1", "heads",
+                   "n", KeyRange{std::nullopt, bound(emp(1), false)});
+  ExpectRangeProbe(&pair, "replace d (head = \"s\") where d.dept > \"d5\"",
+                   "depts", "dept", KeyRange{bound(Value("d5"), false), {}});
+  ExpectRangeProbe(&pair,
+                   "delete p where p.emp > 36 when p overlap " + Day(kDay),
+                   "pay", "emp", KeyRange{bound(emp(36), false), {}});
+  ExpectRangeProbe(&pair, "correct a where a.emp >= 38", "assigns", "emp",
+                   KeyRange{bound(emp(38), true), {}});
+  ExpectRangeProbe(&pair,
+                   "delete a where a.start >= " + Day(kDay + 3) +
+                       " and a.start < " + Day(kDay + 4),
+                   "assigns", "start",
+                   KeyRange{bound(Value(Date(Chronon(kDay + 3))), true),
+                            bound(Value(Date(Chronon(kDay + 4))), false)});
+  ExpectWalk(&pair, "delete p where p.emp >= 0",
+             CurrentStateRows(pair.indexed(), "pay", FromNow()));
   EXPECT_EQ(pair.Diff(kRelations), 0u);
 }
 
@@ -573,8 +646,8 @@ TEST(DmlProbeCounterTest, KeyedReplaceExaminesOnlyTheKeysVersions) {
   pair.SetDay(3651);
   pair.MustRun("replace x (v = 1) where x.k = 1234");
   const uint64_t versions =
-      (*(*pair.indexed()->GetRelation("t"))->store()->LookupAttribute(
-           0, Value(int64_t{1234})))
+      testutil::IndexRows(*(*pair.indexed()->GetRelation("t"))->store(), 0,
+                          Value(int64_t{1234}))
           .size();
   // The closed original, its remnant before the replace, the new value.
   EXPECT_EQ(versions, 3u);
@@ -585,7 +658,8 @@ TEST(DmlProbeCounterTest, KeyedReplaceExaminesOnlyTheKeysVersions) {
 }
 
 // With transaction time a key's rows include its closed versions; the
-// statement probes them all, even when they outnumber the current state.
+// statement probes them all, even when they outnumber the current state,
+// until they pass half of the relation's rows: then it walks.
 TEST(DmlProbeCounterTest, LongKeyHistoryProbesTheKey) {
   Pair pair;
   pair.SetDay(3650);
@@ -601,11 +675,22 @@ TEST(DmlProbeCounterTest, LongKeyHistoryProbesTheKey) {
                  ") where x.k = 1");
   }
   StoredRelation* r = *pair.indexed()->GetRelation("r");
-  EXPECT_EQ((*r->store()->LookupAttribute(0, Value(int64_t{1}))).size(), 11u);
+  EXPECT_EQ(testutil::IndexRows(*r->store(), 0, Value(int64_t{1})).size(),
+            11u);
   EXPECT_EQ(CurrentStateRows(pair.indexed(), "r"), 4u);
   pair.SetDay(3661);
-  EXPECT_EQ(pair.Examined("replace x (v = 99) where x.k = 1"), 11u);
+  // 11 of 14 rows: the walk of the current state is cheaper.
+  EXPECT_EQ(pair.Examined("replace x (v = 99) where x.k = 1"), 4u);
   EXPECT_EQ(pair.Examined("delete x where x.k = 2"), 1u);
+  // 12 of 56 rows: the key's whole history is probed.
+  pair.MustRun("begin transaction");
+  for (int i = 10; i < 51; ++i) {
+    pair.MustRun("append to r (k = " + std::to_string(i) + ", v = 0)");
+  }
+  pair.MustRun("commit");
+  EXPECT_EQ(testutil::IndexRows(*r->store(), 0, Value(int64_t{1})).size(),
+            12u);
+  EXPECT_EQ(pair.Examined("replace x (v = 98) where x.k = 1"), 12u);
   EXPECT_EQ(pair.Diff({"r"}), 0u);
 }
 

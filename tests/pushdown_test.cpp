@@ -76,7 +76,7 @@ void GrowRandomHistory(Database* db, ManualClock* clock, StoredRelation* rel,
       }
       const int64_t pivot = rng.UniformRange(0, 5);
       TuplePredicate pred = [pivot](const std::vector<Value>& v) {
-        return v[1].AsInt() == pivot;
+        return !v[1].is_null() && v[1].AsInt() == pivot;
       };
       if (op == 1) {
         return rel->DeleteWhere(txn, pred, std::nullopt).status();
@@ -382,8 +382,10 @@ class ReferencePair {
   }
 
   // The writer, a reader pin and the reference answer `query` with the
-  // same rows in the same order; returns how many.
-  size_t ExpectSameRows(const std::string& query) {
+  // same rows in the same order (the reference in any order unless
+  // `reference_order`); returns how many.
+  size_t ExpectSameRows(const std::string& query,
+                        bool reference_order = true) {
     Result<ReadSnapshot> snap = db_->BeginReadSnapshot();
     if (!snap.ok()) {
       ADD_FAILURE() << snap.status().ToString();
@@ -397,16 +399,23 @@ class ReferencePair {
     EXPECT_TRUE(want.ok()) << query << ": " << want.status().ToString();
     if (!writer.ok() || !pinned.ok() || !want.ok()) return 0;
     EXPECT_EQ(writer->Render(), pinned->Render()) << query;
-    std::vector<reference::Fact> got;
+    std::vector<std::string> got;
     for (const Row& r : writer->rows()) {
-      got.push_back({r.values, r.valid.value_or(Period::All()),
-                     r.txn.value_or(Period::All())});
+      got.push_back(reference::FactToString(
+          {r.values, r.valid.value_or(Period::All()),
+           r.txn.value_or(Period::All())}));
     }
-    EXPECT_EQ(got.size(), want->rows.size()) << query;
-    for (size_t i = 0; i < got.size() && i < want->rows.size(); ++i) {
-      EXPECT_EQ(reference::FactToString(got[i]),
-                reference::FactToString(want->rows[i]))
-          << query << " row " << i;
+    std::vector<std::string> expected;
+    for (const reference::Fact& f : want->rows) {
+      expected.push_back(reference::FactToString(f));
+    }
+    if (!reference_order) {
+      std::sort(got.begin(), got.end());
+      std::sort(expected.begin(), expected.end());
+    }
+    EXPECT_EQ(got.size(), expected.size()) << query;
+    for (size_t i = 0; i < got.size() && i < expected.size(); ++i) {
+      EXPECT_EQ(got[i], expected[i]) << query << " row " << i;
     }
     return got.size();
   }
@@ -490,6 +499,204 @@ TEST(OneScanPath, DynamicStepsMatchTheReferenceAtEveryPin) {
       "retrieve (a = x.name, b = y.name) when x overlap y and "
       "not (y precede x)");
   EXPECT_GT(rows, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Key ranges and key sets: the writer probes, a reader pin sweeps
+// ---------------------------------------------------------------------------
+
+// The candidate step with key ranges, in every kind and every spec shape:
+// the writer's probe yields exactly the versions a reader pin's sweep
+// yields with a key in range, in row order, and reads only the ranges'
+// postings until they pass `kProbeFraction` of the rows.  The history holds
+// closed versions, historical corrections (which re-file their rows last in
+// the postings) and null keys.
+TEST(OneScanPath, KeyRangeCandidatesMatchTheSweep) {
+  const char* kCreate[] = {
+      "create relation r (name = string, n = int)",
+      "create rollback relation r (name = string, n = int)",
+      "create historical relation r (name = string, n = int)",
+      "create temporal relation r (name = string, n = int)",
+  };
+  const auto point = [](int64_t v) {
+    return KeyRange::Point(Value(v));
+  };
+  const auto bound = [](int64_t v, bool inclusive) {
+    return KeyBound{Value(v), inclusive};
+  };
+  const std::vector<std::vector<KeyRange>> keys = {
+      {point(2)},
+      {KeyRange{bound(1, true), bound(3, false)}},
+      {KeyRange{bound(1, false), bound(3, true)}},
+      {KeyRange{std::nullopt, bound(1, true)}},  // Nulls too.
+      {KeyRange{bound(4, true), std::nullopt}},
+      {KeyRange{bound(3, true), bound(1, true)}},  // Reversed: nothing.
+      {point(0), point(3), point(5)},              // A hash step's key set.
+      {KeyRange{}},                                // Every key: sweeps.
+  };
+  size_t probed = 0;
+  size_t swept = 0;
+  for (const char* create : kCreate) {
+    for (uint64_t seed : {5u, 17u}) {
+      ManualClock clock{Chronon(0)};
+      DatabaseOptions options;
+      options.clock = &clock;
+      options.store_options.partition_rows = 16;
+      std::unique_ptr<Database> db = std::move(*Database::Open(options));
+      ASSERT_TRUE(db->Execute(create).ok()) << create;
+      ASSERT_TRUE(db->Execute("create index on r (n)").ok());
+      StoredRelation* rel = *db->GetRelation("r");
+      const TemporalClass cls = rel->temporal_class();
+      GrowRandomHistory(db.get(), &clock, rel, seed, 80);
+      ASSERT_TRUE(db->WithTransaction([&](Transaction* txn) {
+                      std::optional<Period> valid;
+                      if (SupportsValidTime(cls)) {
+                        valid = Period(Chronon(10), Chronon(300));
+                      }
+                      return rel->Append(txn, {Value("null"), Value()},
+                                         valid);
+                    }).ok());
+      GrowRandomHistory(db.get(), &clock, rel, seed + 1, 40);
+      Result<ReadSnapshot> snap = db->BeginReadSnapshot();
+      ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+      const size_t rows = rel->store()->HeadPin().rows;
+      std::vector<ScanSpec> specs(4);
+      specs[1].asof = Period::At(Chronon(150));
+      specs[2].asof = Period(Chronon(60), Chronon(200));
+      specs[3].valid_during = Period(Chronon(100), Chronon(160));
+      for (const std::vector<KeyRange>& ranges : keys) {
+        const KeyRanges key{1, ranges};
+        // The postings in range: what the probe reads.
+        size_t postings = 0;
+        const auto in_range = [&](const Value& v) {
+          for (const KeyRange& r : ranges) {
+            if (r.lo && (r.lo->inclusive ? v < r.lo->value
+                                         : !(r.lo->value < v))) {
+              continue;
+            }
+            if (r.hi && (r.hi->inclusive ? r.hi->value < v
+                                         : !(v < r.hi->value))) {
+              continue;
+            }
+            return true;
+          }
+          return false;
+        };
+        rel->store()->ForEach([&](RowId, const BitemporalTuple& t) {
+          if (in_range(t.values[1])) ++postings;
+        });
+        const bool probes = postings <= StoredRelation::kProbeFraction * rows;
+        ++(probes ? probed : swept);
+        for (ScanSpec spec : specs) {
+          const std::vector<RowId> want =
+              Sweep(rel->store(), [&](const BitemporalTuple& t) {
+                return Selects(cls, spec, t) && in_range(t.values[1]);
+              });
+          size_t examined = 0;
+          std::vector<RowId> head;
+          for (const Candidate& c : rel->Candidates(spec, key, &examined)) {
+            if (in_range((*c.values)[1])) head.push_back(c.row);
+          }
+          spec.snapshot = snap->PinFor(rel->store());
+          std::vector<RowId> pinned;
+          size_t yield = 0;
+          for (const Candidate& c : rel->Candidates(spec, key, &yield)) {
+            if (in_range((*c.values)[1])) pinned.push_back(c.row);
+          }
+          const std::string label = std::string(create) + " seed " +
+                                    std::to_string(seed) + " key " +
+                                    std::to_string(&ranges - &keys[0]);
+          EXPECT_EQ(head, want) << label;
+          EXPECT_EQ(pinned, want) << label;
+          // The probe reads the postings; the fallback reads the sweep.
+          EXPECT_EQ(examined, probes ? postings : yield) << label;
+        }
+      }
+    }
+  }
+  EXPECT_GT(probed, 0u);
+  EXPECT_GT(swept, 0u);
+}
+
+// The same shapes through TQuel, in every kind: `var.k <op> literal`
+// conjuncts on an indexed k probe one key range, and a hash step on an
+// indexed k probes its outer side's keys, on the writer path only.
+// Writer, pin and reference answer the same rows (writer and pin in the
+// same order): over closed versions and `as of` windows, a historical
+// correction that re-files its row, null keys (which `<` admits and `=`
+// joins), an outer side with no candidates, and an outer side holding
+// every key, where the probe passes half the rows and sweeps.
+TEST(OneScanPath, KeyRangesAndKeySetsMatchTheReferenceAtEveryPin) {
+  for (const char* kind : {"static", "rollback", "historical", "temporal"}) {
+    SCOPED_TRACE(kind);
+    const std::string k(kind);
+    const bool valid_time = k == "historical" || k == "temporal";
+    const bool txn_time = k == "rollback" || k == "temporal";
+    ReferencePair pair;
+    const std::string day0 = "01/01/80";
+    for (const std::string& ddl :
+         {"create " + k + " relation p (k = int, n = int)",
+          "create " + k + " relation q (k = int, m = int)",
+          std::string("create index on p (k)"),
+          std::string("create index on q (k)"), std::string("range of x is p"),
+          std::string("range of y is q")}) {
+      pair.Exec(day0, ddl);
+    }
+    const auto valid = [&](int from, int to) {
+      return valid_time ? " valid from \"01/" + std::to_string(from) +
+                              "/81\" to \"01/" + std::to_string(to) + "/81\""
+                        : std::string();
+    };
+    for (int i = 0; i < 40; ++i) {
+      pair.Exec(day0, "append to p (k = " + std::to_string(i % 10) +
+                          ", n = " + std::to_string(i) + ")" +
+                          valid(1 + i % 20, 2 + i % 20 + i % 7));
+      pair.Exec(day0, "append to q (k = " + std::to_string(i * 3 % 12) +
+                          ", m = " + std::to_string(i) + ")" +
+                          valid(1 + i % 23, 3 + i % 23));
+    }
+    pair.Exec(day0, "append to p (n = 100)" + valid(2, 9));  // Null keys.
+    pair.Exec(day0, "append to q (m = 100)" + valid(3, 8));
+    // Close versions (with transaction time), and, on a historical
+    // relation, correct rows in place: a correction re-files its row last
+    // in the key's postings.  The reference keeps its facts in another
+    // order after a correction, so only the engine's two paths are
+    // compared in order there.
+    pair.Exec("06/01/80", "replace x (n = x.n + 50)" + valid(4, 12) +
+                              " where x.k = 3 or x.k = 4");
+    pair.Exec("06/02/80", "delete y" + valid(5, 6) + " where y.m < 12");
+    pair.Exec("06/03/80", "replace y (m = y.m + 70) where y.k = 6");
+    const bool in_order = k != "historical";
+
+    std::vector<std::string> suffixes = {""};
+    if (txn_time) {
+      suffixes.push_back(" as of \"03/01/80\"");
+      suffixes.push_back(" as of \"03/01/80\" through \"06/02/80\"");
+    }
+    const std::string when = valid_time ? " when x overlap y" : "";
+    size_t rows = 0;
+    for (const std::string& as_of : suffixes) {
+      SCOPED_TRACE(as_of);
+      for (const std::string& q : std::vector<std::string>{
+               "retrieve (x.k, x.n) where x.k >= 3 and x.k < 7",
+               "retrieve (x.k, x.n) where 2 < x.k and 6 >= x.k",
+               "retrieve (x.n) where x.k <= 1",
+               "retrieve (x.n) where x.k = 5 and x.k >= 2",
+               "retrieve (x.n, y.m) where x.k = y.k and x.k >= 2 and x.k < "
+               "5" + when,
+               "retrieve (x.n, y.m) where x.k = y.k and x.k < 1" + when,
+               "retrieve (x.n, y.m) where y.k = x.k and x.n < 6" + when,
+               "retrieve (x.n, y.m) where x.k = y.k" + when}) {
+        rows += pair.ExpectSameRows(q + as_of, in_order);
+      }
+      for (const std::string& q : std::vector<std::string>{
+               "retrieve (x.n) where x.k > 7 and x.k < 3",
+               "retrieve (x.n, y.m) where x.k = y.k and x.k > 1000" + when}) {
+        EXPECT_EQ(pair.ExpectSameRows(q + as_of), 0u) << q;
+      }
+    }
+    EXPECT_GT(rows, 0u);
+  }
 }
 
 }  // namespace

@@ -450,12 +450,21 @@ class StatementGenerator {
                              ? ", m = " + var + ".n + " + other + ".n"
                              : "") +
                         ")";
-        switch (rng_.Uniform(3)) {
+        switch (rng_.Uniform(5)) {
           case 0:
             q += " where " + var + ".k = " + other + ".k";
             break;
           case 1:
             q += " where not (" + var + ".k != " + other + ".k)";
+            break;
+          case 2:
+            // A key range on the outer side, its keys probed by the inner.
+            q += " where " + var + ".k = " + other + ".k and " + var +
+                 ".k >= " + Key();
+            break;
+          case 3:
+            q += " where " + other + ".k = " + var + ".k and " + Key() +
+                 " > " + other + ".k";
             break;
           default:
             q += " where " + var + ".t = " + other + ".t";
@@ -520,7 +529,7 @@ class StatementGenerator {
     }
   }
   std::string Where(const std::string& var) {
-    switch (rng_.Uniform(4)) {
+    switch (rng_.Uniform(6)) {
       case 0:
         return "";
       case 1:
@@ -528,6 +537,13 @@ class StatementGenerator {
       case 2:
         return " where " + var + ".t = " + Text() + " and " + var +
                ".n < " + Small();
+      case 3:
+        // A key range, the literal on either side.
+        return " where " + var + ".k >= " + Key() + " and " + var +
+               ".k < " + Key();
+      case 4:
+        return " where " + Key() + " < " + var + ".k and " + Key() +
+               " >= " + var + ".k and " + var + ".n <= " + Small();
       default:
         return " where " + var + ".k >= " + Key();
     }

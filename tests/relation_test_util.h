@@ -54,6 +54,22 @@ inline std::vector<RowId> CurrentStateRows(const VersionStore& store) {
   return HeadPinRows(store, std::move(preds));
 }
 
+/// The postings of exactly `key` in `store`'s index on attribute `attr`,
+/// in insertion order; fails the test when `attr` is not indexed.
+inline std::vector<RowId> IndexRows(const VersionStore& store, size_t attr,
+                                    const Value& key) {
+  std::vector<RowId> out;
+  const BTreeIndex* index = store.AttributeIndex(attr);
+  EXPECT_NE(index, nullptr) << "attribute " << attr << " is not indexed";
+  if (index == nullptr) return out;
+  index->ForEachInRange(KeyBound{key, true}, KeyBound{key, true},
+                        [&](const Value&, const std::vector<RowId>& rows) {
+                          out.insert(out.end(), rows.begin(), rows.end());
+                          return true;
+                        });
+  return out;
+}
+
 /// The stored state as of transaction time `t` (a rollback).
 inline ScanSpec AsOf(Chronon t) {
   ScanSpec spec;
