@@ -111,17 +111,15 @@ void BM_TupleStamped(benchmark::State& state) {
     Result<StoredRelation*> rel = sdb.db->GetRelation("r");
     for (const StreamOp& op : ops) {
       sdb.clock->SetTime(Chronon(op.day));
-      std::string target = op.name;
-      TuplePredicate pred = [target](const std::vector<Value>& values) {
-        return values[0].AsString() == target;
-      };
       (void)sdb.db->WithTransaction([&](Transaction* txn) -> Status {
         if (op.is_delete) {
-          return (*rel)->DeleteWhere(txn, pred, std::nullopt).status();
+          return bench::UpdateByName(*rel, txn, op.name, std::nullopt,
+                                     std::nullopt)
+              .status();
         }
         // Upsert: replace if present, else append.
-        Result<size_t> n = (*rel)->ReplaceWhere(
-            txn, pred, {ConstUpdate(1, Value(op.rank))}, std::nullopt);
+        Result<size_t> n = bench::UpdateByName(*rel, txn, op.name, op.rank,
+                                               std::nullopt);
         if (!n.ok()) return n.status();
         if (*n == 0) {
           return (*rel)->Append(txn, {Value(op.name), Value(op.rank)},

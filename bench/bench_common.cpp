@@ -51,6 +51,26 @@ void PrintFigureHeader(const std::string& id, const std::string& title,
   std::printf("=====================================================\n\n");
 }
 
+Result<size_t> UpdateByName(StoredRelation* rel, Transaction* txn,
+                            const std::string& name,
+                            const std::optional<std::string>& rank,
+                            std::optional<Period> valid) {
+  TDB_ASSIGN_OR_RETURN(std::optional<Period> window,
+                       rel->DmlWindow(txn, valid));
+  std::vector<RowId> victims;
+  std::vector<std::vector<Value>> values;
+  for (const Candidate& c : rel->DmlCandidates(window, std::nullopt)) {
+    if ((*c.values)[0].AsString() != name) continue;
+    victims.push_back(c.row);
+    if (rank.has_value()) values.push_back({(*c.values)[0], Value(*rank)});
+  }
+  TDB_RETURN_IF_ERROR(
+      rank.has_value()
+          ? rel->Replace(txn, victims, std::move(values), window)
+          : rel->Delete(txn, victims, window));
+  return victims.size();
+}
+
 StoredRelation* PopulateStream(Database* db, ManualClock* clock,
                                const std::string& relation, TemporalClass cls,
                                size_t n_entities, size_t churn, uint64_t seed,
@@ -83,21 +103,15 @@ StoredRelation* PopulateStream(Database* db, ManualClock* clock,
                                    static_cast<int64_t>(rng.Uniform(90))));
     }
     Status s = db->WithTransaction([&](Transaction* txn) -> Status {
-      std::string target = name;
-      TuplePredicate pred = [target](const std::vector<Value>& values) {
-        return values[0].AsString() == target;
-      };
       uint64_t pick = rng.Uniform(10);
       if (pick < 5) {
         return (*rel)->Append(txn, {Value(name), Value(rank)}, valid);
       }
-      if (pick < 8) {
-        UpdateSpec updates{ConstUpdate(1, Value(rank))};
-        Result<size_t> n = (*rel)->ReplaceWhere(txn, pred, updates, valid);
-        return n.ok() ? Status::OK() : n.status();
-      }
-      Result<size_t> n = (*rel)->DeleteWhere(txn, pred, valid);
-      return n.ok() ? Status::OK() : n.status();
+      return UpdateByName(*rel, txn, name,
+                          pick < 8 ? std::optional<std::string>(rank)
+                                   : std::nullopt,
+                          valid)
+          .status();
     });
     if (!s.ok()) {
       std::fprintf(stderr, "stream op failed: %s\n", s.ToString().c_str());

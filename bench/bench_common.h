@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/random.h"
@@ -44,6 +45,15 @@ class FigureRun {
   std::string id_;
   std::chrono::steady_clock::time_point start_;
 };
+
+/// On a (name, rank) relation, a `delete` (no `rank`) or a `replace` of
+/// the rank of the versions named `name` over valid clause `valid`, run as
+/// the TQuel evaluator runs it: select, then the kind's write step.
+/// Returns the number of versions changed.
+Result<size_t> UpdateByName(StoredRelation* rel, Transaction* txn,
+                            const std::string& name,
+                            const std::optional<std::string>& rank,
+                            std::optional<Period> valid);
 
 /// A synthetic update stream against one (name, rank) relation: `n_entities`
 /// keys receiving inserts/replaces/deletes with retroactive and postactive

@@ -15,13 +15,10 @@ Status HistoricalRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-Result<size_t> HistoricalRelation::DoDeleteWhere(Transaction* txn,
-                                                 const VictimFilter& match,
-                                                 std::optional<Period> valid) {
-  TDB_ASSIGN_OR_RETURN(Period del, ResolveValidPeriod(txn, valid));
-  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims, SelectVictims(match, del));
-  TDB_RETURN_IF_ERROR(EraseValidity(txn, victims, del));
-  return victims.size();
+Status HistoricalRelation::Delete(Transaction* txn,
+                                  const std::vector<RowId>& victims,
+                                  std::optional<Period> window) {
+  return EraseValidity(txn, victims, *window);
 }
 
 Status HistoricalRelation::EraseValidity(Transaction* txn,
@@ -56,43 +53,34 @@ Status HistoricalRelation::EraseValidity(Transaction* txn,
   return Status::OK();
 }
 
-Result<size_t> HistoricalRelation::DoReplaceWhere(Transaction* txn,
-                                                  const VictimFilter& match,
-                                                  const UpdateSpec& updates,
-                                                  std::optional<Period> valid) {
-  TDB_ASSIGN_OR_RETURN(Period rep, ResolveValidPeriod(txn, valid));
-  // Replace = delete the old values over the period, then record the new
-  // values over (old validity ∩ period).  Collect the insertions before
-  // deleting so the predicate sees the pre-statement state.
-  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims, SelectVictims(match, rep));
+Status HistoricalRelation::Replace(Transaction* txn,
+                                   const std::vector<RowId>& victims,
+                                   std::vector<std::vector<Value>> values,
+                                   std::optional<Period> window) {
+  // Replace = delete the old values over the window, then record the new
+  // values over (old validity ∩ window).  The new versions are built before
+  // the erase rewrites the old ones in place.
   std::vector<BitemporalTuple> insertions;
-  for (RowId row : victims) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
-    BitemporalTuple updated = *t;
-    TDB_ASSIGN_OR_RETURN(updated.values,
-                         ApplyUpdates(updates, updated.values));
-    TDB_ASSIGN_OR_RETURN(updated.values,
-                         CheckValues(std::move(updated.values)));
-    updated.valid = updated.valid.Intersect(rep);
-    insertions.push_back(std::move(updated));
+  insertions.reserve(victims.size());
+  for (size_t i = 0; i < victims.size(); ++i) {
+    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(victims[i]));
+    insertions.push_back(BitemporalTuple{
+        std::move(values[i]), t->valid.Intersect(*window), t->txn});
   }
-  TDB_RETURN_IF_ERROR(EraseValidity(txn, victims, rep));
+  TDB_RETURN_IF_ERROR(EraseValidity(txn, victims, *window));
   for (BitemporalTuple& t : insertions) {
     TDB_ASSIGN_OR_RETURN(RowId row, store_.Append(txn, std::move(t)));
     (void)row;
   }
-  return insertions.size();
+  return Status::OK();
 }
 
-Result<size_t> HistoricalRelation::CorrectErase(
-    Transaction* txn, const TuplePredicate& pred,
-    const std::optional<KeyRanges>& key) {
-  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
-                       SelectVictims({pred, nullptr, key}, std::nullopt));
+Status HistoricalRelation::CorrectErase(Transaction* txn,
+                                        const std::vector<RowId>& victims) {
   for (RowId row : victims) {
     TDB_RETURN_IF_ERROR(store_.PhysicalDelete(txn, row));
   }
-  return victims.size();
+  return Status::OK();
 }
 
 }  // namespace temporadb

@@ -19,7 +19,7 @@ namespace temporadb {
 ///  - `Append` records a fact over any valid period, past or future
 ///    (retroactive and postactive changes are just periods that don't start
 ///    "now");
-///  - `DeleteWhere` removes validity over a period, physically trimming —
+///  - `Delete` removes validity over a period, physically trimming —
 ///    and, when the deleted period falls strictly inside a fact's validity,
 ///    *splitting* — the stored versions;
 ///  - `CorrectErase` physically removes versions, leaving no trace.
@@ -32,16 +32,18 @@ class HistoricalRelation : public StoredRelation {
   Status Append(Transaction* txn, std::vector<Value> values,
                 std::optional<Period> valid) override;
 
-  Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,
-                               std::optional<Period> valid) override;
+  Status Delete(Transaction* txn, const std::vector<RowId>& victims,
+                std::optional<Period> window) override;
 
-  Result<size_t> DoReplaceWhere(Transaction* txn, const VictimFilter& match,
-                                const UpdateSpec& updates,
-                                std::optional<Period> valid) override;
+  Status Replace(Transaction* txn, const std::vector<RowId>& victims,
+                 std::vector<std::vector<Value>> values,
+                 std::optional<Period> window) override;
 
-  Result<size_t> CorrectErase(
-      Transaction* txn, const TuplePredicate& pred,
-      const std::optional<KeyRanges>& key = {}) override;
+  /// The write step of `correct`: physically removes `victims` (rows of
+  /// `DmlCandidates(std::nullopt, ...)`), leaving no trace (§4.3: "there is
+  /// no record kept of the errors that have been corrected").  Only this
+  /// kind has it.
+  Status CorrectErase(Transaction* txn, const std::vector<RowId>& victims);
 
  private:
   /// Removes validity over `del` from each victim: trims it, splits it

@@ -110,15 +110,17 @@ struct PartitionSynopsis {
 /// null = off).  Atomic so concurrent snapshot readers and the writer can
 /// all report; `Reset()` between queries gives per-query numbers.
 ///
-/// Accounting identity (per predicated sequential/snapshot scan):
+/// Accounting identity (per scan that walks the synopses):
 ///   considered == pruned_tt + pruned_vt + pruned_snapshot + scanned.
-/// Unpredicated scans (ScanAll) skip the synopsis walk entirely and leave
-/// the counters untouched.  `rows_scanned` counts rows in surviving sealed
-/// partitions plus the hot tail; `batch_morsels_formed` counts the
-/// batch-aligned chunks a batch scan actually formed — a pruned partition
-/// contributes zero (pruning happens before the chunk grid exists).
-/// `dml_rows_examined` counts the rows DML victim selection read
-/// (`StoredRelation::SelectVictims`): a key's whole posting list, or the
+/// A head-pin scan with no window, and any scan of a store with no sealed
+/// partition, skips the synopsis walk and leaves the partition counters
+/// untouched.  `rows_scanned` counts every row a scan reads: the pin's rows
+/// when it skips the walk, else the rows of surviving sealed partitions
+/// plus the hot tail.  `batch_morsels_formed` counts the batch-aligned
+/// chunks a batch scan actually formed — a pruned partition contributes
+/// zero (pruning happens before the chunk grid exists).
+/// `dml_rows_examined` counts the rows DML candidate selection read
+/// (`StoredRelation::DmlCandidates`): a key's whole posting list, or the
 /// rows its scan yielded.
 struct ScanStats {
   std::atomic<uint64_t> partitions_considered{0};

@@ -15,44 +15,34 @@ Status RollbackRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-Result<size_t> RollbackRelation::DoDeleteWhere(Transaction* txn,
-                                               const VictimFilter& match,
-                                               std::optional<Period> valid) {
-  TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
+Status RollbackRelation::Delete(Transaction* txn,
+                                const std::vector<RowId>& victims,
+                                std::optional<Period>) {
   // Only the current state is mutable; deleting means the tuple stops being
   // part of the stored state from this transaction on.  Past states are
   // untouched and remain reachable by rollback.
-  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
-                       SelectVictims(match, std::nullopt));
   for (RowId row : victims) {
     TDB_RETURN_IF_ERROR(store_.CloseTxn(txn, row, txn->timestamp()));
   }
-  return victims.size();
+  return Status::OK();
 }
 
-Result<size_t> RollbackRelation::DoReplaceWhere(Transaction* txn,
-                                                const VictimFilter& match,
-                                                const UpdateSpec& updates,
-                                                std::optional<Period> valid) {
-  TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
+Status RollbackRelation::Replace(Transaction* txn,
+                                 const std::vector<RowId>& victims,
+                                 std::vector<std::vector<Value>> values,
+                                 std::optional<Period>) {
   // Close the old version at T and append the updated one at [T, ∞): the
   // new static state differs from the old exactly in the replaced tuples.
-  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
-                       SelectVictims(match, std::nullopt));
-  for (RowId row : victims) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
-    BitemporalTuple updated = *t;
-    TDB_ASSIGN_OR_RETURN(updated.values,
-                         ApplyUpdates(updates, updated.values));
-    TDB_ASSIGN_OR_RETURN(updated.values,
-                         CheckValues(std::move(updated.values)));
-    updated.txn = Period::From(txn->timestamp());
-    TDB_RETURN_IF_ERROR(store_.CloseTxn(txn, row, txn->timestamp()));
+  for (size_t i = 0; i < victims.size(); ++i) {
+    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(victims[i]));
+    BitemporalTuple updated{std::move(values[i]), t->valid,
+                            Period::From(txn->timestamp())};
+    TDB_RETURN_IF_ERROR(store_.CloseTxn(txn, victims[i], txn->timestamp()));
     TDB_ASSIGN_OR_RETURN(RowId new_row,
                          store_.Append(txn, std::move(updated)));
     (void)new_row;
   }
-  return victims.size();
+  return Status::OK();
 }
 
 }  // namespace temporadb

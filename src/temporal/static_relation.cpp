@@ -16,35 +16,26 @@ Status StaticRelation::Append(Transaction* txn, std::vector<Value> values,
   return Status::OK();
 }
 
-Result<size_t> StaticRelation::DoDeleteWhere(Transaction* txn,
-                                             const VictimFilter& match,
-                                             std::optional<Period> valid) {
-  TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
-  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
-                       SelectVictims(match, std::nullopt));
+Status StaticRelation::Delete(Transaction* txn,
+                              const std::vector<RowId>& victims,
+                              std::optional<Period>) {
   for (RowId row : victims) {
     TDB_RETURN_IF_ERROR(store_.PhysicalDelete(txn, row));
   }
-  return victims.size();
+  return Status::OK();
 }
 
-Result<size_t> StaticRelation::DoReplaceWhere(Transaction* txn,
-                                              const VictimFilter& match,
-                                              const UpdateSpec& updates,
-                                              std::optional<Period> valid) {
-  TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
-  TDB_ASSIGN_OR_RETURN(std::vector<RowId> victims,
-                       SelectVictims(match, std::nullopt));
-  for (RowId row : victims) {
-    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(row));
-    BitemporalTuple updated = *t;
-    TDB_ASSIGN_OR_RETURN(updated.values,
-                         ApplyUpdates(updates, updated.values));
-    TDB_ASSIGN_OR_RETURN(updated.values,
-                         CheckValues(std::move(updated.values)));
-    TDB_RETURN_IF_ERROR(store_.PhysicalUpdate(txn, row, std::move(updated)));
+Status StaticRelation::Replace(Transaction* txn,
+                               const std::vector<RowId>& victims,
+                               std::vector<std::vector<Value>> values,
+                               std::optional<Period>) {
+  for (size_t i = 0; i < victims.size(); ++i) {
+    TDB_ASSIGN_OR_RETURN(const BitemporalTuple* t, store_.Get(victims[i]));
+    TDB_RETURN_IF_ERROR(store_.PhysicalUpdate(
+        txn, victims[i], BitemporalTuple{std::move(values[i]), t->valid,
+                                         t->txn}));
   }
-  return victims.size();
+  return Status::OK();
 }
 
 }  // namespace temporadb

@@ -23,12 +23,12 @@ class StaticRelation : public StoredRelation {
   Status Append(Transaction* txn, std::vector<Value> values,
                 std::optional<Period> valid) override;
 
-  Result<size_t> DoDeleteWhere(Transaction* txn, const VictimFilter& match,
-                               std::optional<Period> valid) override;
+  Status Delete(Transaction* txn, const std::vector<RowId>& victims,
+                std::optional<Period> window) override;
 
-  Result<size_t> DoReplaceWhere(Transaction* txn, const VictimFilter& match,
-                                const UpdateSpec& updates,
-                                std::optional<Period> valid) override;
+  Status Replace(Transaction* txn, const std::vector<RowId>& victims,
+                 std::vector<std::vector<Value>> values,
+                 std::optional<Period> window) override;
 };
 
 }  // namespace temporadb

@@ -10,43 +10,24 @@
 
 namespace temporadb {
 
-UpdateAction ConstUpdate(size_t index, Value v) {
-  return UpdateAction{
-      index,
-      [v = std::move(v)](const std::vector<Value>&) -> Result<Value> {
-        return v;
-      }};
-}
-
-Result<std::vector<Value>> ApplyUpdates(const UpdateSpec& updates,
-                                        const std::vector<Value>& values) {
-  std::vector<Value> out = values;
-  for (const UpdateAction& action : updates) {
-    if (action.index >= out.size()) {
-      return Status::InvalidArgument("update index out of range");
-    }
-    TDB_ASSIGN_OR_RETURN(out[action.index], action.compute(values));
+Result<std::optional<Period>> StoredRelation::DmlWindow(
+    Transaction* txn, std::optional<Period> valid) const {
+  if (!SupportsValidTime(info_.temporal_class)) {
+    TDB_RETURN_IF_ERROR(RejectValidPeriod(valid));
+    return std::optional<Period>();
   }
-  return out;
+  TDB_ASSIGN_OR_RETURN(Period window, ResolveValidPeriod(txn, valid));
+  return std::optional<Period>(window);
 }
 
-Result<size_t> StoredRelation::CorrectErase(
-    Transaction*, const TuplePredicate&, const std::optional<KeyRanges>&) {
-  return Status::NotSupported(StringPrintf(
-      "physical corrections are only meaningful for historical relations; "
-      "'%s' is %s",
-      info_.name.c_str(),
-      std::string(TemporalClassName(info_.temporal_class)).c_str()));
-}
-
-Result<std::vector<RowId>> StoredRelation::SelectVictims(
-    const VictimFilter& match, std::optional<Period> window) const {
+std::vector<Candidate> StoredRelation::DmlCandidates(
+    std::optional<Period> window, const std::optional<KeyRanges>& key) const {
   ScanSpec spec;
   spec.valid_during = window;
   size_t examined = 0;
-  std::vector<Candidate> candidates = Candidates(spec, match.key, &examined);
+  std::vector<Candidate> candidates = Candidates(spec, key, &examined);
   if (window.has_value() && !SupportsTransactionTime(info_.temporal_class)) {
-    // The historical walk's order: (valid begin, row).
+    // The historical rewrite's order: (valid begin, row).
     std::stable_sort(candidates.begin(), candidates.end(),
                      [](const Candidate& a, const Candidate& b) {
                        return a.valid.begin() < b.valid.begin();
@@ -55,39 +36,7 @@ Result<std::vector<RowId>> StoredRelation::SelectVictims(
   if (ScanStats* stats = store_.options().scan_stats) {
     stats->dml_rows_examined.fetch_add(examined, std::memory_order_relaxed);
   }
-  std::vector<RowId> victims;
-  for (const Candidate& c : candidates) {
-    if (match.when != nullptr && !match.when(c.valid)) continue;
-    if (match.pred(*c.values)) victims.push_back(c.row);
-  }
-  return victims;
-}
-
-Result<size_t> StoredRelation::DeleteWhere(
-    Transaction* txn, const TuplePredicate& pred, std::optional<Period> valid,
-    const PeriodPredicate& when, const std::optional<KeyRanges>& key) {
-  if (when != nullptr && !SupportsValidTime(info_.temporal_class)) {
-    return Status::NotSupported(StringPrintf(
-        "relation '%s' is %s and does not maintain valid time; a 'when' "
-        "clause is not supported",
-        info_.name.c_str(),
-        std::string(TemporalClassName(info_.temporal_class)).c_str()));
-  }
-  return DoDeleteWhere(txn, {pred, when, key}, std::move(valid));
-}
-
-Result<size_t> StoredRelation::ReplaceWhere(
-    Transaction* txn, const TuplePredicate& pred, const UpdateSpec& updates,
-    std::optional<Period> valid, const PeriodPredicate& when,
-    const std::optional<KeyRanges>& key) {
-  if (when != nullptr && !SupportsValidTime(info_.temporal_class)) {
-    return Status::NotSupported(StringPrintf(
-        "relation '%s' is %s and does not maintain valid time; a 'when' "
-        "clause is not supported",
-        info_.name.c_str(),
-        std::string(TemporalClassName(info_.temporal_class)).c_str()));
-  }
-  return DoReplaceWhere(txn, {pred, when, key}, updates, std::move(valid));
+  return candidates;
 }
 
 VersionBatchScan StoredRelation::BatchScan(const ScanSpec& spec) const {

@@ -1,7 +1,6 @@
 #ifndef TEMPORADB_TEMPORAL_STORED_RELATION_H_
 #define TEMPORADB_TEMPORAL_STORED_RELATION_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -12,16 +11,6 @@
 #include "txn/transaction.h"
 
 namespace temporadb {
-
-/// A predicate over a tuple's explicit attribute values, used to select the
-/// targets of `delete`/`replace` statements.  The TQuel evaluator compiles
-/// `where` clauses down to this.
-using TuplePredicate = std::function<bool(const std::vector<Value>&)>;
-
-/// A predicate over a tuple's valid period — the DML `when` clause
-/// (e.g. `delete f when f precede "01/01/80"`).  Null means "no when
-/// clause"; only kinds with valid time accept one.
-using PeriodPredicate = std::function<bool(Period)>;
 
 /// A range of keys, between `lo` and `hi` in `Value`'s order; an absent end
 /// is open (see `BTreeIndex::ForEachInRange`).
@@ -43,26 +32,6 @@ struct KeyRanges {
   size_t attr;
   std::vector<KeyRange> ranges;
 };
-
-/// A DML statement's selection, which the kinds' `Do*` overrides forward
-/// to `SelectVictims`.  Valid for one call.
-struct VictimFilter {
-  const TuplePredicate& pred;
-  const PeriodPredicate& when;
-  const std::optional<KeyRanges>& key;
-};
-
-/// One attribute assignment of a `replace` statement.  `compute` receives
-/// the tuple's *old* values, so assignments like `salary = f.salary * 1.1`
-/// work; use `ConstUpdate` for plain constants.
-struct UpdateAction {
-  size_t index;
-  std::function<Result<Value>(const std::vector<Value>&)> compute;
-};
-using UpdateSpec = std::vector<UpdateAction>;
-
-/// An assignment to a constant value.
-UpdateAction ConstUpdate(size_t index, Value v);
 
 /// The time windows a statement pushes down into its candidate step
 /// (`StoredRelation::Candidates`, `BatchScan`).  It yields exactly the
@@ -102,10 +71,6 @@ struct Candidate {
   }
 };
 
-/// Applies an update spec to a copy of `values`.
-Result<std::vector<Value>> ApplyUpdates(const UpdateSpec& updates,
-                                        const std::vector<Value>& values);
-
 /// Base class of the four stored-relation kinds.
 ///
 /// The subclasses map one-to-one onto the paper's taxonomy (Figure 10):
@@ -117,12 +82,26 @@ Result<std::vector<Value>> ApplyUpdates(const UpdateSpec& updates,
 /// | `HistoricalRelation` | valid                  | arbitrary correction  |
 /// | `TemporalRelation`   | transaction and valid  | append-only histories |
 ///
-/// The shared DML vocabulary is `Append` / `DeleteWhere` / `ReplaceWhere`,
-/// each taking an optional *valid-time period*.  Kinds that do not support
-/// valid time reject a supplied period with `NotSupported` — this is the
-/// taxonomy made executable: a retroactive change is exactly a DML statement
-/// whose valid period differs from "now on", and only historical/temporal
-/// relations accept one (§4.3/§4.4).
+/// A `delete`, `replace` or `correct` runs in three phases, and only the
+/// last one is the kind's:
+///
+///  1. *select* (the TQuel evaluator): `DmlWindow` resolves the statement's
+///     valid window, `DmlCandidates` reads the versions it may touch in the
+///     order the kind rewrites them, and `when` and `where` pick the
+///     victims;
+///  2. *compute*: a `replace` evaluates every victim's new values;
+///  3. *write*: `Delete`, `Replace` or `HistoricalRelation::CorrectErase`
+///     rewrites the victims as the kind's update discipline says.
+///
+/// The write step's only failure is the correction fence of an in-place
+/// kind (`MvccState::BeginCorrection`), which refuses the statement's first
+/// in-place call, before anything has changed.  So a failing statement
+/// changes nothing, inside an explicit transaction too.
+///
+/// A DML valid period is where the taxonomy becomes executable: a
+/// retroactive change is exactly a statement whose valid period differs
+/// from "now on", and only historical/temporal relations accept one
+/// (§4.3/§4.4); the others reject it with `NotSupported`.
 class StoredRelation {
  public:
   explicit StoredRelation(RelationInfo info, VersionStoreOptions options = {})
@@ -143,32 +122,34 @@ class StoredRelation {
   virtual Status Append(Transaction* txn, std::vector<Value> values,
                         std::optional<Period> valid) = 0;
 
-  /// Deletes the facts matching `pred` over the valid period `valid`
-  /// (nullopt: "from the transaction timestamp on" with valid time, the
-  /// whole tuple without).  The optional `when` predicate additionally
-  /// filters targets by their valid period (TQuel's `when` on DML); it is
-  /// NotSupported on kinds without valid time.  Returns the number of
-  /// tuples affected.  A `key` that `pred` implies lets the attribute
-  /// index supply the candidates (see `Candidates`).
-  Result<size_t> DeleteWhere(Transaction* txn, const TuplePredicate& pred,
-                             std::optional<Period> valid,
-                             const PeriodPredicate& when = nullptr,
-                             const std::optional<KeyRanges>& key = {});
+  /// The valid window of a `delete` or `replace` with valid clause `valid`:
+  /// the period the write step rewrites and the valid window of its
+  /// candidates.  Kinds with valid time default to "from the transaction
+  /// timestamp on" (an event: the timestamp); kinds without it have none
+  /// and reject a supplied period with NotSupported.
+  Result<std::optional<Period>> DmlWindow(Transaction* txn,
+                                          std::optional<Period> valid) const;
 
-  /// Applies `updates` to the facts matching `pred` (and `when`) over the
-  /// valid period.  Returns the number of tuples affected.
-  Result<size_t> ReplaceWhere(Transaction* txn, const TuplePredicate& pred,
-                              const UpdateSpec& updates,
-                              std::optional<Period> valid,
-                              const PeriodPredicate& when = nullptr,
-                              const std::optional<KeyRanges>& key = {});
+  /// The versions a DML statement over `window` may select, read from the
+  /// state before it writes: `Candidates` at the head pin with `window` as
+  /// the valid window (so with transaction time only the current state),
+  /// probing `key` when there is one.  They come in the order the write
+  /// step rewrites them: row order, but (valid begin, row) under a
+  /// historical window.
+  std::vector<Candidate> DmlCandidates(
+      std::optional<Period> window, const std::optional<KeyRanges>& key) const;
 
-  /// Historical-only physical correction: removes matching versions
-  /// entirely, leaving no trace (§4.3: "there is no record kept of the
-  /// errors that have been corrected").  NotSupported elsewhere.
-  virtual Result<size_t> CorrectErase(
-      Transaction* txn, const TuplePredicate& pred,
-      const std::optional<KeyRanges>& key = {});
+  /// The write step of `delete`: removes `window` (`DmlWindow`'s) from each
+  /// of `victims`, rows `DmlCandidates` returned, in that order.
+  virtual Status Delete(Transaction* txn, const std::vector<RowId>& victims,
+                        std::optional<Period> window) = 0;
+
+  /// The write step of `replace`: `values[i]`, already computed and
+  /// coerced to the schema, replace the values of `victims[i]` over
+  /// `window`.
+  virtual Status Replace(Transaction* txn, const std::vector<RowId>& victims,
+                         std::vector<std::vector<Value>> values,
+                         std::optional<Period> window) = 0;
 
   /// The relation's one scan: the state at a pin, as a pin-bounded,
   /// partition-pruned kernel sweep.  `spec.snapshot` names a reader pin;
@@ -216,24 +197,6 @@ class StoredRelation {
   const VersionStore* store() const { return &store_; }
 
  protected:
-  /// Kind-specific DML (the public wrappers validate `when` first).
-  virtual Result<size_t> DoDeleteWhere(Transaction* txn,
-                                       const VictimFilter& match,
-                                       std::optional<Period> valid) = 0;
-  virtual Result<size_t> DoReplaceWhere(Transaction* txn,
-                                        const VictimFilter& match,
-                                        const UpdateSpec& updates,
-                                        std::optional<Period> valid) = 0;
-
-  /// The rows a DML statement changes, read from the state before it runs:
-  /// `Candidates` at the head pin, with `window` as the valid window (so
-  /// with transaction time only the current state, and only versions
-  /// overlapping the window), probing `match.key` when there is one.
-  /// `when` and then `pred` filter them.  They come back in row order, but
-  /// in (valid begin, row) order under a historical window.
-  Result<std::vector<RowId>> SelectVictims(const VictimFilter& match,
-                                           std::optional<Period> window) const;
-
   /// Validates arity/types and coerces values against the schema.
   Result<std::vector<Value>> CheckValues(std::vector<Value> values) const;
 

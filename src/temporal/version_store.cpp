@@ -717,6 +717,10 @@ std::vector<RowRange> VersionStore::PruneRanges(const BatchPredicates& preds,
   const uint64_t sealed_count =
       reader ? sealed_count_.load(std::memory_order_acquire) : sealed_.size();
   if (!predicated || sealed_count == 0) {
+    // Nothing to prune: every row under the pin is read.
+    if (ScanStats* stats = options_.scan_stats) {
+      stats->rows_scanned.fetch_add(limit, std::memory_order_relaxed);
+    }
     out.push_back(RowRange{0, limit});
     return out;
   }

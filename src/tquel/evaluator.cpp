@@ -8,6 +8,7 @@
 #include "common/strings.h"
 #include "index/interval_index.h"
 #include "rel/temporal_ops.h"
+#include "temporal/historical_relation.h"
 
 namespace temporadb {
 namespace tquel {
@@ -37,22 +38,6 @@ Result<Value> CoerceForAttribute(const Type& type, Value v) {
   return type.Coerce(v);
 }
 
-// Compiles a single-variable where clause into a TuplePredicate.  Evaluation
-// errors surface through `error` (checked after the DML call).
-TuplePredicate CompilePredicate(ExprPtr expr, Status* error) {
-  if (expr == nullptr) {
-    return [](const std::vector<Value>&) { return true; };
-  }
-  return [expr = std::move(expr), error](const std::vector<Value>& values) {
-    Result<bool> r = EvalPredicate(*expr, values);
-    if (!r.ok()) {
-      if (error->ok()) *error = r.status();
-      return false;
-    }
-    return *r;
-  };
-}
-
 Result<Participant> SingleParticipant(const EvalContext& ctx,
                                       const std::string& variable) {
   if (ctx.ranges == nullptr || !ctx.ranges->contains(variable)) {
@@ -64,12 +49,14 @@ Result<Participant> SingleParticipant(const EvalContext& ctx,
   return Participant{variable, rel, 0};
 }
 
-Result<UpdateSpec> CompileAssignments(
+// One compiled `replace` assignment: attribute index and expression.
+using Assignment = std::pair<size_t, ExprPtr>;
+
+Result<std::vector<Assignment>> CompileAssignments(
     const std::vector<std::pair<std::string, AstExprPtr>>& assignments,
     const Participant& participant) {
-  UpdateSpec spec;
+  std::vector<Assignment> out;
   const Schema& schema = participant.relation->schema();
-  std::vector<Participant> single{participant};
   for (const auto& [attr, ast] : assignments) {
     std::optional<size_t> idx = schema.IndexOf(attr);
     if (!idx.has_value()) {
@@ -77,34 +64,82 @@ Result<UpdateSpec> CompileAssignments(
           "relation '%s' has no attribute '%s'",
           participant.relation->info().name.c_str(), attr.c_str()));
     }
-    TDB_ASSIGN_OR_RETURN(ExprPtr expr, CompileScalarExpr(ast, single));
-    Type type = schema.at(*idx).type;
-    spec.push_back(UpdateAction{
-        *idx, [expr, type](const std::vector<Value>& old) -> Result<Value> {
-          TDB_ASSIGN_OR_RETURN(Value v, expr->Eval(old));
-          return CoerceForAttribute(type, std::move(v));
-        }});
+    TDB_ASSIGN_OR_RETURN(ExprPtr expr, CompileScalarExpr(ast, {participant}));
+    out.emplace_back(*idx, std::move(expr));
   }
-  return spec;
+  return out;
 }
 
-// Compiles a DML when clause (over the single range variable) into a
-// PeriodPredicate; evaluation errors surface through `error`.
-Result<PeriodPredicate> CompileDmlWhen(const AstTemporalPredPtr& ast,
-                                       const Participant& participant,
-                                       Status* error) {
-  if (ast == nullptr) return PeriodPredicate(nullptr);
-  TDB_ASSIGN_OR_RETURN(TemporalPredPtr pred,
-                       CompileTemporalPred(ast, {participant}));
-  return PeriodPredicate(
-      [pred, error](Period valid) {
-        Result<bool> r = pred->Eval({valid});
-        if (!r.ok()) {
-          if (error->ok()) *error = r.status();
-          return false;
-        }
-        return *r;
-      });
+// The select phase of a DML statement: `rel`'s candidates over `window` in
+// the order the kind rewrites them (`DmlCandidates`) that pass `when`, then
+// `where`.  The first error fails the statement before anything is written.
+Result<std::vector<RowId>> SelectVictims(const StoredRelation& rel,
+                                         std::optional<Period> window,
+                                         const std::optional<KeyRanges>& key,
+                                         const TemporalPred* when,
+                                         const Expr* where) {
+  PeriodBinding binding(1);
+  std::vector<RowId> victims;
+  for (const Candidate& c : rel.DmlCandidates(window, key)) {
+    bool keep = true;
+    if (when != nullptr) {
+      binding[0] = c.valid;
+      TDB_ASSIGN_OR_RETURN(keep, when->Eval(binding));
+    }
+    if (keep && where != nullptr) {
+      TDB_ASSIGN_OR_RETURN(keep, EvalPredicate(*where, *c.values));
+    }
+    if (keep) victims.push_back(c.row);
+  }
+  return victims;
+}
+
+// What the select phase of a `delete` or `replace` found.
+struct Selection {
+  std::optional<Period> window;
+  std::vector<RowId> victims;
+};
+
+// Compiles and runs the select phase of a `delete` or `replace` over
+// participant `p`.
+Result<Selection> SelectForUpdate(Transaction* txn, const Participant& p,
+                                  const AstExprPtr& where_ast,
+                                  const AstTemporalPredPtr& when_ast,
+                                  const std::optional<ValidClause>& valid) {
+  ExprPtr where;
+  if (where_ast != nullptr) {
+    TDB_ASSIGN_OR_RETURN(where, CompileScalarExpr(where_ast, {p}));
+  }
+  TDB_ASSIGN_OR_RETURN(std::optional<Period> period,
+                       ResolveDmlValidClause(valid));
+  const StoredRelation& rel = *p.relation;
+  TemporalPredPtr when;
+  if (when_ast != nullptr) {
+    TDB_ASSIGN_OR_RETURN(when, CompileTemporalPred(when_ast, {p}));
+    if (!SupportsValidTime(rel.temporal_class())) {
+      return Status::NotSupported(StringPrintf(
+          "relation '%s' is %s and does not maintain valid time; a 'when' "
+          "clause is not supported",
+          rel.info().name.c_str(),
+          std::string(TemporalClassName(rel.temporal_class())).c_str()));
+    }
+  }
+  Selection out;
+  TDB_ASSIGN_OR_RETURN(out.window, rel.DmlWindow(txn, period));
+  TDB_ASSIGN_OR_RETURN(
+      out.victims, SelectVictims(rel, out.window,
+                                 ProbeKey(where_ast, when_ast, {p}, 0),
+                                 when.get(), where.get()));
+  return out;
+}
+
+// A DML statement's result: `count` tuples, "<verb> <count> tuple(s)".
+ExecResult Counted(size_t count, const char* verb) {
+  ExecResult r;
+  r.kind = ExecResult::Kind::kCount;
+  r.count = count;
+  r.message = StringPrintf("%s %zu tuple(s)", verb, count);
+  return r;
 }
 
 // Applies the aggregation step of an aggregate retrieve: the raw rowset has
@@ -478,31 +513,19 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
       return r;
     }
 
+    // DML runs as select, compute, write (see StoredRelation): nothing is
+    // written until every victim is selected and every new value computed.
     Result<ExecResult> operator()(const DeleteStmt& s) {
       if (ctx.txn == nullptr) {
         return Status::FailedPrecondition("delete requires a transaction");
       }
       TDB_ASSIGN_OR_RETURN(Participant p, SingleParticipant(ctx, s.variable));
-      ExprPtr where;
-      if (s.where != nullptr) {
-        TDB_ASSIGN_OR_RETURN(where, CompileScalarExpr(s.where, {p}));
-      }
-      TDB_ASSIGN_OR_RETURN(std::optional<Period> valid,
-                           ResolveDmlValidClause(s.valid));
-      Status pred_error = Status::OK();
-      TDB_ASSIGN_OR_RETURN(PeriodPredicate when,
-                           CompileDmlWhen(s.when, p, &pred_error));
       TDB_ASSIGN_OR_RETURN(
-          size_t count,
-          p.relation->DeleteWhere(
-              ctx.txn, CompilePredicate(std::move(where), &pred_error), valid,
-              when, ProbeKey(s.where, s.when, {p}, 0)));
-      TDB_RETURN_IF_ERROR(pred_error);
-      ExecResult r;
-      r.kind = ExecResult::Kind::kCount;
-      r.count = count;
-      r.message = StringPrintf("deleted %zu tuple(s)", count);
-      return r;
+          Selection sel,
+          SelectForUpdate(ctx.txn, p, s.where, s.when, s.valid));
+      TDB_RETURN_IF_ERROR(p.relation->Delete(ctx.txn, sel.victims,
+                                             sel.window));
+      return Counted(sel.victims.size(), "deleted");
     }
 
     Result<ExecResult> operator()(const ReplaceStmt& s) {
@@ -510,28 +533,30 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
         return Status::FailedPrecondition("replace requires a transaction");
       }
       TDB_ASSIGN_OR_RETURN(Participant p, SingleParticipant(ctx, s.variable));
-      TDB_ASSIGN_OR_RETURN(UpdateSpec updates,
+      TDB_ASSIGN_OR_RETURN(std::vector<Assignment> assignments,
                            CompileAssignments(s.assignments, p));
-      ExprPtr where;
-      if (s.where != nullptr) {
-        TDB_ASSIGN_OR_RETURN(where, CompileScalarExpr(s.where, {p}));
-      }
-      TDB_ASSIGN_OR_RETURN(std::optional<Period> valid,
-                           ResolveDmlValidClause(s.valid));
-      Status pred_error = Status::OK();
-      TDB_ASSIGN_OR_RETURN(PeriodPredicate when,
-                           CompileDmlWhen(s.when, p, &pred_error));
       TDB_ASSIGN_OR_RETURN(
-          size_t count,
-          p.relation->ReplaceWhere(
-              ctx.txn, CompilePredicate(std::move(where), &pred_error),
-              updates, valid, when, ProbeKey(s.where, s.when, {p}, 0)));
-      TDB_RETURN_IF_ERROR(pred_error);
-      ExecResult r;
-      r.kind = ExecResult::Kind::kCount;
-      r.count = count;
-      r.message = StringPrintf("replaced %zu tuple(s)", count);
-      return r;
+          Selection sel,
+          SelectForUpdate(ctx.txn, p, s.where, s.when, s.valid));
+      // Every victim's new values, computed from its old ones.
+      const Schema& schema = p.relation->schema();
+      std::vector<std::vector<Value>> values;
+      values.reserve(sel.victims.size());
+      for (RowId row : sel.victims) {
+        TDB_ASSIGN_OR_RETURN(const BitemporalTuple* old,
+                             p.relation->store()->Get(row));
+        std::vector<Value> updated = old->values;
+        for (const auto& [idx, expr] : assignments) {
+          TDB_ASSIGN_OR_RETURN(Value v, expr->Eval(old->values));
+          TDB_ASSIGN_OR_RETURN(updated[idx], CoerceForAttribute(
+                                                 schema.at(idx).type,
+                                                 std::move(v)));
+        }
+        values.push_back(std::move(updated));
+      }
+      TDB_RETURN_IF_ERROR(p.relation->Replace(ctx.txn, sel.victims,
+                                              std::move(values), sel.window));
+      return Counted(sel.victims.size(), "replaced");
     }
 
     Result<ExecResult> operator()(const CorrectStmt& s) {
@@ -543,18 +568,22 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
       if (s.where != nullptr) {
         TDB_ASSIGN_OR_RETURN(where, CompileScalarExpr(s.where, {p}));
       }
-      Status pred_error = Status::OK();
+      auto* historical = dynamic_cast<HistoricalRelation*>(p.relation);
+      if (historical == nullptr) {
+        return Status::NotSupported(StringPrintf(
+            "physical corrections are only meaningful for historical "
+            "relations; '%s' is %s",
+            p.relation->info().name.c_str(),
+            std::string(TemporalClassName(p.relation->temporal_class()))
+                .c_str()));
+      }
       TDB_ASSIGN_OR_RETURN(
-          size_t count,
-          p.relation->CorrectErase(
-              ctx.txn, CompilePredicate(std::move(where), &pred_error),
-              ProbeKey(s.where, nullptr, {p}, 0)));
-      TDB_RETURN_IF_ERROR(pred_error);
-      ExecResult r;
-      r.kind = ExecResult::Kind::kCount;
-      r.count = count;
-      r.message = StringPrintf("corrected (erased) %zu tuple(s)", count);
-      return r;
+          std::vector<RowId> victims,
+          SelectVictims(*historical, std::nullopt,
+                        ProbeKey(s.where, nullptr, {p}, 0), nullptr,
+                        where.get()));
+      TDB_RETURN_IF_ERROR(historical->CorrectErase(ctx.txn, victims));
+      return Counted(victims.size(), "corrected (erased)");
     }
 
     Result<ExecResult> operator()(const ShowStmt& s) {

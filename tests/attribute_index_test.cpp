@@ -9,6 +9,7 @@
 
 #include "core/database.h"
 #include "core/paper_scenario.h"
+#include "temporal/historical_relation.h"
 #include "tests/relation_test_util.h"
 
 namespace temporadb {
@@ -59,8 +60,7 @@ TEST_F(AttributeIndexStoreTest, UndoRestoresIndex) {
   ASSERT_TRUE(relation_->Append(*txn, {Value("b"), Value("2")},
                                 std::nullopt)
                   .ok());
-  ASSERT_TRUE(
-      relation_->DeleteWhere(*txn, NameIs("a"), Period::All()).ok());
+  ASSERT_TRUE(DeleteIn(*txn, "a", Period::All()).ok());
   ASSERT_TRUE(manager_.Abort(*txn).ok());
   EXPECT_EQ(Lookup("a").size(), 1u);
   EXPECT_TRUE(Lookup("b").empty());
@@ -78,10 +78,13 @@ TEST_F(AttributeIndexStoreTest, HistoricalPhysicalOpsMaintainIndex) {
   // Physical erase drops both fragments.
   size_t count = 0;
   ASSERT_TRUE(AtDate("07/01/80", [&](Transaction* txn) -> Status {
-                TDB_ASSIGN_OR_RETURN(count,
-                                     relation_->CorrectErase(txn,
-                                                             NameIs("a")));
-                return Status::OK();
+                TDB_ASSIGN_OR_RETURN(
+                    testutil::Selection sel,
+                    testutil::SelectEqual(*relation_, txn, 0, Value("a"),
+                                          std::nullopt));
+                count = sel.victims.size();
+                return static_cast<HistoricalRelation*>(relation_.get())
+                    ->CorrectErase(txn, sel.victims);
               }).ok());
   EXPECT_EQ(count, 2u);
   EXPECT_TRUE(Lookup("a").empty());

@@ -1,8 +1,13 @@
 #include "core/database.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 namespace temporadb {
 namespace {
@@ -221,6 +226,111 @@ TEST_F(DatabaseTest, ReadYourWritesInsideATransaction) {
     EXPECT_EQ(Facts(db->Query("retrieve (x.name, x.n)")), before);
   }
 }
+
+// --- Statement atomicity ---------------------------------------------------
+
+// A DML statement that fails changes nothing, also inside an explicit
+// transaction that commits after it: the committed state, and the state
+// reopened from the WAL, equal the state before the statement.  Each kind
+// gets three failures: a `where` that fails on some candidates, a `replace`
+// assignment that fails on a later victim, and a failing `when` (for kinds
+// without valid time, a `when` is itself the error).
+class StatementAtomicityTest : public ::testing::TestWithParam<const char*> {
+ protected:
+  ~StatementAtomicityTest() override { std::filesystem::remove_all(dir_); }
+
+  std::unique_ptr<Database> Open() {
+    DatabaseOptions options;
+    options.path = dir_;
+    options.clock = &clock_;
+    Result<std::unique_ptr<Database>> db = Database::Open(options);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return db.ok() ? std::move(*db) : nullptr;
+  }
+
+  // Every stored version of `u`, as `show` lists it.
+  static std::vector<Row> Show(Database* db) {
+    Result<tquel::ExecResult> r = db->Execute("show u");
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.ok() ? r->rows.rows() : std::vector<Row>{};
+  }
+
+  // Creates `u (k, n)` holding `rows` (k, n, valid from), runs `stmt` in an
+  // explicit transaction, expects it to fail, commits, and checks the
+  // state before and after reopening.
+  void ExpectNoChange(const std::vector<std::array<int64_t, 2>>& rows,
+                      const std::string& stmt) {
+    SCOPED_TRACE(stmt);
+    const std::string kind = GetParam();
+    const bool valid_time = kind == "historical" || kind == "temporal";
+    // A fresh database directory per statement.
+    std::filesystem::remove_all(dir_);
+    dir_ = testing::TempDir() + "/tdb_atomic_" + std::to_string(::getpid()) +
+           "_" + std::to_string(counter_++);
+    std::filesystem::remove_all(dir_);
+    std::vector<Row> before;
+    {
+      std::unique_ptr<Database> db = Open();
+      ASSERT_NE(db, nullptr);
+      clock_.SetDate("01/01/84").ok();
+      ASSERT_TRUE(db->Execute("create " + kind +
+                              " relation u (k = int, n = int)")
+                      .ok());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        // Valid from 01/01/80, 01/01/81, ...: one begin per row.
+        const std::string from = "\"01/01/8" + std::to_string(i) + "\"";
+        ASSERT_TRUE(db->Execute("append to u (k = " +
+                                std::to_string(rows[i][0]) +
+                                ", n = " + std::to_string(rows[i][1]) + ")" +
+                                (valid_time ? " valid from " + from +
+                                                  " to \"inf\""
+                                            : ""))
+                        .ok());
+      }
+      before = Show(db.get());
+      ASSERT_EQ(before.size(), rows.size());
+      clock_.SetDate("01/01/85").ok();
+      ASSERT_TRUE(db->Execute("range of u is u").ok());
+      ASSERT_TRUE(db->Execute("begin transaction").ok());
+      EXPECT_FALSE(db->Execute(stmt).ok());
+      ASSERT_TRUE(db->Execute("commit transaction").ok());
+      EXPECT_EQ(Show(db.get()), before) << "after commit";
+    }
+    std::unique_ptr<Database> db = Open();
+    ASSERT_NE(db, nullptr);
+    EXPECT_EQ(Show(db.get()), before) << "after reopening";
+  }
+
+  static int counter_;
+  std::string dir_;
+  ManualClock clock_;
+};
+
+int StatementAtomicityTest::counter_ = 0;
+
+TEST_P(StatementAtomicityTest, FailingWhereChangesNothing) {
+  // The first candidate fails; the second would be selected.
+  ExpectNoChange({{1, 0}, {2, 1}}, "delete u where 10 / u.n > 1");
+  ExpectNoChange({{1, 0}, {2, 1}}, "replace u (n = 5) where 10 / u.n > 1");
+}
+
+TEST_P(StatementAtomicityTest, FailingAssignmentChangesNothing) {
+  // The first victim computes, the second divides by zero.
+  ExpectNoChange({{1, 1}, {2, 0}}, "replace u (n = 10 / u.n)");
+}
+
+TEST_P(StatementAtomicityTest, FailingWhenChangesNothing) {
+  // `begin of` an empty overlap: only the first candidate's validity
+  // (from 01/01/80) contains 06/01/80, so the second fails.
+  const std::string when =
+      " when begin of (u overlap \"06/01/80\") precede \"01/01/90\"";
+  ExpectNoChange({{1, 1}, {2, 1}}, "delete u" + when);
+  ExpectNoChange({{1, 1}, {2, 1}}, "replace u (n = 7)" + when);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, StatementAtomicityTest,
+                         ::testing::Values("static", "rollback", "historical",
+                                           "temporal"));
 
 }  // namespace
 }  // namespace temporadb

@@ -146,10 +146,13 @@ TEST_F(HistoricalRelationTest, CorrectEraseSupported) {
   ASSERT_TRUE(Append("01/01/80", "Oops", "bad").ok());
   size_t count = 0;
   ASSERT_TRUE(AtDate("02/01/80", [&](Transaction* txn) -> Status {
-                TDB_ASSIGN_OR_RETURN(count,
-                                     relation_->CorrectErase(txn,
-                                                             NameIs("Oops")));
-                return Status::OK();
+                TDB_ASSIGN_OR_RETURN(
+                    testutil::Selection sel,
+                    testutil::SelectEqual(*relation_, txn, 0, Value("Oops"),
+                                          std::nullopt));
+                count = sel.victims.size();
+                return static_cast<HistoricalRelation*>(relation_.get())
+                    ->CorrectErase(txn, sel.victims);
               }).ok());
   EXPECT_EQ(count, 1u);
   EXPECT_TRUE(VersionsOf("Oops").empty());
@@ -179,9 +182,7 @@ TEST_F(HistoricalRelationTest, AbortRestoresSplits) {
   clock_.SetDate("06/01/80").ok();
   Result<Transaction*> txn = manager_.Begin();
   ASSERT_TRUE(txn.ok());
-  ASSERT_TRUE(relation_->DeleteWhere(*txn, NameIs("Ann"),
-                                     Between("01/01/82", "01/01/83"))
-                  .ok());
+  ASSERT_TRUE(DeleteIn(*txn, "Ann", Between("01/01/82", "01/01/83")).ok());
   ASSERT_TRUE(manager_.Abort(*txn).ok());
   auto versions = VersionsOf("Ann");
   ASSERT_EQ(versions.size(), 1u);

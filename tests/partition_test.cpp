@@ -646,6 +646,49 @@ TEST(PartitionStatsTest, SnapshotScansSkipPartitionsSealedAboveThePin) {
   h.store->set_scan_stats(nullptr);
 }
 
+// `rows_scanned` counts every row a sweep reads, also when there is nothing
+// to prune: a head-pin sweep of a static relation has no window, and a store
+// with no sealed partition has no synopsis.  The writer and a reader pin
+// over the same rows report the same count, unpartitioned and partitioned.
+TEST(PartitionStatsTest, HeadAndReaderPinSweepsCountTheSameRows) {
+  for (size_t partition_rows : {size_t{0}, size_t{8}}) {
+    SCOPED_TRACE("partition_rows " + std::to_string(partition_rows));
+    ManualClock clock;
+    ScanStats stats;
+    DatabaseOptions options;
+    options.clock = &clock;
+    options.store_options.partition_rows = partition_rows;
+    options.store_options.scan_stats = &stats;
+    std::unique_ptr<Database> db = std::move(*Database::Open(options));
+    clock.SetTime(Chronon(100));
+    ASSERT_TRUE(db->Execute("create static relation s (n = int)").ok());
+    ASSERT_TRUE(db->Execute("range of x is s").ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(
+          db->Execute("append to s (n = " + std::to_string(i) + ")").ok());
+    }
+    ASSERT_TRUE(db->Execute("delete x where x.n = 3").ok());
+    const StoredRelation* rel = *db->GetRelation("s");
+    EXPECT_EQ(rel->store()->sealed_partition_count(),
+              partition_rows == 0 ? 0u : 2u);
+
+    const auto sweep = [&](const ScanSpec& spec) {
+      stats.Reset();
+      Sequence got = CollectBatches(rel->BatchScan(spec));
+      EXPECT_EQ(got.size(), 19u);
+      return stats.rows();
+    };
+    const uint64_t head = sweep(ScanSpec{});
+    Result<ReadSnapshot> snap = db->BeginReadSnapshot();
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    ScanSpec at_pin;
+    at_pin.snapshot = snap->PinFor(rel->store());
+    const uint64_t pinned = sweep(at_pin);
+    EXPECT_EQ(head, 20u);  // The deleted row's slot is swept too.
+    EXPECT_EQ(pinned, head);
+  }
+}
+
 // --- Key sketch and synopsis codec ----------------------------------------
 
 TEST(KeySketchTest, NoFalseNegatives) {

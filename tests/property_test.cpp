@@ -75,26 +75,22 @@ Status ApplyOp(StoredRelation* rel, TxnManager* manager, ManualClock* clock,
   if (!txn.ok()) return txn.status();
   std::optional<Period> valid;
   if (use_valid) valid = ValidOf(op);
-  std::string name = op.name;
-  TuplePredicate pred = [name](const std::vector<Value>& values) {
-    return values[0].AsString() == name;
-  };
   Status s;
   switch (op.kind) {
     case Op::Kind::kInsert:
       s = rel->Append(*txn, {Value(op.name), Value(op.rank)}, valid);
       break;
-    case Op::Kind::kDelete: {
-      Result<size_t> n = rel->DeleteWhere(*txn, pred, valid);
-      s = n.ok() ? Status::OK() : n.status();
+    case Op::Kind::kDelete:
+      s = testutil::UpdateEqual(rel, *txn, 0, Value(op.name), std::nullopt,
+                                valid)
+              .status();
       break;
-    }
-    case Op::Kind::kReplace: {
-      UpdateSpec updates{ConstUpdate(1, Value(op.rank))};
-      Result<size_t> n = rel->ReplaceWhere(*txn, pred, updates, valid);
-      s = n.ok() ? Status::OK() : n.status();
+    case Op::Kind::kReplace:
+      s = testutil::UpdateEqual(rel, *txn, 0, Value(op.name),
+                                std::pair<size_t, Value>{1, Value(op.rank)},
+                                valid)
+              .status();
       break;
-    }
   }
   if (!s.ok()) {
     EXPECT_TRUE(manager->Abort(*txn).ok());

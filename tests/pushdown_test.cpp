@@ -14,6 +14,7 @@
 #include "core/database.h"
 #include "temporal/read_snapshot.h"
 #include "temporal/stored_relation.h"
+#include "tests/relation_test_util.h"
 #include "workload/reference.h"
 
 namespace temporadb {
@@ -74,15 +75,17 @@ void GrowRandomHistory(Database* db, ManualClock* clock, StoredRelation* rel,
             txn, {Value(rng.NextName(4)), Value(rng.UniformRange(0, 5))},
             valid);
       }
-      const int64_t pivot = rng.UniformRange(0, 5);
-      TuplePredicate pred = [pivot](const std::vector<Value>& v) {
-        return !v[1].is_null() && v[1].AsInt() == pivot;
-      };
+      const Value pivot(rng.UniformRange(0, 5));
       if (op == 1) {
-        return rel->DeleteWhere(txn, pred, std::nullopt).status();
+        return testutil::UpdateEqual(rel, txn, 1, pivot, std::nullopt,
+                                     std::nullopt)
+            .status();
       }
-      UpdateSpec updates{ConstUpdate(1, Value(rng.UniformRange(0, 5)))};
-      return rel->ReplaceWhere(txn, pred, updates, std::nullopt).status();
+      return testutil::UpdateEqual(
+                 rel, txn, 1, pivot,
+                 std::pair<size_t, Value>{1, Value(rng.UniformRange(0, 5))},
+                 std::nullopt)
+          .status();
     });
     ASSERT_TRUE(s.ok()) << s.ToString();
   }

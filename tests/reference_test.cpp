@@ -311,6 +311,8 @@ class Differential {
     if (want.ok()) {
       ++succeeded_;
       if (want->count > 0) ++nonempty_;
+    } else {
+      ++failed_;
     }
     const auto expect_answer = [&](const Rowset& rows) {
       EXPECT_EQ(rows.temporal_class(), want->result_class);
@@ -344,6 +346,28 @@ class Differential {
     }
   }
 
+  // Runs the DML statements `members` in one explicit transaction on every
+  // engine, at transaction time `day`, each checked as `Run` checks it; the
+  // transaction commits whichever of them failed.  A failing statement
+  // changes nothing, in the engines as in the reference.
+  void RunTransaction(int64_t day, const std::vector<std::string>& members) {
+    for (const auto& e : engines_) {
+      e->clock.SetTime(Chronon(day));
+      ASSERT_TRUE(e->db->Execute("begin transaction").ok());
+    }
+    for (const std::string& stmt : members) {
+      const size_t failed = failed_;
+      Run(day, stmt);
+      if (testing::Test::HasFatalFailure()) return;
+      failed_in_transactions_ += failed_ - failed;
+    }
+    for (const auto& e : engines_) {
+      const Result<tquel::ExecResult> commit =
+          e->db->Execute("commit transaction");
+      ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+    }
+  }
+
   // The reference's rows for `query` (checked on every engine by Run).
   std::vector<Fact> Rows(int64_t day, const std::string& query) {
     Run(day, query);
@@ -354,6 +378,8 @@ class Differential {
   // Statements that succeeded, and those that selected or answered a row.
   size_t succeeded() const { return succeeded_; }
   size_t nonempty() const { return nonempty_; }
+  // Failed statements inside transactions that went on to commit.
+  size_t failed_in_transactions() const { return failed_in_transactions_; }
 
   void ExpectSameStore() {
     for (const auto& [name, rel] : model_.relations()) {
@@ -370,6 +396,8 @@ class Differential {
   std::vector<std::unique_ptr<Engine>> engines_;
   size_t succeeded_ = 0;
   size_t nonempty_ = 0;
+  size_t failed_ = 0;
+  size_t failed_in_transactions_ = 0;
 };
 
 // The wide-int repro: rows k = 2^53 (n = 1) and k = 2^53 + 1 (n = 2) of `w`
@@ -419,15 +447,11 @@ class StatementGenerator {
     switch (rng_.Uniform(8)) {
       case 0:
       case 1:
-        return "append to " + rel + " (k = " + Key() + ", n = " + Small() +
-               ", t = " + Text() + ")" + (valid_time ? Valid(day) : "");
+        return Append(rel, valid_time, day);
       case 2:
-        return "delete " + var + (valid_time ? Valid(day) : "") + Where(var) +
-               (valid_time && rng_.OneIn(3) ? When(var, day) : "");
+        return Delete(var, valid_time, day);
       case 3:
-        return "replace " + var + " (n = " + var + ".n + 1, t = " + Text() +
-               ")" + (valid_time ? Valid(day) : "") + Where(var) +
-               (valid_time && rng_.OneIn(3) ? When(var, day) : "");
+        return Replace(var, valid_time, day);
       case 4:
         return rng_.OneIn(3) ? "correct h" + Where("h")
                              : "retrieve (" + var + ".k, " + var + ".n, " +
@@ -480,10 +504,56 @@ class StatementGenerator {
     }
   }
 
+  // A member of an explicit transaction: a DML statement, half of them
+  // built to fail on some rows -- a `where` or an assignment dividing by a
+  // zero `n`, or a `when` taking `begin of` an empty overlap.
+  std::string NextMember(int64_t day) {
+    const int kind = static_cast<int>(rng_.Uniform(4));
+    const std::string rel = kRelations[kind];
+    const std::string var = kVars[kind];
+    const bool valid_time = kind >= 2;
+    const std::string valid = valid_time ? Valid(day) : "";
+    switch (rng_.Uniform(6)) {
+      case 0:
+        return Append(rel, valid_time, day);
+      case 1:
+        return Delete(var, valid_time, day);
+      case 2:
+        return Replace(var, valid_time, day);
+      case 3:
+        return "delete " + var + valid + " where 10 / " + var + ".n > 1";
+      case 4:
+        return "replace " + var + " (n = 10 / " + var + ".n)" + valid +
+               Where(var);
+      default:
+        if (!valid_time) {
+          return "replace " + var + " (t = \"z\") where " + var +
+                 ".k >= 10 / " + var + ".n";
+        }
+        return "delete " + var + valid + " when begin of (" + var +
+               " overlap " + Date(day - 20 + rng_.Uniform(40)) +
+               ") precede " + Date(day);
+    }
+  }
+
   static constexpr const char* kRelations[] = {"st", "ro", "hi", "te"};
   static constexpr const char* kVars[] = {"s", "r", "h", "t"};
 
  private:
+  std::string Append(const std::string& rel, bool valid_time, int64_t day) {
+    return "append to " + rel + " (k = " + Key() + ", n = " + Small() +
+           ", t = " + Text() + ")" + (valid_time ? Valid(day) : "");
+  }
+  std::string Delete(const std::string& var, bool valid_time, int64_t day) {
+    return "delete " + var + (valid_time ? Valid(day) : "") + Where(var) +
+           (valid_time && rng_.OneIn(3) ? When(var, day) : "");
+  }
+  std::string Replace(const std::string& var, bool valid_time, int64_t day) {
+    return "replace " + var + " (n = " + var + ".n + 1, t = " + Text() +
+           ")" + (valid_time ? Valid(day) : "") + Where(var) +
+           (valid_time && rng_.OneIn(3) ? When(var, day) : "");
+  }
+
   std::string Key() {
     static const char* kKeys[] = {"0",
                                   "1",
@@ -577,14 +647,22 @@ TEST(ReferenceDifferential, RandomStatementsAgreeOnEveryKind) {
       // Often several statements on one day: replaces of facts recorded
       // that same day leave empty transaction periods behind.
       if (clock_rng.OneIn(3)) day += 1 + clock_rng.Uniform(3);
-      diff.Run(day, gen.Next(day));
+      if (clock_rng.OneIn(10)) {
+        // An explicit transaction of 2-4 members that commits after them.
+        std::vector<std::string> members(2 + clock_rng.Uniform(3));
+        for (std::string& m : members) m = gen.NextMember(day);
+        diff.RunTransaction(day, members);
+      } else {
+        diff.Run(day, gen.Next(day));
+      }
       if (testing::Test::HasFatalFailure()) return;
     }
     diff.ExpectSameStore();
-    // The stream exercises data: most statements are legal, and many
-    // select or answer rows.
+    // The stream exercises data: most statements are legal, many select or
+    // answer rows, and committed transactions hold failed members.
     EXPECT_GT(diff.succeeded(), 300u);
     EXPECT_GT(diff.nonempty(), 150u);
+    EXPECT_GT(diff.failed_in_transactions(), 10u);
   }
 }
 

@@ -84,6 +84,48 @@ inline ScanSpec ValidAt(Chronon v) {
   return spec;
 }
 
+/// The select phase of a DML statement `where values[attr] = key` over
+/// valid clause `valid`, as the evaluator runs it: the statement's window
+/// and the rows it rewrites, in the kind's order.
+struct Selection {
+  std::optional<Period> window;
+  std::vector<RowId> victims;
+};
+inline Result<Selection> SelectEqual(const StoredRelation& rel,
+                                     Transaction* txn, size_t attr,
+                                     const Value& key,
+                                     std::optional<Period> valid) {
+  Selection out;
+  TDB_ASSIGN_OR_RETURN(out.window, rel.DmlWindow(txn, valid));
+  for (const Candidate& c : rel.DmlCandidates(out.window, std::nullopt)) {
+    if ((*c.values)[attr] == key) out.victims.push_back(c.row);
+  }
+  return out;
+}
+
+/// A `delete` (no `set`) or a `replace` that sets attribute `set->first` to
+/// `set->second` of the versions `SelectEqual` picks: the select phase,
+/// then the kind's write step.  Returns the number of victims.
+inline Result<size_t> UpdateEqual(StoredRelation* rel, Transaction* txn,
+                                  size_t attr, const Value& key,
+                                  std::optional<std::pair<size_t, Value>> set,
+                                  std::optional<Period> valid) {
+  TDB_ASSIGN_OR_RETURN(Selection sel,
+                       SelectEqual(*rel, txn, attr, key, valid));
+  if (!set.has_value()) {
+    TDB_RETURN_IF_ERROR(rel->Delete(txn, sel.victims, sel.window));
+    return sel.victims.size();
+  }
+  std::vector<std::vector<Value>> values;
+  for (RowId row : sel.victims) {
+    values.push_back((*rel->store()->Get(row))->values);
+    values.back()[set->first] = set->second;
+  }
+  TDB_RETURN_IF_ERROR(
+      rel->Replace(txn, sel.victims, std::move(values), sel.window));
+  return sel.victims.size();
+}
+
 /// An in-memory database on `clock` after `steps` (core/paper_scenario.h):
 /// the statement-level counterpart of `RelationFixture`.
 inline std::unique_ptr<Database> Replayed(
@@ -150,19 +192,26 @@ class RelationFixture : public ::testing::Test {
     });
   }
 
-  static TuplePredicate NameIs(const char* name) {
-    std::string n = name;
-    return [n](const std::vector<Value>& values) {
-      return values[0].AsString() == n;
-    };
+  /// Deletes the versions named `name` over `valid` in `txn`.
+  Result<size_t> DeleteIn(Transaction* txn, const char* name,
+                          std::optional<Period> valid = std::nullopt) {
+    return UpdateEqual(relation_.get(), txn, 0, Value(name), std::nullopt,
+                       valid);
+  }
+
+  /// Sets the rank of the versions named `name` to `new_rank` in `txn`.
+  Result<size_t> ReplaceIn(Transaction* txn, const char* name,
+                           const char* new_rank,
+                           std::optional<Period> valid = std::nullopt) {
+    return UpdateEqual(relation_.get(), txn, 0, Value(name),
+                       std::pair<size_t, Value>{1, Value(new_rank)}, valid);
   }
 
   Result<size_t> Delete(const char* date, const char* name,
                         std::optional<Period> valid = std::nullopt) {
     size_t count = 0;
     Status s = AtDate(date, [&](Transaction* txn) -> Status {
-      TDB_ASSIGN_OR_RETURN(count,
-                           relation_->DeleteWhere(txn, NameIs(name), valid));
+      TDB_ASSIGN_OR_RETURN(count, DeleteIn(txn, name, valid));
       return Status::OK();
     });
     if (!s.ok()) return s;
@@ -173,10 +222,8 @@ class RelationFixture : public ::testing::Test {
                          const char* new_rank,
                          std::optional<Period> valid = std::nullopt) {
     size_t count = 0;
-    UpdateSpec updates{ConstUpdate(1, Value(new_rank))};
     Status s = AtDate(date, [&](Transaction* txn) -> Status {
-      TDB_ASSIGN_OR_RETURN(
-          count, relation_->ReplaceWhere(txn, NameIs(name), updates, valid));
+      TDB_ASSIGN_OR_RETURN(count, ReplaceIn(txn, name, new_rank, valid));
       return Status::OK();
     });
     if (!s.ok()) return s;

@@ -111,29 +111,12 @@ TEST_F(RollbackRelationTest, SameDayInsertAndDeleteInvisible) {
   EXPECT_TRUE(NamesAsOf("05/06/80").empty());
 }
 
-TEST_F(RollbackRelationTest, ReplaceComputedFromOldValues) {
-  ASSERT_TRUE(Append("01/01/80", "Ann", "rank0").ok());
-  UpdateSpec updates{UpdateAction{
-      1, [](const std::vector<Value>& old) -> Result<Value> {
-        return Value(old[1].AsString() + "!");
-      }}};
-  ASSERT_TRUE(AtDate("02/01/80", [&](Transaction* txn) -> Status {
-                Result<size_t> n = relation_->ReplaceWhere(
-                    txn, NameIs("Ann"), updates, std::nullopt);
-                return n.ok() ? Status::OK() : n.status();
-              }).ok());
-  auto versions = VersionsOf("Ann");
-  ASSERT_EQ(versions.size(), 2u);
-  EXPECT_EQ(versions[1].values[1].AsString(), "rank0!");
-}
-
 TEST_F(RollbackRelationTest, AbortLeavesNoTrace) {
   ASSERT_TRUE(Append("01/01/80", "Ann", "full").ok());
   clock_.SetDate("02/01/80").ok();
   Result<Transaction*> txn = manager_.Begin();
   ASSERT_TRUE(txn.ok());
-  ASSERT_TRUE(
-      relation_->DeleteWhere(*txn, NameIs("Ann"), std::nullopt).ok());
+  ASSERT_TRUE(DeleteIn(*txn, "Ann").ok());
   ASSERT_TRUE(relation_->Append(*txn, {Value("Bob"), Value("new")},
                                 std::nullopt)
                   .ok());
@@ -178,6 +161,25 @@ TEST(RollbackStatements, AsOfEqualsReplayedPrefix) {
   ASSERT_TRUE(state.ok()) << state.status().ToString();
   EXPECT_EQ(state->temporal_class(), TemporalClass::kStatic);
   EXPECT_FALSE(state->rows()[0].txn.has_value());
+}
+
+// A replace computes the new values from the old version's, which stays
+// in the state it belonged to.
+TEST(RollbackStatements, ReplaceComputedFromOldValues) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(
+      &clock, {{"", "create rollback relation r (name = string, n = int)"},
+               {"", "range of x is r"},
+               {"01/01/80", "append to r (name = \"Ann\", n = 1)"},
+               {"02/01/80", "replace x (n = x.n + 1) where x.name = \"Ann\""}});
+  Result<tquel::ExecResult> show = db->Execute("show r");
+  ASSERT_TRUE(show.ok()) << show.status().ToString();
+  ASSERT_EQ(show->rows.size(), 2u);
+  EXPECT_EQ(show->rows.rows()[1].values[1], Value(int64_t{2}));
+  std::vector<Row> before =
+      testutil::SortedRows(db.get(), "retrieve (x.n) as of \"01/15/80\"");
+  ASSERT_EQ(before.size(), 1u);
+  EXPECT_EQ(before[0].values[0], Value(int64_t{1}));
 }
 
 }  // namespace

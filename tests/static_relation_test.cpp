@@ -74,30 +74,6 @@ TEST_F(StaticRelationTest, SchemaViolationsRejected) {
   EXPECT_TRUE(wrong_type.IsInvalidArgument());
 }
 
-TEST_F(StaticRelationTest, ComputedReplace) {
-  // replace with a function of the old values.
-  ASSERT_TRUE(Append("01/01/80", "Merrie", "associate").ok());
-  UpdateSpec updates{UpdateAction{
-      1, [](const std::vector<Value>& old) -> Result<Value> {
-        return Value(old[1].AsString() + "+");
-      }}};
-  Status s = AtDate("02/01/80", [&](Transaction* txn) -> Status {
-    Result<size_t> n = relation_->ReplaceWhere(txn, NameIs("Merrie"),
-                                               updates, std::nullopt);
-    return n.ok() ? Status::OK() : n.status();
-  });
-  ASSERT_TRUE(s.ok());
-  EXPECT_EQ(VersionsOf("Merrie")[0].values[1].AsString(), "associate+");
-}
-
-TEST_F(StaticRelationTest, CorrectEraseNotSupported) {
-  Status s = AtDate("01/01/80", [&](Transaction* txn) -> Status {
-    Result<size_t> n = relation_->CorrectErase(txn, NameIs("x"));
-    return n.ok() ? Status::OK() : n.status();
-  });
-  EXPECT_TRUE(s.IsNotSupported());
-}
-
 TEST_F(StaticRelationTest, AbortRestoresPriorState) {
   ASSERT_TRUE(Append("01/01/80", "Merrie", "associate").ok());
   clock_.SetDate("02/01/80").ok();
@@ -106,12 +82,39 @@ TEST_F(StaticRelationTest, AbortRestoresPriorState) {
   ASSERT_TRUE(relation_->Append(*txn, {Value("Tom"), Value("full")},
                                 std::nullopt)
                   .ok());
-  Result<size_t> deleted =
-      relation_->DeleteWhere(*txn, NameIs("Merrie"), std::nullopt);
+  Result<size_t> deleted = DeleteIn(*txn, "Merrie");
   ASSERT_TRUE(deleted.ok());
   ASSERT_TRUE(manager_.Abort(*txn).ok());
   EXPECT_EQ(VersionsOf("Merrie").size(), 1u);
   EXPECT_TRUE(VersionsOf("Tom").empty());
+}
+
+// --- DML as TQuel statements --------------------------------------------
+
+// A replace computes the new values from each victim's old ones.
+TEST(StaticStatements, ComputedReplace) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(
+      &clock, {{"", "create static relation r (name = string, n = int)"},
+               {"", "range of x is r"},
+               {"01/01/80", "append to r (name = \"Merrie\", n = 1)"},
+               {"02/01/80", "replace x (n = x.n * 10 + 1) "
+                            "where x.name = \"Merrie\""}});
+  std::vector<Row> rows = testutil::SortedRows(db.get(), "retrieve (x.n)");
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].values[0], Value(int64_t{11}));
+}
+
+// Only a historical relation can be corrected.
+TEST(StaticStatements, CorrectNotSupported) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(
+      &clock, {{"", "create static relation r (name = string)"},
+               {"", "range of x is r"},
+               {"01/01/80", "append to r (name = \"x\")"}});
+  EXPECT_TRUE(
+      db->Execute("correct x where x.name = \"x\"").status().IsNotSupported());
+  EXPECT_EQ(testutil::SortedRows(db.get(), "retrieve (x.name)").size(), 1u);
 }
 
 }  // namespace

@@ -100,14 +100,6 @@ TEST_F(TemporalRelationTest, MidValidityDeleteSplitsAppendOnly) {
   EXPECT_EQ(versions[2].valid, Between("01/01/83", "01/01/85"));
 }
 
-TEST_F(TemporalRelationTest, AppendOnlyNoPhysicalErase) {
-  Status s = AtDate("01/01/80", [&](Transaction* txn) -> Status {
-    Result<size_t> n = relation_->CorrectErase(txn, NameIs("x"));
-    return n.ok() ? Status::OK() : n.status();
-  });
-  EXPECT_TRUE(s.IsNotSupported());
-}
-
 TEST_F(TemporalRelationTest, DmlOnlyTouchesCurrentState) {
   ASSERT_TRUE(Append("12/01/82", "Tom", "full", Since("12/05/82")).ok());
   ASSERT_TRUE(Replace("12/07/82", "Tom", "associate",
@@ -145,10 +137,7 @@ TEST_F(TemporalRelationTest, AbortRestoresEverything) {
   clock_.SetDate("02/01/80").ok();
   Result<Transaction*> txn = manager_.Begin();
   ASSERT_TRUE(txn.ok());
-  UpdateSpec updates{ConstUpdate(1, Value("changed"))};
-  ASSERT_TRUE(relation_->ReplaceWhere(*txn, NameIs("Ann"), updates,
-                                      std::nullopt)
-                  .ok());
+  ASSERT_TRUE(ReplaceIn(*txn, "Ann", "changed").ok());
   ASSERT_TRUE(manager_.Abort(*txn).ok());
   auto versions = VersionsOf("Ann");
   ASSERT_EQ(versions.size(), 1u);
@@ -238,6 +227,20 @@ TEST(TemporalStatements, AsOfReadsPastHistoricalState) {
   EXPECT_EQ(shown->temporal_class(), TemporalClass::kTemporal);
   ASSERT_EQ(shown->size(), 1u);
   EXPECT_EQ(shown->rows()[0].txn, Period(jan, mar));
+}
+
+// Temporal relations are append-only: `correct` cannot erase a version.
+TEST(TemporalStatements, AppendOnlyNoPhysicalErase) {
+  ManualClock clock;
+  std::unique_ptr<Database> db = testutil::Replayed(
+      &clock, {{"", "create temporal relation r (name = string)"},
+               {"", "range of x is r"},
+               {"01/01/80", "append to r (name = \"x\")"}});
+  EXPECT_TRUE(
+      db->Execute("correct x where x.name = \"x\"").status().IsNotSupported());
+  Result<tquel::ExecResult> show = db->Execute("show r");
+  ASSERT_TRUE(show.ok()) << show.status().ToString();
+  EXPECT_EQ(show->rows.size(), 1u);
 }
 
 }  // namespace
