@@ -59,10 +59,12 @@ Result<size_t> UpdateByName(StoredRelation* rel, Transaction* txn,
                        rel->DmlWindow(txn, valid));
   std::vector<RowId> victims;
   std::vector<std::vector<Value>> values;
-  for (const Candidate& c : rel->DmlCandidates(window, std::nullopt)) {
-    if ((*c.values)[0].AsString() != name) continue;
-    victims.push_back(c.row);
-    if (rank.has_value()) values.push_back({(*c.values)[0], Value(*rank)});
+  const VersionBatch candidates = rel->DmlCandidates(window, std::nullopt);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const std::vector<Value>& old = candidates.values(i);
+    if (old[0].AsString() != name) continue;
+    victims.push_back(candidates.rows[i]);
+    if (rank.has_value()) values.push_back({old[0], Value(*rank)});
   }
   TDB_RETURN_IF_ERROR(
       rank.has_value()

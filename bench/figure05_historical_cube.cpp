@@ -28,7 +28,8 @@ int main() {
   if (!slices.ok()) return 1;
   for (paper::CubeState& slice : *slices) {
     std::printf("tuples valid at %s:\n", slice.at.ToString().c_str());
-    std::vector<Row>& rows = slice.rows.rows();
+    const Rowset::RowView view = slice.rows.rows();
+    std::vector<Row> rows(view.begin(), view.end());
     std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
       return a.values < b.values;
     });

@@ -31,7 +31,8 @@ int main() {
     ++txn;
     std::printf("historical state as of %s (transaction %d):\n",
                 state.at.ToString().c_str(), txn);
-    std::vector<Row>& rows = state.rows.rows();
+    const Rowset::RowView view = state.rows.rows();
+    std::vector<Row> rows(view.begin(), view.end());
     std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
       if (a.values != b.values) return a.values < b.values;
       return a.valid->begin() < b.valid->begin();

@@ -1,6 +1,5 @@
 #include "common/value.h"
 
-#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -24,49 +23,6 @@ std::string_view ValueTypeName(ValueType t) {
       return "bool";
   }
   return "unknown";
-}
-
-ValueType Value::type() const {
-  switch (rep_.index()) {
-    case 0:
-      return ValueType::kNull;
-    case 1:
-      return ValueType::kInt;
-    case 2:
-      return ValueType::kFloat;
-    case 3:
-      return ValueType::kString;
-    case 4:
-      return ValueType::kDate;
-    case 5:
-      return ValueType::kBool;
-  }
-  return ValueType::kNull;
-}
-
-int64_t Value::AsInt() const {
-  assert(std::holds_alternative<int64_t>(rep_));
-  return std::get<int64_t>(rep_);
-}
-
-double Value::AsFloat() const {
-  assert(std::holds_alternative<double>(rep_));
-  return std::get<double>(rep_);
-}
-
-const std::string& Value::AsString() const {
-  assert(std::holds_alternative<std::string>(rep_));
-  return std::get<std::string>(rep_);
-}
-
-Date Value::AsDate() const {
-  assert(std::holds_alternative<Date>(rep_));
-  return std::get<Date>(rep_);
-}
-
-bool Value::AsBool() const {
-  assert(std::holds_alternative<bool>(rep_));
-  return std::get<bool>(rep_);
 }
 
 Result<double> Value::AsNumeric() const {

@@ -1,6 +1,7 @@
 #ifndef TEMPORADB_COMMON_VALUE_H_
 #define TEMPORADB_COMMON_VALUE_H_
 
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -48,16 +49,17 @@ class Value {
 
   static Value Null() { return Value(); }
 
-  ValueType type() const;
+  /// The alternatives of `rep_` are declared in `ValueType` order.
+  ValueType type() const { return static_cast<ValueType>(rep_.index()); }
   bool is_null() const { return std::holds_alternative<std::monostate>(rep_); }
 
   /// Typed accessors; calling the wrong one is a programming error
   /// (asserted).  Use `type()` to dispatch.
-  int64_t AsInt() const;
-  double AsFloat() const;
-  const std::string& AsString() const;
-  Date AsDate() const;
-  bool AsBool() const;
+  int64_t AsInt() const { return Get<int64_t>(); }
+  double AsFloat() const { return Get<double>(); }
+  const std::string& AsString() const { return Get<std::string>(); }
+  Date AsDate() const { return Get<Date>(); }
+  bool AsBool() const { return Get<bool>(); }
 
   /// Numeric view: ints promote to double; anything else is an error.
   Result<double> AsNumeric() const;
@@ -94,6 +96,12 @@ class Value {
   std::string ToString() const;
 
  private:
+  template <typename T>
+  const T& Get() const {
+    assert(std::holds_alternative<T>(rep_));
+    return *std::get_if<T>(&rep_);
+  }
+
   std::variant<std::monostate, int64_t, double, std::string, Date, bool> rep_;
 };
 

@@ -529,53 +529,67 @@ Result<tquel::ExecResult> Database::Execute(std::string_view source) {
   if (stmts.empty()) {
     return Status::InvalidArgument("no statement to execute");
   }
+  // A transaction this source began and has not ended yet.  A failing
+  // statement stops the source before its `commit`, so that transaction
+  // is aborted with it; one opened by an earlier call stays open.
+  bool opened = false;
   tquel::ExecResult last;
   for (const tquel::Statement& stmt : stmts) {
-    // Transaction control lives here: the facade owns Begin/Commit/Abort.
-    if (std::holds_alternative<tquel::BeginTxnStmt>(stmt)) {
-      TDB_ASSIGN_OR_RETURN(Transaction * txn, Begin());
-      (void)txn;
-      last = tquel::ExecResult{};
-      last.message = "transaction started";
-      continue;
+    Result<tquel::ExecResult> result = ExecuteStatement(stmt, &opened);
+    if (!result.ok()) {
+      if (opened && active_txn_ != nullptr) (void)Abort(active_txn_);
+      return result.status();
     }
-    if (std::holds_alternative<tquel::CommitStmt>(stmt)) {
-      if (active_txn_ == nullptr) {
-        return Status::FailedPrecondition("no active transaction to commit");
-      }
-      TDB_RETURN_IF_ERROR(Commit(active_txn_));
-      last = tquel::ExecResult{};
-      last.message = "committed";
-      continue;
-    }
-    if (std::holds_alternative<tquel::AbortStmt>(stmt)) {
-      if (active_txn_ == nullptr) {
-        return Status::FailedPrecondition("no active transaction to abort");
-      }
-      TDB_RETURN_IF_ERROR(Abort(active_txn_));
-      last = tquel::ExecResult{};
-      last.message = "aborted";
-      continue;
-    }
-    if (IsDml(stmt) && active_txn_ == nullptr) {
-      // Auto-commit: the statement is its own transaction.
-      TDB_ASSIGN_OR_RETURN(Transaction * txn, Begin());
-      tquel::EvalContext ctx = MakeEvalContext(txn);
-      Result<tquel::ExecResult> result = tquel::Execute(stmt, ctx);
-      if (!result.ok()) {
-        // The statement's own error is what the caller must see; a
-        // secondary rollback failure would only mask it.
-        (void)Abort(txn);
-        return result.status();
-      }
-      TDB_RETURN_IF_ERROR(Commit(txn));
-      last = std::move(result).value();
-    } else {
-      tquel::EvalContext ctx = MakeEvalContext(active_txn_);
-      TDB_ASSIGN_OR_RETURN(last, tquel::Execute(stmt, ctx));
-    }
+    last = std::move(result).value();
   }
   return last;
+}
+
+Result<tquel::ExecResult> Database::ExecuteStatement(
+    const tquel::Statement& stmt, bool* opened) {
+  tquel::ExecResult last;
+  // Transaction control lives here: the facade owns Begin/Commit/Abort.
+  if (std::holds_alternative<tquel::BeginTxnStmt>(stmt)) {
+    TDB_ASSIGN_OR_RETURN(Transaction * txn, Begin());
+    (void)txn;
+    *opened = true;
+    last.message = "transaction started";
+    return last;
+  }
+  if (std::holds_alternative<tquel::CommitStmt>(stmt)) {
+    if (active_txn_ == nullptr) {
+      return Status::FailedPrecondition("no active transaction to commit");
+    }
+    TDB_RETURN_IF_ERROR(Commit(active_txn_));
+    *opened = false;
+    last.message = "committed";
+    return last;
+  }
+  if (std::holds_alternative<tquel::AbortStmt>(stmt)) {
+    if (active_txn_ == nullptr) {
+      return Status::FailedPrecondition("no active transaction to abort");
+    }
+    TDB_RETURN_IF_ERROR(Abort(active_txn_));
+    *opened = false;
+    last.message = "aborted";
+    return last;
+  }
+  if (IsDml(stmt) && active_txn_ == nullptr) {
+    // Auto-commit: the statement is its own transaction.
+    TDB_ASSIGN_OR_RETURN(Transaction * txn, Begin());
+    tquel::EvalContext ctx = MakeEvalContext(txn);
+    Result<tquel::ExecResult> result = tquel::Execute(stmt, ctx);
+    if (!result.ok()) {
+      // The statement's own error is what the caller must see; a
+      // secondary rollback failure would only mask it.
+      (void)Abort(txn);
+      return result.status();
+    }
+    TDB_RETURN_IF_ERROR(Commit(txn));
+    return result;
+  }
+  tquel::EvalContext ctx = MakeEvalContext(active_txn_);
+  return tquel::Execute(stmt, ctx);
 }
 
 Result<Rowset> Database::Query(std::string_view source) {

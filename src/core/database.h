@@ -92,6 +92,9 @@ class Database {
 
   /// Parses and executes one or more statements; returns the last result.
   /// Each DML statement runs in its own transaction unless one is active.
+  /// The first failing statement stops the source and aborts a transaction
+  /// the source began and did not end (its `commit` never runs); a
+  /// transaction begun by an earlier call stays open.
   Result<tquel::ExecResult> Execute(std::string_view source);
 
   /// Convenience: executes a single retrieve/show and returns the rowset.
@@ -176,6 +179,10 @@ class Database {
   void PublishMvcc(Chronon ts);
   void WireObserver(StoredRelation* rel);
   tquel::EvalContext MakeEvalContext(Transaction* txn);
+  /// One statement of `Execute`; `*opened` tracks whether a transaction
+  /// the source began is open.
+  Result<tquel::ExecResult> ExecuteStatement(const tquel::Statement& stmt,
+                                             bool* opened);
   Result<StoredRelation*> GetRelationInternal(std::string_view name);
   Status CreateFromStmt(const tquel::CreateStmt& stmt);
 

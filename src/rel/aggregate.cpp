@@ -77,17 +77,17 @@ Result<Rowset> Aggregate(const Rowset& input,
   // first failing row's).
   std::map<std::vector<Value>, std::vector<AggState>> groups;
   const Value kZero(int64_t{0});
-  for (const Row& row : input.rows()) {
+  for (size_t row = 0; row < input.size(); ++row) {
     std::vector<Value> key;
     key.reserve(group_by.size());
-    for (size_t g : group_by) key.push_back(row.values[g]);
+    for (size_t g : group_by) key.push_back(input.Get(row, g));
     auto [it, inserted] = groups.try_emplace(std::move(key));
     if (inserted) it->second.resize(aggs.size());
     for (size_t i = 0; i < aggs.size(); ++i) {
       AggState& st = it->second[i];
       const AggSpec& spec = aggs[i];
-      const Value& v =
-          spec.func == AggFunc::kCount ? kZero : row.values[spec.column];
+      const Value v =
+          spec.func == AggFunc::kCount ? kZero : input.Get(row, spec.column);
       ++st.count;
       switch (spec.func) {
         case AggFunc::kCount:

@@ -1,6 +1,8 @@
 #include "temporal/stored_relation.h"
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 #include "common/strings.h"
 #include "temporal/historical_relation.h"
@@ -20,22 +22,43 @@ Result<std::optional<Period>> StoredRelation::DmlWindow(
   return std::optional<Period>(window);
 }
 
-std::vector<Candidate> StoredRelation::DmlCandidates(
+VersionBatch StoredRelation::DmlCandidates(
     std::optional<Period> window, const std::optional<KeyRanges>& key) const {
   ScanSpec spec;
   spec.valid_during = window;
   size_t examined = 0;
-  std::vector<Candidate> candidates = Candidates(spec, key, &examined);
-  if (window.has_value() && !SupportsTransactionTime(info_.temporal_class)) {
-    // The historical rewrite's order: (valid begin, row).
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.valid.begin() < b.valid.begin();
-                     });
-  }
+  VersionBatch candidates = Candidates(spec, key, &examined);
   if (ScanStats* stats = store_.options().scan_stats) {
     stats->dml_rows_examined.fetch_add(examined, std::memory_order_relaxed);
   }
+  if (!window.has_value() || SupportsTransactionTime(info_.temporal_class)) {
+    return candidates;
+  }
+  // The historical rewrite's order: (valid begin, row).  Candidates come
+  // in row order, so (valid begin, position) is that order.
+  if (std::is_sorted(candidates.valid_from.begin(),
+                     candidates.valid_from.end())) {
+    return candidates;
+  }
+  std::vector<std::pair<int64_t, size_t>> order(candidates.size());
+  for (size_t i = 0; i < order.size(); ++i) {
+    order[i] = {candidates.valid_from[i], i};
+  }
+  std::sort(order.begin(), order.end());
+  // Each column is permuted through one column-sized copy at a time.
+  const auto permute = [&order](auto& column) {
+    std::remove_reference_t<decltype(column)> sorted(column.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+      sorted[i] = column[order[i].second];
+    }
+    column.swap(sorted);
+  };
+  permute(candidates.rows);
+  permute(candidates.tuples);
+  permute(candidates.valid_from);
+  permute(candidates.valid_to);
+  permute(candidates.tt_start);
+  permute(candidates.tt_end);
   return candidates;
 }
 
@@ -62,10 +85,10 @@ VersionBatchScan StoredRelation::BatchScan(const ScanSpec& spec) const {
       std::move(preds));
 }
 
-std::vector<Candidate> StoredRelation::Candidates(
-    const ScanSpec& spec, const std::optional<KeyRanges>& key,
-    size_t* examined) const {
-  std::vector<Candidate> out;
+VersionBatch StoredRelation::Candidates(const ScanSpec& spec,
+                                        const std::optional<KeyRanges>& key,
+                                        size_t* examined) const {
+  VersionBatch out;
   const BTreeIndex* index =
       key.has_value() && !spec.snapshot.has_value()
           ? store_.AttributeIndex(key->attr)
@@ -98,7 +121,7 @@ std::vector<Candidate> StoredRelation::Candidates(
       // its row last); the scan's order is the row's.
       std::sort(rows.begin(), rows.end());
       if (examined != nullptr) *examined = rows.size();
-      out.reserve(rows.size());
+      out.Reserve(rows.size());
       const bool txn_kind = SupportsTransactionTime(info_.temporal_class);
       const bool valid_kind = SupportsValidTime(info_.temporal_class);
       for (RowId row : rows) {
@@ -113,21 +136,13 @@ std::vector<Candidate> StoredRelation::Candidates(
             !t.valid.Overlaps(*spec.valid_during)) {
           continue;
         }
-        out.push_back({row, &t.values, t.valid, t.txn});
+        out.Add(row, &t, t.valid.begin().days(), t.valid.end().days(),
+                t.txn.begin().days(), t.txn.end().days());
       }
       return out;
     }
   }
-  // Room is made batch by batch, growing geometrically past the first.
-  VersionBatchScan scan = BatchScan(spec);
-  VersionBatch batch;
-  while (scan.Next(&batch)) {
-    const size_t need = out.size() + batch.size();
-    if (need > out.capacity()) out.reserve(std::max(need, 2 * out.capacity()));
-    for (size_t i = 0; i < batch.size(); ++i) {
-      out.push_back(Candidate::FromBatch(batch, i));
-    }
-  }
+  BatchScan(spec).ReadAll(&out);
   if (examined != nullptr) *examined = out.size();
   return out;
 }

@@ -52,25 +52,6 @@ struct ScanSpec {
   std::optional<SnapshotPin> snapshot;
 };
 
-/// One version a statement considers: its row, values and both periods
-/// (degenerate dimensions are whatever the kind stores).  Under a reader pin
-/// `txn` carries the pin-effective end, read from the scan's chronon
-/// columns: the tuple's own `txn` is closed in place by the writer and must
-/// not be read on a reader thread.
-struct Candidate {
-  RowId row;
-  const std::vector<Value>* values;
-  Period valid;
-  Period txn;
-
-  /// Position `i` of a scan batch.
-  static Candidate FromBatch(const VersionBatch& b, size_t i) {
-    return Candidate{b.rows[i], &b.tuples[i]->values,
-                     Period(Chronon(b.valid_from[i]), Chronon(b.valid_to[i])),
-                     Period(Chronon(b.tt_start[i]), Chronon(b.tt_end[i]))};
-  }
-};
-
 /// Base class of the four stored-relation kinds.
 ///
 /// The subclasses map one-to-one onto the paper's taxonomy (Figure 10):
@@ -136,8 +117,8 @@ class StoredRelation {
   /// probing `key` when there is one.  They come in the order the write
   /// step rewrites them: row order, but (valid begin, row) under a
   /// historical window.
-  std::vector<Candidate> DmlCandidates(
-      std::optional<Period> window, const std::optional<KeyRanges>& key) const;
+  VersionBatch DmlCandidates(std::optional<Period> window,
+                             const std::optional<KeyRanges>& key) const;
 
   /// The write step of `delete`: removes `window` (`DmlWindow`'s) from each
   /// of `victims`, rows `DmlCandidates` returned, in that order.
@@ -171,18 +152,19 @@ class StoredRelation {
   VersionBatchScan BatchScan(const ScanSpec& spec) const;
 
   /// The one candidate step of retrieve and DML: the versions
-  /// `BatchScan(spec)` yields, in ascending row order.  With a `key` at the
-  /// head pin the attribute index's postings in the key's ranges stand in
-  /// for the scan: those visible under `spec` (its `as of` window, else the
-  /// current state with transaction time; its valid window with valid
-  /// time), which are the scan's versions with `values[key.attr]` in a
-  /// range.  The walk gives up, and the scan runs, once its postings exceed
-  /// `kProbeFraction` of the pin's rows.  A reader pin ignores the key (the
-  /// B+-trees are writer state).  `examined`, when set, receives the rows
-  /// the step read: the ranges' postings, or the scan's yield.
-  std::vector<Candidate> Candidates(const ScanSpec& spec,
-                                    const std::optional<KeyRanges>& key,
-                                    size_t* examined = nullptr) const;
+  /// `BatchScan(spec)` yields, in ascending row order, as one batch.  With
+  /// a `key` at the head pin the attribute index's postings in the key's
+  /// ranges stand in for the scan: those visible under `spec` (its `as of`
+  /// window, else the current state with transaction time; its valid window
+  /// with valid time), which are the scan's versions with
+  /// `values[key.attr]` in a range.  The walk gives up, and the scan runs,
+  /// once its postings exceed `kProbeFraction` of the pin's rows.  A reader
+  /// pin ignores the key (the B+-trees are writer state).  `examined`, when
+  /// set, receives the rows the step read: the ranges' postings, or the
+  /// scan's yield.
+  VersionBatch Candidates(const ScanSpec& spec,
+                          const std::optional<KeyRanges>& key,
+                          size_t* examined = nullptr) const;
 
   /// The share of the head pin's rows past which a key's postings are
   /// swept instead of probed (EXPERIMENTS.md A8).

@@ -62,9 +62,9 @@ VersionBatchScan::VersionBatchScan(const VersionStore* store, SnapshotPin pin,
 void VersionBatchScan::ProbeRange(size_t begin, size_t end,
                                   VersionBatch* out) const {
   // The kernel chain is *range-relative* (column pointers offset by
-  // `begin`, scratch indexed from 0), because the effective-tt_end scratch
-  // only spans `[begin, end)`; the gather goes through `TuplePinned`, which
-  // reads no writer-side size state.
+  // `begin`, scratch indexed from 0), because a reader pin's effective
+  // tt_end scratch only spans `[begin, end)`; the gather goes through
+  // `TuplePinned`, which reads no writer-side size state.
   const size_t n = end - begin;
   if (n == 0) return;
   const int64_t* vf = store_->chronon_valid_from() + begin;
@@ -83,16 +83,22 @@ void VersionBatchScan::ProbeRange(size_t begin, size_t end,
   std::vector<int64_t> te_heap;
   uint32_t* cur = stack_a;
   uint32_t* nxt = stack_b;
-  int64_t* te = stack_te;
+  int64_t* te_scratch = stack_te;
   if (n > kStackSel) {
     sel_a.resize(n);
     sel_b.resize(n);
-    te_heap.resize(n);
     cur = sel_a.data();
     nxt = sel_b.data();
-    te = te_heap.data();
   }
-  store_->FillEffectiveTtEnd(begin, end, pin_.seq, te);
+  const int64_t* te = store_->chronon_tt_end() + begin;
+  if (!pin_.IsHead()) {
+    if (n > kStackSel) {
+      te_heap.resize(n);
+      te_scratch = te_heap.data();
+    }
+    store_->FillEffectiveTtEnd(begin, end, pin_.seq, te_scratch);
+    te = te_scratch;
+  }
 
   size_t cnt = kernels::SelectLive(live, n, cur);
   if (preds_.txn_contains.has_value()) {
@@ -120,20 +126,33 @@ void VersionBatchScan::ProbeRange(size_t begin, size_t end,
   }
 
   // Gather the survivors: borrowed tuple pointers plus copies of their
-  // chronon entries, so downstream kernels keep running over flat arrays.
+  // chronon entries (`te`'s pin-effective ones), so downstream kernels
+  // keep running over flat arrays.  Each column is filled by its own loop.
+  const size_t base = out->size();
+  const size_t need = base + cnt;
+  out->rows.resize(need);
+  out->tuples.resize(need);
+  out->valid_from.resize(need);
+  out->valid_to.resize(need);
+  out->tt_start.resize(need);
+  out->tt_end.resize(need);
+  RowId* rows = out->rows.data() + base;
+  const BitemporalTuple** tuples = out->tuples.data() + base;
   for (size_t k = 0; k < cnt; ++k) {
-    const size_t rel = cur[k];
-    const RowId row = begin + rel;
-    out->rows.push_back(row);
-    out->tuples.push_back(store_->TuplePinned(row));
-    out->valid_from.push_back(vf[rel]);
-    out->valid_to.push_back(vt[rel]);
-    out->tt_start.push_back(ts[rel]);
-    out->tt_end.push_back(te[rel]);  // Pin-effective, not raw.
+    rows[k] = begin + cur[k];
+    tuples[k] = store_->TuplePinned(rows[k]);
   }
+  const auto gather = [&](const int64_t* from, std::vector<int64_t>* to) {
+    int64_t* dst = to->data() + base;
+    for (size_t k = 0; k < cnt; ++k) dst[k] = from[cur[k]];
+  };
+  gather(vf, &out->valid_from);
+  gather(vt, &out->valid_to);
+  gather(ts, &out->tt_start);
+  gather(te, &out->tt_end);
 }
 
-bool VersionBatchScan::Next(VersionBatch* out) {
+void VersionBatchScan::CheckEpoch() const {
   if (pin_.IsHead()) {
     TDB_INVARIANT_CHECK(
         epoch_ == store_->mutation_epoch(),
@@ -141,6 +160,10 @@ bool VersionBatchScan::Next(VersionBatch* out) {
         "watermark and closes are stale (open a fresh scan, or use a read "
         "snapshot for scans that must survive commits)");
   }
+}
+
+bool VersionBatchScan::Next(VersionBatch* out) {
+  CheckEpoch();
   while (chunk_idx_ < chunks_.size()) {
     const RowRange c = chunks_[chunk_idx_++];
     out->Clear();
@@ -148,6 +171,14 @@ bool VersionBatchScan::Next(VersionBatch* out) {
     if (!out->empty()) return true;
   }
   return false;
+}
+
+void VersionBatchScan::ReadAll(VersionBatch* out) {
+  CheckEpoch();
+  while (chunk_idx_ < chunks_.size()) {
+    const RowRange c = chunks_[chunk_idx_++];
+    ProbeRange(c.begin, c.end, out);
+  }
 }
 
 VersionStore::VersionStore(VersionStoreOptions options) : options_(options) {}
@@ -546,11 +577,6 @@ size_t VersionStore::ApproximateBytes() const {
 
 void VersionStore::FillEffectiveTtEnd(size_t begin, size_t end,
                                       uint64_t snap_seq, int64_t* out) const {
-  if (snap_seq == SnapshotPin::kHeadSeq) {
-    // A head pin patches nothing, and no writer runs concurrently with it.
-    std::copy(col_tt_end_.data() + begin, col_tt_end_.data() + end, out);
-    return;
-  }
   for (size_t row = begin; row < end; ++row) {
     out[row - begin] = EffectiveTtEnd(row, snap_seq);
   }

@@ -38,14 +38,16 @@ struct BatchPredicates {
   bool txn_current = false;
 };
 
-/// A fixed-size slice of scan results in columnar form: the unit of flow of
-/// the vectorized executor's storage boundary.
+/// Scan results in columnar form: a slice of a scan (`VersionBatchScan`),
+/// or every version a statement considers (`StoredRelation::Candidates`).
 ///
 /// `tuples` are borrowed pointers into the store, valid until the store is
 /// next mutated; the chronon columns are *copies* of the survivors'
 /// temporal dimensions, contiguous so downstream operators can keep running
-/// branch-free kernels without touching the tuples at all.  Entries are in
-/// ascending row order.
+/// branch-free kernels without touching the tuples at all.  `tt_end` holds
+/// pin-effective ends: a tuple's own `txn` must not be read under a reader
+/// pin (the writer closes it in place).  A scan's entries are in ascending
+/// row order.
 struct VersionBatch {
   std::vector<RowId> rows;
   std::vector<const BitemporalTuple*> tuples;
@@ -56,6 +58,36 @@ struct VersionBatch {
 
   size_t size() const { return rows.size(); }
   bool empty() const { return rows.empty(); }
+
+  /// Entry `i`'s values, valid period and transaction period.
+  const std::vector<Value>& values(size_t i) const {
+    return tuples[i]->values;
+  }
+  Period valid(size_t i) const {
+    return Period(Chronon(valid_from[i]), Chronon(valid_to[i]));
+  }
+  Period txn(size_t i) const {
+    return Period(Chronon(tt_start[i]), Chronon(tt_end[i]));
+  }
+
+  /// Appends an entry.
+  void Add(RowId row, const BitemporalTuple* tuple, int64_t vf, int64_t vt,
+           int64_t ts, int64_t te) {
+    rows.push_back(row);
+    tuples.push_back(tuple);
+    valid_from.push_back(vf);
+    valid_to.push_back(vt);
+    tt_start.push_back(ts);
+    tt_end.push_back(te);
+  }
+  void Reserve(size_t n) {
+    rows.reserve(n);
+    tuples.reserve(n);
+    valid_from.reserve(n);
+    valid_to.reserve(n);
+    tt_start.reserve(n);
+    tt_end.reserve(n);
+  }
   void Clear() {
     rows.clear();
     tuples.clear();
@@ -101,12 +133,19 @@ class VersionBatchScan {
   /// `out` is overwritten (its buffers are reused across pulls).
   bool Next(VersionBatch* out);
 
+  /// Appends every survivor not yet pulled to `out`, in row order.
+  void ReadAll(VersionBatch* out);
+
  private:
   /// Probes the contiguous rows `[begin, end)`, appending the survivors to
-  /// `out`: `tt_end` is read through the close-sequence patch into a
-  /// scratch column and the kernel chain runs range-relative over it, so no
-  /// plain load ever races the writer's in-place closes.
+  /// `out`.  The kernel chain runs range-relative over a `tt_end` input: at
+  /// a head pin the store's own column (nothing needs patching, and no
+  /// writer runs concurrently), at a reader pin a scratch copy read through
+  /// the close-sequence patch, so no plain load ever races the writer's
+  /// in-place closes.
   void ProbeRange(size_t begin, size_t end, VersionBatch* out) const;
+  /// Aborts when a head-pin scan outlives a store mutation.
+  void CheckEpoch() const;
 
   const VersionStore* store_;
   BatchPredicates preds_;
@@ -263,8 +302,8 @@ class VersionStore {
     return raw;
   }
 
-  /// Bulk form: fills `out[0..end-begin)` with the pin-effective
-  /// transaction ends of rows `[begin, end)`.
+  /// Bulk form for a reader pin: fills `out[0..end-begin)` with the
+  /// pin-effective transaction ends of rows `[begin, end)`.
   void FillEffectiveTtEnd(size_t begin, size_t end, uint64_t snap_seq,
                           int64_t* out) const;
 

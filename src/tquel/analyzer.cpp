@@ -814,7 +814,8 @@ Result<BoundRetrieve> AnalyzeRetrieve(const RetrieveStmt& stmt,
     bound.target_aggs.push_back(agg);
     TDB_ASSIGN_OR_RETURN(ExprPtr expr,
                          CompileScalarExpr(value_expr, bound.participants));
-    TDB_ASSIGN_OR_RETURN(ValueType vt, InferType(t.expr, bound.participants));
+    TDB_ASSIGN_OR_RETURN(ValueType vt,
+                         InferType(value_expr, bound.participants));
     bound.target_exprs.push_back(std::move(expr));
     std::optional<BoundRetrieve::ColumnRef> column;
     if (value_expr->kind == AstExprKind::kColumn) {

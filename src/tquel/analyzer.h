@@ -47,6 +47,8 @@ struct BoundRetrieve {
 
   std::vector<ExprPtr> target_exprs;
   std::vector<std::string> target_names;
+  /// The type of the values `target_exprs[i]` yields (for an aggregate,
+  /// its input's): the type of result column i before aggregation.
   std::vector<ValueType> target_types;
   std::vector<size_t> target_vars;  ///< Participant ordinals used in targets.
 

@@ -1,7 +1,6 @@
 #include "tquel/evaluator.h"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -19,22 +18,34 @@ namespace {
 struct Level {
   bool dynamic = false;                         ///< Probed per prefix.
   const BoundRetrieve::JoinKey* key = nullptr;  ///< Hash step when set.
-  const Expr* filter = nullptr;                 ///< Its `local_filters`.
-  std::vector<Candidate> candidates;
-  /// Hash step: candidate indices per key value, in candidate order.
-  std::unordered_map<Value, std::vector<size_t>, ValueHash> buckets;
-  /// Dynamic step: the candidates' valid periods, by candidate index.
+  VersionBatch candidates;
+  /// The candidates that pass its `local_filters`, by index, in order.
+  std::vector<uint32_t> members;
+  /// Hash step: member indices per key value, in candidate order.
+  std::unordered_map<Value, std::vector<uint32_t>, ValueHash> buckets;
+  /// Dynamic step: the members' valid periods, by candidate index.
   IntervalIndex by_valid;
+  /// The candidates the bound prefix visits (`members`, a bucket or
+  /// `hits`) and the position of the next one.
+  const std::vector<uint32_t>* visit = nullptr;
+  size_t next = 0;
+  std::vector<uint32_t> hits;
 };
 
-// Converts a TQuel value for storage into a date attribute when the user
-// wrote a string literal ("09/01/77").
-Result<Value> CoerceForAttribute(const Type& type, Value v) {
+// A value for a date attribute that the user wrote as a string literal
+// ("09/01/77") becomes that date; any other value is left as it is.
+Result<Value> ParseDateLiteral(const Type& type, Value v) {
   if (type.value_type() == ValueType::kDate &&
       v.type() == ValueType::kString) {
     TDB_ASSIGN_OR_RETURN(Date d, Date::Parse(v.AsString()));
     return Value(d);
   }
+  return v;
+}
+
+// Converts a TQuel value for storage into an attribute of `type`.
+Result<Value> CoerceForAttribute(const Type& type, Value v) {
+  TDB_ASSIGN_OR_RETURN(v, ParseDateLiteral(type, std::move(v)));
   return type.Coerce(v);
 }
 
@@ -80,16 +91,17 @@ Result<std::vector<RowId>> SelectVictims(const StoredRelation& rel,
                                          const Expr* where) {
   PeriodBinding binding(1);
   std::vector<RowId> victims;
-  for (const Candidate& c : rel.DmlCandidates(window, key)) {
+  const VersionBatch candidates = rel.DmlCandidates(window, key);
+  for (size_t i = 0; i < candidates.size(); ++i) {
     bool keep = true;
     if (when != nullptr) {
-      binding[0] = c.valid;
+      binding[0] = candidates.valid(i);
       TDB_ASSIGN_OR_RETURN(keep, when->Eval(binding));
     }
     if (keep && where != nullptr) {
-      TDB_ASSIGN_OR_RETURN(keep, EvalPredicate(*where, *c.values));
+      TDB_ASSIGN_OR_RETURN(keep, EvalPredicate(*where, candidates.values(i)));
     }
-    if (keep) victims.push_back(c.row);
+    if (keep) victims.push_back(candidates.rows[i]);
   }
   return victims;
 }
@@ -143,8 +155,9 @@ ExecResult Counted(size_t count, const char* verb) {
 }
 
 // Applies the aggregation step of an aggregate retrieve: the raw rowset has
-// one column per target (group keys and aggregate inputs, in target order);
-// group, aggregate, and restore the original column order.
+// one column per target (group keys and aggregate inputs, in target order,
+// typed by `target_types`); group, aggregate, and restore the original
+// column order.
 Result<Rowset> FinalizeAggregates(const BoundRetrieve& bound, Rowset raw) {
   if (!bound.has_aggregates) return raw;
   std::vector<size_t> group_by;
@@ -164,14 +177,7 @@ Result<Rowset> FinalizeAggregates(const BoundRetrieve& bound, Rowset raw) {
     if (bound.target_aggs[i].is_aggregate) out_pos[i] += group_by.size();
   }
   TDB_ASSIGN_OR_RETURN(Rowset grouped, Aggregate(raw, group_by, specs));
-  // Aggregates are static: a row is its values, permuted back.
-  Rowset out(grouped.schema().Project(out_pos), TemporalClass::kStatic);
-  for (Row& row : grouped.rows()) {
-    Row permuted;
-    for (size_t pos : out_pos) permuted.values.push_back(row.values[pos]);
-    out.rows().push_back(std::move(permuted));
-  }
-  return out;
+  return std::move(grouped).Project(out_pos);
 }
 
 }  // namespace
@@ -223,9 +229,6 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
   for (size_t i = 0; i < n; ++i) {
     Level& level = levels[i];
     const StoredRelation& rel = *bound.participants[i].relation;
-    if (i < bound.local_filters.size()) {
-      level.filter = bound.local_filters[i].get();
-    }
     if (i < bound.join_keys.size() && !bound.join_keys[i].empty()) {
       level.key = &bound.join_keys[i].front();
     }
@@ -251,40 +254,42 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
         rel.store()->AttributeIndex(level.key->attr) != nullptr) {
       // Distinct under `==`, which `Hash` and the B+-tree's order agree
       // with (keys of one type).
-      std::unordered_set<Value, ValueHash> outer;
-      for (const Candidate& c : levels[level.key->outer].candidates) {
-        outer.insert((*c.values)[level.key->outer_attr]);
+      const Level& outer = levels[level.key->outer];
+      std::unordered_set<Value, ValueHash> outer_keys;
+      for (uint32_t k : outer.members) {
+        outer_keys.insert(outer.candidates.values(k)[level.key->outer_attr]);
       }
       key = KeyRanges{level.key->attr, {}};
-      key->ranges.reserve(outer.size());
-      for (const Value& v : outer) key->ranges.push_back(KeyRange::Point(v));
+      key->ranges.reserve(outer_keys.size());
+      for (const Value& v : outer_keys) {
+        key->ranges.push_back(KeyRange::Point(v));
+      }
     }
     level.candidates = rel.Candidates(spec, key);
-    if (level.filter != nullptr) {
-      size_t kept = 0;
-      for (const Candidate& c : level.candidates) {
-        TDB_ASSIGN_OR_RETURN(bool keep,
-                             EvalPredicate(*level.filter, *c.values));
-        if (keep) level.candidates[kept++] = c;
+    const VersionBatch& cands = level.candidates;
+    const Expr* filter =
+        i < bound.local_filters.size() ? bound.local_filters[i].get() : nullptr;
+    level.members.reserve(cands.size());
+    for (uint32_t k = 0; k < cands.size(); ++k) {
+      bool keep = true;
+      if (filter != nullptr) {
+        TDB_ASSIGN_OR_RETURN(keep, EvalPredicate(*filter, cands.values(k)));
       }
-      level.candidates.resize(kept);
+      if (keep) level.members.push_back(k);
     }
     if (level.dynamic) {
       std::vector<IntervalIndex::Entry> entries;
-      entries.reserve(level.candidates.size());
-      for (size_t k = 0; k < level.candidates.size(); ++k) {
-        entries.push_back({level.candidates[k].valid, k});
-      }
+      entries.reserve(level.members.size());
+      for (uint32_t k : level.members) entries.push_back({cands.valid(k), k});
       level.by_valid = IntervalIndex(std::move(entries));
     }
     if (level.key == nullptr) continue;
-    for (size_t k = 0; k < level.candidates.size(); ++k) {
-      level.buckets[(*level.candidates[k].values)[level.key->attr]]
-          .push_back(k);
+    for (uint32_t k : level.members) {
+      level.buckets[cands.values(k)[level.key->attr]].push_back(k);
     }
   }
 
-  // Result schema.
+  // Result schema: one column per target, of the type its value has.
   std::vector<Attribute> attrs;
   for (size_t i = 0; i < bound.target_names.size(); ++i) {
     attrs.push_back(
@@ -292,19 +297,18 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
   }
   TDB_ASSIGN_OR_RETURN(Schema schema, Schema::Make(std::move(attrs)));
   Rowset out(std::move(schema), bound.result_class, bound.result_model);
-  // One participant yields at most one row per candidate.
-  if (n == 1) out.rows().reserve(levels[0].candidates.size());
-  TDB_ASSIGN_OR_RETURN(Rowset::Appender append,
-                       out.MakeAppender(bound.target_exprs.size()));
+  // One participant yields at most one row per member.
+  if (n == 1) out.Reserve(levels[0].members.size());
   const bool want_valid = SupportsValidTime(bound.result_class);
   const bool want_txn = SupportsTransactionTime(bound.result_class);
 
-  // Nested-loop over the candidate product: participant 0 is the outermost
-  // loop.  `chosen`/`valid_binding` hold the tuple bound at each level.
-  // `where` and computed targets read the evaluation row: one candidate's
-  // own values, or for a join the bound tuples' values concatenated into
-  // `flat`, which is assembled only when something reads it.
-  std::vector<const Candidate*> chosen(n);
+  // The candidate product is enumerated by one loop over the levels,
+  // participant 0 outermost.  `chosen`/`valid_binding` hold the candidate
+  // bound at each level.  `where` and computed targets read the evaluation
+  // row: one candidate's own values, or for a join the bound tuples'
+  // values concatenated into `flat`, which is assembled only when
+  // something reads it.
+  std::vector<uint32_t> chosen(n);
   PeriodBinding valid_binding(n);
   std::vector<Value> flat;
   const bool computed_target =
@@ -314,13 +318,39 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
       n > 1 && (bound.where != nullptr || computed_target);
   if (assemble_flat) flat.reserve(bound.total_arity);
 
+  // Result rows are built a run at a time.  Each passing combination's
+  // periods and computed targets are appended as it is found, in row
+  // order, so the first failing target is the first in row order (and a
+  // failing target fails the whole statement); its candidates are picked,
+  // one list per participant.  Every `kRun` picks, each plain target
+  // column is gathered from its participant's picks, one loop per column.
+  constexpr size_t kRun = 1024;
+  std::vector<std::vector<uint32_t>> picks(n);
+  for (std::vector<uint32_t>& p : picks) p.reserve(kRun);
+  auto gather = [&]() -> Status {
+    for (size_t k = 0; k < bound.target_columns.size(); ++k) {
+      const auto& column = bound.target_columns[k];
+      if (!column.has_value()) continue;
+      const std::vector<uint32_t>& pick = picks[column->participant];
+      const VersionBatch& from = levels[column->participant].candidates;
+      const size_t attr = column->attr;
+      TDB_RETURN_IF_ERROR(
+          out.Gather(k, pick.size(), [&](size_t j) -> const Value& {
+            return from.values(pick[j])[attr];
+          }));
+    }
+    for (std::vector<uint32_t>& p : picks) p.clear();
+    return Status::OK();
+  };
+
   auto emit = [&]() -> Status {
-    const std::vector<Value>& values = n == 1 ? *chosen[0]->values : flat;
+    const std::vector<Value>& values =
+        n == 1 ? levels[0].candidates.values(chosen[0]) : flat;
     if (assemble_flat) {
       flat.clear();
       for (size_t i = 0; i < n; ++i) {
-        flat.insert(flat.end(), chosen[i]->values->begin(),
-                    chosen[i]->values->end());
+        const std::vector<Value>& v = levels[i].candidates.values(chosen[i]);
+        flat.insert(flat.end(), v.begin(), v.end());
       }
     }
     bool keep = true;
@@ -355,68 +385,76 @@ Result<Rowset> EvaluateRetrieve(const BoundRetrieve& bound,
     }
     Period txn = Period::All();
     if (want_txn) {
-      txn = chosen[bound.target_vars[0]]->txn;
-      for (size_t k = 1; k < bound.target_vars.size(); ++k) {
-        txn = txn.Intersect(chosen[bound.target_vars[k]]->txn);
+      for (size_t k = 0; k < bound.target_vars.size(); ++k) {
+        const size_t var = bound.target_vars[k];
+        const Period t = levels[var].candidates.txn(chosen[var]);
+        txn = k == 0 ? t : txn.Intersect(t);
       }
       if (txn.IsEmpty()) return Status::OK();
     }
-    // The row goes in place; a failing target fails the whole statement,
-    // so a partly filled row is never returned.
-    std::vector<Value>& row = append.Add(valid, txn);
-    for (size_t k = 0; k < bound.target_exprs.size(); ++k) {
-      if (const auto& column = bound.target_columns[k]) {
-        row.push_back((*chosen[column->participant]->values)[column->attr]);
-      } else {
+    out.AddPeriods(valid, txn);
+    if (computed_target) {
+      for (size_t k = 0; k < bound.target_exprs.size(); ++k) {
+        if (bound.target_columns[k].has_value()) continue;
         TDB_ASSIGN_OR_RETURN(Value v, bound.target_exprs[k]->Eval(values));
-        row.push_back(std::move(v));
+        TDB_RETURN_IF_ERROR(out.Push(k, v));
       }
     }
-    return Status::OK();
+    for (size_t i = 0; i < n; ++i) picks[i].push_back(chosen[i]);
+    return picks[0].size() == kRun ? gather() : Status::OK();
   };
 
-  std::function<Status(size_t)> enumerate = [&](size_t i) -> Status {
-    if (i == n) return emit();
-    const Level& level = levels[i];
-    auto visit = [&](const Candidate& c) -> Status {
-      chosen[i] = &c;
-      valid_binding[i] = c.valid;
-      return enumerate(i + 1);
-    };
+  // Points level i's visit list at the candidates the bound prefix
+  // 0..i-1 selects.  A dynamic step re-derives the implied valid window
+  // from the when clause under the bound prefix (entries >= i are never
+  // read) and visits the members overlapping it, in candidate order; a
+  // failed derivation visits every member — the leaf predicates stay
+  // authoritative.
+  static const std::vector<uint32_t> kNone;
+  auto open = [&](size_t i) {
+    Level& level = levels[i];
+    level.next = 0;
+    level.visit = &level.members;
     if (level.key != nullptr) {
-      const Value& probe =
-          (*chosen[level.key->outer]->values)[level.key->outer_attr];
+      const size_t outer = level.key->outer;
+      const Value& probe = levels[outer].candidates.values(
+          chosen[outer])[level.key->outer_attr];
       auto bucket = level.buckets.find(probe);
-      if (bucket == level.buckets.end()) return Status::OK();
-      for (size_t k : bucket->second) {
-        TDB_RETURN_IF_ERROR(visit(level.candidates[k]));
+      level.visit = bucket == level.buckets.end() ? &kNone : &bucket->second;
+    } else if (level.dynamic) {
+      const std::optional<Period> window =
+          bound.when->PushdownWindow(i, valid_binding, i);
+      if (window.has_value()) {
+        level.hits.clear();
+        level.by_valid.Overlapping(*window, [&](Period, IntervalIndex::Id k) {
+          level.hits.push_back(static_cast<uint32_t>(k));
+        });
+        std::sort(level.hits.begin(), level.hits.end());
+        level.visit = &level.hits;
       }
-      return Status::OK();
     }
-    // A dynamic step re-derives the implied valid window from the when
-    // clause under the bound prefix (entries >= i are never read) and
-    // visits the candidates overlapping it, in candidate order.  A failed
-    // derivation visits every candidate — the leaf predicates stay
-    // authoritative.
-    const std::optional<Period> window =
-        level.dynamic ? bound.when->PushdownWindow(i, valid_binding, i)
-                      : std::nullopt;
-    if (!window.has_value()) {
-      for (const Candidate& c : level.candidates) {
-        TDB_RETURN_IF_ERROR(visit(c));
-      }
-      return Status::OK();
-    }
-    std::vector<size_t> hits;
-    level.by_valid.Overlapping(
-        *window, [&hits](Period, IntervalIndex::Id k) { hits.push_back(k); });
-    std::sort(hits.begin(), hits.end());
-    for (size_t k : hits) {
-      TDB_RETURN_IF_ERROR(visit(level.candidates[k]));
-    }
-    return Status::OK();
   };
-  TDB_RETURN_IF_ERROR(enumerate(0));
+
+  size_t i = 0;
+  open(0);
+  for (;;) {
+    Level& level = levels[i];
+    if (level.next == level.visit->size()) {
+      // Level i is exhausted: resume the level above.
+      if (i == 0) break;
+      --i;
+      continue;
+    }
+    const uint32_t k = (*level.visit)[level.next++];
+    chosen[i] = k;
+    valid_binding[i] = level.candidates.valid(k);
+    if (i + 1 < n) {
+      open(++i);
+    } else {
+      TDB_RETURN_IF_ERROR(emit());
+    }
+  }
+  TDB_RETURN_IF_ERROR(gather());
   return FinalizeAggregates(bound, std::move(out));
 }
 
@@ -499,9 +537,10 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
             ExprPtr expr,
             CompileScalarExpr(ast, {}, /*allow_columns=*/false));
         TDB_ASSIGN_OR_RETURN(Value v, expr->Eval({}));
+        // The kind's `Append` checks and coerces the values (`CheckValues`).
         TDB_ASSIGN_OR_RETURN(values[*idx],
-                             CoerceForAttribute(schema.at(*idx).type,
-                                                std::move(v)));
+                             ParseDateLiteral(schema.at(*idx).type,
+                                              std::move(v)));
       }
       TDB_ASSIGN_OR_RETURN(std::optional<Period> valid,
                            ResolveDmlValidClause(s.valid));
@@ -592,15 +631,18 @@ Result<ExecResult> Execute(const Statement& stmt, EvalContext& ctx) {
       ExecResult r;
       r.kind = ExecResult::Kind::kRows;
       r.rows = Rowset(rel->schema(), rel->temporal_class(), rel->data_model());
-      TDB_ASSIGN_OR_RETURN(Rowset::Appender append,
-                           r.rows.MakeAppender(rel->schema().size()));
       const VersionStore* store = rel->store();
       VersionBatchScan scan = store->BatchScan(store->HeadPin(), {});
       VersionBatch batch;
       while (scan.Next(&batch)) {
         for (size_t i = 0; i < batch.size(); ++i) {
-          const Candidate c = Candidate::FromBatch(batch, i);
-          append.Add(c.valid, c.txn) = *c.values;
+          r.rows.AddPeriods(batch.valid(i), batch.txn(i));
+        }
+        for (size_t col = 0; col < rel->schema().size(); ++col) {
+          TDB_RETURN_IF_ERROR(r.rows.Gather(
+              col, batch.size(), [&](size_t i) -> const Value& {
+                return batch.values(i)[col];
+              }));
         }
       }
       return r;

@@ -72,6 +72,64 @@ TEST_F(DatabaseTest, ExplicitAbortUndoesAllStatements) {
   EXPECT_EQ(rows->rows()[0].values[0].AsInt(), 1);
 }
 
+// A one-line source whose failing statement stops it before its `commit`
+// aborts the transaction it began: a later auto-commit append is its own
+// transaction, and a later `begin transaction` succeeds.
+TEST_F(DatabaseTest, FailingStatementAbortsTheTransactionItsSourceBegan) {
+  ASSERT_TRUE(db_->Execute("create relation u (k = int, n = int)").ok());
+  ASSERT_TRUE(db_->Execute("append to u (k = 1, n = 0)").ok());
+  ASSERT_TRUE(db_->Execute("range of u is u").ok());
+  EXPECT_FALSE(db_->Execute("begin transaction; append to u (k = 2, n = 1); "
+                            "delete u where 10 / u.n > 1; "
+                            "commit transaction")
+                   .ok());
+  // The source's own append went with its transaction.
+  EXPECT_EQ(db_->Query("retrieve (u.k)")->size(), 1u);
+  ASSERT_TRUE(db_->Execute("append to u (k = 3, n = 1)").ok());
+  EXPECT_EQ(db_->Query("retrieve (u.k)")->size(), 2u);
+  ASSERT_TRUE(db_->Execute("begin transaction").ok());
+  ASSERT_TRUE(db_->Execute("abort transaction").ok());
+}
+
+// A transaction begun by an earlier call outlives a failing statement of a
+// later one, as it always has: the caller still owns it.
+TEST_F(DatabaseTest, FailingStatementKeepsAnEarlierCallsTransaction) {
+  ASSERT_TRUE(db_->Execute("create relation u (k = int, n = int)").ok());
+  ASSERT_TRUE(db_->Execute("append to u (k = 1, n = 0)").ok());
+  ASSERT_TRUE(db_->Execute("range of u is u").ok());
+  ASSERT_TRUE(db_->Execute("begin transaction").ok());
+  ASSERT_TRUE(db_->Execute("append to u (k = 2, n = 1)").ok());
+  EXPECT_FALSE(
+      db_->Execute("append to u (k = 3, n = 1); delete u where 10 / u.n > 1")
+          .ok());
+  EXPECT_FALSE(db_->Execute("begin transaction").ok());
+  ASSERT_TRUE(db_->Execute("commit transaction").ok());
+  EXPECT_EQ(db_->Query("retrieve (u.k)")->size(), 3u);
+}
+
+// `append` turns a date-string literal into a date and leaves the type
+// check and the int-to-float widening to the relation (`CheckValues`).
+TEST_F(DatabaseTest, AppendCoercesThroughTheRelation) {
+  ASSERT_TRUE(
+      db_->Execute("create relation p (d = date, f = float, s = string)")
+          .ok());
+  ASSERT_TRUE(db_->Execute("range of p is p").ok());
+  ASSERT_TRUE(
+      db_->Execute("append to p (d = \"09/01/77\", f = 3, s = \"x\")").ok());
+  Result<Rowset> rows = db_->Query("retrieve (p.d, p.f)");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  ASSERT_EQ(rows->size(), 1u);
+  EXPECT_EQ(rows->Get(0, 0), Value(*Date::Parse("09/01/77")));
+  EXPECT_EQ(rows->Get(0, 1).type(), ValueType::kFloat);
+  EXPECT_EQ(rows->Get(0, 1), Value(3.0));
+  Result<tquel::ExecResult> wrong = db_->Execute("append to p (s = 5)");
+  EXPECT_TRUE(wrong.status().IsInvalidArgument());
+  EXPECT_EQ(wrong.status().message(),
+            "cannot store int value in string attribute");
+  EXPECT_FALSE(db_->Execute("append to p (d = \"13/45/77\")").ok());
+  EXPECT_EQ(db_->Query("retrieve (p.s)")->size(), 1u);
+}
+
 TEST_F(DatabaseTest, WithTransactionCommitsOnOk) {
   ASSERT_TRUE(db_->Execute("create relation t (n = int)").ok());
   Status s = db_->WithTransaction([&](Transaction*) -> Status {
@@ -252,7 +310,8 @@ class StatementAtomicityTest : public ::testing::TestWithParam<const char*> {
   static std::vector<Row> Show(Database* db) {
     Result<tquel::ExecResult> r = db->Execute("show u");
     EXPECT_TRUE(r.ok()) << r.status().ToString();
-    return r.ok() ? r->rows.rows() : std::vector<Row>{};
+    if (!r.ok()) return {};
+    return std::vector<Row>(r->rows.rows().begin(), r->rows.rows().end());
   }
 
   // Creates `u (k, n)` holding `rows` (k, n, valid from), runs `stmt` in an

@@ -123,6 +123,93 @@ TEST_F(EvaluatorTest, RetrieveIntoStoresDerived) {
   EXPECT_TRUE(db_->GetDerived("missing").status().IsNotFound());
 }
 
+// Each result column holds one type, its schema's: computed bool and float
+// targets, a null, a join's computed targets, and aggregate inputs of
+// another type than the aggregate's.
+TEST_F(EvaluatorTest, ComputedTargetsAreTypedColumns) {
+  ASSERT_TRUE(ExecOk("create relation t (name = string, n = int, f = float, "
+                     "b = bool, d = date)")
+                  .ok());
+  ASSERT_TRUE(ExecOk("append to t (name = \"a\", n = 9007199254740993, "
+                     "f = 2, b = 1 > 0, d = \"09/01/77\")")
+                  .ok());
+  ASSERT_TRUE(ExecOk("append to t (name = \"b\", n = 0 - 3, f = 0.5)").ok());
+  ASSERT_TRUE(ExecOk("range of x is t").ok());
+  ASSERT_TRUE(ExecOk("range of y is t").ok());
+
+  Result<Rowset> rows = db_->Query(
+      "retrieve (x.name, big = x.n > 0, half = x.n * 0.5, twice = x.f * 2, "
+      "next = x.n + 1, x.b, x.d)");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  const std::vector<ValueType> types = {
+      ValueType::kString, ValueType::kBool, ValueType::kFloat,
+      ValueType::kFloat,  ValueType::kInt,  ValueType::kBool,
+      ValueType::kDate};
+  ASSERT_EQ(rows->schema().size(), types.size());
+  for (size_t c = 0; c < types.size(); ++c) {
+    EXPECT_EQ(rows->schema().at(c).type.value_type(), types[c]) << c;
+  }
+  ASSERT_EQ(rows->size(), 2u);
+  EXPECT_EQ(rows->Get(0, 1), Value(true));
+  EXPECT_EQ(rows->Get(1, 1), Value(false));
+  EXPECT_EQ(rows->Get(0, 2), Value(9007199254740993.0 * 0.5));
+  EXPECT_EQ(rows->Get(1, 3), Value(1.0));
+  EXPECT_EQ(rows->Get(0, 4), Value(int64_t{9007199254740994}));
+  EXPECT_EQ(rows->Get(0, 6), Value(*Date::Parse("09/01/77")));
+  EXPECT_TRUE(rows->Get(1, 5).is_null());
+  EXPECT_TRUE(rows->Get(1, 6).is_null());
+
+  Result<Rowset> joined = db_->Query(
+      "retrieve (x.name, other = y.name, same = x.n = y.n, both = x.f + y.f) "
+      "where x.name <= y.name");
+  ASSERT_TRUE(joined.ok()) << joined.status().ToString();
+  ASSERT_EQ(joined->size(), 3u);
+  EXPECT_EQ(joined->schema().at(2).type.value_type(), ValueType::kBool);
+  EXPECT_EQ(joined->schema().at(3).type.value_type(), ValueType::kFloat);
+  EXPECT_EQ(joined->rows()[1].values,
+            (std::vector<Value>{Value("a"), Value("b"), Value(false),
+                                Value(2.5)}));
+
+  Result<Rowset> agg = db_->Query(
+      "retrieve (total = sum(x.f), c = count(x.name), mean = avg(x.n), "
+      "top = max(x.name))");
+  ASSERT_TRUE(agg.ok()) << agg.status().ToString();
+  ASSERT_EQ(agg->size(), 1u);
+  EXPECT_EQ(agg->rows()[0].values,
+            (std::vector<Value>{
+                Value(2.5), Value(int64_t{2}),
+                Value((9007199254740993.0 - 3) / 2), Value("b")}));
+}
+
+// `retrieve into` keeps the typed answer: the derived relation equals the
+// query's rows, values and periods.
+TEST_F(EvaluatorTest, RetrieveIntoKeepsTypedColumns) {
+  ASSERT_TRUE(ExecOk("create historical relation t (name = string, "
+                     "f = float, d = date)")
+                  .ok());
+  ASSERT_TRUE(ExecOk("append to t (name = \"a long name, past any small "
+                     "buffer\", f = 1.5, d = \"09/01/77\") valid from "
+                     "\"01/01/79\" to \"inf\"")
+                  .ok());
+  ASSERT_TRUE(ExecOk("append to t (name = \"\")").ok());
+  ASSERT_TRUE(ExecOk("range of x is t").ok());
+  const std::string targets = "(x.name, x.f, x.d, g = x.f > 1.0)";
+  ASSERT_TRUE(ExecOk("retrieve into kept " + targets).ok());
+  Result<Rowset> derived = db_->GetDerived("kept");
+  Result<Rowset> direct = db_->Query("retrieve " + targets);
+  ASSERT_TRUE(derived.ok());
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  ASSERT_EQ(derived->size(), 2u);
+  EXPECT_TRUE(Rowset::SameContent(*derived, *direct));
+  EXPECT_EQ(std::vector<Row>(derived->rows().begin(), derived->rows().end()),
+            std::vector<Row>(direct->rows().begin(), direct->rows().end()));
+  EXPECT_EQ(derived->Get(0, 0).AsString(),
+            "a long name, past any small buffer");
+  EXPECT_EQ(derived->Get(1, 0).AsString(), "");
+  EXPECT_EQ(derived->valid(0),
+            Period::From(Date::Parse("01/01/79")->chronon()));
+}
+
 TEST_F(EvaluatorTest, ShowRendersStoredRepresentation) {
   ASSERT_TRUE(
       ExecOk("create temporal relation t (name = string, r = string)").ok());

@@ -597,14 +597,16 @@ TEST(OneScanPath, KeyRangeCandidatesMatchTheSweep) {
               });
           size_t examined = 0;
           std::vector<RowId> head;
-          for (const Candidate& c : rel->Candidates(spec, key, &examined)) {
-            if (in_range((*c.values)[1])) head.push_back(c.row);
+          const VersionBatch at_head = rel->Candidates(spec, key, &examined);
+          for (size_t i = 0; i < at_head.size(); ++i) {
+            if (in_range(at_head.values(i)[1])) head.push_back(at_head.rows[i]);
           }
           spec.snapshot = snap->PinFor(rel->store());
           std::vector<RowId> pinned;
           size_t yield = 0;
-          for (const Candidate& c : rel->Candidates(spec, key, &yield)) {
-            if (in_range((*c.values)[1])) pinned.push_back(c.row);
+          const VersionBatch at_pin = rel->Candidates(spec, key, &yield);
+          for (size_t i = 0; i < at_pin.size(); ++i) {
+            if (in_range(at_pin.values(i)[1])) pinned.push_back(at_pin.rows[i]);
           }
           const std::string label = std::string(create) + " seed " +
                                     std::to_string(seed) + " key " +

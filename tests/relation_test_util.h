@@ -97,8 +97,11 @@ inline Result<Selection> SelectEqual(const StoredRelation& rel,
                                      std::optional<Period> valid) {
   Selection out;
   TDB_ASSIGN_OR_RETURN(out.window, rel.DmlWindow(txn, valid));
-  for (const Candidate& c : rel.DmlCandidates(out.window, std::nullopt)) {
-    if ((*c.values)[attr] == key) out.victims.push_back(c.row);
+  const VersionBatch candidates = rel.DmlCandidates(out.window, std::nullopt);
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    if (candidates.values(i)[attr] == key) {
+      out.victims.push_back(candidates.rows[i]);
+    }
   }
   return out;
 }
@@ -143,7 +146,7 @@ inline std::vector<Row> SortedRows(Database* db, const std::string& query) {
   Result<Rowset> rows = db->Query(query);
   EXPECT_TRUE(rows.ok()) << query << ": " << rows.status().ToString();
   if (!rows.ok()) return {};
-  std::vector<Row> out = rows->rows();
+  std::vector<Row> out(rows->rows().begin(), rows->rows().end());
   std::sort(out.begin(), out.end());
   return out;
 }
